@@ -69,8 +69,5 @@ class Budget:
     max_depth: int = 2_000
     max_derivations: int = 5_000
 
-    def spent(self, rules: int, depth: int) -> bool:
-        return rules > self.max_rules or depth > self.max_depth
-
 
 DEFAULT_BUDGET = Budget()

@@ -10,6 +10,7 @@ exact dynamic program over states rather than derivation enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +24,18 @@ from .base import (
     NotWordProgram,
     QiError,
 )
+from .callgraph import function_ranks, rank_recurrence_bound
 from .ordering import Precedence
-from .qi import QiAssignment, is_uniform
-from .semantics import DerivationProof, Judgement
+from .qi import (
+    Arg,
+    Const,
+    QiAssignment,
+    Sum,
+    eval_expr,
+    is_uniform,
+    max_constructor_constant,
+)
+from .semantics import DerivationProof, Judgement, activation_growth, classify
 from .terms import (
     App,
     CONSTRUCTOR,
@@ -126,8 +136,6 @@ def blind_proof(blind: BlindProgram, proof: DerivationProof) -> DerivationProof:
             eq_by_index[j.equation.index] if j.equation is not None else None,
         )
 
-    from .semantics import classify
-
     root = go(proof.root)
     return DerivationProof(root, proof.mode, classify(root), ())
 
@@ -165,8 +173,6 @@ def transfer_uniform_qi(
     entries: dict = {}
     unary = [c for c in program.constructors if c.arity == 1]
     nullary = [c for c in program.constructors if c.arity == 0]
-    from .qi import Arg, Const, Sum
-
     entries["s"] = (
         assignment.entry(unary[0].name) if unary else Sum((Arg(0), Const(Fraction(1))))
     )
@@ -317,17 +323,12 @@ def input_tuples(
     return out
 
 
-def strong_poly_bound(program: Program, assignment, precedence, n: int) -> int:
+def strong_poly_bound(
+    program: Program, assignment: QiAssignment, precedence: Precedence, n: int
+) -> int:
     """Concrete per-size derivation bound for strict-order, valid-QI,
     linear programs: rank recurrence x per-rank descendant cap x activation
     growth, with the QI bounding active sizes."""
-    import math
-
-    from .callgraph import function_ranks
-    from .ordering import Precedence  # noqa: F401 (signature documentation)
-    from .qi import eval_expr, max_constructor_constant
-    from .semantics import activation_growth
-
     main = program.main
     arity = max(1, main.arity)
     a = max_constructor_constant(assignment, program)
@@ -339,18 +340,7 @@ def strong_poly_bound(program: Program, assignment, precedence, n: int) -> int:
     a_cap = n + arity  # same-class descendants per node: linearity + descent
     ranks = function_ranks(program, precedence)
     k = max(ranks.values(), default=1)
-    d = max(
-        (
-            sum(1 for u in subterms(eq.rhs) if isinstance(u, App) and u.symbol.is_function)
-            for eq in program.equations
-        ),
-        default=1,
-    )
-    total_nodes = 0
-    for i in range(1, k + 1):
-        total_nodes += sum(
-            d ** (k - j) * (a_cap + 1) ** (k - j + 1) for j in range(i, k + 1)
-        )
+    total_nodes = rank_recurrence_bound(program, k, a_cap)
     g = activation_growth(program)
     return (total_nodes + 1) * (g * (s_cap + 1) + 1) + n + arity + 1
 

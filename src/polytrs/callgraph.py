@@ -9,10 +9,11 @@ equation and the rhs call-site occurrence they realise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .base import Budget, DEFAULT_BUDGET, PrecedenceError
+from .base import Budget, BudgetExceeded, DEFAULT_BUDGET, PrecedenceError
 from .semantics import (
     DerivationProof,
     Judgement,
@@ -25,9 +26,10 @@ from .terms import (
     Program,
     Symbol,
     Term,
+    apply_subst,
     format_term,
     is_value,
-    subterms,
+    matching_equations,
     term_size,
 )
 from .ordering import EQUIV, LESS, Precedence
@@ -284,10 +286,6 @@ def successors(
     rhs, the subterm's arguments are evaluated exhaustively (set semantics);
     each derivable argument tuple yields one edge.
     """
-    import itertools
-
-    from .terms import apply_subst, matching_equations
-
     out = []
     memo: dict = {}
     for eq, sigma in matching_equations(program, state.term):
@@ -317,8 +315,6 @@ def reachable_states(
 ) -> set[State]:
     """States reachable through transitions; equals the states appearing in
     call trees rooted at the initial state."""
-    from .base import BudgetExceeded
-
     seen = {initial}
     frontier = [initial]
     while frontier:
@@ -416,12 +412,26 @@ def same_class_descendant_counts(
     return counts
 
 
+def rank_recurrence_bound(program: Program, k: int, a: int, min_d: int = 0) -> int:
+    """Sum over 1 <= i <= k of B_i = sum_{i<=j<=k} d^(k-j) * (a+1)^(k-j+1).
+
+    d is the call-tree arity (the most function occurrences in any rhs),
+    raised to at least ``min_d``.
+    """
+    d = max(min_d, call_tree_arity(program))
+    return sum(
+        d ** (k - j) * (a + 1) ** (k - j + 1)
+        for i in range(1, k + 1)
+        for j in range(i, k + 1)
+    )
+
+
 def rank_stats(structure: CallStructure, precedence: Precedence, program: Program) -> RankReport:
     """Per-class counting and the rank-recurrence size bound.
 
-    The bound instantiates B_i = sum_{i<=j<=k} d^(k-j) * (A+1)^(k-j+1) with
-    d the maximum number of function occurrences in any rhs and k the
-    maximum rank; the +1 absorbs the node itself alongside its descendants.
+    The bound instantiates ``rank_recurrence_bound`` with A the largest
+    same-class descendant count, d at least 1 and k the maximum rank; the +1
+    absorbs the node itself alongside its descendants.
     """
     if not precedence.is_separating():
         raise PrecedenceError("rank statistics need a separating precedence")
@@ -431,9 +441,6 @@ def rank_stats(structure: CallStructure, precedence: Precedence, program: Progra
     counts = same_class_descendant_counts(structure, precedence)
     nodes = structure.nodes()
     a_max = max(counts.values(), default=0)
-    d = 1
-    for eq in program.equations:
-        d = max(d, sum(1 for u in subterms(eq.rhs) if isinstance(u, App) and u.symbol.is_function))
     k = max(ranks.values(), default=0)
 
     per_class = []
@@ -448,10 +455,7 @@ def rank_stats(structure: CallStructure, precedence: Precedence, program: Progra
                 max((counts[id(n)] for n in cls_nodes), default=0),
             )
         )
-    bound = 0
-    for i in range(1, k + 1):
-        b_i = sum(d ** (k - j) * (a_max + 1) ** (k - j + 1) for j in range(i, k + 1))
-        bound += b_i
+    bound = rank_recurrence_bound(program, k, a_max, min_d=1)
     bound *= max(1, len(structure.roots))
     return RankReport(
         tuple(per_class),

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 certified/pass, 1 refuted, 2 unknown, 3 usage or input error.
-All commands emit JSON (CSV/DOT where noted) on stdout or to ``--out``.
+Exit codes: 0 certified/pass, 1 refuted, 2 unknown, 3 any error (usage,
+input or internal).  All commands emit JSON (CSV/DOT where noted) on stdout
+or to ``--out``.
 """
 
 from __future__ import annotations
@@ -9,15 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from .base import Budget, TrsError
 from .bc import compile_bc, parse_bc
 from .blind import blind_program, is_linear, measure_strong_poly
 from .callgraph import call_dag, call_tree
-from .ordering import EPPO, PPO, check_program, infer_precedence, parse_precedence
+from .ordering import EPPO, PPO, order_verdict
 from .parser import format_program, parse_program, parse_term
-from .qi import check_qi, is_uniform, parse_assignment, _parse_expr
+from .qi import check_qi, format_assignment, is_uniform, parse_assignment, _parse_expr
 from .report import build_report, program_digest
 from .semantics import (
     Exhaustive,
@@ -25,6 +27,7 @@ from .semantics import (
     Seeded,
     eval_cbv,
     eval_memo,
+    is_orthogonal,
     proof_to_json,
 )
 from .terms import Program, format_term
@@ -54,8 +57,8 @@ def _sizes(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
+def _emit(args: Optional[argparse.Namespace], text: str) -> None:
+    if args is not None and args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -64,13 +67,6 @@ def _emit(args, text: str) -> None:
 
 def _emit_json(args, data) -> None:
     _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _precedence(args, program: Program, mode: str):
-    text = args.order or program.declared_order
-    if text:
-        return parse_precedence(text, program, mode)
-    return infer_precedence(program, mode)
 
 
 def _policy(args):
@@ -138,15 +134,32 @@ def main(argv: Optional[list] = None) -> int:
     sp = sub.add_parser("certify", help="full criteria pipeline and report")
     sp.add_argument("program")
 
-    args = parser.parse_args(argv)
+    for p in (parser, *sub.choices.values()):
+        p.error = _usage_error
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        _emit_json(None, {"error": "usage", "message": str(exc)})
+        return 3
     try:
         return _dispatch(args)
     except TrsError as exc:
-        _emit_json(args, {"error": exc.code, "message": str(exc)})
-        return 3
+        error = {"error": exc.code, "message": str(exc)}
     except OSError as exc:
-        _emit_json(args, {"error": "io-error", "message": str(exc)})
-        return 3
+        error = {"error": "io-error", "message": str(exc)}
+    except Exception as exc:
+        traceback.print_exc()
+        error = {"error": "internal-error", "message": f"{type(exc).__name__}: {exc}"}
+    try:
+        _emit_json(args, error)
+    except OSError:  # --out itself is unwritable
+        _emit_json(None, error)
+    return 3
+
+
+def _usage_error(message: str):
+    """Replaces argparse's exit(2), which would read as the verdict unknown."""
+    raise argparse.ArgumentError(None, message)
 
 
 def _dispatch(args) -> int:
@@ -184,8 +197,6 @@ def _dispatch(args) -> int:
                 "proof": proof_to_json(proof),
             }
             if args.command == "memo" and args.allow_nonconfluent_memo:
-                from .semantics import is_orthogonal
-
                 payload["nonconfluent_override"] = not is_orthogonal(program)
             _emit_json(args, payload)
         else:
@@ -198,11 +209,10 @@ def _dispatch(args) -> int:
 
     if args.command == "check-order":
         program = _load_program(args.program)
-        prec = _precedence(args, program, args.mode)
-        if prec is None:
+        verdict = order_verdict(program, args.mode, args.order)
+        if verdict is None:
             _emit_json(args, {"mode": args.mode, "overall": False, "note": "no precedence found"})
             return 1
-        verdict = check_program(program, prec, args.mode)
         _emit_json(args, verdict.as_dict())
         return 0 if verdict.overall else 1
 
@@ -234,24 +244,23 @@ def _dispatch(args) -> int:
 
     if args.command == "linearity":
         program = _load_program(args.program)
-        prec = _precedence(args, program, args.mode)
-        if prec is None:
+        verdict = order_verdict(program, args.mode, args.order)
+        if verdict is None:
             _emit_json(args, {"overall": None, "note": "no precedence found"})
             return 2
-        per = is_linear(program, prec)
+        per = is_linear(program, verdict.precedence)
         _emit_json(args, {"per_function": per, "overall": all(per.values())})
         return 0 if all(per.values()) else 1
 
     if args.command == "normalize":
         program = _load_program(args.program)
-        prec = _precedence(args, program, EPPO)
-        normalized = normalize(program, prec)
+        verdict = order_verdict(program, EPPO, args.order)
+        prec = verdict.precedence if verdict else None
+        normalized = normalize(program, prec)  # raises when prec is None
         result = {
             "program": format_program(normalized),
             "diff": normalization_diff(program, normalized),
-            "normal": is_normal(normalized, prec or infer_precedence(normalized, EPPO)).normal
-            if prec is not None
-            else None,
+            "normal": is_normal(normalized, prec).normal,
         }
         _emit_json(args, result)
         return 0
@@ -260,8 +269,6 @@ def _dispatch(args) -> int:
         with open(args.bcfile, encoding="utf-8") as fh:
             bc = parse_bc(fh.read())
         comp = compile_bc(bc)
-        from .qi import format_assignment
-
         if args.format == "json":
             _emit_json(
                 args,

@@ -50,9 +50,6 @@ class Precedence:
         except KeyError:
             raise PrecedenceError(f"symbol {name} not covered by the precedence")
 
-    def members(self, cid: int) -> list[Symbol]:
-        return [s for s in self.signature if self.class_ids[s.name] == cid]
-
     def compare_symbols(self, a: Symbol, b: Symbol) -> str:
         ca, cb = self.class_of(a.name), self.class_of(b.name)
         if ca == cb:
@@ -504,10 +501,33 @@ def _sccs(graph: dict) -> list[list[str]]:
     return out
 
 
+def order_verdict(
+    program: Program, mode: str, order_text: Optional[str] = None
+) -> Optional[OrderingVerdict]:
+    """The ordering verdict every stage shares; its ``.precedence`` is the
+    precedence.
+
+    Checks the given precedence, else the program's declared ``order:``,
+    else the inferred candidate.  None when the inferred candidate fails.
+    """
+    text = order_text or program.declared_order
+    if text:
+        return check_program(program, parse_precedence(text, program, mode), mode)
+    return _inferred_verdict(program, mode)
+
+
 def infer_precedence(program: Program, mode: str = EPPO) -> Optional[Precedence]:
+    """The inferred candidate when the program passes under it, else None.
+
+    Ignores a declared ``order:``; ``order_verdict`` honours it.
+    """
+    verdict = _inferred_verdict(program, mode)
+    return verdict.precedence if verdict else None
+
+
+def _inferred_verdict(program: Program, mode: str) -> Optional[OrderingVerdict]:
     """Canonical candidate: classes from call-graph SCCs, order from calls.
 
-    Returns the precedence when the program passes under it, else None.
     Only this finest compatible candidate is tried.
     """
     graph = static_call_graph(program)
@@ -523,4 +543,4 @@ def infer_precedence(program: Program, mode: str = EPPO) -> Optional[Precedence]
                 pairs.append((g, f))
     prec = make_precedence(program, comps, pairs, mode)
     verdict = check_program(program, prec, mode)
-    return prec if verdict.overall else None
+    return verdict if verdict.overall else None

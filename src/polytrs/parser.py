@@ -29,6 +29,7 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    format_term,
 )
 
 _TOKEN = re.compile(r"[A-Za-z0-9_']+|->|[(),/<>~;]|\S")
@@ -216,8 +217,6 @@ def parse_program(text: str) -> Program:
 
 def format_program(program: Program) -> str:
     """Canonical printing; parse(format(p)) == p."""
-    from .terms import format_term
-
     ctors = " ".join(f"{s.name}/{s.arity}" for s in program.constructors)
     fns = " ".join(f"{s.name}/{s.arity}" for s in program.functions)
     lines = [f"constructors: {ctors}", f"functions: {fns}"]

@@ -19,9 +19,10 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from . import __version__
 from .base import Budget, DEFAULT_BUDGET, NotWordProgram, TrsError
-from .blind import blind_program, is_linear, program_is_linear, transfer_uniform_qi
-from .ordering import EPPO, PPO, check_program, infer_precedence, parse_precedence
+from .blind import blind_program, is_linear, transfer_uniform_qi
+from .ordering import EPPO, PPO, order_verdict
 from .parser import format_program
 from .qi import QiAssignment, VALID, check_qi, is_uniform
 from .semantics import is_orthogonal
@@ -29,7 +30,6 @@ from .terms import Program
 from .wordnorm import certify_extended
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
 
 PASS = "pass"
 FAIL = "fail"
@@ -60,12 +60,6 @@ class Report:
         return 2
 
 
-def _three_valued(flag: Optional[bool]) -> str:
-    if flag is None:
-        return UNKNOWN
-    return PASS if flag else FAIL
-
-
 def build_report(
     program: Program,
     assignment: Optional[QiAssignment] = None,
@@ -73,21 +67,15 @@ def build_report(
     seed: int = 0,
     budget: Budget = DEFAULT_BUDGET,
     sizes: range = range(1, 9),
-    with_measurements: bool = True,
 ) -> Report:
-    """Run the full pipeline and assemble the machine-readable report."""
+    """Run the full pipeline and assemble the machine-readable report.
+
+    Each stage runs once; the extended criterion reuses the fair-order
+    verdict, the QI verdict, orthogonality and linearity computed here.
+    """
     stages: dict = {}
-    order_text = order_text or program.declared_order
-
-    def precedence_for(mode: str):
-        if order_text:
-            return parse_precedence(order_text, program, mode)
-        return infer_precedence(program, mode)
-
-    ppo_prec = precedence_for(PPO)
-    ppo = check_program(program, ppo_prec, PPO) if ppo_prec is not None else None
-    eppo_prec = precedence_for(EPPO)
-    eppo = check_program(program, eppo_prec, EPPO) if eppo_prec is not None else None
+    ppo = order_verdict(program, PPO, order_text)
+    eppo = order_verdict(program, EPPO, order_text)
     stages["ordering"] = {
         "ppo": ppo.as_dict() if ppo else {"overall": False, "note": "no precedence found"},
         "eppo": eppo.as_dict() if eppo else {"overall": False, "note": "no precedence found"},
@@ -106,48 +94,43 @@ def build_report(
     else:
         stages["qi"] = None
 
-    prec = eppo_prec or ppo_prec
-    linear = program_is_linear(program, prec) if prec is not None else None
-    stages["linearity"] = (
-        {"per_function": is_linear(program, prec), "overall": linear}
-        if prec is not None
-        else None
-    )
-    stages["memo_gate"] = {"orthogonal": is_orthogonal(program)}
+    linear = None
+    stages["linearity"] = None
+    chosen = eppo or ppo
+    if chosen is not None:
+        per_function = is_linear(program, chosen.precedence)
+        linear = all(per_function.values())
+        stages["linearity"] = {"per_function": per_function, "overall": linear}
+    orthogonal = is_orthogonal(program)
+    stages["memo_gate"] = {"orthogonal": orthogonal}
     stages["repeated_lhs_variables"] = program.has_repeated_lhs_variables()
 
     try:
         blind = blind_program(program)
-        blind_stage: dict = {
+        bl_ppo = order_verdict(blind.program, PPO)
+        stages["blind"] = {
             "program": format_program(blind.program),
             "provenance": dict(sorted(blind.provenance.items())),
             "duplicate_equations": [list(g) for g in blind.duplicate_groups],
+            "ppo": {"overall": bool(bl_ppo and bl_ppo.overall)},
         }
-        bl_prec = infer_precedence(blind.program, PPO)
-        bl_ppo = (
-            check_program(blind.program, bl_prec, PPO) if bl_prec is not None else None
-        )
-        blind_stage["ppo"] = {"overall": bool(bl_ppo and bl_ppo.overall)}
         if assignment is not None and uniform:
             transferred = transfer_uniform_qi(assignment, program, blind)
-            blind_stage["transferred_qi"] = check_qi(
+            stages["blind"]["transferred_qi"] = check_qi(
                 blind.program, transferred, seed=seed
             ).overall
-        stages["blind"] = blind_stage
     except NotWordProgram as exc:
         stages["blind"] = {"error": str(exc)}
 
     extended = None
-    if with_measurements:
-        try:
-            extended = certify_extended(
-                program, assignment, sizes=sizes, budget=budget, seed=seed
-            )
-            stages["extended"] = extended.as_dict()
-        except TrsError as exc:
-            stages["extended"] = {"error": str(exc)}
-    else:
-        stages["extended"] = None
+    try:
+        extended = certify_extended(
+            program, eppo, qi_overall, orthogonal, bool(linear),
+            sizes=sizes, budget=budget, seed=seed,
+        )
+        stages["extended"] = extended.as_dict()
+    except TrsError as exc:
+        stages["extended"] = {"error": str(exc)}
 
     if ppo_pass and qi_overall == VALID:
         p_criterion = PASS
@@ -178,7 +161,7 @@ def build_report(
 
     data = {
         "schema_version": SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "program": {
             "digest": program_digest(program),
             "main": program.main.name,

@@ -199,44 +199,64 @@ def _value_proof(v: Term) -> Judgement:
     return Judgement(R_CONSTRUCTOR, v, v, tuple(_value_proof(a) for a in v.args))
 
 
-class _CbvRun:
-    """One evaluation run; threads the budget through the recursion."""
+class _Run:
+    """One evaluation run; threads the budget through the recursion.
 
-    def __init__(self, program: Program, policy: ChoicePolicy, budget: Budget):
+    With a cache the run memoises calls (Read/Update judgements); without
+    one every call is derived again (Function judgements).
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        policy: ChoicePolicy,
+        budget: Budget,
+        cache: Optional[dict] = None,
+    ):
         self.program = program
         self.policy = policy
         self.budget = budget
+        self.cache = cache
+        self.trace: list = []  # (function name, args, value) in Update order
+        self.steps = 0
         self.truncated = False
         self.rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
 
     # -- single-derivation path (FirstMatch / Seeded) --------------------
 
-    def derive_one(self, t: Term, depth: int, steps: list) -> Judgement:
-        steps[0] += 1
-        if steps[0] > self.budget.max_rules or depth > self.budget.max_depth:
+    def derive(self, t: Term, depth: int) -> Judgement:
+        self.steps += 1
+        if self.steps > self.budget.max_rules or depth > self.budget.max_depth:
             raise BudgetExceeded(
                 f"budget exceeded while evaluating {format_term(t)[:80]}"
             )
         if isinstance(t, Var):
             raise NoMatchingEquation(f"cannot evaluate open term {t.name}")
         if t.symbol.is_constructor:
-            kids = tuple(self.derive_one(a, depth + 1, steps) for a in t.args)
+            kids = tuple(self.derive(a, depth + 1) for a in t.args)
             return Judgement(
                 R_CONSTRUCTOR, t, App(t.symbol, tuple(k.result for k in kids)), kids
             )
         if all(is_value(a) for a in t.args):
+            key = (t.symbol.name, t.args)
+            if self.cache is not None and key in self.cache:
+                return Judgement(R_READ, t, self.cache[key])
             matches = matching_equations(self.program, t)
             if not matches:
                 raise NoMatchingEquation(f"no equation matches {format_term(t)}")
-            if isinstance(self.policy, Seeded) and len(matches) > 1:
+            if self.rng is not None and len(matches) > 1:
                 eq, sigma = matches[self.rng.randrange(len(matches))]
             else:
                 eq, sigma = matches[0]
-            body = self.derive_one(apply_subst(eq.rhs, sigma), depth + 1, steps)
-            return Judgement(R_FUNCTION, t, body.result, (body,), eq)
-        kids = tuple(self.derive_one(a, depth + 1, steps) for a in t.args)
+            body = self.derive(apply_subst(eq.rhs, sigma), depth + 1)
+            if self.cache is None:
+                return Judgement(R_FUNCTION, t, body.result, (body,), eq)
+            self.cache[key] = body.result
+            self.trace.append((t.symbol.name, t.args, body.result))
+            return Judgement(R_UPDATE, t, body.result, (body,), eq)
+        kids = tuple(self.derive(a, depth + 1) for a in t.args)
         call = App(t.symbol, tuple(k.result for k in kids))
-        final = self.derive_one(call, depth + 1, steps)
+        final = self.derive(call, depth + 1)
         return Judgement(R_SPLIT, t, final.result, kids + (final,))
 
     # -- exhaustive enumeration -------------------------------------------
@@ -311,7 +331,7 @@ def eval_cbv(
     derivation within the budget (deduplication never applies: each rule
     choice sequence is its own derivation).
     """
-    run = _CbvRun(program, policy, budget)
+    run = _Run(program, policy, budget)
     if isinstance(policy, Exhaustive):
         derivs = run.enumerate(term, 0, 0)
         if not derivs and run.truncated:
@@ -319,15 +339,14 @@ def eval_cbv(
         for root in derivs:
             yield _make_proof(root, "cbv")
     else:
-        root = run.derive_one(term, 0, [0])
-        yield _make_proof(root, "cbv")
+        yield _make_proof(run.derive(term, 0), "cbv")
 
 
 def all_derivations(
     program: Program, term: Term, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[list[DerivationProof], bool]:
     """Materialised exhaustive enumeration plus a truncation flag."""
-    run = _CbvRun(program, Exhaustive(), budget)
+    run = _Run(program, Exhaustive(), budget)
     derivs = run.enumerate(term, 0, 0)
     return [_make_proof(r, "cbv") for r in derivs], run.truncated
 
@@ -444,43 +463,6 @@ def is_orthogonal(program: Program) -> bool:
     return not overlapping_pairs(program)
 
 
-class _MemoRun:
-    def __init__(self, program: Program, budget: Budget):
-        self.program = program
-        self.budget = budget
-        self.cache: dict = {}
-        self.trace: list = []
-        self.steps = 0
-
-    def derive(self, t: Term, depth: int) -> Judgement:
-        self.steps += 1
-        if self.steps > self.budget.max_rules or depth > self.budget.max_depth:
-            raise BudgetExceeded(f"budget exceeded while evaluating {format_term(t)[:80]}")
-        if isinstance(t, Var):
-            raise NoMatchingEquation(f"cannot evaluate open term {t.name}")
-        if t.symbol.is_constructor:
-            kids = tuple(self.derive(a, depth + 1) for a in t.args)
-            return Judgement(
-                R_CONSTRUCTOR, t, App(t.symbol, tuple(k.result for k in kids)), kids
-            )
-        if all(is_value(a) for a in t.args):
-            key = (t.symbol.name, t.args)
-            if key in self.cache:
-                return Judgement(R_READ, t, self.cache[key])
-            matches = matching_equations(self.program, t)
-            if not matches:
-                raise NoMatchingEquation(f"no equation matches {format_term(t)}")
-            eq, sigma = matches[0]
-            body = self.derive(apply_subst(eq.rhs, sigma), depth + 1)
-            self.cache[key] = body.result
-            self.trace.append((t.symbol.name, t.args, body.result))
-            return Judgement(R_UPDATE, t, body.result, (body,), eq)
-        kids = tuple(self.derive(a, depth + 1) for a in t.args)
-        call = App(t.symbol, tuple(k.result for k in kids))
-        final = self.derive(call, depth + 1)
-        return Judgement(R_SPLIT, t, final.result, kids + (final,))
-
-
 def eval_memo(
     program: Program,
     term: Term,
@@ -498,7 +480,7 @@ def eval_memo(
             "program is not orthogonal (left-linear + non-overlapping); "
             "memoisation refused without an explicit override"
         )
-    run = _MemoRun(program, budget)
+    run = _Run(program, FirstMatch(), budget, cache={})
     root = run.derive(term, 0)
     return _make_proof(root, "memo", tuple(run.trace))
 

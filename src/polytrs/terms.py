@@ -89,12 +89,6 @@ def is_pattern(t: Term) -> bool:
     return t.symbol.is_constructor and all(is_pattern(a) for a in t.args)
 
 
-def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground(a) for a in t.args)
-
-
 def term_size(t: Term) -> int:
     """Number of symbol and variable occurrences."""
     if isinstance(t, Var):

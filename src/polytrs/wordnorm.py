@@ -27,11 +27,12 @@ from .callgraph import (
     reachable_states,
     rhs_call_positions,
 )
-from .ordering import EPPO, OrderingVerdict, Precedence, check_program, infer_precedence
-from .qi import QiAssignment, QiExpr, VALID, check_qi, eval_expr
-from .semantics import is_orthogonal
+from .blind import classify_growth, input_tuples, measure_strong_poly
+from .ordering import EPPO, OrderingVerdict, Precedence, check_program, order_verdict
+from .qi import QiExpr, VALID, eval_expr
 from .terms import (
     App,
+    apply_subst,
     Equation,
     Program,
     Symbol,
@@ -178,8 +179,6 @@ def _instantiate(eq: Equation, var: str, replacement: Term) -> Equation:
     subst = {var: replacement}
     for v in variables(eq.lhs):
         subst.setdefault(v, Var(v))
-    from .terms import apply_subst
-
     return Equation(
         eq.lhs_function,
         tuple(apply_subst(p, subst) for p in eq.lhs_patterns),
@@ -199,17 +198,18 @@ def normalize(
     instances under tail |-> c(tail') for every unary constructor and
     tail |-> z for every nullary one; K is recomputed every round.  Ground
     patterns cannot be extended, so a ground pattern below K is an error.
+    Without a precedence, the program's declared or inferred one is used.
     """
     require_word_program(program)
     if precedence is None:
-        precedence = infer_precedence(program, EPPO)
-        if precedence is None:
-            raise NormalizationError("the program is not ordered by the fair path order")
-    verdict = check_program(program, precedence, EPPO)
-    if not verdict.overall:
+        verdict = order_verdict(program, EPPO)
+    else:
+        verdict = check_program(program, precedence, EPPO)
+    if verdict is None or not verdict.overall:
         raise NormalizationError(
             "normalization needs a program ordered by the fair path order"
         )
+    precedence = verdict.precedence
     unary = [c for c in program.constructors if c.arity == 1]
     nullary = [c for c in program.constructors if c.arity == 0]
     equations = list(program.equations)
@@ -287,12 +287,6 @@ def call_site_labels(program: Program, precedence: Precedence) -> dict:
             i + 1, call.equation.index, call.occurrence, call.callee.name
         )
     return labels
-
-
-def _adjacency(dag: CallStructure):
-    for node in dag.nodes():
-        for edge, child in dag.successors_of(node):
-            yield node, edge, child
 
 
 def same_class_paths(
@@ -446,8 +440,6 @@ def measure_bounded_values(
     with call-tree membership; a user polynomial in the input size is
     checked against each untruncated row when supplied.
     """
-    from .blind import input_tuples
-
     rows = []
     main = program.main
     for n in sizes:
@@ -507,7 +499,10 @@ class ExtendedVerdict:
 
 def certify_extended(
     program: Program,
-    assignment: Optional[QiAssignment] = None,
+    eppo: Optional[OrderingVerdict],
+    qi_overall: Optional[str],
+    orthogonal: bool,
+    linear: bool,
     user_poly: Optional[QiExpr] = None,
     sizes: range = range(1, 9),
     budget: Budget = DEFAULT_BUDGET,
@@ -515,34 +510,26 @@ def certify_extended(
 ) -> ExtendedVerdict:
     """The composite verdict behind the extended criterion.
 
-    A fair-order pass plus a valid quasi-interpretation certifies membership
-    (with memoisation, hence the confluence or linearity gate); otherwise
-    measurement can refute polynomial growth or support it empirically.
+    Takes the fair-order verdict, the QI verdict, orthogonality and
+    linearity as computed by the caller, and adds normalization and
+    measurement.  A fair-order pass plus a valid quasi-interpretation
+    certifies membership (with memoisation, hence the confluence or
+    linearity gate); otherwise measurement can refute polynomial growth or
+    support it empirically.
     """
-    from .blind import classify_growth, measure_strong_poly, program_is_linear
-
     word = all(c.arity <= 1 for c in program.constructors)
-    prec = infer_precedence(program, EPPO)
-    eppo = check_program(program, prec, EPPO) if prec is not None else None
     eppo_pass = bool(eppo and eppo.overall)
 
     normalized = False
     normal_equations = None
-    working = program
     if eppo_pass and word:
         try:
-            working = normalize(program, prec)
+            working = normalize(program, eppo.precedence)
             normalized = working.equations != program.equations
             normal_equations = len(working.equations)
         except (NormalizationError, NotWordProgram):
             pass
 
-    qi_overall = None
-    if assignment is not None:
-        qi_overall = check_qi(program, assignment, seed=seed).overall
-
-    orthogonal = is_orthogonal(program)
-    linear = bool(prec) and program_is_linear(program, prec)
     has_memo_path = orthogonal or linear
 
     growth = None

@@ -232,3 +232,67 @@ def test_memo_nonconfluent_gate(tmp_path, capsys):
         capsys, "--allow-nonconfluent-memo", "memo", str(f), "bl_f(s s 0)"
     )
     assert code == 0
+
+
+def test_certify_order_fixes_the_extended_precedence(capsys):
+    """--order is the precedence of every stage, the extended one included."""
+    code, data = run_json(
+        capsys,
+        "--qi",
+        str(CORPUS / "mult.qi"),
+        "--order",
+        "mult < add",
+        "--sizes",
+        "1..4",
+        "certify",
+        str(CORPUS / "mult.trs"),
+    )
+    stages = data["stages"]
+    assert stages["ordering"]["eppo"]["overall"] is False
+    assert stages["extended"]["eppo"] == stages["ordering"]["eppo"]
+    assert data["verdicts"]["extended_p"] != "pass"
+    assert code == 1
+
+
+def test_usage_error_bad_sizes_exits_3(capsys):
+    code, data = run_json(capsys, "--sizes", "abc", "measure", str(CORPUS / "append.trs"))
+    assert code == 3
+    assert data["error"] == "usage"
+    assert "--sizes" in data["message"]
+
+
+def test_usage_error_unknown_command_exits_3(capsys):
+    code, data = run_json(capsys, "frobnicate", "x")
+    assert code == 3
+    assert data["error"] == "usage"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: polytrs" in capsys.readouterr().out
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    import polytrs.cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(polytrs.cli, "_dispatch", broken)
+    code = main(["parse", str(CORPUS / "append.trs")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out) == {
+        "error": "internal-error",
+        "message": "RuntimeError: boom",
+    }
+    assert "Traceback" in captured.err
+
+
+def test_unwritable_out_exits_3(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, data = run_json(capsys, "--out", str(target), "parse", str(CORPUS / "append.trs"))
+    assert code == 3
+    assert data["error"] == "io-error"

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 
+import polytrs
 from polytrs.qi import parse_assignment
 from polytrs.report import build_report, program_digest
 
@@ -65,7 +68,45 @@ def test_running_report_fails_ppo_unknown_overall(corpus):
 
 def test_reverse_report_all_fail(corpus):
     prog = corpus["reverse.trs"]
-    report = build_report(prog, sizes=range(1, 5), with_measurements=False)
+    report = build_report(prog, sizes=range(1, 5))
     assert report.verdicts["p_criterion"] == "fail"
     assert report.verdicts["extended_p"] == "fail"
     assert report.exit_code() == 1
+
+
+STAGES = (
+    ("ordering", "check_program"),
+    ("qi", "check_qi"),
+    ("blind", "is_linear"),
+    ("semantics", "is_orthogonal"),
+)
+
+
+def test_build_report_runs_each_stage_once(corpus, monkeypatch):
+    """Each stage function is rebound in every polytrs module holding it, so
+    calls through any import count."""
+    calls: Counter = Counter()
+    for home, name in STAGES:
+        original = getattr(sys.modules[f"polytrs.{home}"], name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("polytrs.") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    prog = corpus["mult.trs"]
+    asg = parse_assignment((CORPUS / "mult.qi").read_text(), prog)
+    report = build_report(prog, asg, sizes=range(1, 5))
+    assert report.exit_code() == 0
+    # ppo, eppo, the blind image's ppo, and normalize's own precondition
+    assert calls["check_program"] <= 4
+    assert calls["check_qi"] == 2  # the program's and the transferred one
+    assert calls["is_linear"] == 1
+    assert calls["is_orthogonal"] == 1
+
+
+def test_tool_version_is_package_version(corpus):
+    report = build_report(corpus["add.trs"], sizes=range(1, 3))
+    assert report.data["tool_version"] == polytrs.__version__ == "0.1.0"

@@ -6,12 +6,12 @@ from collections import Counter
 import pytest
 
 from polytrs.base import NormalizationError, NotWordProgram
-from polytrs.blind import blind_program
+from polytrs.blind import blind_program, program_is_linear
 from polytrs.callgraph import call_dag
-from polytrs.ordering import EPPO, infer_precedence
+from polytrs.ordering import EPPO, infer_precedence, order_verdict
 from polytrs.parser import format_program, parse_program, parse_term
-from polytrs.qi import parse_assignment
-from polytrs.semantics import derivable_value_set
+from polytrs.qi import check_qi, parse_assignment
+from polytrs.semantics import derivable_value_set, is_orthogonal
 from polytrs.terms import term_size
 from polytrs.wordnorm import (
     call_site_labels,
@@ -371,11 +371,21 @@ def test_measure_bounded_values_user_poly(corpus):
     assert not any(r.poly_ok for r in rows)
 
 
+def extended(program, assignment=None, **kwargs):
+    """certify_extended on the stages build_report hands it."""
+    eppo = order_verdict(program, EPPO)
+    qi = check_qi(program, assignment).overall if assignment is not None else None
+    linear = eppo is not None and program_is_linear(program, eppo.precedence)
+    return certify_extended(
+        program, eppo, qi, is_orthogonal(program), linear, **kwargs
+    )
+
+
 def test_certify_bc_program_certified():
     from polytrs.bc import compile_bc, parse_bc
 
     comp = compile_bc(parse_bc((CORPUS / "add.bc").read_text()))
-    verdict = certify_extended(comp.program, comp.qi, sizes=range(1, 6))
+    verdict = extended(comp.program, comp.qi, sizes=range(1, 6))
     assert verdict.eppo_pass
     assert verdict.qi_overall == "valid"
     assert verdict.bounded_values == "certified"
@@ -384,7 +394,7 @@ def test_certify_bc_program_certified():
 
 def test_certify_running_empirical(corpus):
     prog = corpus["running.trs"]
-    verdict = certify_extended(prog, sizes=range(1, 8))
+    verdict = extended(prog, sizes=range(1, 8))
     assert verdict.eppo_pass
     assert verdict.qi_overall is None
     assert verdict.overall == "empirically-consistent"
@@ -392,7 +402,7 @@ def test_certify_running_empirical(corpus):
 
 def test_certify_blind_running_refuted(corpus):
     bl = blind_program(corpus["running.trs"]).program
-    verdict = certify_extended(bl, sizes=range(2, 10))
+    verdict = extended(bl, sizes=range(2, 10))
     assert verdict.eppo_pass
     assert not verdict.orthogonal and not verdict.linear
     assert verdict.bounded_values == "empirical-exp"
