@@ -378,7 +378,7 @@ class _WorstCostDp:
                 raise NotWordProgram("open term in measurement")
             if t.symbol.is_constructor or not all(is_value(a) for a in t.args):
                 per_arg = [self.outcomes(a) for a in t.args]
-                for combo in itertools.product(*(sorted(d, key=format_term) for d in per_arg)):
+                for combo in itertools.product(*per_arg):
                     cost = 1 + sum(per_arg[i][v][0] for i, v in enumerate(combo))
                     count = 1
                     for i, v in enumerate(combo):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .base import Budget, BudgetExceeded, DEFAULT_BUDGET, PrecedenceError
 from .semantics import (
@@ -278,16 +278,21 @@ def call_dag(proof: DerivationProof) -> CallStructure:
 
 
 def successors(
-    program: Program, state: State, budget: Budget = DEFAULT_BUDGET
+    program: Program,
+    state: State,
+    budget: Budget = DEFAULT_BUDGET,
+    _memo: Optional[dict] = None,
 ) -> list[TransitionEdge]:
     """All transitions realizable from a state.
 
     For every matching equation and every function-headed subterm of its
     rhs, the subterm's arguments are evaluated exhaustively (set semantics);
-    each derivable argument tuple yields one edge.
+    each derivable argument tuple yields one edge.  ``_memo`` is a
+    derivable_value_set memo to share across calls; without one, the call
+    uses its own.
     """
     out = []
-    memo: dict = {}
+    memo: dict = {} if _memo is None else _memo
     for eq, sigma in matching_equations(program, state.term):
         positions = rhs_call_positions(eq)
         for occ, pos in enumerate(positions):
@@ -317,11 +322,12 @@ def reachable_states(
     call trees rooted at the initial state."""
     seen = {initial}
     frontier = [initial]
+    memo: dict = {}  # one derivable_value_set memo for the whole walk
     while frontier:
         if len(seen) > budget.max_rules:
             raise BudgetExceeded("state space exceeds the budget")
         eta = frontier.pop()
-        for edge in successors(program, eta, budget):
+        for edge in successors(program, eta, budget, memo):
             if edge.target not in seen:
                 seen.add(edge.target)
                 frontier.append(edge.target)

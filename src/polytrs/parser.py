@@ -87,13 +87,79 @@ def _parse_decls(toks: _Tokens, kind: str, symbols: dict[str, Symbol]) -> None:
         symbols[name] = Symbol(name, kind, int(arity_tok))
 
 
+class _Open:
+    """A term still being read: its chain of atoms so far, and what closes it.
+
+    ``closer`` is None for the outermost term, ``")"`` for a parenthesised
+    group, and ``","`` for an argument of the call ``name(...)``, whose
+    symbol and arguments read so far the frame also holds.
+    """
+
+    __slots__ = ("closer", "chain", "name", "sym", "args")
+
+    def __init__(self, closer=None, name="", sym=None):
+        self.closer = closer
+        self.chain: list = []
+        self.name = name
+        self.sym = sym
+        self.args: list[Term] = []
+
+
 def _parse_term(toks: _Tokens, symbols: dict[str, Symbol]) -> Term:
-    """A term is a juxtaposed chain of atoms folding to the right."""
-    chain = [_parse_atom(toks, symbols)]
-    while toks.peek() is not None and (
-        _NAME.match(toks.peek()) or toks.peek() == "("
-    ):
-        chain.append(_parse_atom(toks, symbols))
+    """A term is a juxtaposed chain of atoms folding to the right.
+
+    Nested groups and calls are read on an explicit stack of open terms, so
+    the nesting depth is not bounded by Python's recursion limit.
+    """
+    stack = [_Open()]
+    while True:
+        tok = toks.next()
+        if tok == "(":
+            stack.append(_Open(")"))
+            continue
+        if not _NAME.match(tok):
+            raise ParseError(f"unexpected token {tok!r}", toks.line, toks.col())
+        sym = symbols.get(tok)
+        if toks.peek() == "(":
+            toks.next()
+            if toks.peek() != ")":
+                stack.append(_Open(",", tok, sym))
+                continue
+            toks.next()
+            atom: Term | Symbol = _call(toks, tok, sym, [])
+        elif sym is not None:
+            atom = App(sym, ()) if sym.arity == 0 else sym
+        elif tok.isdigit():
+            raise ParseError(f"undeclared symbol {tok}", toks.line, toks.col())
+        else:
+            atom = Var(tok)
+        # Add the atom to the innermost open term, and close every term that
+        # the atom completes.
+        while True:
+            top = stack[-1]
+            top.chain.append(atom)
+            nxt = toks.peek()
+            if nxt is not None and (_NAME.match(nxt) or nxt == "("):
+                break
+            term = _fold_chain(toks, top.chain)
+            if top.closer is None:
+                return term
+            if top.closer == ")":
+                toks.expect(")")
+                stack.pop()
+                atom = term
+                continue
+            top.args.append(term)
+            if nxt == ",":
+                toks.next()
+                top.chain = []
+                break
+            toks.expect(")")
+            stack.pop()
+            atom = _call(toks, top.name, top.sym, top.args)
+
+
+def _fold_chain(toks: _Tokens, chain: list) -> Term:
     last = chain[-1]
     if isinstance(last, Symbol):
         raise ParseError(
@@ -113,39 +179,16 @@ def _parse_term(toks: _Tokens, symbols: dict[str, Symbol]) -> Term:
     return out
 
 
-def _parse_atom(toks: _Tokens, symbols: dict[str, Symbol]) -> Term | Symbol:
-    """One atom; a bare symbol of arity >= 1 is returned as the Symbol."""
-    tok = toks.next()
-    if tok == "(":
-        inner = _parse_term(toks, symbols)
-        toks.expect(")")
-        return inner
-    if not _NAME.match(tok):
-        raise ParseError(f"unexpected token {tok!r}", toks.line, toks.col())
-    sym = symbols.get(tok)
-    if toks.peek() == "(":
-        toks.next()
-        args: list[Term] = []
-        if toks.peek() != ")":
-            args.append(_parse_term(toks, symbols))
-            while toks.peek() == ",":
-                toks.next()
-                args.append(_parse_term(toks, symbols))
-        toks.expect(")")
-        if sym is None:
-            raise ParseError(f"undeclared symbol {tok}", toks.line, toks.col())
-        if sym.arity != len(args):
-            raise ParseError(
-                f"{tok}/{sym.arity} applied to {len(args)} arguments",
-                toks.line,
-                toks.col(),
-            )
-        return App(sym, tuple(args))
-    if sym is not None:
-        return App(sym, ()) if sym.arity == 0 else sym
-    if tok.isdigit():
-        raise ParseError(f"undeclared symbol {tok}", toks.line, toks.col())
-    return Var(tok)
+def _call(toks: _Tokens, name: str, sym: Symbol | None, args: list) -> App:
+    if sym is None:
+        raise ParseError(f"undeclared symbol {name}", toks.line, toks.col())
+    if sym.arity != len(args):
+        raise ParseError(
+            f"{name}/{sym.arity} applied to {len(args)} arguments",
+            toks.line,
+            toks.col(),
+        )
+    return App(sym, tuple(args))
 
 
 def parse_term(text: str, symbols: dict[str, Symbol], line: int = 1) -> Term:

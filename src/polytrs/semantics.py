@@ -359,10 +359,12 @@ def derivable_value_set(
 
     Independent of proof construction; used by transition enumeration and as
     a measurement back end.  Raises CycleDetected when a state recursively
-    depends on itself (possible nontermination).
+    depends on itself (possible nontermination).  A memo passed in is shared
+    with the caller; max_states bounds the states this call adds to it.
     """
     memo = {} if _memo is None else _memo
     stack = set() if _stack is None else _stack
+    state_cap = len(memo) + max_states
 
     def go(u: Term) -> frozenset:
         if is_value(u):
@@ -373,19 +375,19 @@ def derivable_value_set(
             return memo[u]
         if u in stack:
             raise CycleDetected(f"recursive state {format_term(u)}")
-        if len(memo) > max_states:
+        if len(memo) > state_cap:
             raise BudgetExceeded("state budget exceeded in value-set evaluation")
         stack.add(u)
         out: set = set()
         if u.symbol.is_constructor:
-            arg_sets = [sorted(go(a), key=format_term) for a in u.args]
+            arg_sets = [go(a) for a in u.args]
             for combo in itertools.product(*arg_sets):
                 out.add(App(u.symbol, combo))
         elif all(is_value(a) for a in u.args):
             for eq, sigma in matching_equations(program, u):
                 out |= go(apply_subst(eq.rhs, sigma))
         else:
-            arg_sets = [sorted(go(a), key=format_term) for a in u.args]
+            arg_sets = [go(a) for a in u.args]
             for combo in itertools.product(*arg_sets):
                 out |= go(App(u.symbol, combo))
         stack.discard(u)

@@ -8,8 +8,8 @@ function applications).  Programs are ordered lists of rewrite equations
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from .base import NoMatchingEquation, SignatureError
@@ -23,6 +23,11 @@ class Symbol:
     name: str
     kind: str  # CONSTRUCTOR or FUNCTION
     arity: int
+
+    def __hash__(self) -> int:
+        # Equal symbols share a name; str hashes are cached, so this is cheap
+        # where the generated hash would build and hash a 3-tuple per call.
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return f"{self.name}/{self.arity}"
@@ -44,20 +49,75 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class App:
-    symbol: Symbol
-    args: tuple = ()
+    """An application ``symbol(args)``, hash-consed.
 
-    def __post_init__(self):
-        if len(self.args) != self.symbol.arity:
+    Every node is built through one weak-value intern table keyed by
+    ``(symbol, args)``, so there is one object per distinct term and ``==``
+    is identity.  The hash, size, depth and value flag are computed once, at
+    construction, from the children's stored fields.  Nodes are immutable.
+    """
+
+    __slots__ = ("symbol", "args", "size", "depth", "is_value", "_hash", "__weakref__")
+
+    def __new__(cls, symbol: Symbol, args: tuple = ()):
+        key = (symbol, args)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if len(args) != symbol.arity:
             raise SignatureError(
-                f"symbol {self.symbol.name}/{self.symbol.arity} applied to "
-                f"{len(self.args)} arguments"
+                f"symbol {symbol.name}/{symbol.arity} applied to "
+                f"{len(args)} arguments"
             )
+        size, depth, value = 1, 0, symbol.is_constructor
+        for a in args:
+            if isinstance(a, App):
+                size += a.size
+                depth = max(depth, a.depth)
+                value = value and a.is_value
+            else:
+                size += 1
+                depth = max(depth, 1)
+                value = False
+        node = object.__new__(cls)
+        init = object.__setattr__
+        init(node, "symbol", symbol)
+        init(node, "args", args)
+        init(node, "size", size)
+        init(node, "depth", depth + 1)
+        init(node, "is_value", value)
+        init(node, "_hash", hash(key))
+        _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"App is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"App is immutable; cannot delete {name}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Unpickling and deep copies rebuild through the intern table.
+        return App, (self.symbol, self.args)
 
     def __repr__(self) -> str:
         return format_term(self)
+
+
+# The intern table: (symbol, args) -> weak reference to the one node.
+_INTERNED: dict = {}
+
+
+def _forget(ref: weakref.KeyedRef, table: dict = _INTERNED) -> None:
+    """Drop a dead node's entry, unless a newer node already took the key."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 Term = Var | App
@@ -66,21 +126,30 @@ Substitution = dict[str, "Term"]
 
 def format_term(t: Term) -> str:
     """Canonical fully-parenthesised printing; inverse of the parser."""
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.symbol.name
-    return f"{t.symbol.name}({', '.join(format_term(a) for a in t.args)})"
+    out: list[str] = []
+    todo: list = [t]  # terms still to print, and literal separators
+    while todo:
+        u = todo.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif isinstance(u, Var):
+            out.append(u.name)
+        elif not u.args:
+            out.append(u.symbol.name)
+        else:
+            out.append(u.symbol.name)
+            out.append("(")
+            todo.append(")")
+            todo.append(u.args[-1])
+            for a in reversed(u.args[:-1]):
+                todo.append(", ")
+                todo.append(a)
+    return "".join(out)
 
 
-@lru_cache(maxsize=None)
 def is_value(t: Term) -> bool:
     """A value is a ground term built only from constructors."""
-    return (
-        isinstance(t, App)
-        and t.symbol.is_constructor
-        and all(is_value(a) for a in t.args)
-    )
+    return isinstance(t, App) and t.is_value
 
 
 def is_pattern(t: Term) -> bool:
@@ -91,26 +160,22 @@ def is_pattern(t: Term) -> bool:
 
 def term_size(t: Term) -> int:
     """Number of symbol and variable occurrences."""
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    return t.size if isinstance(t, App) else 1
 
 
 def term_depth(t: Term) -> int:
     """Longest root-to-leaf path; a single node has depth 1."""
-    if isinstance(t, Var):
-        return 1
-    if not t.args:
-        return 1
-    return 1 + max(term_depth(a) for a in t.args)
+    return t.depth if isinstance(t, App) else 1
 
 
 def subterms(t: Term) -> Iterator[Term]:
     """All subterm occurrences in pre-order, including t itself."""
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        yield u
+        if isinstance(u, App):
+            todo.extend(reversed(u.args))
 
 
 def is_subterm(s: Term, t: Term) -> bool:
@@ -164,7 +229,28 @@ def apply_subst(t: Term, subst: Substitution) -> Term:
             raise SignatureError(f"unbound variable {t.name}") from None
     if not t.args:
         return t
-    return App(t.symbol, tuple(apply_subst(a, subst) for a in t.args))
+    # Post-order on an explicit stack: a node is rebuilt once its arguments
+    # are on ``done``.
+    done: list = []
+    todo: list = [(t, False)]
+    while todo:
+        u, ready = todo.pop()
+        if ready:
+            n = len(u.args)
+            args = tuple(done[-n:])
+            del done[-n:]
+            done.append(App(u.symbol, args))
+        elif isinstance(u, Var):
+            try:
+                done.append(subst[u.name])
+            except KeyError:
+                raise SignatureError(f"unbound variable {u.name}") from None
+        elif not u.args:
+            done.append(u)
+        else:
+            todo.append((u, True))
+            todo.extend((a, False) for a in reversed(u.args))
+    return done[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,10 +259,11 @@ class Equation:
     lhs_patterns: tuple
     rhs: Term
     index: int
+    # Built once, so the interned lhs node lives as long as the equation.
+    lhs: App = field(init=False, compare=False, repr=False)
 
-    @property
-    def lhs(self) -> App:
-        return App(self.lhs_function, self.lhs_patterns)
+    def __post_init__(self):
+        object.__setattr__(self, "lhs", App(self.lhs_function, self.lhs_patterns))
 
     def is_left_linear(self) -> bool:
         names: list[str] = []
@@ -196,8 +283,14 @@ class Program:
     equations: tuple
     main: Symbol
     declared_order: Optional[str] = field(default=None, compare=False)
+    # Equations by function symbol, each list in program order.
+    _by_function: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        by_function: dict = {}
+        for eq in self.equations:
+            by_function.setdefault(eq.lhs_function, []).append(eq)
+        object.__setattr__(self, "_by_function", by_function)
         names = [s.name for s in self.signature]
         if len(names) != len(set(names)):
             raise SignatureError("duplicate symbol names in signature")
@@ -242,7 +335,7 @@ class Program:
         raise SignatureError(f"unknown symbol {name}")
 
     def equations_for(self, f: Symbol) -> list[Equation]:
-        return [e for e in self.equations if e.lhs_function == f]
+        return list(self._by_function.get(f, ()))
 
     def max_arity(self) -> int:
         return max((s.arity for s in self.signature), default=0)
@@ -265,9 +358,7 @@ def matching_equations(program: Program, call: Term) -> list[tuple[Equation, Sub
                 f"argument {format_term(a)} of {format_term(call)} is not a value"
             )
     out = []
-    for eq in program.equations:
-        if eq.lhs_function != call.symbol:
-            continue
+    for eq in program._by_function.get(call.symbol, ()):
         sigma = match_tuple(eq.lhs_patterns, call.args)
         if sigma is not None:
             out.append((eq, sigma))

@@ -1,8 +1,10 @@
-"""Every polytrs module imports at module level.
+"""Every polytrs module imports at module level, and none caches globally.
 
 The modules are layered terms -> semantics -> ordering -> qi -> callgraph ->
 blind -> wordnorm -> report -> cli, so no import cycle needs to be broken by
-importing inside a function.
+importing inside a function.  No function is wrapped in ``functools.lru_cache``
+or ``functools.cache``: such a cache is process-global and, unbounded, keeps
+every argument alive.  Memo tables belong to one computation instead.
 """
 
 from __future__ import annotations
@@ -27,6 +29,22 @@ def function_local_imports(tree: ast.AST) -> list[str]:
     return out
 
 
+GLOBAL_CACHES = {"lru_cache", "cache"}
+
+
+def globally_cached_functions(tree: ast.AST) -> list[str]:
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in fn.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name in GLOBAL_CACHES:
+                out.append(f"line {fn.lineno}: {fn.name}")
+    return out
+
+
 def test_modules_found():
     assert {"terms.py", "report.py", "cli.py"} <= {m.name for m in MODULES}
 
@@ -40,3 +58,24 @@ def test_no_function_local_imports(path):
 def test_guard_sees_a_nested_import():
     tree = ast.parse("class C:\n    def m(self):\n        import os\n")
     assert function_local_imports(tree) == ["line 3 in m"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_global_function_caches(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert globally_cached_functions(tree) == []
+
+
+def test_cache_guard_sees_every_spelling():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(x): return x\n"
+        "@lru_cache\ndef b(x): return x\n"
+        "@functools.lru_cache(maxsize=8)\ndef c(x): return x\n"
+        "@functools.cache\ndef d(x): return x\n"
+        "class K:\n    @cache\n    def e(self): return 1\n"
+        "@staticmethod\ndef f(x): return x\n"
+    )
+    found = globally_cached_functions(ast.parse(source))
+    assert [entry.split(": ")[1] for entry in found] == ["a", "b", "c", "d", "e"]

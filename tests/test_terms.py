@@ -1,23 +1,30 @@
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+
 import pytest
 from hypothesis import given
 
-from polytrs.base import NoMatchingEquation, ParseError
+from polytrs import terms as terms_module
+from polytrs.base import NoMatchingEquation, ParseError, SignatureError
 from polytrs.parser import format_program, parse_program, parse_term
 from polytrs.terms import (
     App,
     Var,
     apply_subst,
+    format_term,
     is_value,
     match,
     matching_equations,
+    subterms,
     term_depth,
     term_size,
 )
 
 from .conftest import load, symbols_of
-from .strategies import patterns, values
+from .strategies import NIL, S0, S1, patterns, terms, values
 
 
 def t(text, program):
@@ -151,3 +158,104 @@ def test_subst_size_does_not_shrink(p, v):
     sigma = match(p, v)
     if sigma is not None:
         assert term_size(apply_subst(p, sigma)) >= term_size(p)
+
+
+# -- hash-consing -------------------------------------------------------------
+
+
+def ref_is_value(t):
+    return isinstance(t, App) and t.symbol.is_constructor and all(ref_is_value(a) for a in t.args)
+
+
+def ref_size(t):
+    return 1 if isinstance(t, Var) else 1 + sum(ref_size(a) for a in t.args)
+
+
+def ref_depth(t):
+    return 1 if isinstance(t, Var) else 1 + max((ref_depth(a) for a in t.args), default=0)
+
+
+def test_parser_and_constructor_share_one_node(corpus):
+    prog = corpus["running.trs"]
+    s0, s1, nil = prog.symbol("s0"), prog.symbol("s1"), prog.symbol("nil")
+    built = App(s0, (App(s1, (App(nil),)),))
+    assert t("s0 s1 nil", prog) is built
+    assert t("s0(s1(nil))", prog) is built
+    call = App(prog.symbol("append"), (built, App(nil)))
+    assert t("append(s0 s1 nil, nil)", prog) is call
+
+
+def test_wrong_arity_raises_and_is_not_interned():
+    args = (App(NIL), App(NIL))
+    with pytest.raises(SignatureError, match="applied to 2 arguments"):
+        App(S0, args)
+    assert terms_module._INTERNED.get((S0, args)) is None
+
+
+def test_nodes_are_immutable():
+    node = App(S0, (App(NIL),))
+    with pytest.raises(AttributeError):
+        node.args = ()
+    assert node.args == (App(NIL),)
+
+
+def test_copy_and_pickle_return_the_interned_node(corpus):
+    node = t("append(s0 s1 nil, s1 nil)", corpus["running.trs"])
+    assert copy.copy(node) is node
+    assert copy.deepcopy(node) is node
+    assert pickle.loads(pickle.dumps(node)) is node
+    pair = (node, [node])
+    assert copy.deepcopy(pair)[1][0] is node
+
+
+def test_intern_table_releases_dropped_terms():
+    gc.collect()
+    before = len(terms_module._INTERNED)
+    words = []
+    for n in range(10_000):
+        w = App(NIL)
+        for bit in bin(n + 1)[2:] + "0" * 6:  # distinct for distinct n
+            w = App(S1 if bit == "1" else S0, (w,))
+        words.append(w)
+    assert len(set(words)) == 10_000
+    assert len(terms_module._INTERNED) >= before + 10_000
+    del words, w
+    gc.collect()
+    assert len(terms_module._INTERNED) <= before
+
+
+@given(u=terms(max_size=12))
+def test_stored_fields_agree_with_recursive_definitions(u):
+    assert is_value(u) == ref_is_value(u)
+    assert term_size(u) == ref_size(u)
+    assert term_depth(u) == ref_depth(u)
+    assert sum(1 for _ in subterms(u)) == ref_size(u)
+
+
+@given(v=values(max_size=12, with_pair=True))
+def test_stored_fields_agree_on_values(v):
+    assert is_value(v) and ref_is_value(v)
+    assert term_size(v) == ref_size(v)
+    assert term_depth(v) == ref_depth(v)
+
+
+# -- deep terms ---------------------------------------------------------------
+
+
+def test_deep_word_roundtrip():
+    prog = load("append.trs")
+    syms = symbols_of(prog)
+    letters = ["s0", "s1"] * 1250
+    word = parse_term(" ".join(letters) + " nil", syms)
+    text = format_term(word)
+    assert text.startswith("s0(s1(s0(") and text.endswith("nil" + ")" * 2500)
+    assert parse_term(text, syms) is word
+    assert term_size(word) == 2501
+    assert term_depth(word) == 2501
+    assert sum(1 for _ in subterms(word)) == 2501
+    nil = App(syms["nil"])
+    open_word = parse_term(" ".join(letters) + " x", syms)
+    assert apply_subst(open_word, {"x": nil}) is word
+    open_call = App(syms["append"], (open_word, Var("y")))
+    call = parse_term(f"append({text}, nil)", syms)
+    assert apply_subst(open_call, {"x": nil, "y": nil}) is call
