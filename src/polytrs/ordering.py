@@ -182,26 +182,34 @@ def _build(signature: tuple, fn_structure, mode: str) -> Precedence:
                 ctor_ids.append(next_id)
                 next_id += 1
             class_ids[c.name] = by_arity[c.arity]
-    below = set()
-    for a, b in rel:
-        if rep_to_id[a] != rep_to_id[b]:
-            below.add((rep_to_id[a], rep_to_id[b]))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(below):
-            for (c, d) in list(below):
-                if b == c and (a, d) not in below:
-                    below.add((a, d))
-                    changed = True
-    for (a, b) in below:
-        if (b, a) in below:
-            raise PrecedenceError("cyclic precedence declaration")
+    below = _transitive_closure(
+        (rep_to_id[a], rep_to_id[b]) for a, b in rel if rep_to_id[a] != rep_to_id[b]
+    )
+    if any(a == b for a, b in below):
+        raise PrecedenceError("cyclic precedence declaration")
     fn_ids = set(rep_to_id.values())
     for cid in ctor_ids:
         for fid in fn_ids:
             below.add((cid, fid))
     return Precedence(class_ids, frozenset(below), signature)
+
+
+def _transitive_closure(edges) -> set:
+    """All pairs (a, d) with a path a -> .. -> d: one walk per start node."""
+    succ: dict = {}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+    closure = set()
+    for start in succ:
+        reached: set = set()
+        stack = list(succ[start])
+        while stack:
+            node = stack.pop()
+            if node not in reached:
+                reached.add(node)
+                stack.extend(succ.get(node, ()))
+        closure.update((start, node) for node in reached)
+    return closure
 
 
 def make_precedence(

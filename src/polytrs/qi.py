@@ -14,6 +14,8 @@ reported Unknown otherwise.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -35,40 +37,72 @@ UNKNOWN = "unknown"
 # -- expressions --------------------------------------------------------------
 
 
+# Each node stores whether it contains a min, and its hash once first asked
+# for: expressions share subtrees heavily, and recomputing either by recursion
+# on every lookup would cost more than the normalization it serves.
+
+
 @dataclass(frozen=True)
 class Const:
     value: Fraction
+    has_min = False
 
     def __post_init__(self):
         v = Fraction(self.value)
         if v < 0:
             raise QiError("negative constant in an assignment expression")
         object.__setattr__(self, "value", v)
+        object.__setattr__(self, "_hash", hash(v))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
 class Arg:
     index: int
+    has_min = False
 
 
 @dataclass(frozen=True)
-class Sum:
+class _Compound:
     items: tuple
 
+    def __post_init__(self):
+        has_min = type(self) is Min or any(i.has_min for i in self.items)
+        object.__setattr__(self, "has_min", has_min)
 
-@dataclass(frozen=True)
-class Prod:
-    items: tuple
+    def __hash__(self):
+        # From the items alone, so it depends on Fraction and int hashes only
+        # and a pickled node's stored hash holds in any process.  Equality
+        # still tells the node kinds apart.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self.items)
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
-@dataclass(frozen=True)
-class Max:
-    items: tuple
+# eq=False: the subclasses inherit _Compound's equality (which compares the
+# class too) and its stored hash.
+@dataclass(frozen=True, eq=False)
+class Sum(_Compound):
+    pass
 
 
-@dataclass(frozen=True)
-class Min:
-    items: tuple
+@dataclass(frozen=True, eq=False)
+class Prod(_Compound):
+    pass
+
+
+@dataclass(frozen=True, eq=False)
+class Max(_Compound):
+    pass
+
+
+@dataclass(frozen=True, eq=False)
+class Min(_Compound):
+    pass
 
 
 QiExpr = Const | Arg | Sum | Prod | Max | Min
@@ -80,14 +114,6 @@ def expr_arity(e: QiExpr) -> int:
     if isinstance(e, Const):
         return 0
     return max((expr_arity(i) for i in e.items), default=0)
-
-
-def contains_min(e: QiExpr) -> bool:
-    if isinstance(e, Min):
-        return True
-    if isinstance(e, (Sum, Prod, Max)):
-        return any(contains_min(i) for i in e.items)
-    return False
 
 
 def eval_expr(e: QiExpr, point) -> Fraction:
@@ -160,13 +186,16 @@ def substitute(e: QiExpr, args: list) -> QiExpr:
 # selection at the obligation level).
 
 
-Posy = dict  # tuple[int, ...] -> Fraction
+Posy = dict  # tuple[int, ...] -> int or Fraction
+# Integral coefficients are kept as ints, which Python adds, multiplies and
+# compares exactly with Fractions, at a fraction of the cost.
 
 
-def _posy_add(a: Posy, b: Posy) -> Posy:
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, Fraction(0)) + c
+def _posy_sum(parts: list) -> Posy:
+    out: Posy = {}
+    for p in parts:
+        for m, c in p.items():
+            out[m] = out.get(m, 0) + c
     return out
 
 
@@ -174,14 +203,14 @@ def _posy_mul(a: Posy, b: Posy) -> Posy:
     out: Posy = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
+            m = tuple(map(operator.add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
     return out
 
 
 def posy_dominates(a: Posy, b: Posy) -> bool:
     """Coefficient-wise a >= b after monomial alignment (sound, incomplete)."""
-    return all(a.get(m, Fraction(0)) >= c for m, c in b.items())
+    return all(a.get(m, 0) >= c for m, c in b.items())
 
 
 def _prune(branches: list) -> list:
@@ -194,17 +223,40 @@ def _prune(branches: list) -> list:
     return out
 
 
-def max_posy_form(e: QiExpr, arity: int, cap: int = 4096) -> Optional[list]:
+def max_posy_form(
+    e: QiExpr, arity: int, cap: int = 4096, forms: Optional[dict] = None
+) -> Optional[list]:
     """Max-of-posynomials normal form; None when min occurs or the form blows up.
 
     Identical max subexpressions always take equal values, so one branch
     choice is made per distinct max node rather than per occurrence; the
     expression is monotone in each such choice, which makes the expansion
     exact instead of merely an upper envelope.
+
+    ``forms`` is a memo shared by the calls of one check (see check_qi): it
+    maps ``(e, arity)`` to ``[branch total, distinct max nodes, form or
+    None]``, so each expression is expanded once however often it is asked
+    for.  The cap is applied to the stored total on every call.  A form taken
+    from the memo is shared with later callers and must not be mutated.
     """
-    if contains_min(e):
+    if e.has_min:
         return None
-    zero = tuple([0] * arity)
+    if forms is None:
+        forms = {}
+    known = forms.get((e, arity))
+    if known is None:
+        maxes = _distinct_maxes(e)
+        total = math.prod(max(1, len(m.items)) for m in maxes)
+        known = forms[e, arity] = [total, maxes, None]
+    total, maxes, form = known
+    if total > cap:
+        return None
+    if form is None:
+        form = known[2] = _expand(e, arity, maxes)
+    return form
+
+
+def _distinct_maxes(e: QiExpr) -> list:
     maxes: list[Max] = []
     seen: set = set()
 
@@ -218,28 +270,27 @@ def max_posy_form(e: QiExpr, arity: int, cap: int = 4096) -> Optional[list]:
             collect(item)
 
     collect(e)
-    total = 1
-    for m in maxes:
-        total *= max(1, len(m.items))
-        if total > cap:
-            return None
+    return maxes
+
+
+def _expand(e: QiExpr, arity: int, maxes: list) -> list:
+    """The pruned branches of e, one per choice of an item for every max."""
+    zero = tuple([0] * arity)
 
     def inst(u: QiExpr, choice: dict) -> Posy:
         if isinstance(u, Const):
-            return {zero: u.value} if u.value else {}
+            v = u.value
+            return {zero: v.numerator if v.denominator == 1 else v} if v else {}
         if isinstance(u, Arg):
             mono = tuple(1 if i == u.index else 0 for i in range(arity))
-            return {mono: Fraction(1)}
+            return {mono: 1}
         if isinstance(u, Max):
             picked = choice[u]
             return inst(picked, choice) if picked is not None else {}
         parts = [inst(item, choice) for item in u.items]
         if isinstance(u, Sum):
-            acc: Posy = {}
-            for p in parts:
-                acc = _posy_add(acc, p)
-            return acc
-        acc = {zero: Fraction(1)}
+            return _posy_sum(parts)
+        acc = {zero: 1}
         for p in parts:
             acc = _posy_mul(acc, p)
         return acc
@@ -272,7 +323,7 @@ def simplify(e: QiExpr, arity: int, cap: int = 512) -> QiExpr:
     Substitution-heavy constructions (compiled recurrences in particular)
     produce towers of shared subterms; renormalizing keeps them flat.
     """
-    if contains_min(e):
+    if e.has_min:
         return e
     form = max_posy_form(e, arity, cap=cap)
     if form is None:
@@ -301,30 +352,33 @@ def _min_choices(e: QiExpr, cap: int = 64) -> Iterator[QiExpr]:
         yield type(e)(tuple(combo))
 
 
-def dominates(lhs: QiExpr, rhs: QiExpr, arity: int) -> bool:
+def dominates(
+    lhs: QiExpr, rhs: QiExpr, arity: int, forms: Optional[dict] = None
+) -> bool:
     """Sound sufficient check for lhs >= rhs pointwise on R+^arity.
 
     Both sides are brought to max-of-posynomials; each rhs branch must be
     coefficient-dominated by some lhs branch.  A min on the lhs must
     dominate through every branch, a min on the rhs through some branch.
+    ``forms`` is the normal-form memo of max_posy_form.
     """
-    if contains_min(lhs):
+    if lhs.has_min:
         # Every min branch of the lhs must dominate; never drop any.
         choices = list(itertools.islice(_min_choices(lhs), 65))
         if len(choices) > 64:
             return False
-        lhs_forms = [max_posy_form(c, arity) for c in choices]
+        lhs_forms = [max_posy_form(c, arity, forms=forms) for c in choices]
     else:
-        lhs_forms = [max_posy_form(lhs, arity)]
+        lhs_forms = [max_posy_form(lhs, arity, forms=forms)]
     if any(f is None for f in lhs_forms):
         return False
     rhs_choices = (
-        [rhs] if not contains_min(rhs) else list(itertools.islice(_min_choices(rhs), 64))
+        [rhs] if not rhs.has_min else list(itertools.islice(_min_choices(rhs), 64))
     )
     for lf in lhs_forms:
         ok = False
         for rc in rhs_choices:
-            rf = max_posy_form(rc, arity)
+            rf = max_posy_form(rc, arity, forms=forms)
             if rf is None:
                 continue
             if all(any(posy_dominates(lb, rb) for lb in lf) for rb in rf):
@@ -409,17 +463,36 @@ def _sample_points(arity: int, tag: str, seed: int = 0) -> Iterator[tuple]:
     if arity == 0:
         yield ()
         return
-    grid = list(itertools.product(GRID_POINTS, repeat=arity))
-    if len(grid) > GRID_CAP:
+    size = len(GRID_POINTS) ** arity
+    if size <= GRID_CAP:
+        for p in itertools.product(GRID_POINTS, repeat=arity):
+            yield tuple(Fraction(x) for x in p)
+    else:
+        # Sample grid indices, never the grid itself (5^arity points).  This
+        # is the draw-and-reject loop random.sample runs on a population this
+        # large, so index j, the j-th point in itertools.product order, comes
+        # out where sampling the listed grid put that point.
         rng = random.Random(f"{seed}:{tag}:grid")
-        grid = rng.sample(grid, GRID_CAP)
-    for p in grid:
-        yield tuple(Fraction(x) for x in p)
+        taken: set = set()
+        while len(taken) < GRID_CAP:
+            j = rng.randrange(size)
+            if j not in taken:
+                taken.add(j)
+                yield tuple(Fraction(x) for x in _grid_point(j, arity))
     rng = random.Random(f"{seed}:{tag}:rand")
     for _ in range(RANDOM_POINTS):
         yield tuple(
             Fraction(rng.randint(0, 64), rng.randint(1, 8)) for _ in range(arity)
         )
+
+
+def _grid_point(index: int, arity: int) -> tuple:
+    """The grid point whose base-5 digits, most significant first, are index's."""
+    digits = []
+    for _ in range(arity):
+        index, d = divmod(index, len(GRID_POINTS))
+        digits.append(GRID_POINTS[d])
+    return tuple(reversed(digits))
 
 
 @dataclass(frozen=True)
@@ -449,12 +522,15 @@ class ConditionReport:
         }
 
 
-def check_conditions(assignment: QiAssignment, program: Program) -> ConditionReport:
+def check_conditions(
+    assignment: QiAssignment, program: Program, forms: Optional[dict] = None
+) -> ConditionReport:
     """The four assignment conditions.
 
     Weak monotonicity and polynomial boundedness hold by construction of the
     expression language; additivity is syntactic on constructors; the
     subterm condition is checked by dominance with sampling refutation.
+    ``forms`` is the normal-form memo of max_posy_form.
     """
     subterm: dict = {}
     additivity: dict = {}
@@ -467,7 +543,7 @@ def check_conditions(assignment: QiAssignment, program: Program) -> ConditionRep
         status = VALID
         witness = None
         for i in range(sym.arity):
-            if dominates(e, Arg(i), sym.arity):
+            if dominates(e, Arg(i), sym.arity, forms):
                 continue
             status = UNKNOWN
             refuted = _refute(e, Arg(i), sym.arity, tag=f"subterm:{sym.name}:{i}")
@@ -521,9 +597,12 @@ def check_qi(program: Program, assignment: QiAssignment, seed: int = 0) -> QiVer
     """Verify floor(l) >= floor(r) for every equation.
 
     The variable order of each obligation is the left-to-right first
-    occurrence in the lhs, so obligations are deterministic.
+    occurrence in the lhs, so obligations are deterministic.  Normal forms
+    are computed once per (expression, arity) in one memo, which lives only
+    for this call.
     """
-    conditions = check_conditions(assignment, program)
+    forms: dict = {}
+    conditions = check_conditions(assignment, program, forms)
     verdicts = []
     for eq in program.equations:
         lhs_term = eq.lhs
@@ -539,7 +618,7 @@ def check_qi(program: Program, assignment: QiAssignment, seed: int = 0) -> QiVer
         rhs = term_qi(assignment, eq.rhs, var_order)
         arity = len(var_order)
         obligation = f"{format_expr(lhs, var_order)} >= {format_expr(rhs, var_order)}"
-        if dominates(lhs, rhs, arity):
+        if dominates(lhs, rhs, arity, forms):
             verdicts.append(ObligationVerdict(eq.index, obligation, VALID))
             continue
         witness = _refute(lhs, rhs, arity, tag=f"eq:{eq.index}", seed=seed)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytrs.base import PrecedenceError
 from polytrs.blind import blind_program
@@ -9,6 +10,7 @@ from polytrs.ordering import (
     EPPO,
     PPO,
     PathOrder,
+    _transitive_closure,
     check_program,
     compare,
     infer_precedence,
@@ -239,3 +241,47 @@ def test_eppo_three_way_equivalence_corpus(corpus):
         if not (orig == bl_eppo == bl_ppo):
             mismatches.append((name, orig, bl_eppo, bl_ppo))
     assert mismatches == []
+
+
+def _warshall(nodes, edges):
+    reach = {(a, b) for a, b in edges}
+    for k in nodes:
+        for i in nodes:
+            for j in nodes:
+                if (i, k) in reach and (k, j) in reach:
+                    reach.add((i, j))
+    return reach
+
+
+_NODES = range(7)
+_relations = st.lists(st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES)), max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=_relations)
+def test_transitive_closure_matches_warshall(edges):
+    assert _transitive_closure(edges) == _warshall(_NODES, edges)
+
+
+_SEVEN_FUNCTIONS = parse_program(
+    "constructors: s/1 0/0\nfunctions: "
+    + " ".join(f"f{i}/1" for i in _NODES)
+    + "\n"
+    + "".join(f"f{i}(x) -> x\n" for i in _NODES)
+    + "main: f0\n"
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edges=_relations)
+def test_precedence_below_is_the_closure_of_the_declared_pairs(edges):
+    pairs = [(f"f{a}", f"f{b}") for a, b in edges if a != b]
+    closure = _warshall(_NODES, [(a, b) for a, b in edges if a != b])
+    if any(a == b for a, b in closure):
+        with pytest.raises(PrecedenceError):
+            make_precedence(_SEVEN_FUNCTIONS, [], pairs, PPO)
+        return
+    prec = make_precedence(_SEVEN_FUNCTIONS, [], pairs, PPO)
+    ids = {prec.class_of(f"f{i}"): i for i in _NODES}
+    functions_below = {(ids[a], ids[b]) for a, b in prec.below if a in ids and b in ids}
+    assert functions_below == closure

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import itertools
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +15,9 @@ from hypothesis import strategies as st
 from polytrs.base import QiError
 from polytrs.parser import parse_program, parse_term
 from polytrs.qi import (
+    GRID_CAP,
+    GRID_POINTS,
+    RANDOM_POINTS,
     Arg,
     Const,
     Max,
@@ -30,6 +39,7 @@ from polytrs.qi import (
     simplify,
     term_qi,
     value_qi,
+    _sample_points,
 )
 from polytrs.terms import term_size
 
@@ -369,3 +379,256 @@ def test_rational_coefficients(corpus):
     )
     assert eval_expr(asg.entries["s"], [Fraction(1, 2)]) == 2
     assert check_qi(prog, asg).overall == "valid"
+
+
+# -- the normal-form memo --------------------------------------------------------
+#
+# An un-memoised reference: max_posy_form and dominates as they were before
+# normal forms were shared within a check, with Fraction coefficients and a
+# recursive min test.
+
+
+def _ref_contains_min(e):
+    if isinstance(e, Min):
+        return True
+    if isinstance(e, (Sum, Prod, Max)):
+        return any(_ref_contains_min(i) for i in e.items)
+    return False
+
+
+def _ref_posy_dominates(a, b):
+    return all(a.get(m, Fraction(0)) >= c for m, c in b.items())
+
+
+def _ref_max_posy_form(e, arity, cap=4096):
+    if _ref_contains_min(e):
+        return None
+    zero = tuple([0] * arity)
+    maxes, seen = [], set()
+
+    def collect(u):
+        if isinstance(u, (Const, Arg)):
+            return
+        if isinstance(u, Max) and u not in seen:
+            seen.add(u)
+            maxes.append(u)
+        for item in u.items:
+            collect(item)
+
+    collect(e)
+    total = 1
+    for m in maxes:
+        total *= max(1, len(m.items))
+        if total > cap:
+            return None
+
+    def inst(u, choice):
+        if isinstance(u, Const):
+            return {zero: u.value} if u.value else {}
+        if isinstance(u, Arg):
+            return {tuple(1 if i == u.index else 0 for i in range(arity)): Fraction(1)}
+        if isinstance(u, Max):
+            picked = choice[u]
+            return inst(picked, choice) if picked is not None else {}
+        parts = [inst(item, choice) for item in u.items]
+        if isinstance(u, Sum):
+            acc = {}
+            for p in parts:
+                for m, c in p.items():
+                    acc[m] = acc.get(m, Fraction(0)) + c
+            return acc
+        acc = {zero: Fraction(1)}
+        for p in parts:
+            out = {}
+            for m1, c1 in acc.items():
+                for m2, c2 in p.items():
+                    m = tuple(x + y for x, y in zip(m1, m2))
+                    out[m] = out.get(m, Fraction(0)) + c1 * c2
+            acc = out
+        return acc
+
+    kept = []
+    pools = [list(m.items) if m.items else [None] for m in maxes]
+    for combo in itertools.product(*pools):
+        b = inst(e, dict(zip(maxes, combo)))
+        if any(_ref_posy_dominates(k, b) for k in kept):
+            continue
+        kept = [k for k in kept if not _ref_posy_dominates(b, k)] + [b]
+    return kept
+
+
+def _ref_min_choices(e):
+    if isinstance(e, (Const, Arg)):
+        yield e
+        return
+    if isinstance(e, Min):
+        for item in e.items:
+            yield from _ref_min_choices(item)
+        return
+    pools = [list(itertools.islice(_ref_min_choices(i), 64)) for i in e.items]
+    for combo in itertools.product(*pools):
+        yield type(e)(tuple(combo))
+
+
+def _ref_dominates(lhs, rhs, arity):
+    if _ref_contains_min(lhs):
+        choices = list(itertools.islice(_ref_min_choices(lhs), 65))
+        if len(choices) > 64:
+            return False
+        lhs_forms = [_ref_max_posy_form(c, arity) for c in choices]
+    else:
+        lhs_forms = [_ref_max_posy_form(lhs, arity)]
+    if any(f is None for f in lhs_forms):
+        return False
+    if _ref_contains_min(rhs):
+        rhs_choices = list(itertools.islice(_ref_min_choices(rhs), 64))
+    else:
+        rhs_choices = [rhs]
+    for lf in lhs_forms:
+        rfs = [_ref_max_posy_form(rc, arity) for rc in rhs_choices]
+        if not any(
+            rf is not None and all(any(_ref_posy_dominates(lb, rb) for lb in lf) for rb in rf)
+            for rf in rfs
+        ):
+            return False
+    return True
+
+
+ARITY = 3
+
+
+def _exprs(shared, with_min):
+    """Expressions over ARITY arguments whose leaves include shared nodes."""
+    leaves = (
+        st.builds(Arg, st.integers(0, ARITY - 1))
+        | st.builds(Const, st.sampled_from([0, 1, 2, Fraction(1, 2)]))
+        | st.sampled_from(shared)
+    )
+    kinds = [Sum, Prod, Max] + ([Min] if with_min else [])
+
+    def extend(children):
+        items = st.lists(children, min_size=0, max_size=3).map(tuple)
+        return st.builds(lambda k, i: k(i), st.sampled_from(kinds), items)
+
+    return st.recursive(leaves, extend, max_leaves=7)
+
+
+def _shared_maxes():
+    arg_or_const = st.builds(Arg, st.integers(0, ARITY - 1)) | st.builds(
+        Const, st.sampled_from([1, 3])
+    )
+    return st.lists(
+        st.lists(arg_or_const, min_size=1, max_size=3).map(lambda i: Max(tuple(i))),
+        min_size=1,
+        max_size=3,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_memoised_max_posy_form_matches_reference(data):
+    shared = data.draw(_shared_maxes())
+    exprs = data.draw(st.lists(_exprs(shared, with_min=False), min_size=1, max_size=6))
+    forms: dict = {}
+    # Revisit every expression with a shared memo and mixed caps, so stored
+    # totals meet both smaller and larger caps than the call that stored them.
+    for e in exprs + exprs[::-1]:
+        cap = data.draw(st.sampled_from([1, 2, 4, 4096]))
+        assert max_posy_form(e, ARITY, cap, forms) == _ref_max_posy_form(e, ARITY, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_memoised_dominates_matches_reference(data):
+    shared = data.draw(_shared_maxes())
+    exprs = data.draw(st.lists(_exprs(shared, with_min=True), min_size=2, max_size=5))
+    forms: dict = {}
+    for lhs in exprs:
+        for rhs in exprs:
+            assert dominates(lhs, rhs, ARITY, forms) == _ref_dominates(lhs, rhs, ARITY)
+
+
+def _wide():
+    # 10 distinct two-way maxima: 1024 branch combinations, between simplify's
+    # cap (512) and dominates' (4096).
+    return Sum(tuple(Max((Arg(0), Const(Fraction(i + 1)))) for i in range(10)))
+
+
+def test_memo_applies_each_callers_cap_simplify_first():
+    e, forms = _wide(), {}
+    assert simplify(e, 1) is e
+    assert max_posy_form(e, 1, 512, forms) is None
+    assert dominates(e, Arg(0), 1, forms)
+    assert not dominates(Arg(0), e, 1, forms)
+    assert max_posy_form(e, 1, 512, forms) is None
+    assert simplify(e, 1) is e
+
+
+def test_memo_applies_each_callers_cap_dominates_first():
+    e, forms = _wide(), {}
+    assert dominates(e, Arg(0), 1, forms)
+    assert max_posy_form(e, 1, 512, forms) is None
+    assert simplify(e, 1) is e
+    assert max_posy_form(e, 1, 4096, forms) == _ref_max_posy_form(e, 1)
+
+
+def test_check_qi_memo_does_not_leak_between_checks(corpus):
+    cases = []
+    for stem in ("mult", "fib", "running"):
+        prog = corpus[f"{stem}.trs"]
+        cases.append((prog, parse_assignment((CORPUS / f"{stem}.qi").read_text(), prog)))
+    alone = [check_qi(p, a).as_dict() for p, a in cases]
+    for i, (prog, asg) in enumerate(cases):
+        for other_prog, other_asg in cases:
+            check_qi(other_prog, other_asg)
+            assert check_qi(prog, asg).as_dict() == alone[i]
+
+
+# -- refutation sampling ---------------------------------------------------------
+
+
+def _listed_sample_points(arity, tag, seed=0):
+    """The sampling stream as it was first written: list the grid, sample it."""
+    grid = list(itertools.product(GRID_POINTS, repeat=arity))
+    if len(grid) > GRID_CAP:
+        grid = random.Random(f"{seed}:{tag}:grid").sample(grid, GRID_CAP)
+    for p in grid:
+        yield tuple(Fraction(x) for x in p)
+    rng = random.Random(f"{seed}:{tag}:rand")
+    for _ in range(RANDOM_POINTS):
+        yield tuple(Fraction(rng.randint(0, 64), rng.randint(1, 8)) for _ in range(arity))
+
+
+@pytest.mark.parametrize("arity", [5, 7, 8])
+def test_sample_points_match_the_listed_grid(arity):
+    tag = f"eq:{arity}"
+    assert list(_sample_points(arity, tag, 2)) == list(_listed_sample_points(arity, tag, 2))
+
+
+def test_sample_points_stream_in_bounded_memory():
+    # 5^20 grid points: listing them is out of reach, sampling them is not.
+    tracemalloc.start()
+    try:
+        points = list(itertools.islice(_sample_points(20, "eq:wide"), 100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(points)) == 100
+    assert all(len(p) == 20 and set(p) <= set(GRID_POINTS) for p in points)
+    assert peak < 2_000_000
+
+
+def test_expression_hash_is_the_same_in_every_process():
+    # Nodes store their hash; it must not depend on per-process values (type
+    # addresses, string hash seeds), or a pickled node would carry a stale one.
+    e = Max((Sum((Arg(0), Const(Fraction(1, 2)))), Prod((Arg(1), Arg(1)))))
+    code = (
+        "from fractions import Fraction\n"
+        "from polytrs.qi import Arg, Const, Max, Prod, Sum\n"
+        f"print(hash({e!r}))\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "7", "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) == hash(e)
