@@ -284,11 +284,6 @@ def _symbol_order(equations: list) -> list[Symbol]:
     return list(seen.values())
 
 
-def auto_qi(b: BcTerm) -> QiAssignment:
-    """The generated uniform quasi-interpretation of a compiled term."""
-    return compile_bc(b).qi
-
-
 # -- reference semantics (independent of the rewrite machinery) -----------------
 
 

@@ -3,8 +3,8 @@
 Blinding maps every arity-1 constructor to ``s`` and every arity-0
 constructor to ``0``, keeping one function symbol per original.  The image
 of a deterministic program is in general non-deterministic, so worst-case
-measurement quantifies over all derivations; the measurement back end is an
-exact dynamic program over states rather than derivation enumeration.
+measurement quantifies over all derivations; it reads the exact outcome
+table of semantics.outcome_table rather than enumerating derivations.
 """
 
 from __future__ import annotations
@@ -35,23 +35,8 @@ from .qi import (
     is_uniform,
     max_constructor_constant,
 )
-from .semantics import DerivationProof, Judgement, activation_growth, classify
-from .terms import (
-    App,
-    CONSTRUCTOR,
-    Equation,
-    FUNCTION,
-    Program,
-    Symbol,
-    Term,
-    Var,
-    apply_subst,
-    format_term,
-    is_value,
-    matching_equations,
-    subterms,
-    term_size,
-)
+from .semantics import DerivationProof, Judgement, activation_growth, classify, outcome_table
+from .terms import App, CONSTRUCTOR, Equation, FUNCTION, Program, Symbol, Term, Var, subterms
 
 BLIND_S = Symbol("s", CONSTRUCTOR, 1)
 BLIND_0 = Symbol("0", CONSTRUCTOR, 0)
@@ -81,16 +66,12 @@ def _blind_term(t: Term, names: dict) -> Term:
 
 
 def blind_program(program: Program) -> BlindProgram:
-    """The blind image; requires all constructors of arity <= 1.
+    """The blind image of a word program.
 
     Equations are mapped one for one, so the provenance is positional;
     duplicates created by the collapse are kept and reported.
     """
-    for c in program.constructors:
-        if c.arity > 1:
-            raise NotWordProgram(
-                f"constructor {c.name}/{c.arity} cannot be blinded (arity >= 2)"
-            )
+    word_alphabet(program)
     fn_names = {f.name: f"bl_{f.name}" for f in program.functions}
     signature = [BLIND_S, BLIND_0] + [
         Symbol(fn_names[f.name], FUNCTION, f.arity) for f in program.functions
@@ -171,8 +152,7 @@ def transfer_uniform_qi(
     if not is_uniform(assignment, program):
         raise QiError("only uniform assignments can be blinded")
     entries: dict = {}
-    unary = [c for c in program.constructors if c.arity == 1]
-    nullary = [c for c in program.constructors if c.arity == 0]
+    unary, nullary = word_alphabet(program)
     entries["s"] = (
         assignment.entry(unary[0].name) if unary else Sum((Arg(0), Const(Fraction(1))))
     )
@@ -254,11 +234,15 @@ def classify_growth(values: list) -> str:
 
 
 def word_alphabet(program: Program) -> tuple[list, list]:
+    """The unary and the nullary constructors of a word program, one whose
+    constructors all have arity <= 1; raises NotWordProgram otherwise."""
+    for c in program.constructors:
+        if c.arity > 1:
+            raise NotWordProgram(
+                f"constructor {c.name}/{c.arity} cannot be blinded (arity >= 2)"
+            )
     unary = [c for c in program.constructors if c.arity == 1]
-    nullary = [c for c in program.constructors if c.arity == 0]
-    if any(c.arity > 1 for c in program.constructors):
-        raise NotWordProgram("the program has a constructor of arity >= 2")
-    return unary, nullary
+    return unary, [c for c in program.constructors if c.arity == 0]
 
 
 def make_word(letters: list, terminator: Symbol) -> Term:
@@ -345,69 +329,6 @@ def strong_poly_bound(
     return (total_nodes + 1) * (g * (s_cap + 1) + 1) + n + arity + 1
 
 
-class _WorstCostDp:
-    """Exact worst-case (rules, result) dynamic program over ground terms.
-
-    outcomes(t) maps each derivable value to the pair (max rule count over
-    derivations ending in that value, derivation count).  Recursion through
-    states is cycle-checked: re-entering an in-progress state means the
-    program can loop.
-    """
-
-    def __init__(self, program: Program, budget: Budget):
-        self.program = program
-        self.budget = budget
-        self.memo: dict = {}
-        self.stack: set = set()
-        self.work = 0
-
-    def outcomes(self, t: Term) -> dict:
-        if is_value(t):
-            return {t: (term_size(t), 1)}
-        if t in self.memo:
-            return self.memo[t]
-        if t in self.stack:
-            raise CycleDetected(f"state {format_term(t)} depends on itself")
-        self.work += 1
-        if self.work > self.budget.max_rules:
-            raise BudgetExceeded("worst-cost table exceeded the budget")
-        self.stack.add(t)
-        try:
-            out: dict = {}
-            if isinstance(t, Var):
-                raise NotWordProgram("open term in measurement")
-            if t.symbol.is_constructor or not all(is_value(a) for a in t.args):
-                per_arg = [self.outcomes(a) for a in t.args]
-                for combo in itertools.product(*per_arg):
-                    cost = 1 + sum(per_arg[i][v][0] for i, v in enumerate(combo))
-                    count = 1
-                    for i, v in enumerate(combo):
-                        count *= per_arg[i][v][1]
-                    head = App(t.symbol, combo)
-                    if t.symbol.is_constructor:
-                        _merge(out, head, cost, count)
-                    else:
-                        for v, (c2, n2) in self.outcomes(head).items():
-                            _merge(out, v, cost + c2, count * n2)
-            else:
-                for eq, sigma in matching_equations(self.program, t):
-                    body = apply_subst(eq.rhs, sigma)
-                    for v, (c, n) in self.outcomes(body).items():
-                        _merge(out, v, 1 + c, n)
-            self.memo[t] = out
-            return out
-        finally:
-            self.stack.discard(t)
-
-
-def _merge(out: dict, v: Term, cost: int, count: int) -> None:
-    old = out.get(v)
-    if old is None:
-        out[v] = (cost, count)
-    else:
-        out[v] = (max(old[0], cost), old[1] + count)
-
-
 def measure_strong_poly(
     program: Program,
     main: Optional[Symbol] = None,
@@ -433,9 +354,8 @@ def measure_strong_poly(
         derivs = 0
         truncated = False
         for args in tuples:
-            dp = _WorstCostDp(program, budget)
             try:
-                outs = dp.outcomes(App(main, args))
+                outs = outcome_table(program, App(main, args), max_states=budget.max_rules)
             except (BudgetExceeded, CycleDetected):
                 truncated = True
                 continue

@@ -9,6 +9,7 @@ The rule-count accounting on proofs is the toolkit's primary cost metric.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -351,51 +352,71 @@ def all_derivations(
     return [_make_proof(r, "cbv") for r in derivs], run.truncated
 
 
-def derivable_value_set(
-    program: Program, term: Term, _memo: Optional[dict] = None, _stack: Optional[set] = None,
-    max_states: int = 100_000,
-) -> frozenset:
-    """Set of values derivable from a ground term, by memoised set semantics.
+def outcome_table(
+    program: Program, term: Term, memo: Optional[dict] = None, max_states: int = 100_000
+) -> dict:
+    """Every value derivable from a ground term, with (max rule count,
+    derivation count) over the call-by-value derivations ending in it.
 
-    Independent of proof construction; used by transition enumeration and as
-    a measurement back end.  Raises CycleDetected when a state recursively
-    depends on itself (possible nontermination).  A memo passed in is shared
-    with the caller; max_states bounds the states this call adds to it.
+    One memoised dynamic program over states, in the style of semiring
+    parsing: costs combine by max over alternatives and + across premises,
+    counts by + and x.  A value costs its size in Constructor rules.  The
+    value set is the table's key set, so transitions and growth tables read
+    the same table.  Raises CycleDetected when a state still in progress is
+    entered again (possible nontermination), and BudgetExceeded when the
+    call would enter more than max_states new states.  A memo passed in is
+    shared with the caller.
     """
-    memo = {} if _memo is None else _memo
-    stack = set() if _stack is None else _stack
-    state_cap = len(memo) + max_states
+    memo = {} if memo is None else memo
+    stack: set = set()
+    entered = 0
 
-    def go(u: Term) -> frozenset:
+    def add(out: dict, v: Term, cost: int, count: int) -> None:
+        old = out.get(v)
+        out[v] = (cost, count) if old is None else (max(old[0], cost), old[1] + count)
+
+    def go(u: Term) -> dict:
+        nonlocal entered
         if is_value(u):
-            return frozenset([u])
+            return {u: (u.size, 1)}
         if isinstance(u, Var):
             raise NoMatchingEquation(f"cannot evaluate open term {u.name}")
-        if u in memo:
-            return memo[u]
+        out = memo.get(u)
+        if out is not None:
+            return out
         if u in stack:
             raise CycleDetected(f"recursive state {format_term(u)}")
-        if len(memo) > state_cap:
-            raise BudgetExceeded("state budget exceeded in value-set evaluation")
+        entered += 1
+        if entered > max_states:
+            raise BudgetExceeded("state budget exceeded in outcome evaluation")
         stack.add(u)
-        out: set = set()
-        if u.symbol.is_constructor:
-            arg_sets = [go(a) for a in u.args]
-            for combo in itertools.product(*arg_sets):
-                out.add(App(u.symbol, combo))
-        elif all(is_value(a) for a in u.args):
+        out = {}
+        if u.symbol.is_function and all(is_value(a) for a in u.args):
             for eq, sigma in matching_equations(program, u):
-                out |= go(apply_subst(eq.rhs, sigma))
-        else:
-            arg_sets = [go(a) for a in u.args]
-            for combo in itertools.product(*arg_sets):
-                out |= go(App(u.symbol, combo))
+                for v, (cost, count) in go(apply_subst(eq.rhs, sigma)).items():
+                    add(out, v, 1 + cost, count)
+        else:  # Constructor or Split: one premise per argument
+            tables = [go(a).items() for a in u.args]
+            for combo in itertools.product(*tables):
+                cost = 1 + sum(c for _, (c, _) in combo)
+                count = math.prod(n for _, (_, n) in combo)
+                call = App(u.symbol, tuple(v for v, _ in combo))
+                tail = {call: (0, 1)} if u.symbol.is_constructor else go(call)
+                for v, (c, n) in tail.items():
+                    add(out, v, cost + c, count * n)
         stack.discard(u)
-        res = frozenset(out)
-        memo[u] = res
-        return res
+        memo[u] = out
+        return out
 
     return go(term)
+
+
+def derivable_value_set(
+    program: Program, term: Term, _memo: Optional[dict] = None, max_states: int = 100_000
+) -> frozenset:
+    """Set of values derivable from a ground term: the key set of its
+    outcome_table, which a memo passed in shares with the caller."""
+    return frozenset(outcome_table(program, term, _memo, max_states))
 
 
 # -- memoisation ------------------------------------------------------------

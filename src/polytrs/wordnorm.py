@@ -27,7 +27,7 @@ from .callgraph import (
     reachable_states,
     rhs_call_positions,
 )
-from .blind import classify_growth, input_tuples, measure_strong_poly
+from .blind import classify_growth, input_tuples, measure_strong_poly, word_alphabet
 from .ordering import EPPO, OrderingVerdict, Precedence, check_program, order_verdict
 from .qi import QiExpr, VALID, eval_expr
 from .terms import (
@@ -71,14 +71,6 @@ def word_pattern(p: Term) -> WordPattern:
     raise NotWordProgram(f"{format_term(p)} is not a word pattern")
 
 
-def require_word_program(program: Program) -> None:
-    for c in program.constructors:
-        if c.arity > 1:
-            raise NotWordProgram(
-                f"constructor {c.name}/{c.arity} takes the program outside words"
-            )
-
-
 @dataclass(frozen=True)
 class SameClassCall:
     equation: Equation
@@ -103,7 +95,7 @@ class ProductionProfile:
 
 def same_class_calls(program: Program, precedence: Precedence) -> list[SameClassCall]:
     """The labelled enumeration g^1..g^n of same-class rhs call sites."""
-    require_word_program(program)
+    word_alphabet(program)
     out = []
     for eq in program.equations:
         cls = precedence.class_of(eq.lhs_function.name)
@@ -200,7 +192,7 @@ def normalize(
     patterns cannot be extended, so a ground pattern below K is an error.
     Without a precedence, the program's declared or inferred one is used.
     """
-    require_word_program(program)
+    unary, nullary = word_alphabet(program)
     if precedence is None:
         verdict = order_verdict(program, EPPO)
     else:
@@ -210,8 +202,6 @@ def normalize(
             "normalization needs a program ordered by the fair path order"
         )
     precedence = verdict.precedence
-    unary = [c for c in program.constructors if c.arity == 1]
-    nullary = [c for c in program.constructors if c.arity == 0]
     equations = list(program.equations)
     while True:
         prog = Program(program.signature, tuple(
@@ -517,7 +507,11 @@ def certify_extended(
     linearity gate); otherwise measurement can refute polynomial growth or
     support it empirically.
     """
-    word = all(c.arity <= 1 for c in program.constructors)
+    word = True
+    try:
+        word_alphabet(program)
+    except NotWordProgram:
+        word = False
     eppo_pass = bool(eppo and eppo.overall)
 
     normalized = False

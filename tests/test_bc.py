@@ -13,7 +13,6 @@ from polytrs.bc import (
     BcSafeRec,
     BcSucc,
     BcZero,
-    auto_qi,
     bc_arity,
     bc_eval,
     bits_to_word,
@@ -219,11 +218,6 @@ def test_compiled_semantics_matches_reference_randomly():
                 for _ in range(m)
             )
             assert run_compiled(comp, normals, safes) == bc_eval(bc, normals, safes)
-
-
-def test_auto_qi_is_compile_qi():
-    add = parse_bc((CORPUS / "add.bc").read_text())
-    assert auto_qi(add) == compile_bc(add).qi
 
 
 def test_blind_image_growth_within_assembled_bound():

@@ -23,6 +23,7 @@ from polytrs.qi import check_qi, eval_expr, parse_assignment
 from polytrs.semantics import validate_proof
 
 from .conftest import CORPUS, checked_cbv, symbols_of
+from .test_semantics import COUNTDOWN, LOOP
 
 
 def t(text, program):
@@ -158,36 +159,93 @@ def test_measure_blind_running_doubles(corpus):
     assert classify_growth([r.worst_rules for r in table.rows]) == "exponential-consistent"
 
 
-def test_measure_matches_brute_force_oracle(corpus):
-    # The full outcome relation is doubly exponential; the oracle stays
-    # exact up to size 6, beyond which only the frozen expected values in
-    # test_measure_blind_running_doubles remain checkable.
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        # The full outcome relation of blind running is doubly exponential;
+        # the oracle stays exact up to size 6, beyond which only the frozen
+        # expected values in test_measure_blind_running_doubles remain
+        # checkable.
+        ("running.trs", range(2, 7)),
+        ("append.trs", range(0, 5)),
+        ("flip.trs", range(0, 6)),
+        ("doublerec.trs", range(0, 6)),
+    ],
+    ids=["running", "append", "flip", "doublerec"],
+)
+def test_measure_matches_brute_force_oracle(corpus, name, sizes):
+    from polytrs.blind import input_tuples
+    from polytrs.terms import App
     from .test_semantics import dedup_equations
 
-    bl = blind_program(corpus["running.trs"]).program
-    table = measure_strong_poly(bl, sizes=range(2, 7))
+    bl = blind_program(corpus[name]).program
+    table = measure_strong_poly(bl, sizes=sizes)
     lean = dedup_equations(bl)
     for row in table.rows:
-        term = t("bl_f(" + "s " * row.size + "0)", lean)
-        outcomes = brute_force_outcomes(lean, term)
+        outcomes = set()
+        for args in input_tuples(lean, lean.main, row.size):
+            outcomes |= brute_force_outcomes(lean, App(lean.main, args))
+        assert not row.truncated
         assert row.worst_rules == max(c for _, c in outcomes)
         assert row.worst_result_size == max(word_length(v) for v, _ in outcomes)
 
 
-def test_oracle_agrees_with_raw_enumeration(corpus):
-    # Validate the oracle itself against straight derivation enumeration.
-    from polytrs.semantics import all_derivations
+@pytest.mark.parametrize(
+    "name, lean, terms",
+    [
+        # blind running keeps its duplicate equations out so that size 5
+        # stays enumerable; the other images keep theirs, which multiplies
+        # the derivation counts
+        ("running.trs", True, ["bl_f(" + "s " * n + "0)" for n in (2, 3, 4, 5)]),
+        ("append.trs", False, ["bl_append(0, 0)", "bl_append(s s 0, s 0)", "bl_append(s s s 0, 0)"]),
+        ("flip.trs", False, ["bl_flip(" + "s " * n + "0)" for n in (0, 2, 4)]),
+        ("doublerec.trs", False, ["bl_dup(" + "s " * n + "0)" for n in (0, 1, 3, 4)]),
+    ],
+    ids=["running", "append", "flip", "doublerec"],
+)
+def test_oracle_agrees_with_raw_enumeration(corpus, name, lean, terms):
+    # Validate the oracle and the outcome table against straight derivation
+    # enumeration: per value, the table holds the largest rule count and the
+    # number of derivations.
+    from polytrs.semantics import all_derivations, outcome_table
     from .test_semantics import dedup_equations
 
-    bl = dedup_equations(blind_program(corpus["running.trs"]).program)
-    for n in (2, 3, 4, 5):
-        term = t("bl_f(" + "s " * n + "0)", bl)
+    bl = blind_program(corpus[name]).program
+    if lean:
+        bl = dedup_equations(bl)
+    for text in terms:
+        term = t(text, bl)
         proofs, truncated = all_derivations(
             bl, term, Budget(max_rules=2000, max_derivations=50_000)
         )
         assert not truncated
         raw = {(p.result, p.stats.rule_count) for p in proofs}
         assert raw == brute_force_outcomes(bl, term)
+        per_value: dict = {}
+        for p in proofs:
+            per_value.setdefault(p.result, []).append(p.stats.rule_count)
+        expected = {v: (max(costs), len(costs)) for v, costs in per_value.items()}
+        assert outcome_table(bl, term) == expected
+
+
+def test_looping_program_rows_are_truncated():
+    table = measure_strong_poly(LOOP, sizes=range(0, 3))
+    assert [r.truncated for r in table.rows] == [True, True, True]
+    assert [r.derivations for r in table.rows] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_rule_budget_truncates_at_the_state_count(k):
+    # the one input of size k, down(s^k 0), enters the k + 1 states
+    # down(s^k 0), ..., down(0); max_rules caps the states per input
+    sizes = range(k, k + 1)
+    fits = measure_strong_poly(COUNTDOWN, sizes=sizes, budget=Budget(max_rules=k + 1))
+    short = measure_strong_poly(COUNTDOWN, sizes=sizes, budget=Budget(max_rules=k))
+    assert fits.inputs_per_size == short.inputs_per_size == {k: 1}
+    assert fits.rows[0].as_dict() == {
+        "n": k, "worst_rules": k + 2, "worst_result_size": 0, "derivations": 1, "truncated": False,
+    }
+    assert short.rows[0].truncated and short.rows[0].derivations == 0
 
 
 def test_measure_append_linear(corpus):

@@ -3,7 +3,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from polytrs.base import Budget, BudgetExceeded, NoMatchingEquation, NonConfluentProgram
+from polytrs.base import (
+    Budget,
+    BudgetExceeded,
+    CycleDetected,
+    NoMatchingEquation,
+    NonConfluentProgram,
+)
 from polytrs.parser import parse_program, parse_term
 from polytrs.semantics import (
     Exhaustive,
@@ -109,6 +115,38 @@ def test_exhaustive_agrees_with_value_set(corpus):
     term = t("bl_f(s s s s 0)", bl)
     proofs, _ = all_derivations(bl, term, Budget(max_rules=4000, max_derivations=100_000))
     assert {p.result for p in proofs} == set(derivable_value_set(bl, term))
+
+
+LOOP = parse_program("constructors: s/1 0/0\nfunctions: loop/1\nloop(x) -> loop(x)\nmain: loop\n")
+COUNTDOWN = parse_program(
+    "constructors: s/1 0/0\nfunctions: down/1\ndown(s x) -> down(x)\ndown(0) -> 0\nmain: down\n"
+)
+
+
+def down(k):
+    """down(s^k 0), which enters the k + 1 states down(s^k 0), ..., down(0)."""
+    return t("down(" + "s " * k + "0)", COUNTDOWN)
+
+
+def test_value_set_detects_a_looping_state():
+    with pytest.raises(CycleDetected):
+        derivable_value_set(LOOP, t("loop(s 0)", LOOP))
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_value_set_state_budget_is_exact(k):
+    assert derivable_value_set(COUNTDOWN, down(k), max_states=k + 1) == {t("0", COUNTDOWN)}
+    with pytest.raises(BudgetExceeded):
+        derivable_value_set(COUNTDOWN, down(k), max_states=k)
+
+
+def test_state_budget_counts_only_new_states():
+    memo: dict = {}
+    derivable_value_set(COUNTDOWN, down(3), memo)
+    # with down(s^3 0), ..., down(0) memoised, down(s^5 0) enters two states
+    assert derivable_value_set(COUNTDOWN, down(5), dict(memo), max_states=2) == {t("0", COUNTDOWN)}
+    with pytest.raises(BudgetExceeded):
+        derivable_value_set(COUNTDOWN, down(5), dict(memo), max_states=1)
 
 
 def test_first_match_deterministic(corpus):
