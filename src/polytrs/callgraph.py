@@ -53,7 +53,7 @@ class State:
 
     @property
     def size(self) -> int:
-        return term_size(self.term)
+        return 1 + sum(a.size for a in self.arguments)
 
     def __repr__(self) -> str:
         args = ", ".join(format_term(a) for a in self.arguments)
@@ -168,19 +168,17 @@ def call_tree_arity(program: Program) -> int:
     judgement under the activation, nested calls included, so the constant
     counts occurrences rather than maximal subterms.
     """
-    return max(
-        (len(rhs_call_positions(eq)) for eq in program.equations), default=0
-    )
+    return max((len(rhs_calls(eq)) for eq in program.equations), default=0)
 
 
-def rhs_call_positions(eq: Equation) -> list[tuple]:
-    """Positions of function-headed subterm occurrences of the rhs, pre-order."""
-    out: list[tuple] = []
+def rhs_calls(eq: Equation) -> list[tuple[tuple, App]]:
+    """(position, subterm) of each function-headed occurrence of the rhs, pre-order."""
+    out: list[tuple[tuple, App]] = []
 
     def go(t: Term, pos: tuple) -> None:
         if isinstance(t, App):
             if t.symbol.is_function:
-                out.append(pos)
+                out.append((pos, t))
             for i, a in enumerate(t.args):
                 go(a, pos + (i,))
 
@@ -225,11 +223,10 @@ def _build_children(j: Judgement) -> list[tuple[TransitionEdge, Judgement]]:
     if act is None:
         return []
     eq = j.equation
-    positions = rhs_call_positions(eq)
     sites = _activation_sites(act.lhs)
     calls = _topmost_calls(act)
     assert len(sites) == len(calls), "call sites out of step with the proof"
-    pos_index = {p: i for i, p in enumerate(positions)}
+    pos_index = {p: i for i, (p, _) in enumerate(rhs_calls(eq))}
     out = []
     for site, call in zip(sites, calls):
         edge = TransitionEdge(_state_of(j), _state_of(call), eq, pos_index[site])
@@ -277,35 +274,55 @@ def call_dag(proof: DerivationProof) -> CallStructure:
     return CallStructure(DAG, roots)
 
 
+@dataclass
+class SuccessorMap:
+    """The transitions of every state expanded so far on one program.
+
+    Walks of ``reachable_states`` that share a map expand each state once
+    between them.  Only expansions that returned are stored: one that raised
+    ``BudgetExceeded`` or ``CycleDetected`` is tried again by the next walk
+    that reaches the state, under that walk's own outcome memo.
+    """
+
+    edges: dict = field(default_factory=dict)  # State -> list[TransitionEdge]
+    sort_keys: dict = field(default_factory=dict)  # value -> format_term(value)
+
+
 def successors(
     program: Program,
     state: State,
     budget: Budget = DEFAULT_BUDGET,
     _memo: Optional[dict] = None,
+    _sort_keys: Optional[dict] = None,
 ) -> list[TransitionEdge]:
     """All transitions realizable from a state.
 
     For every matching equation and every function-headed subterm of its
     rhs, the subterm's arguments are evaluated exhaustively (set semantics);
-    each derivable argument tuple yields one edge.  ``_memo`` is a
-    derivable_value_set memo to share across calls; without one, the call
-    uses its own.
+    each derivable argument tuple yields one edge, argument values in
+    ``format_term`` order.  ``_memo`` is a derivable_value_set memo and
+    ``_sort_keys`` a value -> format_term dict to share across calls;
+    without them, the call uses its own.
     """
     out = []
     memo: dict = {} if _memo is None else _memo
+    keys: dict = {} if _sort_keys is None else _sort_keys
+
+    def sort_key(v: Term) -> str:
+        k = keys.get(v)
+        if k is None:
+            k = keys[v] = format_term(v)
+        return k
+
     for eq, sigma in matching_equations(program, state.term):
-        positions = rhs_call_positions(eq)
-        for occ, pos in enumerate(positions):
-            sub = eq.rhs
-            for i in pos:
-                sub = sub.args[i]
+        for occ, (_, sub) in enumerate(rhs_calls(eq)):
             inst = apply_subst(sub, sigma)
             arg_sets = []
             for a in inst.args:
                 vals = derivable_value_set(
                     program, a, _memo=memo, max_states=budget.max_rules
                 )
-                arg_sets.append(sorted(vals, key=format_term))
+                arg_sets.append(sorted(vals, key=sort_key))
             for combo in itertools.product(*arg_sets):
                 out.append(
                     TransitionEdge(
@@ -316,10 +333,19 @@ def successors(
 
 
 def reachable_states(
-    program: Program, initial: State, budget: Budget = DEFAULT_BUDGET
+    program: Program,
+    initial: State,
+    budget: Budget = DEFAULT_BUDGET,
+    successor_map: Optional[SuccessorMap] = None,
 ) -> set[State]:
     """States reachable through transitions; equals the states appearing in
-    call trees rooted at the initial state."""
+    call trees rooted at the initial state.
+
+    A state found in ``successor_map`` is not expanded again, and each
+    expansion made here is added to it.  The ``max_rules`` state cap and the
+    outcome memo belong to this walk alone.
+    """
+    shared = SuccessorMap() if successor_map is None else successor_map
     seen = {initial}
     frontier = [initial]
     memo: dict = {}  # one derivable_value_set memo for the whole walk
@@ -327,7 +353,12 @@ def reachable_states(
         if len(seen) > budget.max_rules:
             raise BudgetExceeded("state space exceeds the budget")
         eta = frontier.pop()
-        for edge in successors(program, eta, budget, memo):
+        edges = shared.edges.get(eta)
+        if edges is None:
+            edges = shared.edges[eta] = successors(
+                program, eta, budget, memo, shared.sort_keys
+            )
+        for edge in edges:
             if edge.target not in seen:
                 seen.add(edge.target)
                 frontier.append(edge.target)

@@ -24,8 +24,9 @@ from .callgraph import (
     CallStructure,
     DAG,
     State,
+    SuccessorMap,
     reachable_states,
-    rhs_call_positions,
+    rhs_calls,
 )
 from .blind import classify_growth, input_tuples, measure_strong_poly, word_alphabet
 from .ordering import EPPO, OrderingVerdict, Precedence, check_program, order_verdict
@@ -99,11 +100,7 @@ def same_class_calls(program: Program, precedence: Precedence) -> list[SameClass
     out = []
     for eq in program.equations:
         cls = precedence.class_of(eq.lhs_function.name)
-        for occ, pos in enumerate(rhs_call_positions(eq)):
-            sub: Term = eq.rhs
-            for i in pos:
-                sub = sub.args[i]
-            assert isinstance(sub, App)
+        for occ, (_, sub) in enumerate(rhs_calls(eq)):
             if precedence.class_of(sub.symbol.name) != cls:
                 continue
             args = []
@@ -428,23 +425,27 @@ def measure_bounded_values(
 
     States are enumerated through the transition relation, which agrees
     with call-tree membership; a user polynomial in the input size is
-    checked against each untruncated row when supplied.
+    checked against each untruncated row when supplied.  All inputs share
+    one successor map, so each state is expanded once across every walk.
     """
     rows = []
     main = program.main
+    successor_map = SuccessorMap()
     for n in sizes:
         worst = 0
         count = 0
         truncated = False
         for args in input_tuples(program, main, n, inputs_cap, seed):
             try:
-                states = reachable_states(program, State(main, tuple(args)), budget)
+                states = reachable_states(
+                    program, State(main, tuple(args)), budget, successor_map
+                )
             except (BudgetExceeded, CycleDetected):
                 truncated = True
                 continue
             count += len(states)
             for st in states:
-                worst = max(worst, term_size(st.term))
+                worst = max(worst, st.size)
         poly_ok = None
         if user_poly is not None and not truncated:
             poly_ok = eval_expr(user_poly, [n]) >= worst

@@ -5,15 +5,17 @@ from collections import Counter
 
 import pytest
 
-from polytrs.base import NormalizationError, NotWordProgram
-from polytrs.blind import blind_program, program_is_linear
-from polytrs.callgraph import call_dag
+from polytrs import callgraph
+from polytrs.base import Budget, BudgetExceeded, CycleDetected, NormalizationError, NotWordProgram
+from polytrs.blind import blind_program, input_tuples, program_is_linear
+from polytrs.callgraph import State, call_dag, reachable_states
 from polytrs.ordering import EPPO, infer_precedence, order_verdict
 from polytrs.parser import format_program, parse_program, parse_term
 from polytrs.qi import check_qi, parse_assignment
 from polytrs.semantics import derivable_value_set, is_orthogonal
 from polytrs.terms import term_size
 from polytrs.wordnorm import (
+    BoundedValuesRow,
     call_site_labels,
     certify_extended,
     is_normal,
@@ -369,6 +371,60 @@ def test_measure_bounded_values_user_poly(corpus):
     bad = _parse_expr("2", ["n"], 1)
     rows = measure_bounded_values(prog, sizes=range(4, 7), user_poly=bad, inputs_cap=30)
     assert not any(r.poly_ok for r in rows)
+
+
+def reference_value_rows(program, sizes, budget):
+    """measure_bounded_values rebuilt from one unshared walk per input."""
+    rows = []
+    for n in sizes:
+        worst = count = 0
+        truncated = False
+        for args in input_tuples(program, program.main, n, 32, 0):
+            try:
+                states = reachable_states(program, State(program.main, tuple(args)), budget)
+            except (BudgetExceeded, CycleDetected):
+                truncated = True
+                continue
+            count += len(states)
+            worst = max([worst] + [term_size(st.term) for st in states])
+        rows.append(BoundedValuesRow(n, worst, count, truncated))
+    return rows
+
+
+@pytest.mark.parametrize("max_rules", [5, 20, 50, 200])
+@pytest.mark.parametrize(
+    "name",
+    ["grid2.trs", "grid3.trs", "mult.trs", "grow.trs", "fib.trs", "trip.trs", "twoclass.trs"],
+)
+def test_shared_successor_map_keeps_rows_under_tight_budgets(corpus, name, max_rules):
+    # Expansions that raised are not shared, so every walk truncates where
+    # it would on its own.
+    prog = corpus[name]
+    budget = Budget(max_rules=max_rules)
+    got = measure_bounded_values(prog, sizes=range(1, 9), budget=budget)
+    assert got == reference_value_rows(prog, range(1, 9), budget)
+
+
+def test_measure_bounded_values_expands_each_state_once(corpus, monkeypatch):
+    prog = corpus["grid3.trs"]
+    expanded = []
+    original = callgraph.successors
+
+    def counted(program, state, *rest):
+        expanded.append(state)
+        return original(program, state, *rest)
+
+    monkeypatch.setattr(callgraph, "successors", counted)
+    rows = measure_bounded_values(prog, sizes=range(1, 9))
+    monkeypatch.undo()
+    assert not any(r.truncated for r in rows)
+    assert len(expanded) == len(set(expanded))
+    reached = set()
+    for n in range(1, 9):
+        for args in input_tuples(prog, prog.main, n, 32, 0):
+            reached |= reachable_states(prog, State(prog.main, tuple(args)))
+    assert set(expanded) == reached
+    assert len(expanded) < sum(r.states for r in rows)  # states are revisited
 
 
 def extended(program, assignment=None, **kwargs):
