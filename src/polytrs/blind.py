@@ -23,8 +23,9 @@ from .base import (
     DEFAULT_BUDGET,
     NotWordProgram,
     QiError,
+    run_stack,
 )
-from .callgraph import function_ranks, rank_recurrence_bound
+from .callgraph import function_ranks, rank_recurrence_bound, rhs_calls
 from .ordering import Precedence
 from .qi import (
     Arg,
@@ -36,7 +37,7 @@ from .qi import (
     max_constructor_constant,
 )
 from .semantics import DerivationProof, Judgement, activation_growth, classify, outcome_table
-from .terms import App, CONSTRUCTOR, Equation, FUNCTION, Program, Symbol, Term, Var, subterms
+from .terms import App, CONSTRUCTOR, Equation, FUNCTION, Program, Symbol, Term, Var
 
 BLIND_S = Symbol("s", CONSTRUCTOR, 1)
 BLIND_0 = Symbol("0", CONSTRUCTOR, 0)
@@ -48,10 +49,6 @@ class BlindProgram:
     provenance: dict  # original symbol name -> blinded symbol name
     duplicate_groups: tuple  # tuples of equation indices that became equal
 
-    @property
-    def has_duplicates(self) -> bool:
-        return bool(self.duplicate_groups)
-
 
 def _blind_symbol(sym: Symbol, names: dict) -> Symbol:
     if sym.is_constructor:
@@ -59,10 +56,17 @@ def _blind_symbol(sym: Symbol, names: dict) -> Symbol:
     return Symbol(names[sym.name], FUNCTION, sym.arity)
 
 
-def _blind_term(t: Term, names: dict) -> Term:
-    if isinstance(t, Var):
-        return t
-    return App(_blind_symbol(t.symbol, names), tuple(_blind_term(a, names) for a in t.args))
+def _blind_term(t: Term, names: dict, memo: dict):
+    """The blind image of t, memoised per subterm; for run_stack."""
+    out = memo.get(t)
+    if out is None:
+        if isinstance(t, Var):
+            return t
+        args = []
+        for a in t.args:
+            args.append((yield _blind_term(a, names, memo)))
+        out = memo[t] = App(_blind_symbol(t.symbol, names), tuple(args))
+    return out
 
 
 def blind_program(program: Program) -> BlindProgram:
@@ -76,16 +80,12 @@ def blind_program(program: Program) -> BlindProgram:
     signature = [BLIND_S, BLIND_0] + [
         Symbol(fn_names[f.name], FUNCTION, f.arity) for f in program.functions
     ]
+    memo: dict = {}
     equations = []
     for eq in program.equations:
-        equations.append(
-            Equation(
-                _blind_symbol(eq.lhs_function, fn_names),
-                tuple(_blind_term(p, fn_names) for p in eq.lhs_patterns),
-                _blind_term(eq.rhs, fn_names),
-                eq.index,
-            )
-        )
+        lhs = run_stack(_blind_term(eq.lhs, fn_names, memo))
+        rhs = run_stack(_blind_term(eq.rhs, fn_names, memo))
+        equations.append(Equation(lhs.symbol, lhs.args, rhs, eq.index))
     groups: dict[tuple, list[int]] = {}
     for eq in equations:
         key = (eq.lhs_function.name, eq.lhs_patterns, eq.rhs)
@@ -98,26 +98,24 @@ def blind_program(program: Program) -> BlindProgram:
     return BlindProgram(blinded, provenance, dupes)
 
 
-def blind_value(v: Term) -> Term:
-    names: dict = {}
-    return _blind_term(v, names)
-
-
 def blind_proof(blind: BlindProgram, proof: DerivationProof) -> DerivationProof:
     """Map a cbv proof through the blinding; rule counts are preserved."""
-    fn_names = {k: v for k, v in blind.provenance.items()}
     eq_by_index = {eq.index: eq for eq in blind.program.equations}
+    memo: dict = {}
 
-    def go(j: Judgement) -> Judgement:
+    def go(j: Judgement):
+        kids = []
+        for c in j.children:
+            kids.append((yield go(c)))
         return Judgement(
             j.rule,
-            _blind_term(j.lhs, fn_names),
-            _blind_term(j.result, fn_names),
-            tuple(go(c) for c in j.children),
+            (yield _blind_term(j.lhs, blind.provenance, memo)),
+            (yield _blind_term(j.result, blind.provenance, memo)),
+            tuple(kids),
             eq_by_index[j.equation.index] if j.equation is not None else None,
         )
 
-    root = go(proof.root)
+    root = run_stack(go(proof.root))
     return DerivationProof(root, proof.mode, classify(root), ())
 
 
@@ -125,19 +123,11 @@ def is_linear(program: Program, precedence: Precedence) -> dict:
     """Per-function linearity: at most one same-class call in each rhs."""
     out: dict[str, bool] = {}
     for f in program.functions:
-        linear = True
-        for eq in program.equations_for(f):
-            occ = 0
-            for u in subterms(eq.rhs):
-                if isinstance(u, App) and u.symbol.is_function:
-                    if (
-                        precedence.class_of(u.symbol.name)
-                        == precedence.class_of(f.name)
-                    ):
-                        occ += 1
-            if occ > 1:
-                linear = False
-        out[f.name] = linear
+        cls = precedence.class_of(f.name)
+        out[f.name] = all(
+            sum(precedence.class_of(u.symbol.name) == cls for _, u in rhs_calls(eq)) <= 1
+            for eq in program.equations_for(f)
+        )
     return out
 
 

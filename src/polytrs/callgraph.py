@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .base import Budget, BudgetExceeded, DEFAULT_BUDGET, PrecedenceError
+from .base import Budget, BudgetExceeded, DEFAULT_BUDGET, PrecedenceError, run_stack
 from .semantics import (
     DerivationProof,
     Judgement,
@@ -28,7 +28,6 @@ from .terms import (
     Term,
     apply_subst,
     format_term,
-    is_value,
     matching_equations,
     term_size,
 )
@@ -75,9 +74,12 @@ class CallNode:
     read_links: list = field(default_factory=list)  # (TransitionEdge, CallNode)
 
     def walk(self) -> Iterator["CallNode"]:
-        yield self
-        for _, c in self.children:
-            yield from c.walk()
+        """This node and its tree descendants, in pre-order."""
+        todo = [self]
+        while todo:
+            n = todo.pop()
+            yield n
+            todo.extend(c for _, c in reversed(n.children))
 
 
 @dataclass
@@ -106,13 +108,6 @@ class CallStructure:
 
     def node_count(self) -> int:
         return len(self.nodes())
-
-    def edges(self) -> list[TransitionEdge]:
-        out = []
-        for n in self.nodes():
-            out.extend(e for e, _ in n.children)
-            out.extend(e for e, _ in n.read_links)
-        return out
 
     def successors_of(self, node: CallNode) -> list[tuple[TransitionEdge, CallNode]]:
         return list(node.children) + list(node.read_links)
@@ -186,92 +181,61 @@ def rhs_calls(eq: Equation) -> list[tuple[tuple, App]]:
     return out
 
 
-def _activation_sites(u: Term) -> list[tuple]:
-    """Call positions of a ground term in evaluation order (Split's call last)."""
-    if is_value(u):
-        return []
-    assert isinstance(u, App)
-    sites: list[tuple] = []
-    if u.symbol.is_constructor:
-        for i, a in enumerate(u.args):
-            sites.extend((i,) + p for p in _activation_sites(a))
-        return sites
-    if all(is_value(a) for a in u.args):
-        return [()]
-    for i, a in enumerate(u.args):
-        sites.extend((i,) + p for p in _activation_sites(a))
-    sites.append(())
-    return sites
+def _topmost_calls(j: Judgement) -> list[tuple[tuple, Judgement]]:
+    """(position in j.lhs, judgement) of each call judgement reached from j
+    through passive ones, in evaluation order.  A Constructor's or Split's
+    premises sit at its argument positions, a Split's last one at its own."""
+    out: list = []
 
+    def go(u: Judgement, pos: tuple):
+        if not u.is_passive:
+            out.append((pos, u))
+        elif not u.lhs.is_value:  # a value's Constructor premises hold no call
+            for i, c in enumerate(u.children):
+                yield go(c, pos + (i,) if i < len(u.lhs.args) else pos)
 
-def _topmost_calls(j: Judgement) -> list[Judgement]:
-    if j.is_active or j.is_semi_active:
-        return [j]
-    out = []
-    for c in j.children:
-        out.extend(_topmost_calls(c))
+    run_stack(go(j, ()))
     return out
 
 
-def _state_of(j: Judgement) -> State:
-    return State(j.lhs.symbol, j.lhs.args)
+def _call_structure(proof: DerivationProof, kind: str) -> CallStructure:
+    """One node per call judgement but Read; a Read becomes a link to the
+    node of the Update that installed its entry."""
+    by_lhs: dict[App, CallNode] = {}
 
+    def build(j: Judgement):
+        node = by_lhs[j.lhs] = CallNode(State(j.lhs.symbol, j.lhs.args))
+        occurrence = {p: i for i, (p, _) in enumerate(rhs_calls(j.equation))}
+        for pos, call in _topmost_calls(j.activation):
+            edge = TransitionEdge(
+                node.state,
+                State(call.lhs.symbol, call.lhs.args),
+                j.equation,
+                occurrence[pos],
+            )
+            if call.rule == R_READ:
+                node.read_links.append((edge, by_lhs[call.lhs]))
+            else:
+                node.children.append((edge, (yield build(call))))
+        return node
 
-def _build_children(j: Judgement) -> list[tuple[TransitionEdge, Judgement]]:
-    """Pair each topmost call under j's activation with its rhs occurrence."""
-    act = j.activation
-    if act is None:
-        return []
-    eq = j.equation
-    sites = _activation_sites(act.lhs)
-    calls = _topmost_calls(act)
-    assert len(sites) == len(calls), "call sites out of step with the proof"
-    pos_index = {p: i for i, (p, _) in enumerate(rhs_calls(eq))}
-    out = []
-    for site, call in zip(sites, calls):
-        edge = TransitionEdge(_state_of(j), _state_of(call), eq, pos_index[site])
-        out.append((edge, call))
-    return out
+    # a repeated root-level call resolves inside the dag
+    roots = [run_stack(build(j)) for _, j in _topmost_calls(proof.root) if j.rule != R_READ]
+    return CallStructure(kind, roots)
 
 
 def call_tree(proof: DerivationProof) -> CallStructure:
     """Forest of active judgement occurrences of a cbv proof."""
     if proof.mode != "cbv":
         raise ValueError("call trees are built from cbv proofs")
-
-    def build(j: Judgement) -> CallNode:
-        node = CallNode(_state_of(j))
-        for edge, call in _build_children(j):
-            node.children.append((edge, build(call)))
-        return node
-
-    roots = [build(j) for j in _topmost_calls(proof.root)]
-    return CallStructure(FOREST, roots)
+    return _call_structure(proof, FOREST)
 
 
 def call_dag(proof: DerivationProof) -> CallStructure:
     """Dag of Update judgements of a memo proof; Read leaves become links."""
     if proof.mode != "memo":
         raise ValueError("call dags are built from memo proofs")
-    by_key: dict[tuple, CallNode] = {}
-
-    def build(j: Judgement) -> CallNode:
-        key = (j.lhs.symbol.name, j.lhs.args)
-        node = CallNode(_state_of(j))
-        by_key[key] = node
-        for edge, call in _build_children(j):
-            if call.rule == R_READ:
-                node.read_links.append((edge, by_key[(call.lhs.symbol.name, call.lhs.args)]))
-            else:
-                node.children.append((edge, build(call)))
-        return node
-
-    roots = []
-    for j in _topmost_calls(proof.root):
-        if j.rule == R_READ:
-            continue  # a repeated root-level call resolves inside the dag
-        roots.append(build(j))
-    return CallStructure(DAG, roots)
+    return _call_structure(proof, DAG)
 
 
 @dataclass
@@ -433,19 +397,19 @@ def same_class_descendant_counts(
     """
     counts: dict[int, int] = {}
 
-    def descend(node: CallNode, cls: int, seen: set) -> int:
+    def descend(node: CallNode, cls: int, seen: set):
         total = 0
         for _, c in structure.successors_of(node):
             if id(c) in seen:
                 continue
             seen.add(id(c))
             here = 1 if precedence.class_of(c.state.function.name) == cls else 0
-            total += here + descend(c, cls, seen)
+            total += here + (yield descend(c, cls, seen))
         return total
 
     for node in structure.nodes():
         cls = precedence.class_of(node.state.function.name)
-        counts[id(node)] = descend(node, cls, set())
+        counts[id(node)] = run_stack(descend(node, cls, set()))
     return counts
 
 

@@ -8,7 +8,6 @@ or to ``--out``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from typing import Optional
@@ -20,7 +19,7 @@ from .callgraph import call_dag, call_tree
 from .ordering import EPPO, PPO, order_verdict
 from .parser import format_program, parse_program, parse_term
 from .qi import check_qi, format_assignment, is_uniform, parse_assignment, _parse_expr
-from .report import build_report, program_digest
+from .report import build_report, dump_json, program_digest
 from .semantics import (
     Exhaustive,
     FirstMatch,
@@ -54,7 +53,10 @@ def _budget(args) -> Budget:
 
 def _sizes(text: str) -> range:
     lo, _, hi = text.partition("..")
-    return range(int(lo), int(hi or lo) + 1)
+    lo, hi = int(lo), int(hi or lo)
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"sizes {text} need 0 <= low <= high")
+    return range(lo, hi + 1)
 
 
 def _emit(args: Optional[argparse.Namespace], text: str) -> None:
@@ -66,7 +68,7 @@ def _emit(args: Optional[argparse.Namespace], text: str) -> None:
 
 
 def _emit_json(args, data) -> None:
-    _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _emit(args, dump_json(data) + "\n")
 
 
 def _policy(args):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .base import ParseError, PrecedenceError
+from .base import ParseError, PrecedenceError, run_stack
 from .terms import (
     App,
     Equation,
@@ -459,53 +459,36 @@ def static_call_graph(program: Program) -> dict:
 
 
 def _sccs(graph: dict) -> list[list[str]]:
-    """Strongly connected components, iterative Tarjan, stable order."""
+    """Strongly connected components, Tarjan under run_stack, stable order."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set = set()
     stack: list[str] = []
     out: list[list[str]] = []
-    counter = [0]
 
-    def strongconnect(v0: str) -> None:
-        work = [(v0, iter(sorted(graph[v0])))]
-        index[v0] = low[v0] = counter[0]
-        counter[0] += 1
-        stack.append(v0)
-        on_stack.add(v0)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(graph[w]))))
-                    advanced = True
+    def strongconnect(v: str):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in sorted(graph[v]):
+            if w not in index:
+                yield strongconnect(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.append(w)
+                if w == v:
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(comp))
+            out.append(sorted(comp))
 
     for v in sorted(graph):
         if v not in index:
-            strongconnect(v)
+            run_stack(strongconnect(v))
     return out
 
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__
-from .base import Budget, DEFAULT_BUDGET, NotWordProgram, TrsError
+from .base import Budget, DEFAULT_BUDGET, NotWordProgram, TrsError, run_stack
 from .blind import blind_program, is_linear, transfer_uniform_qi
 from .ordering import EPPO, PPO, order_verdict
 from .parser import format_program
@@ -36,6 +37,47 @@ FAIL = "fail"
 UNKNOWN = "unknown"
 
 
+def _json_scalar(x) -> str:
+    """A leaf (a scalar, [] or {}) as json.dumps writes it."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    return int.__repr__(x) if type(x) is int else json.dumps(x)
+
+
+def dump_json(data) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte, at any
+    nesting depth: written under run_stack, in time linear in the output."""
+    out: list[str] = []
+
+    def write(x, indent: str):
+        inner = indent + "  "
+        if isinstance(x, dict):  # a key that is no str is written as its JSON text
+            out.append("{")
+            items = [
+                (encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
+                for k, v in sorted(x.items())
+            ]
+        else:
+            out.append("[")
+            items = [("", v) for v in x]
+        sep = "\n" + inner
+        for key, v in items:
+            out.append(sep + key)
+            sep = ",\n" + inner
+            if isinstance(v, (dict, list, tuple)) and v:
+                yield write(v, inner)
+            else:
+                out.append(_json_scalar(v))
+        out.append("\n" + indent + ("}" if isinstance(x, dict) else "]"))
+
+    if isinstance(data, (dict, list, tuple)) and data:
+        run_stack(write(data, ""))
+        return "".join(out)
+    return _json_scalar(data)
+
+
 def program_digest(program: Program) -> str:
     return hashlib.sha256(format_program(program).encode()).hexdigest()[:16]
 
@@ -45,7 +87,7 @@ class Report:
     data: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
+        return dump_json(self.data) + "\n"
 
     @property
     def verdicts(self) -> dict:

@@ -22,6 +22,7 @@ from .base import (
     DEFAULT_BUDGET,
     NoMatchingEquation,
     NonConfluentProgram,
+    run_stack,
 )
 from .terms import (
     App,
@@ -85,18 +86,23 @@ class Judgement:
         return None
 
     def walk(self) -> Iterator["Judgement"]:
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        """Every judgement of the derivation, in pre-order."""
+        todo = [self]
+        while todo:
+            j = todo.pop()
+            yield j
+            todo.extend(reversed(j.children))
 
     def shape(self) -> tuple:
         """Structure used for golden-tree comparisons."""
-        return (
-            self.rule,
-            format_term(self.lhs),
-            format_term(self.result),
-            tuple(c.shape() for c in self.children),
-        )
+
+        def go(j: Judgement):
+            kids = []
+            for c in j.children:
+                kids.append((yield go(c)))
+            return (j.rule, format_term(j.lhs), format_term(j.result), tuple(kids))
+
+        return run_stack(go(self))
 
 
 @dataclass(frozen=True)
@@ -195,16 +201,12 @@ def _make_proof(root: Judgement, mode: str, cache_trace: tuple = ()) -> Derivati
     return DerivationProof(root, mode, classify(root), cache_trace)
 
 
-def _value_proof(v: Term) -> Judgement:
-    assert isinstance(v, App)
-    return Judgement(R_CONSTRUCTOR, v, v, tuple(_value_proof(a) for a in v.args))
-
-
 class _Run:
     """One evaluation run; threads the budget through the recursion.
 
     With a cache the run memoises calls (Read/Update judgements); without
-    one every call is derived again (Function judgements).
+    one every call is derived again (Function judgements).  The methods
+    are generator-coded for ``run_stack``, so only the budget bounds depth.
     """
 
     def __init__(
@@ -225,7 +227,7 @@ class _Run:
 
     # -- single-derivation path (FirstMatch / Seeded) --------------------
 
-    def derive(self, t: Term, depth: int) -> Judgement:
+    def derive(self, t: Term, depth: int):
         self.steps += 1
         if self.steps > self.budget.max_rules or depth > self.budget.max_depth:
             raise BudgetExceeded(
@@ -233,12 +235,7 @@ class _Run:
             )
         if isinstance(t, Var):
             raise NoMatchingEquation(f"cannot evaluate open term {t.name}")
-        if t.symbol.is_constructor:
-            kids = tuple(self.derive(a, depth + 1) for a in t.args)
-            return Judgement(
-                R_CONSTRUCTOR, t, App(t.symbol, tuple(k.result for k in kids)), kids
-            )
-        if all(is_value(a) for a in t.args):
+        if t.symbol.is_function and all(is_value(a) for a in t.args):
             key = (t.symbol.name, t.args)
             if self.cache is not None and key in self.cache:
                 return Judgement(R_READ, t, self.cache[key])
@@ -249,75 +246,72 @@ class _Run:
                 eq, sigma = matches[self.rng.randrange(len(matches))]
             else:
                 eq, sigma = matches[0]
-            body = self.derive(apply_subst(eq.rhs, sigma), depth + 1)
+            body = yield self.derive(apply_subst(eq.rhs, sigma), depth + 1)
             if self.cache is None:
                 return Judgement(R_FUNCTION, t, body.result, (body,), eq)
             self.cache[key] = body.result
             self.trace.append((t.symbol.name, t.args, body.result))
             return Judgement(R_UPDATE, t, body.result, (body,), eq)
-        kids = tuple(self.derive(a, depth + 1) for a in t.args)
-        call = App(t.symbol, tuple(k.result for k in kids))
-        final = self.derive(call, depth + 1)
-        return Judgement(R_SPLIT, t, final.result, kids + (final,))
+        kids = []
+        for a in t.args:
+            kids.append((yield self.derive(a, depth + 1)))
+        value = App(t.symbol, tuple(k.result for k in kids))
+        if t.symbol.is_constructor:
+            return Judgement(R_CONSTRUCTOR, t, value, tuple(kids))
+        final = yield self.derive(value, depth + 1)
+        return Judgement(R_SPLIT, t, final.result, (*kids, final))
 
     # -- exhaustive enumeration -------------------------------------------
 
-    def enumerate(self, t: Term, depth: int, used: int) -> list[Judgement]:
+    def enumerate(self, t: Term, depth: int, used: int):
         """All derivations of t whose size fits in the remaining budget."""
         if depth > self.budget.max_depth or used >= self.budget.max_rules:
             self.truncated = True
             return []
         if isinstance(t, Var):
             raise NoMatchingEquation(f"cannot evaluate open term {t.name}")
-        remaining = self.budget.max_rules - used
         out: list[Judgement] = []
-        if t.symbol.is_constructor:
-            for kids in self._child_product(t.args, depth, used + 1):
-                out.append(
-                    Judgement(
-                        R_CONSTRUCTOR,
-                        t,
-                        App(t.symbol, tuple(k.result for k in kids)),
-                        kids,
-                    )
-                )
-                if len(out) >= self.budget.max_derivations:
-                    self.truncated = True
-                    break
-            return out
-        if all(is_value(a) for a in t.args):
+        if t.symbol.is_function and all(is_value(a) for a in t.args):
             for eq, sigma in matching_equations(self.program, t):
-                for body in self.enumerate(
-                    apply_subst(eq.rhs, sigma), depth + 1, used + 1
+                for body in (
+                    yield self.enumerate(apply_subst(eq.rhs, sigma), depth + 1, used + 1)
                 ):
                     out.append(Judgement(R_FUNCTION, t, body.result, (body,), eq))
                     if len(out) >= self.budget.max_derivations:
                         self.truncated = True
                         return out
             return out
-        for kids in self._child_product(t.args, depth, used + 1):
-            call = App(t.symbol, tuple(k.result for k in kids))
+        for kids in (yield from self._child_product(t.args, depth, used + 1)):
+            value = App(t.symbol, tuple(k.result for k in kids))
+            if t.symbol.is_constructor:
+                out.append(Judgement(R_CONSTRUCTOR, t, value, kids))
+                if len(out) >= self.budget.max_derivations:
+                    self.truncated = True
+                    return out
+                continue
             inner_used = used + 1 + sum(k.size for k in kids)
-            for final in self.enumerate(call, depth + 1, inner_used):
+            for final in (yield self.enumerate(value, depth + 1, inner_used)):
                 out.append(Judgement(R_SPLIT, t, final.result, kids + (final,)))
                 if len(out) >= self.budget.max_derivations:
                     self.truncated = True
                     return out
         return out
 
-    def _child_product(self, args: tuple, depth: int, used: int) -> Iterator[tuple]:
-        """Cartesian product of the argument derivations, budget-pruned."""
+    def _child_product(self, args: tuple, depth: int, used: int):
+        """Lazy cartesian product of the argument derivations, budget-pruned."""
         lists = []
         for a in args:
-            derivs = self.enumerate(a, depth + 1, used)
+            derivs = yield self.enumerate(a, depth + 1, used)
             if not derivs:
-                return
+                return ()
             lists.append(derivs)
-        for combo in itertools.product(*lists):
-            if used + sum(k.size for k in combo) > self.budget.max_rules:
-                self.truncated = True
-                continue
-            yield combo
+        return (kids for kids in itertools.product(*lists) if self._fits(kids, used))
+
+    def _fits(self, kids: tuple, used: int) -> bool:
+        if used + sum(k.size for k in kids) > self.budget.max_rules:
+            self.truncated = True
+            return False
+        return True
 
 
 def eval_cbv(
@@ -334,13 +328,15 @@ def eval_cbv(
     """
     run = _Run(program, policy, budget)
     if isinstance(policy, Exhaustive):
-        derivs = run.enumerate(term, 0, 0)
+        derivs = run_stack(run.enumerate(term, 0, 0))
         if not derivs and run.truncated:
             raise BudgetExceeded(f"no derivation of {format_term(term)} fits the budget")
+        if not derivs:
+            raise NoMatchingEquation(f"no derivation of {format_term(term)} exists")
         for root in derivs:
             yield _make_proof(root, "cbv")
     else:
-        yield _make_proof(run.derive(term, 0), "cbv")
+        yield _make_proof(run_stack(run.derive(term, 0)), "cbv")
 
 
 def all_derivations(
@@ -348,7 +344,7 @@ def all_derivations(
 ) -> tuple[list[DerivationProof], bool]:
     """Materialised exhaustive enumeration plus a truncation flag."""
     run = _Run(program, Exhaustive(), budget)
-    derivs = run.enumerate(term, 0, 0)
+    derivs = run_stack(run.enumerate(term, 0, 0))
     return [_make_proof(r, "cbv") for r in derivs], run.truncated
 
 
@@ -375,13 +371,15 @@ def outcome_table(
         old = out.get(v)
         out[v] = (cost, count) if old is None else (max(old[0], cost), old[1] + count)
 
-    def go(u: Term) -> dict:
+    def known(u: Term) -> Optional[dict]:
+        """u's table when it needs no work: u is a value or memoised."""
+        return {u: (u.size, 1)} if is_value(u) else memo.get(u)
+
+    def go(u: Term):  # for a u that is no value; its callers try known(u) first
         nonlocal entered
-        if is_value(u):
-            return {u: (u.size, 1)}
         if isinstance(u, Var):
             raise NoMatchingEquation(f"cannot evaluate open term {u.name}")
-        out = memo.get(u)
+        out = memo.get(u)  # a memoised empty table is falsy: known(u) or ... lands here
         if out is not None:
             return out
         if u in stack:
@@ -393,22 +391,28 @@ def outcome_table(
         out = {}
         if u.symbol.is_function and all(is_value(a) for a in u.args):
             for eq, sigma in matching_equations(program, u):
-                for v, (cost, count) in go(apply_subst(eq.rhs, sigma)).items():
+                rhs = apply_subst(eq.rhs, sigma)
+                for v, (cost, count) in (known(rhs) or (yield go(rhs))).items():
                     add(out, v, 1 + cost, count)
         else:  # Constructor or Split: one premise per argument
-            tables = [go(a).items() for a in u.args]
+            tables = []
+            for a in u.args:
+                tables.append((known(a) or (yield go(a))).items())
             for combo in itertools.product(*tables):
                 cost = 1 + sum(c for _, (c, _) in combo)
                 count = math.prod(n for _, (_, n) in combo)
                 call = App(u.symbol, tuple(v for v, _ in combo))
-                tail = {call: (0, 1)} if u.symbol.is_constructor else go(call)
+                if u.symbol.is_constructor:
+                    tail = {call: (0, 1)}
+                else:
+                    tail = known(call) or (yield go(call))
                 for v, (c, n) in tail.items():
                     add(out, v, cost + c, count * n)
         stack.discard(u)
         memo[u] = out
         return out
 
-    return go(term)
+    return known(term) or run_stack(go(term))
 
 
 def derivable_value_set(
@@ -504,7 +508,7 @@ def eval_memo(
             "memoisation refused without an explicit override"
         )
     run = _Run(program, FirstMatch(), budget, cache={})
-    root = run.derive(term, 0)
+    root = run_stack(run.derive(term, 0))
     return _make_proof(root, "memo", tuple(run.trace))
 
 
@@ -519,7 +523,7 @@ def validate_proof(program: Program, proof: DerivationProof) -> None:
     """
     cache: dict = {}
 
-    def check(j: Judgement) -> None:
+    def check(j: Judgement):
         t, v = j.lhs, j.result
         if j.rule == R_CONSTRUCTOR:
             if not isinstance(t, App) or not t.symbol.is_constructor:
@@ -527,7 +531,7 @@ def validate_proof(program: Program, proof: DerivationProof) -> None:
             _expect(len(j.children) == len(t.args), j, "arity of premises")
             for a, c in zip(t.args, j.children):
                 _expect(c.lhs == a, j, "premise lhs mismatch")
-                check(c)
+                yield check(c)
             _expect(
                 v == App(t.symbol, tuple(c.result for c in j.children)),
                 j,
@@ -543,7 +547,7 @@ def validate_proof(program: Program, proof: DerivationProof) -> None:
             _expect(len(j.children) == len(t.args) + 1, j, "Split premise count")
             for a, c in zip(t.args, j.children[:-1]):
                 _expect(c.lhs == a, j, "Split premise lhs")
-                check(c)
+                yield check(c)
             final = j.children[-1]
             _expect(
                 final.lhs
@@ -551,7 +555,7 @@ def validate_proof(program: Program, proof: DerivationProof) -> None:
                 j,
                 "Split call lhs",
             )
-            check(final)
+            yield check(final)
             _expect(final.result == v, j, "Split conclusion value")
         elif j.rule in (R_FUNCTION, R_UPDATE):
             _expect(
@@ -572,7 +576,7 @@ def validate_proof(program: Program, proof: DerivationProof) -> None:
             if j.rule == R_UPDATE:
                 key = (t.symbol.name, t.args)
                 _expect(key not in cache, j, "Update on a cached call")
-            check(act)
+            yield check(act)
             _expect(act.result == v, j, "activation value")
             if j.rule == R_UPDATE:
                 cache[(t.symbol.name, t.args)] = v
@@ -583,7 +587,7 @@ def validate_proof(program: Program, proof: DerivationProof) -> None:
         else:
             raise ValueError(f"unknown rule {j.rule}")
 
-    check(proof.root)
+    run_stack(check(proof.root))
     if proof.mode == "memo":
         entries = {(f, args): v for (f, args, v) in proof.cache_trace}
         if entries != cache:
@@ -593,6 +597,17 @@ def validate_proof(program: Program, proof: DerivationProof) -> None:
 def _expect(cond: bool, j: Judgement, what: str) -> None:
     if not cond:
         raise ValueError(f"invalid {j.rule} judgement at {format_term(j.lhs)}: {what}")
+
+
+def _dependence_walk(j: Judgement, out: list):
+    """Append the passive-only subderivation rooted at j to ``out`` in
+    pre-order; return its depth.  Generator-coded for run_stack."""
+    out.append(j)
+    depth = 0
+    for c in j.children:
+        if c.is_passive:
+            depth = max(depth, (yield _dependence_walk(c, out)))
+    return 1 + depth
 
 
 @dataclass(frozen=True)
@@ -606,11 +621,7 @@ class Dependence:
 
     @property
     def depth(self) -> int:
-        def go(j: Judgement, keep: frozenset) -> int:
-            kids = [go(c, keep) for c in j.children if id(c) in keep]
-            return 1 + max(kids, default=0)
-
-        return go(self.root, frozenset(id(j) for j in self.judgements))
+        return run_stack(_dependence_walk(self.root, []))
 
 
 def max_dependence(proof: DerivationProof, judgement: Judgement) -> Dependence:
@@ -619,16 +630,8 @@ def max_dependence(proof: DerivationProof, judgement: Judgement) -> Dependence:
         raise ValueError("dependences are rooted at passive judgements")
     if not any(j is judgement for j in proof.root.walk()):
         raise ValueError("judgement does not occur in the proof")
-
     collected: list[Judgement] = []
-
-    def go(j: Judgement) -> None:
-        collected.append(j)
-        for c in j.children:
-            if c.is_passive:
-                go(c)
-
-    go(judgement)
+    run_stack(_dependence_walk(judgement, collected))
     return Dependence(judgement, tuple(collected))
 
 
@@ -658,21 +661,11 @@ def assembled_rule_bound(program: Program, proof: DerivationProof) -> int:
 
 def check_dependence_bounds(proof: DerivationProof) -> None:
     """Assert the three dependence bounds on every passive judgement."""
-
-    def collect(j: Judgement) -> tuple[list, int]:
-        nodes = [j]
-        depth = 1
-        for c in j.children:
-            if c.is_passive:
-                sub_nodes, sub_depth = collect(c)
-                nodes.extend(sub_nodes)
-                depth = max(depth, 1 + sub_depth)
-        return nodes, depth
-
     for j in proof.root.walk():
         if not j.is_passive:
             continue
-        nodes, depth = collect(j)
+        nodes: list[Judgement] = []
+        depth = run_stack(_dependence_walk(j, nodes))
         for node in nodes:
             if not is_subterm(node.lhs, j.lhs):
                 raise ValueError(
@@ -692,7 +685,7 @@ def check_read_linkage(proof: DerivationProof) -> None:
         (f, args, v): i for i, (f, args, v) in enumerate(proof.cache_trace)
     }
 
-    def go(j: Judgement) -> None:
+    def go(j: Judgement):
         if j.rule == R_READ:
             key = (j.lhs.symbol.name, j.lhs.args, j.result)
             if key not in seen:
@@ -702,20 +695,34 @@ def check_read_linkage(proof: DerivationProof) -> None:
             if key not in trace_pos:
                 raise ValueError("Read entry missing from the cache trace")
         for c in j.children:
-            go(c)
+            yield go(c)
         if j.rule == R_UPDATE:
             seen.add((j.lhs.symbol.name, j.lhs.args, j.result))
 
-    go(proof.root)
+    run_stack(go(proof.root))
 
 
 def proof_to_json(proof: DerivationProof) -> dict:
-    def enc(j: Judgement) -> dict:
+    text: dict = {}  # format_term(t) per subterm, built from its arguments' texts
+
+    def fmt(t: Term):
+        out = text.get(t)
+        if out is None:
+            args = []
+            for a in t.args if isinstance(t, App) else ():
+                args.append((yield fmt(a)))
+            out = text[t] = f"{t.symbol.name}({', '.join(args)})" if args else format_term(t)
+        return out
+
+    def enc(j: Judgement):
+        kids = []
+        for c in j.children:
+            kids.append((yield enc(c)))
         out = {
             "rule": j.rule,
-            "lhs": format_term(j.lhs),
-            "result": format_term(j.result),
-            "children": [enc(c) for c in j.children],
+            "lhs": (yield fmt(j.lhs)),
+            "result": (yield fmt(j.result)),
+            "children": kids,
         }
         if j.equation is not None:
             out["equation"] = j.equation.index
@@ -723,13 +730,13 @@ def proof_to_json(proof: DerivationProof) -> dict:
 
     return {
         "mode": proof.mode,
-        "root": enc(proof.root),
+        "root": run_stack(enc(proof.root)),
         "stats": proof.stats.as_dict(),
         "cache_trace": [
             {
                 "function": f,
-                "args": [format_term(a) for a in args],
-                "value": format_term(v),
+                "args": [run_stack(fmt(a)) for a in args],
+                "value": run_stack(fmt(v)),
             }
             for (f, args, v) in proof.cache_trace
         ],

@@ -18,6 +18,7 @@ from .base import (
     DEFAULT_BUDGET,
     NormalizationError,
     NotWordProgram,
+    run_stack,
 )
 from .callgraph import (
     CallNode,
@@ -89,9 +90,6 @@ class ProductionProfile:
     per_equation: dict  # equation index -> K_e
     per_class: dict  # class id -> K_h
     calls: tuple  # SameClassCall in label order
-
-    def class_k(self, precedence: Precedence, name: str) -> int:
-        return self.per_class.get(precedence.class_of(name), 0)
 
 
 def same_class_calls(program: Program, precedence: Precedence) -> list[SameClassCall]:
@@ -354,19 +352,20 @@ def same_class_descendant_bound(
     n = node.state.function.arity
     i_cap = n * max((term_size(v) for v in node.state.arguments), default=0)
     seen: set = set()
-    longest = [0]
 
-    def go(cur: CallNode, depth: int) -> None:
-        longest[0] = max(longest[0], depth)
+    def go(cur: CallNode, depth: int):
+        """The greatest depth at which the walk from cur first meets a node."""
+        longest = depth
         for _, child in dag.successors_of(cur):
             if precedence.class_of(child.state.function.name) != cls:
                 continue
             if child.state in seen:
                 continue
             seen.add(child.state)
-            go(child, depth + 1)
+            longest = max(longest, (yield go(child, depth + 1)))
+        return longest
 
-    go(node, 0)
+    longest = run_stack(go(node, 0))
     bound = (i_cap + 1) ** m
     return DescendantBound(
         node.state,
@@ -374,22 +373,9 @@ def same_class_descendant_bound(
         bound,
         len(seen) <= bound,
         i_cap,
-        longest[0],
-        longest[0] <= i_cap,
+        longest,
+        longest <= i_cap,
     )
-
-
-def vector_count(n: int, i: int) -> int:
-    """Number of n-vectors of naturals with component sum exactly i.
-
-    Matches the recurrence D_i^n = sum_{j<=i} D_j^(n-1), and is bounded by
-    (i+1)^n.
-    """
-    if n == 0:
-        return 1 if i == 0 else 0
-    if n == 1:
-        return 1
-    return sum(vector_count(n - 1, j) for j in range(i + 1))
 
 
 # -- bounded values measurement --------------------------------------------------

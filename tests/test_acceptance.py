@@ -42,7 +42,6 @@ from polytrs.wordnorm import (
     normalize,
     same_class_descendant_bound,
     same_class_paths,
-    vector_count,
 )
 
 from .conftest import CORPUS, CORPUS_PROGRAMS, checked_cbv, checked_memo, load, symbols_of
@@ -302,15 +301,7 @@ def test_criterion_9_descendant_bound(corpus):
             assert check.holds, (name, check)
             assert check.branch_holds, (name, check)
             nodes_checked += 1
-    for n in range(0, 7):
-        for i in range(0, 7):
-            brute = sum(
-                1 for v in itertools.product(range(i + 1), repeat=n) if sum(v) == i
-            )
-            assert vector_count(n, i) == brute
-            if n >= 1:
-                assert vector_count(n, i) <= (i + 1) ** n
-    report(9, f"(I+1)^M and branch caps on {nodes_checked} dag nodes; helper verified")
+    report(9, f"(I+1)^M and branch caps on {nodes_checked} dag nodes")
 
 
 def test_criterion_10_accounting_invariants(corpus):

@@ -8,7 +8,6 @@ from polytrs.base import Budget, NotWordProgram, QiError
 from polytrs.blind import (
     blind_program,
     blind_proof,
-    blind_value,
     classify_growth,
     is_linear,
     measure_strong_poly,
@@ -111,8 +110,8 @@ def test_blind_proof_simulation(corpus):
 
 def test_blind_value_lengths(corpus):
     prog = corpus["running.trs"]
-    v = t("s0 s1 s0 nil", prog)
-    assert word_length(blind_value(v)) == 3
+    proof = checked_cbv(prog, t("s0 s1 s0 nil", prog))
+    assert word_length(blind_proof(blind_program(prog), proof).result) == 3
 
 
 def test_is_linear_running(corpus):

@@ -296,3 +296,27 @@ def test_unwritable_out_exits_3(tmp_path, capsys):
     code, data = run_json(capsys, "--out", str(target), "parse", str(CORPUS / "append.trs"))
     assert code == 3
     assert data["error"] == "io-error"
+
+
+@pytest.mark.parametrize("sizes", ["-2..3", "5..3", "-1"])
+def test_usage_error_sizes_out_of_order_or_negative(capsys, sizes):
+    for command in ("measure", "certify"):
+        code, data = run_json(capsys, f"--sizes={sizes}", command, str(CORPUS / "append.trs"))
+        assert code == 3
+        assert data["error"] == "usage"
+        assert "--sizes" in data["message"]
+
+
+def test_sizes_from_zero_measure(capsys):
+    code, out = run(capsys, "--sizes", "0..2", "--format", "csv", "measure", str(CORPUS / "append.trs"))
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0", "1", "2"]
+
+
+@pytest.mark.parametrize("policy", ["first", "seeded", "exhaustive"])
+def test_stuck_term_is_no_matching_equation_under_every_policy(capsys, policy):
+    code = main(["--policy", policy, "eval", str(CORPUS / "running.trs"), "f(s0 nil)"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["error"] == "no-matching-equation"
+    assert "Traceback" not in captured.err

@@ -1,0 +1,132 @@
+"""Deep inputs: ``Budget.max_depth`` is the only depth limit.
+
+An n-letter append word nests its proof 2n + 1 judgements deep, and its call
+tree n + 1 calls deep.  Every stage that follows the proof, the term or the
+call structure runs on ``run_stack`` or an iterative walk, so these words
+evaluate, check and print far beyond Python's recursion limit.  JSON this
+deep is read back by its top-level lines only: ``json.loads`` itself
+recurses once per nesting level.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+
+import pytest
+
+from polytrs.base import Budget
+from polytrs.blind import blind_program, blind_proof
+from polytrs.callgraph import call_dag, call_tree
+from polytrs.cli import main
+from polytrs.parser import parse_term
+from polytrs.semantics import (
+    all_derivations,
+    check_dependence_bounds,
+    check_read_linkage,
+    eval_cbv,
+    eval_memo,
+    outcome_table,
+    proof_to_json,
+    validate_proof,
+)
+from polytrs.terms import format_term
+
+from .conftest import CORPUS, symbols_of
+
+APPEND = str(CORPUS / "append.trs")
+
+
+def word_call(n: int) -> str:
+    return f"append({'s0 ' * n}nil, nil)"
+
+
+def word_value(n: int) -> str:
+    return "s0(" * n + "nil" + ")" * n
+
+
+def run(tmp_path, *argv) -> tuple[int, str]:
+    out = tmp_path / "out.json"
+    code = main(["--out", str(out), *argv])
+    return code, out.read_text()
+
+
+def top_level(text: str, key: str):
+    match = re.search(rf'^  "{key}": (.*?),?$', text, re.M)
+    return json.loads(match.group(1))
+
+
+COMMANDS = {
+    "eval": ["eval"],
+    "memo": ["memo"],
+    "exhaustive": ["--policy", "exhaustive", "eval"],
+    "tree": ["tree"],
+    "dag": ["dag"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize(
+    "n, budget", [(900, []), (1500, ["--budget-depth", "4000"])], ids=["900", "1500"]
+)
+def test_deep_word_through_the_cli(tmp_path, command, n, budget):
+    code, text = run(tmp_path, *budget, *COMMANDS[command], APPEND, word_call(n))
+    assert code == 0, text[:200]
+    if command in ("tree", "dag"):
+        data = json.loads(text)
+        assert len(data["nodes"]) == n + 1
+        assert len(data["edges"]) == n
+        assert data["nodes"][-1] == "<append, nil, nil>"
+    else:
+        assert top_level(text, "result") == word_value(n)
+
+
+def test_depth_budget_still_binds(tmp_path):
+    code, text = run(tmp_path, "--budget-depth", "50", "eval", APPEND, word_call(100))
+    assert code == 3
+    assert json.loads(text)["error"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize("n, depth, ok", [(49, 100, True), (50, 100, False), (49, 99, True)])
+def test_an_n_letter_word_needs_depth_2n_plus_1(tmp_path, n, depth, ok):
+    code, _ = run(tmp_path, "--budget-depth", str(depth), "tree", APPEND, word_call(n))
+    assert code == (0 if ok else 3)
+
+
+@pytest.fixture(scope="module")
+def deep(corpus):
+    program = corpus["append.trs"]
+    term = parse_term(word_call(1500), symbols_of(program))
+    budget = Budget(max_depth=4000)
+    cbv = next(iter(eval_cbv(program, term, budget=budget)))
+    memo = eval_memo(program, term, budget)
+    return program, term, budget, cbv, memo
+
+
+def test_deep_word_checkers_and_walkers(deep):
+    program, _, _, cbv, memo = deep
+    expected = word_value(1500)
+    assert format_term(cbv.result) == format_term(memo.result) == expected
+    for proof in (cbv, memo):
+        validate_proof(program, proof)
+        check_dependence_bounds(proof)
+        assert proof_to_json(proof)["mode"] == proof.mode
+    check_read_linkage(memo)
+    assert call_tree(cbv).node_count() == 1501
+    assert call_dag(memo).node_count() == 1501
+
+
+def test_deep_word_blind_proof(deep):
+    program, _, _, cbv, _ = deep
+    blind = blind_program(program)
+    image = blind_proof(blind, cbv)
+    validate_proof(blind.program, image)
+    assert image.stats.rule_count == cbv.stats.rule_count
+
+
+def test_deep_word_exhaustive_and_outcomes(deep):
+    program, term, budget, cbv, _ = deep
+    proofs, truncated = all_derivations(program, term, budget)
+    assert not truncated
+    assert [p.result for p in proofs] == [cbv.result]
+    assert outcome_table(program, term) == {cbv.result: (cbv.stats.rule_count, 1)}

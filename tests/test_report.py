@@ -4,9 +4,12 @@ import json
 import sys
 from collections import Counter
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import polytrs
 from polytrs.qi import parse_assignment
-from polytrs.report import build_report, program_digest
+from polytrs.report import build_report, dump_json, program_digest
 
 from .conftest import CORPUS
 
@@ -110,3 +113,55 @@ def test_build_report_runs_each_stage_once(corpus, monkeypatch):
 def test_tool_version_is_package_version(corpus):
     report = build_report(corpus["add.trs"], sizes=range(1, 3))
     assert report.data["tool_version"] == polytrs.__version__ == "0.1.0"
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+
+
+def json_data(keys):
+    return st.recursive(
+        JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(keys, inner, max_size=4),
+        max_leaves=25,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=json_data(st.text()) | json_data(st.integers()))
+def test_dump_json_matches_json_dumps(data):
+    assert dump_json(data) == json.dumps(data, indent=2, sort_keys=True)
+
+
+def nested(n: int) -> list:
+    """[{"children": [{"children": [...]}]}], n dicts deep."""
+    data: list = []
+    inner = data
+    for _ in range(n):
+        inner.append({"children": []})
+        inner = inner[-1]["children"]
+    return data
+
+
+def nested_text(n: int) -> str:
+    lines = ["["]
+    for i in range(n):
+        pad = " " * (4 * i)
+        lines += [pad + "  {", pad + '    "children": [' + ("]" if i == n - 1 else "")]
+    for i in reversed(range(n)):
+        pad = " " * (4 * i)
+        lines += ([pad + "    ]"] if i < n - 1 else []) + [pad + "  }"]
+    return "\n".join(lines + ["]"])
+
+
+def test_dump_json_writes_any_depth():
+    for n in (1, 2, 5):
+        assert nested_text(n) == json.dumps(nested(n), indent=2, sort_keys=True)
+    assert dump_json(nested(2000)) == nested_text(2000)

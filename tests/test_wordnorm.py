@@ -26,7 +26,6 @@ from polytrs.wordnorm import (
     production_profile,
     same_class_descendant_bound,
     same_class_paths,
-    vector_count,
     word_pattern,
 )
 
@@ -321,19 +320,6 @@ def test_strict_descent_along_same_class_edges(corpus):
                 pairs = list(zip(node.state.arguments, child.state.arguments))
                 assert all(term_size(u) >= term_size(v) for u, v in pairs)
                 assert any(term_size(u) > term_size(v) for u, v in pairs)
-
-
-def test_vector_count_matches_brute_force():
-    for n in range(0, 7):
-        for i in range(0, 7):
-            brute = sum(
-                1
-                for v in itertools.product(range(i + 1), repeat=n)
-                if sum(v) == i
-            )
-            assert vector_count(n, i) == brute
-            if n >= 1:
-                assert vector_count(n, i) <= (i + 1) ** n
 
 
 def test_measure_bounded_values_append(corpus):
