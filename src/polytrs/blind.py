@@ -14,7 +14,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .base import (
     Budget,
@@ -321,7 +320,6 @@ def strong_poly_bound(
 
 def measure_strong_poly(
     program: Program,
-    main: Optional[Symbol] = None,
     sizes: range = range(1, 9),
     budget: Budget = DEFAULT_BUDGET,
     inputs_cap: int = 64,
@@ -333,7 +331,7 @@ def measure_strong_poly(
     size column measures word length.  Rows where the budget bites are
     flagged truncated rather than silently clipped.
     """
-    main = main or program.main
+    main = program.main
     rows = []
     inputs_per_size = {}
     for n in sizes:

@@ -1,9 +1,10 @@
 """States, transitions, call trees and call dags.
 
-A state is a function symbol applied to values.  The call tree of a cbv
-proof keeps only the active judgements; the call dag of a memo proof keeps
-the Update judgements and turns every Read leaf into a link to the unique
-Update node with the same call.  Edges are labelled with the activated
+A state is a function symbol applied to values: the interned call term
+``f(v1..vn)``, written ``<f, v1, .., vn>`` in reports.  The call tree of a
+cbv proof keeps only the active judgements; the call dag of a memo proof
+keeps the Update judgements and turns every Read leaf into a link to the
+unique Update node with the same call.  Edges are labelled with the activated
 equation and the rhs call-site occurrence they realise.
 """
 
@@ -37,39 +38,23 @@ FOREST = "forest"
 DAG = "dag"
 
 
-@dataclass(frozen=True)
-class State:
-    function: Symbol
-    arguments: tuple
-
-    def __post_init__(self):
-        if len(self.arguments) != self.function.arity:
-            raise ValueError("state arity mismatch")
-
-    @property
-    def term(self) -> App:
-        return App(self.function, self.arguments)
-
-    @property
-    def size(self) -> int:
-        return 1 + sum(a.size for a in self.arguments)
-
-    def __repr__(self) -> str:
-        args = ", ".join(format_term(a) for a in self.arguments)
-        return f"<{self.function.name}, {args}>" if args else f"<{self.function.name}>"
+def state_text(state: App) -> str:
+    """A call state ``f(v1..vn)`` written ``<f, v1, .., vn>``."""
+    args = ", ".join(format_term(a) for a in state.args)
+    return f"<{state.symbol.name}, {args}>" if args else f"<{state.symbol.name}>"
 
 
 @dataclass(frozen=True)
 class TransitionEdge:
-    source: State
-    target: State
+    source: App
+    target: App
     equation: Equation
     occurrence: int  # index among the function-headed subterm occurrences of the rhs
 
 
-@dataclass
+@dataclass(eq=False)  # identity equality; the repr names the state only
 class CallNode:
-    state: State
+    state: App
     children: list = field(default_factory=list)  # (TransitionEdge, CallNode)
     read_links: list = field(default_factory=list)  # (TransitionEdge, CallNode)
 
@@ -80,6 +65,9 @@ class CallNode:
             n = todo.pop()
             yield n
             todo.extend(c for _, c in reversed(n.children))
+
+    def __repr__(self) -> str:
+        return f"CallNode({state_text(self.state)})"
 
 
 @dataclass
@@ -93,18 +81,18 @@ class CallStructure:
             for r in self.roots:
                 out.extend(r.walk())
             return out
-        seen: dict[int, CallNode] = {}
+        seen: dict[CallNode, None] = {}
         stack = list(self.roots)
         while stack:
             n = stack.pop()
-            if id(n) in seen:
+            if n in seen:
                 continue
-            seen[id(n)] = n
+            seen[n] = None
             for _, c in n.children:
                 stack.append(c)
             for _, c in n.read_links:
                 stack.append(c)
-        return list(seen.values())
+        return list(seen)
 
     def node_count(self) -> int:
         return len(self.nodes())
@@ -117,19 +105,19 @@ class CallStructure:
 
     def to_dot(self) -> str:
         lines = ["digraph calls {"]
-        ids: dict[int, str] = {}
-        for i, n in enumerate(self.nodes()):
-            ids[id(n)] = f"n{i}"
-            lines.append(f'  n{i} [label="{n.state!r}"];')
-        for n in self.nodes():
+        node_list = self.nodes()
+        ids = {n: f"n{i}" for i, n in enumerate(node_list)}
+        for n in node_list:
+            lines.append(f'  {ids[n]} [label="{state_text(n.state)}"];')
+        for n in node_list:
             for e, c in n.children:
                 lines.append(
-                    f"  {ids[id(n)]} -> {ids[id(c)]} "
+                    f"  {ids[n]} -> {ids[c]} "
                     f'[label="e{e.equation.index}.{e.occurrence}"];'
                 )
             for e, c in n.read_links:
                 lines.append(
-                    f"  {ids[id(n)]} -> {ids[id(c)]} "
+                    f"  {ids[n]} -> {ids[c]} "
                     f'[label="e{e.equation.index}.{e.occurrence}", style=dashed];'
                 )
         lines.append("}")
@@ -137,14 +125,14 @@ class CallStructure:
 
     def to_json(self) -> dict:
         node_list = self.nodes()
-        ids = {id(n): i for i, n in enumerate(node_list)}
+        ids = {n: i for i, n in enumerate(node_list)}
         return {
             "kind": self.kind,
-            "nodes": [repr(n.state) for n in node_list],
+            "nodes": [state_text(n.state) for n in node_list],
             "edges": [
                 {
-                    "from": ids[id(n)],
-                    "to": ids[id(c)],
+                    "from": ids[n],
+                    "to": ids[c],
                     "equation": e.equation.index,
                     "occurrence": e.occurrence,
                     "read_link": linked,
@@ -204,15 +192,10 @@ def _call_structure(proof: DerivationProof, kind: str) -> CallStructure:
     by_lhs: dict[App, CallNode] = {}
 
     def build(j: Judgement):
-        node = by_lhs[j.lhs] = CallNode(State(j.lhs.symbol, j.lhs.args))
+        node = by_lhs[j.lhs] = CallNode(j.lhs)
         occurrence = {p: i for i, (p, _) in enumerate(rhs_calls(j.equation))}
         for pos, call in _topmost_calls(j.activation):
-            edge = TransitionEdge(
-                node.state,
-                State(call.lhs.symbol, call.lhs.args),
-                j.equation,
-                occurrence[pos],
-            )
+            edge = TransitionEdge(j.lhs, call.lhs, j.equation, occurrence[pos])
             if call.rule == R_READ:
                 node.read_links.append((edge, by_lhs[call.lhs]))
             else:
@@ -238,78 +221,53 @@ def call_dag(proof: DerivationProof) -> CallStructure:
     return _call_structure(proof, DAG)
 
 
-@dataclass
-class SuccessorMap:
-    """The transitions of every state expanded so far on one program.
-
-    Walks of ``reachable_states`` that share a map expand each state once
-    between them.  Only expansions that returned are stored: one that raised
-    ``BudgetExceeded`` or ``CycleDetected`` is tried again by the next walk
-    that reaches the state, under that walk's own outcome memo.
-    """
-
-    edges: dict = field(default_factory=dict)  # State -> list[TransitionEdge]
-    sort_keys: dict = field(default_factory=dict)  # value -> format_term(value)
-
-
 def successors(
     program: Program,
-    state: State,
+    state: App,
     budget: Budget = DEFAULT_BUDGET,
     _memo: Optional[dict] = None,
-    _sort_keys: Optional[dict] = None,
 ) -> list[TransitionEdge]:
     """All transitions realizable from a state.
 
     For every matching equation and every function-headed subterm of its
     rhs, the subterm's arguments are evaluated exhaustively (set semantics);
-    each derivable argument tuple yields one edge, argument values in
-    ``format_term`` order.  ``_memo`` is a derivable_value_set memo and
-    ``_sort_keys`` a value -> format_term dict to share across calls;
-    without them, the call uses its own.
+    each derivable argument tuple yields one edge, argument values in the
+    order the outcome table derives them.  ``_memo`` is a
+    derivable_value_set memo to share across calls; without it, the call
+    uses its own.
     """
     out = []
     memo: dict = {} if _memo is None else _memo
-    keys: dict = {} if _sort_keys is None else _sort_keys
-
-    def sort_key(v: Term) -> str:
-        k = keys.get(v)
-        if k is None:
-            k = keys[v] = format_term(v)
-        return k
-
-    for eq, sigma in matching_equations(program, state.term):
+    for eq, sigma in matching_equations(program, state):
         for occ, (_, sub) in enumerate(rhs_calls(eq)):
             inst = apply_subst(sub, sigma)
-            arg_sets = []
-            for a in inst.args:
-                vals = derivable_value_set(
-                    program, a, _memo=memo, max_states=budget.max_rules
-                )
-                arg_sets.append(sorted(vals, key=sort_key))
+            arg_sets = [
+                derivable_value_set(program, a, _memo=memo, max_states=budget.max_rules)
+                for a in inst.args
+            ]
             for combo in itertools.product(*arg_sets):
-                out.append(
-                    TransitionEdge(
-                        state, State(inst.symbol, tuple(combo)), eq, occ
-                    )
-                )
+                out.append(TransitionEdge(state, App(inst.symbol, combo), eq, occ))
     return out
 
 
 def reachable_states(
     program: Program,
-    initial: State,
+    initial: App,
     budget: Budget = DEFAULT_BUDGET,
-    successor_map: Optional[SuccessorMap] = None,
-) -> set[State]:
+    successor_map: Optional[dict] = None,
+) -> set[App]:
     """States reachable through transitions; equals the states appearing in
     call trees rooted at the initial state.
 
-    A state found in ``successor_map`` is not expanded again, and each
-    expansion made here is added to it.  The ``max_rules`` state cap and the
+    ``successor_map`` maps each state expanded so far on this program to
+    its edges, so walks that share it expand each state once between them.
+    A state found there is not expanded again, and each expansion made here
+    is added to it.  Only expansions that returned are stored: one that
+    raised ``BudgetExceeded`` or ``CycleDetected`` is tried again by the
+    next walk that reaches the state.  The ``max_rules`` state cap and the
     outcome memo belong to this walk alone.
     """
-    shared = SuccessorMap() if successor_map is None else successor_map
+    shared: dict = {} if successor_map is None else successor_map
     seen = {initial}
     frontier = [initial]
     memo: dict = {}  # one derivable_value_set memo for the whole walk
@@ -317,11 +275,9 @@ def reachable_states(
         if len(seen) > budget.max_rules:
             raise BudgetExceeded("state space exceeds the budget")
         eta = frontier.pop()
-        edges = shared.edges.get(eta)
+        edges = shared.get(eta)
         if edges is None:
-            edges = shared.edges[eta] = successors(
-                program, eta, budget, memo, shared.sort_keys
-            )
+            edges = shared[eta] = successors(program, eta, budget, memo)
         for edge in edges:
             if edge.target not in seen:
                 seen.add(edge.target)
@@ -390,26 +346,26 @@ def function_ranks(program: Program, precedence: Precedence) -> dict:
 def same_class_descendant_counts(
     structure: CallStructure, precedence: Precedence
 ) -> dict:
-    """Per node id: number of descendant node occurrences in the same class.
+    """Per node: number of descendant node occurrences in the same class.
 
     In a dag, distinct nodes are distinct states, so occurrence counting and
     state counting coincide.
     """
-    counts: dict[int, int] = {}
+    counts: dict[CallNode, int] = {}
 
     def descend(node: CallNode, cls: int, seen: set):
         total = 0
         for _, c in structure.successors_of(node):
-            if id(c) in seen:
+            if c in seen:
                 continue
-            seen.add(id(c))
-            here = 1 if precedence.class_of(c.state.function.name) == cls else 0
+            seen.add(c)
+            here = 1 if precedence.class_of(c.state.symbol.name) == cls else 0
             total += here + (yield descend(c, cls, seen))
         return total
 
     for node in structure.nodes():
-        cls = precedence.class_of(node.state.function.name)
-        counts[id(node)] = run_stack(descend(node, cls, set()))
+        cls = precedence.class_of(node.state.symbol.name)
+        counts[node] = run_stack(descend(node, cls, set()))
     return counts
 
 
@@ -447,13 +403,13 @@ def rank_stats(structure: CallStructure, precedence: Precedence, program: Progra
     per_class = []
     for cid, rank in sorted(ranks.items()):
         members = tuple(sorted(s.name for s in program.functions if precedence.class_of(s.name) == cid))
-        cls_nodes = [n for n in nodes if precedence.class_of(n.state.function.name) == cid]
+        cls_nodes = [n for n in nodes if precedence.class_of(n.state.symbol.name) == cid]
         per_class.append(
             ClassRankStats(
                 members,
                 rank,
                 len(cls_nodes),
-                max((counts[id(n)] for n in cls_nodes), default=0),
+                max((counts[n] for n in cls_nodes), default=0),
             )
         )
     bound = rank_recurrence_bound(program, k, a_max, min_d=1)
@@ -473,10 +429,11 @@ def check_edge_class_descent(
     """Along every edge the child's class is weakly below the parent's."""
     for n in structure.nodes():
         for e, c in structure.successors_of(n):
-            rel = precedence.compare_symbols(c.state.function, n.state.function)
+            rel = precedence.compare_symbols(c.state.symbol, n.state.symbol)
             if rel not in (LESS, EQUIV):
                 raise ValueError(
-                    f"edge {n.state!r} -> {c.state!r} climbs the precedence"
+                    f"edge {state_text(n.state)} -> {state_text(c.state)} "
+                    "climbs the precedence"
                 )
 
 
@@ -487,7 +444,7 @@ def ppo_descendant_bound(
     counts = same_class_descendant_counts(structure, precedence)
     out = []
     for n in structure.nodes():
-        cid = precedence.class_of(n.state.function.name)
+        cid = precedence.class_of(n.state.symbol.name)
         c = max(
             1,
             sum(
@@ -497,14 +454,14 @@ def ppo_descendant_bound(
             ),
         )
         bound = c
-        for v in n.state.arguments:
+        for v in n.state.args:
             bound *= term_size(v) + 1
         out.append(
             {
-                "state": repr(n.state),
-                "descendants": counts[id(n)],
+                "state": state_text(n.state),
+                "descendants": counts[n],
                 "bound": bound,
-                "holds": counts[id(n)] <= bound,
+                "holds": counts[n] <= bound,
             }
         )
     return out

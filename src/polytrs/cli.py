@@ -8,6 +8,7 @@ or to ``--out``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import traceback
 from typing import Optional
@@ -19,7 +20,7 @@ from .callgraph import call_dag, call_tree
 from .ordering import EPPO, PPO, order_verdict
 from .parser import format_program, parse_program, parse_term
 from .qi import check_qi, format_assignment, is_uniform, parse_assignment, _parse_expr
-from .report import build_report, dump_json, program_digest
+from .report import build_report, program_digest, write_json
 from .semantics import (
     Exhaustive,
     FirstMatch,
@@ -59,16 +60,23 @@ def _sizes(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _emit(args: Optional[argparse.Namespace], text: str) -> None:
+def _output(args: Optional[argparse.Namespace]):
+    """The ``--out`` file, or stdout, as a context manager."""
     if args is not None and args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(args.out, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(args: Optional[argparse.Namespace], text: str) -> None:
+    with _output(args) as fh:
+        fh.write(text)
 
 
 def _emit_json(args, data) -> None:
-    _emit(args, dump_json(data) + "\n")
+    """Stream a computed payload as JSON, chunk by chunk, then a newline."""
+    with _output(args) as fh:
+        write_json(data, fh.write)
+        fh.write("\n")
 
 
 def _policy(args):
@@ -322,7 +330,7 @@ def _dispatch(args) -> int:
             budget=budget,
             sizes=args.sizes,
         )
-        _emit(args, report.to_json())
+        _emit_json(args, report.data)
         return report.exit_code()
 
     raise AssertionError(f"unhandled command {args.command}")

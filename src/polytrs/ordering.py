@@ -100,22 +100,6 @@ class Precedence:
             if a != b
         )
 
-    def has_mixed_classes(self) -> bool:
-        kinds: dict[int, set] = {}
-        for s in self.signature:
-            kinds.setdefault(self.class_ids[s.name], set()).add(s.kind)
-        return any(len(v) > 1 for v in kinds.values())
-
-    def attributes(self, program: Optional[Program] = None) -> dict:
-        out = {
-            "separating": self.is_separating(),
-            "fair": self.is_fair(),
-            "strict_ctors": self.is_strict(),
-        }
-        if program is not None:
-            out["compatible"] = self.is_compatible(program)
-        return out
-
     def mode(self) -> str:
         return PPO if self.is_strict() else EPPO
 
@@ -249,10 +233,7 @@ def make_precedence(
         if a not in rep_of or b not in rep_of:
             raise PrecedenceError(f"order pair {a} < {b} mentions a non-function")
         rel.append((rep_of[a], rep_of[b]))
-    prec = _build(tuple(program.signature), (groups, rel), mode)
-    if prec.has_mixed_classes():
-        raise PrecedenceError("mixed constructor/function classes are not allowed")
-    return prec
+    return _build(tuple(program.signature), (groups, rel), mode)
 
 
 def parse_precedence(text: str, program: Program, mode: str = EPPO) -> Precedence:

@@ -46,36 +46,44 @@ def _json_scalar(x) -> str:
     return int.__repr__(x) if type(x) is int else json.dumps(x)
 
 
-def dump_json(data) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte, at any
-    nesting depth: written under run_stack, in time linear in the output."""
-    out: list[str] = []
+def write_json(data, write) -> None:
+    """Write what ``json.dumps`` writes with an indent of 2 and sorted keys,
+    byte for byte, through ``write`` at any nesting depth: under run_stack,
+    in time linear in the output and in chunks no longer than an output
+    line."""
 
-    def write(x, indent: str):
+    def go(x, indent: str):
         inner = indent + "  "
         if isinstance(x, dict):  # a key that is no str is written as its JSON text
-            out.append("{")
+            write("{")
             items = [
                 (encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
                 for k, v in sorted(x.items())
             ]
         else:
-            out.append("[")
+            write("[")
             items = [("", v) for v in x]
         sep = "\n" + inner
         for key, v in items:
-            out.append(sep + key)
+            write(sep + key)
             sep = ",\n" + inner
             if isinstance(v, (dict, list, tuple)) and v:
-                yield write(v, inner)
+                yield go(v, inner)
             else:
-                out.append(_json_scalar(v))
-        out.append("\n" + indent + ("}" if isinstance(x, dict) else "]"))
+                write(_json_scalar(v))
+        write("\n" + indent + ("}" if isinstance(x, dict) else "]"))
 
     if isinstance(data, (dict, list, tuple)) and data:
-        run_stack(write(data, ""))
-        return "".join(out)
-    return _json_scalar(data)
+        run_stack(go(data, ""))
+    else:
+        write(_json_scalar(data))
+
+
+def dump_json(data) -> str:
+    """The text of ``write_json`` as one string."""
+    out: list[str] = []
+    write_json(data, out.append)
+    return "".join(out)
 
 
 def program_digest(program: Program) -> str:

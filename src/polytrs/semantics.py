@@ -13,7 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, KeysView, Optional
 
 from .base import (
     Budget,
@@ -34,9 +34,9 @@ from .terms import (
     apply_subst,
     format_term,
     is_value,
-    is_subterm,
     match_tuple,
     matching_equations,
+    subterms,
     term_depth,
     term_size,
 )
@@ -52,19 +52,25 @@ PASSIVE_RULES = frozenset({R_CONSTRUCTOR, R_SPLIT})
 SEMI_ACTIVE_RULES = frozenset({R_READ})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Judgement:
+    """A derivation node: identity equality and a shallow repr, so no dunder
+    walks a deep proof.  ``shape()`` gives the structure to compare."""
+
     rule: str
     lhs: Term
     result: Term
     children: tuple = ()
     equation: Optional[Equation] = None
-    size: int = field(init=False, compare=False)
+    size: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "size", 1 + sum(c.size for c in self.children)
         )
+
+    def __repr__(self) -> str:
+        return f"Judgement({self.rule}, {format_term(self.lhs)} => {format_term(self.result)})"
 
     @property
     def is_active(self) -> bool:
@@ -417,10 +423,12 @@ def outcome_table(
 
 def derivable_value_set(
     program: Program, term: Term, _memo: Optional[dict] = None, max_states: int = 100_000
-) -> frozenset:
-    """Set of values derivable from a ground term: the key set of its
-    outcome_table, which a memo passed in shares with the caller."""
-    return frozenset(outcome_table(program, term, _memo, max_states))
+) -> KeysView:
+    """Set of values derivable from a ground term: the key view of its
+    outcome_table, which a memo passed in shares with the caller.  The view
+    compares equal to a set and iterates in derivation order, which program
+    order fixes."""
+    return outcome_table(program, term, _memo, max_states).keys()
 
 
 # -- memoisation ------------------------------------------------------------
@@ -666,8 +674,9 @@ def check_dependence_bounds(proof: DerivationProof) -> None:
             continue
         nodes: list[Judgement] = []
         depth = run_stack(_dependence_walk(j, nodes))
+        below = set(subterms(j.lhs)) if len(nodes) > 1 else {j.lhs}
         for node in nodes:
-            if not is_subterm(node.lhs, j.lhs):
+            if node.lhs not in below:
                 raise ValueError(
                     f"dependence member {format_term(node.lhs)} is not a "
                     f"subterm of {format_term(j.lhs)}"

@@ -178,10 +178,6 @@ def subterms(t: Term) -> Iterator[Term]:
             todo.extend(reversed(u.args))
 
 
-def is_subterm(s: Term, t: Term) -> bool:
-    return any(s == u for u in subterms(t))
-
-
 def variables(t: Term) -> list[str]:
     """Variable names in order of first occurrence."""
     seen: list[str] = []

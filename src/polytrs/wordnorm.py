@@ -24,10 +24,9 @@ from .callgraph import (
     CallNode,
     CallStructure,
     DAG,
-    State,
-    SuccessorMap,
     reachable_states,
     rhs_calls,
+    state_text,
 )
 from .blind import classify_growth, input_tuples, measure_strong_poly, word_alphabet
 from .ordering import EPPO, OrderingVerdict, Precedence, check_program, order_verdict
@@ -203,34 +202,24 @@ def normalize(
             Equation(e.lhs_function, e.lhs_patterns, e.rhs, i)
             for i, e in enumerate(equations)
         ), program.main)
-        profile = production_profile(prog, precedence)
-        target = None
-        for eq in prog.equations:
-            k = profile.per_class.get(precedence.class_of(eq.lhs_function.name), 0)
-            for i, p in enumerate(eq.lhs_patterns):
-                w = word_pattern(p)
-                if w.length >= k:
-                    continue
-                if w.tail is None:
-                    raise NormalizationError(
-                        f"equation {eq.index}: ground pattern of length "
-                        f"{w.length} cannot reach the production size {k}"
-                    )
-                target = (eq, w.tail)
-                break
-            if target:
-                break
-        if target is None:
+        witnesses = is_normal(prog, precedence).witnesses
+        if not witnesses:
             return prog
-        eq, tail = target
+        index, position, length, k = witnesses[0]
+        eq = prog.equations[index]  # prog was re-indexed by list position
+        tail = word_pattern(eq.lhs_patterns[position]).tail
+        if tail is None:
+            raise NormalizationError(
+                f"equation {eq.index}: ground pattern of length "
+                f"{length} cannot reach the production size {k}"
+            )
         instances = []
         for c in unary:
             fresh = _fresh_var(eq, tail)
             instances.append(_instantiate(eq, tail, App(c, (Var(fresh),))))
         for z in nullary:
             instances.append(_instantiate(eq, tail, App(z)))
-        pos = eq.index  # prog was re-indexed by list position
-        equations = equations[:pos] + instances + equations[pos + 1 :]
+        equations = equations[:index] + instances + equations[index + 1 :]
         if len(equations) > max_equations:
             raise NormalizationError(
                 f"normalization exceeded the {max_equations}-equation cap"
@@ -282,14 +271,14 @@ def same_class_paths(
     max_length: int = 6,
 ) -> list[tuple[tuple, CallNode]]:
     """All same-class label paths from a node, up to a length cap."""
-    cls = precedence.class_of(start.state.function.name)
+    cls = precedence.class_of(start.state.symbol.name)
     out: list[tuple[tuple, CallNode]] = []
 
     def go(node: CallNode, word: tuple) -> None:
         if len(word) >= max_length:
             return
         for edge, child in dag.successors_of(node):
-            if precedence.class_of(child.state.function.name) != cls:
+            if precedence.class_of(child.state.symbol.name) != cls:
                 continue
             lab = labels.get((edge.equation.index, edge.occurrence))
             if lab is None:
@@ -303,8 +292,8 @@ def same_class_paths(
 
 def path_word(
     dag: CallStructure,
-    ancestor: State,
-    descendant: State,
+    ancestor: App,
+    descendant: App,
     program: Program,
     precedence: Precedence,
     max_length: int = 12,
@@ -313,16 +302,18 @@ def path_word(
     labels = call_site_labels(program, precedence)
     start = next((n for n in dag.nodes() if n.state == ancestor), None)
     if start is None:
-        raise ValueError(f"{ancestor!r} does not occur in the dag")
+        raise ValueError(f"{state_text(ancestor)} does not occur in the dag")
     for word, node in same_class_paths(dag, start, labels, precedence, max_length):
         if node.state == descendant:
             return list(word)
-    raise ValueError(f"no same-class path from {ancestor!r} to {descendant!r}")
+    raise ValueError(
+        f"no same-class path from {state_text(ancestor)} to {state_text(descendant)}"
+    )
 
 
 @dataclass(frozen=True)
 class DescendantBound:
-    state: State
+    state: App
     count: int
     bound: int
     holds: bool
@@ -342,22 +333,22 @@ def same_class_descendant_bound(
     """
     if dag.kind != DAG:
         raise ValueError("the descendant bound is a call-dag statement")
-    cls = precedence.class_of(node.state.function.name)
+    cls = precedence.class_of(node.state.symbol.name)
     m = sum(
         1
         for call in same_class_calls(program, precedence)
         if precedence.class_of(call.equation.lhs_function.name) == cls
     )
     m = max(m, 1)
-    n = node.state.function.arity
-    i_cap = n * max((term_size(v) for v in node.state.arguments), default=0)
+    n = node.state.symbol.arity
+    i_cap = n * max((term_size(v) for v in node.state.args), default=0)
     seen: set = set()
 
     def go(cur: CallNode, depth: int):
         """The greatest depth at which the walk from cur first meets a node."""
         longest = depth
         for _, child in dag.successors_of(cur):
-            if precedence.class_of(child.state.function.name) != cls:
+            if precedence.class_of(child.state.symbol.name) != cls:
                 continue
             if child.state in seen:
                 continue
@@ -416,7 +407,7 @@ def measure_bounded_values(
     """
     rows = []
     main = program.main
-    successor_map = SuccessorMap()
+    successor_map: dict = {}
     for n in sizes:
         worst = 0
         count = 0
@@ -424,7 +415,7 @@ def measure_bounded_values(
         for args in input_tuples(program, main, n, inputs_cap, seed):
             try:
                 states = reachable_states(
-                    program, State(main, tuple(args)), budget, successor_map
+                    program, App(main, tuple(args)), budget, successor_map
                 )
             except (BudgetExceeded, CycleDetected):
                 truncated = True

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from polytrs.blind import blind_program
 from polytrs.callgraph import (
-    State,
     call_dag,
     call_tree,
     check_edge_class_descent,
@@ -12,6 +15,7 @@ from polytrs.callgraph import (
     rank_stats,
     reachable_states,
     same_class_descendant_counts,
+    state_text,
     successors,
 )
 from polytrs.ordering import EPPO, PPO, infer_precedence
@@ -36,8 +40,8 @@ def test_call_tree_running_example(corpus):
     tree = call_tree(proof)
     assert len(tree.roots) == 1
     root = tree.roots[0]
-    assert repr(root.state) == "<f, s0(s1(nil))>"
-    kids = [repr(c.state) for _, c in root.children]
+    assert state_text(root.state) == "<f, s0(s1(nil))>"
+    kids = [state_text(c.state) for _, c in root.children]
     assert kids == ["<f, s1(nil)>", "<f, s1(nil)>", "<append, nil, nil>"]
     assert tree.node_count() == 4
 
@@ -72,7 +76,7 @@ def test_call_dag_running_example(corpus):
     dag = call_dag(proof)
     assert dag.node_count() == 3  # update count
     assert sum(len(n.read_links) for n in dag.nodes()) == 1
-    keys = {(n.state.function.name, n.state.arguments) for n in dag.nodes()}
+    keys = {(n.state.symbol.name, n.state.args) for n in dag.nodes()}
     assert len(keys) == 3  # pairwise distinct states
 
 
@@ -93,8 +97,8 @@ def test_call_dag_doublerec_linear(corpus):
 
 def test_successors_running_example(corpus):
     prog = corpus["running.trs"]
-    edges = successors(prog, State(prog.symbol("f"), (t("s0 s1 nil", prog),)))
-    targets = sorted((repr(e.target), e.occurrence) for e in edges)
+    edges = successors(prog, App(prog.symbol("f"), (t("s0 s1 nil", prog),)))
+    targets = sorted((state_text(e.target), e.occurrence) for e in edges)
     assert targets == [
         ("<append, nil, nil>", 0),
         ("<f, s1(nil)>", 1),
@@ -104,13 +108,13 @@ def test_successors_running_example(corpus):
 
 def test_successors_constructor_rhs_empty(corpus):
     prog = corpus["identity.trs"]
-    assert successors(prog, State(prog.symbol("id"), (t("s 0", prog),))) == []
+    assert successors(prog, App(prog.symbol("id"), (t("s 0", prog),))) == []
 
 
 def test_successors_blind_overlap(corpus):
     bl = blind_program(corpus["running.trs"])
     prog = bl.program
-    edges = successors(prog, State(prog.symbol("bl_f"), (t("s s 0", prog),)))
+    edges = successors(prog, App(prog.symbol("bl_f"), (t("s s 0", prog),)))
     # both duplicating instances contribute their three call sites
     eq_ids = {e.equation.index for e in edges}
     assert eq_ids == {0, 1}
@@ -123,18 +127,18 @@ def test_edges_agree_with_proof_structure(corpus):
     tree = call_tree(proof)
     for node in tree.nodes():
         realizable = {
-            (repr(e.target), e.equation.index, e.occurrence)
+            (state_text(e.target), e.equation.index, e.occurrence)
             for e in successors(prog, node.state)
         }
         for e, child in node.children:
-            assert (repr(child.state), e.equation.index, e.occurrence) in realizable
+            assert (state_text(child.state), e.equation.index, e.occurrence) in realizable
 
 
 def test_reachable_states_matches_tree_states(corpus):
     prog = corpus["fib.trs"]
     proof = checked_cbv(prog, t("f(s s s s s 0)", prog))
     tree_states = {n.state for n in call_tree(proof).nodes()}
-    reach = reachable_states(prog, State(prog.main, (word(prog, 5),)))
+    reach = reachable_states(prog, App(prog.main, (word(prog, 5),)))
     assert tree_states <= reach
 
 
@@ -189,9 +193,9 @@ def test_ppo_descendant_bound_on_dags(corpus):
 def test_qi_monotone_along_reachability(corpus):
     prog = corpus["mult.trs"]
     asg = parse_assignment((CORPUS / "mult.qi").read_text(), prog)
-    start = State(prog.main, (word(prog, 3), word(prog, 2)))
+    start = App(prog.main, (word(prog, 3), word(prog, 2)))
     for st in reachable_states(prog, start):
-        assert value_qi(asg, st.term) <= value_qi(asg, App(start.function, start.arguments))
+        assert value_qi(asg, st) <= value_qi(asg, start)
 
 
 def test_dot_and_json_export(corpus):
@@ -204,3 +208,47 @@ def test_dot_and_json_export(corpus):
     assert data["kind"] == "forest"
     assert len(data["nodes"]) == 4
     assert len(data["edges"]) == 3
+
+
+SUCCESSOR_WALK = """
+from polytrs.blind import blind_program
+from polytrs.callgraph import state_text, successors
+from polytrs.parser import parse_program, parse_term
+
+def load(name):
+    with open({corpus!r} + "/" + name, encoding="utf-8") as fh:
+        return parse_program(fh.read())
+
+running = load("running.trs")
+cases = [
+    (blind_program(running).program, "bl_f(s s s s s 0)"),
+    (running, "f(s0 s1 s0 nil)"),
+    (load("grid3.trs"), "g3(s s 0, s 0, s s 0)"),
+    (load("mult.trs"), "mult(s s 0, s s 0)"),
+]
+for prog, text in cases:
+    todo = [parse_term(text, {{s.name: s for s in prog.signature}})]
+    seen = set(todo)
+    while todo and len(seen) < 60:  # breadth-first, in edge order
+        state = todo.pop(0)
+        for e in successors(prog, state):
+            print(state_text(state), state_text(e.target), e.equation.index, e.occurrence)
+            if e.target not in seen:
+                seen.add(e.target)
+                todo.append(e.target)
+"""
+
+
+def test_successor_order_is_the_same_under_every_hash_seed():
+    # No sort fixes the edge order: it is the order in which the outcome
+    # table derives each argument's values, which must not follow set order.
+    code = SUCCESSOR_WALK.format(corpus=str(CORPUS))
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") > 100  # the walks reached many states

@@ -320,3 +320,31 @@ def test_stuck_term_is_no_matching_equation_under_every_policy(capsys, policy):
     assert code == 3
     assert json.loads(captured.out)["error"] == "no-matching-equation"
     assert "Traceback" not in captured.err
+
+
+class ChunkRecorder:
+    """A stdout that keeps every chunk written to it."""
+
+    def __init__(self):
+        self.chunks: list[str] = []
+
+    def write(self, chunk: str) -> int:
+        self.chunks.append(chunk)
+        return len(chunk)
+
+
+@pytest.mark.parametrize("command", ["eval", "tree", "certify"])
+def test_json_output_is_streamed_in_line_sized_chunks(monkeypatch, command):
+    recorder = ChunkRecorder()
+    monkeypatch.setattr("sys.stdout", recorder)
+    trs = str(CORPUS / "running.trs")
+    argv = [command, trs] if command == "certify" else [command, trs, "f(s0 s1 s0 nil)"]
+    code = main(argv)
+    monkeypatch.undo()
+    text = "".join(recorder.chunks)
+    assert code in (0, 1, 2)
+    assert text.endswith("}\n")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    longest = max(len(line) for line in text.splitlines(keepends=True))
+    assert len(recorder.chunks) > 10
+    assert max(len(c) for c in recorder.chunks) <= longest

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import pytest
 
@@ -130,3 +131,25 @@ def test_deep_word_exhaustive_and_outcomes(deep):
     assert not truncated
     assert [p.result for p in proofs] == [cbv.result]
     assert outcome_table(program, term) == {cbv.result: (cbv.stats.rule_count, 1)}
+
+
+def test_deep_proof_and_tree_dunders(deep):
+    # Judgements and call nodes compare and hash by identity and print
+    # shallowly, so no dunder recurses down a 1500-letter proof.
+    _, _, _, cbv, _ = deep
+    root = cbv.root
+    assert root == root and root != root.children[0]
+    assert hash(root) == hash(root)
+    assert repr(root).startswith("Judgement(Function, append(s0(")
+    assert repr(call_tree(cbv).roots[0]).startswith("CallNode(<append, s0(")
+
+
+def test_dependence_bounds_on_a_long_constructor_chain(corpus):
+    # The argument word of append(nil, w) is one Constructor chain whose
+    # every judgement roots a dependence; checking them is quadratic in |w|.
+    program = corpus["append.trs"]
+    term = parse_term(f"append(nil, {'s0 ' * 400}nil)", symbols_of(program))
+    proof = next(iter(eval_cbv(program, term)))
+    start = time.perf_counter()
+    check_dependence_bounds(proof)
+    assert time.perf_counter() - start < 2.0

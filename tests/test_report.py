@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import polytrs
 from polytrs.qi import parse_assignment
-from polytrs.report import build_report, dump_json, program_digest
+from polytrs.report import build_report, dump_json, program_digest, write_json
 
 from .conftest import CORPUS
 
@@ -165,3 +165,28 @@ def test_dump_json_writes_any_depth():
     for n in (1, 2, 5):
         assert nested_text(n) == json.dumps(nested(n), indent=2, sort_keys=True)
     assert dump_json(nested(2000)) == nested_text(2000)
+
+
+def chunks_of(data) -> list[str]:
+    chunks: list[str] = []
+    write_json(data, chunks.append)
+    return chunks
+
+
+def longest_line(text: str) -> int:
+    return max(len(line) for line in text.splitlines(keepends=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=json_data(st.text()) | json_data(st.integers()))
+def test_write_json_chunks_fit_in_a_line(data):
+    chunks = chunks_of(data)
+    text = "".join(chunks)
+    assert text == dump_json(data)
+    assert max(len(c) for c in chunks) <= longest_line(text)
+
+
+def test_write_json_streams_deep_data_in_line_sized_chunks():
+    chunks = chunks_of(nested(2000))
+    assert len(chunks) > 4000
+    assert max(len(c) for c in chunks) <= longest_line("".join(chunks))

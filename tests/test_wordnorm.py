@@ -8,12 +8,12 @@ import pytest
 from polytrs import callgraph
 from polytrs.base import Budget, BudgetExceeded, CycleDetected, NormalizationError, NotWordProgram
 from polytrs.blind import blind_program, input_tuples, program_is_linear
-from polytrs.callgraph import State, call_dag, reachable_states
+from polytrs.callgraph import call_dag, reachable_states, state_text
 from polytrs.ordering import EPPO, infer_precedence, order_verdict
 from polytrs.parser import format_program, parse_program, parse_term
 from polytrs.qi import check_qi, parse_assignment
 from polytrs.semantics import derivable_value_set, is_orthogonal
-from polytrs.terms import term_size
+from polytrs.terms import App, term_size
 from polytrs.wordnorm import (
     BoundedValuesRow,
     call_site_labels,
@@ -197,8 +197,8 @@ def test_path_word_single_edge(corpus):
     prec = infer_precedence(prog, EPPO)
     proof = checked_memo(prog, t("f(" + word(prog, 4) + ")", prog))
     dag = call_dag(proof)
-    start = next(n.state for n in dag.nodes() if term_size(n.state.arguments[0]) == 5)
-    target = next(n.state for n in dag.nodes() if n.state.function.name == "f" and term_size(n.state.arguments[0]) == 4)
+    start = next(n.state for n in dag.nodes() if term_size(n.state.args[0]) == 5)
+    target = next(n.state for n in dag.nodes() if n.state.symbol.name == "f" and term_size(n.state.args[0]) == 4)
     labels = path_word(dag, start, target, prog, prec)
     assert len(labels) == 1
 
@@ -250,7 +250,7 @@ def test_three_step_commutation_pair(corpus):
     prec = infer_precedence(prog, EPPO)
     dag = _dag_for(prog, "g(s s s 0, s s s 0)")
     labels = call_site_labels(prog, prec)
-    start = next(n for n in dag.nodes() if repr(n.state).startswith("<g, s(s(s(0"))
+    start = next(n for n in dag.nodes() if state_text(n.state).startswith("<g, s(s(s(0"))
     paths = same_class_paths(dag, start, labels, prec, max_length=3)
     ends = {}
     for word_labels, end in paths:
@@ -313,11 +313,11 @@ def test_strict_descent_along_same_class_edges(corpus):
         call = f"{prog.main.name}({', '.join(['s s s 0'] * arity)})"
         dag = _dag_for(prog, call)
         for node in dag.nodes():
-            cls = prec.class_of(node.state.function.name)
+            cls = prec.class_of(node.state.symbol.name)
             for _, child in dag.successors_of(node):
-                if prec.class_of(child.state.function.name) != cls:
+                if prec.class_of(child.state.symbol.name) != cls:
                     continue
-                pairs = list(zip(node.state.arguments, child.state.arguments))
+                pairs = list(zip(node.state.args, child.state.args))
                 assert all(term_size(u) >= term_size(v) for u, v in pairs)
                 assert any(term_size(u) > term_size(v) for u, v in pairs)
 
@@ -367,12 +367,12 @@ def reference_value_rows(program, sizes, budget):
         truncated = False
         for args in input_tuples(program, program.main, n, 32, 0):
             try:
-                states = reachable_states(program, State(program.main, tuple(args)), budget)
+                states = reachable_states(program, App(program.main, tuple(args)), budget)
             except (BudgetExceeded, CycleDetected):
                 truncated = True
                 continue
             count += len(states)
-            worst = max([worst] + [term_size(st.term) for st in states])
+            worst = max([worst] + [term_size(st) for st in states])
         rows.append(BoundedValuesRow(n, worst, count, truncated))
     return rows
 
@@ -408,7 +408,7 @@ def test_measure_bounded_values_expands_each_state_once(corpus, monkeypatch):
     reached = set()
     for n in range(1, 9):
         for args in input_tuples(prog, prog.main, n, 32, 0):
-            reached |= reachable_states(prog, State(prog.main, tuple(args)))
+            reached |= reachable_states(prog, App(prog.main, tuple(args)))
     assert set(expanded) == reached
     assert len(expanded) < sum(r.states for r in rows)  # states are revisited
 
