@@ -143,6 +143,7 @@ class _Compiler:
         self.provenance: dict[str, str] = {}
         self.boundaries: dict[str, tuple] = {}
         self.counters: dict[str, int] = {}
+        self.memo: dict = {}  # becomes the compiled assignment's memo
 
     def fresh(self, kind: str, arity: int) -> Symbol:
         i = self.counters.get(kind, 0)
@@ -162,10 +163,10 @@ class _Compiler:
 
         def finish(sym: Symbol, q: QiExpr, desc: str) -> Symbol:
             self.symbols[b] = sym
-            q = simplify(q, n)
+            q = simplify(q, n, memo=self.memo)
             self.q_parts[sym.name] = q
             entry = q if m == 0 else Sum((q, Max(tuple(safe_args))))
-            self.entries[sym.name] = simplify(entry, n + m)
+            self.entries[sym.name] = simplify(entry, n + m, memo=self.memo)
             self.provenance[sym.name] = desc
             self.boundaries[sym.name] = (n, m)
             return sym
@@ -273,7 +274,7 @@ def compile_bc(b: BcTerm) -> BcCompilation:
     entries["s1"] = Sum((Arg(0), Const(Fraction(1))))
     entries["0"] = Const(Fraction(1))
     return BcCompilation(
-        program, QiAssignment(entries), comp.provenance, comp.boundaries, main
+        program, QiAssignment(entries, comp.memo), comp.provenance, comp.boundaries, main
     )
 
 

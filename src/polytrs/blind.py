@@ -137,7 +137,11 @@ def program_is_linear(program: Program, precedence: Precedence) -> bool:
 def transfer_uniform_qi(
     assignment: QiAssignment, program: Program, blind: BlindProgram
 ) -> QiAssignment:
-    """Carry a uniform assignment over to the blind image."""
+    """Carry a uniform assignment over to the blind image.
+
+    The image's entries are the program's expressions, so it shares the
+    assignment's memo of normal forms and dominance decisions.
+    """
     if not is_uniform(assignment, program):
         raise QiError("only uniform assignments can be blinded")
     entries: dict = {}
@@ -151,7 +155,7 @@ def transfer_uniform_qi(
     for f in program.functions:
         if f.name in assignment.entries:
             entries[blind.provenance[f.name]] = assignment.entry(f.name)
-    return QiAssignment(entries)
+    return QiAssignment(entries, assignment.memo)
 
 
 # -- growth measurement --------------------------------------------------------

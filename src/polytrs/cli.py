@@ -87,7 +87,7 @@ def _policy(args):
     return FirstMatch()
 
 
-def main(argv: Optional[list] = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polytrs",
         description="Rewrite-program complexity certification toolkit",
@@ -146,8 +146,20 @@ def main(argv: Optional[list] = None) -> int:
 
     for p in (parser, *sub.choices.values()):
         p.error = _usage_error
+    return parser
+
+
+# Built on the first call to main and kept: parsing does not change it, and
+# building it costs milliseconds per call.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def main(argv: Optional[list] = None) -> int:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except argparse.ArgumentError as exc:
         _emit_json(None, {"error": "usage", "message": str(exc)})
         return 3

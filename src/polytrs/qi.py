@@ -18,12 +18,12 @@ import math
 import operator
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from .base import ParseError, QiError
-from .terms import Program, Term, Var, term_size, variables
+from .terms import Equation, Program, Term, Var, term_size, variables
 
 GRID_POINTS = (0, 1, 2, 5, 10)
 RANDOM_POINTS = 256
@@ -224,7 +224,7 @@ def _prune(branches: list) -> list:
 
 
 def max_posy_form(
-    e: QiExpr, arity: int, cap: int = 4096, forms: Optional[dict] = None
+    e: QiExpr, arity: int, cap: int = 4096, memo: Optional[dict] = None
 ) -> Optional[list]:
     """Max-of-posynomials normal form; None when min occurs or the form blows up.
 
@@ -233,21 +233,21 @@ def max_posy_form(
     expression is monotone in each such choice, which makes the expansion
     exact instead of merely an upper envelope.
 
-    ``forms`` is a memo shared by the calls of one check (see check_qi): it
-    maps ``(e, arity)`` to ``[branch total, distinct max nodes, form or
-    None]``, so each expression is expanded once however often it is asked
-    for.  The cap is applied to the stored total on every call.  A form taken
-    from the memo is shared with later callers and must not be mutated.
+    ``memo`` is the memo of an assignment (QiAssignment.memo): it maps
+    ``(e, arity)`` to ``[branch total, distinct max nodes, form or None]``,
+    so each expression is expanded once however often it is asked for.  The
+    cap is applied to the stored total on every call.  A form taken from the
+    memo is shared with later callers and must not be mutated.
     """
     if e.has_min:
         return None
-    if forms is None:
-        forms = {}
-    known = forms.get((e, arity))
+    if memo is None:
+        memo = {}
+    known = memo.get((e, arity))
     if known is None:
         maxes = _distinct_maxes(e)
         total = math.prod(max(1, len(m.items)) for m in maxes)
-        known = forms[e, arity] = [total, maxes, None]
+        known = memo[e, arity] = [total, maxes, None]
     total, maxes, form = known
     if total > cap:
         return None
@@ -256,50 +256,57 @@ def max_posy_form(
     return form
 
 
+# The walks below are loops or module-level functions, never recursive
+# closures: a closure that calls itself is a reference cycle, which keeps
+# what it captured alive until the cyclic collector runs.
+
+
 def _distinct_maxes(e: QiExpr) -> list:
+    """The distinct max nodes of e, in pre-order of first occurrence."""
     maxes: list[Max] = []
     seen: set = set()
-
-    def collect(u: QiExpr) -> None:
+    todo = [e]
+    while todo:
+        u = todo.pop()
         if isinstance(u, (Const, Arg)):
-            return
-        if isinstance(u, Max) and u not in seen:
+            continue
+        if isinstance(u, Max):
+            if u in seen:
+                continue  # its subtree was walked at its first occurrence
             seen.add(u)
             maxes.append(u)
-        for item in u.items:
-            collect(item)
-
-    collect(e)
+        todo.extend(reversed(u.items))
     return maxes
 
 
 def _expand(e: QiExpr, arity: int, maxes: list) -> list:
     """The pruned branches of e, one per choice of an item for every max."""
     zero = tuple([0] * arity)
-
-    def inst(u: QiExpr, choice: dict) -> Posy:
-        if isinstance(u, Const):
-            v = u.value
-            return {zero: v.numerator if v.denominator == 1 else v} if v else {}
-        if isinstance(u, Arg):
-            mono = tuple(1 if i == u.index else 0 for i in range(arity))
-            return {mono: 1}
-        if isinstance(u, Max):
-            picked = choice[u]
-            return inst(picked, choice) if picked is not None else {}
-        parts = [inst(item, choice) for item in u.items]
-        if isinstance(u, Sum):
-            return _posy_sum(parts)
-        acc = {zero: 1}
-        for p in parts:
-            acc = _posy_mul(acc, p)
-        return acc
-
     branches = []
     pools = [list(m.items) if m.items else [None] for m in maxes]
     for combo in itertools.product(*pools):
-        branches.append(inst(e, dict(zip(maxes, combo))))
+        branches.append(_instantiate(e, dict(zip(maxes, combo)), zero))
     return _prune(branches)
+
+
+def _instantiate(u: QiExpr, choice: dict, zero: tuple) -> Posy:
+    """The posynomial of u with every max node replaced by its chosen item."""
+    if isinstance(u, Const):
+        v = u.value
+        return {zero: v.numerator if v.denominator == 1 else v} if v else {}
+    if isinstance(u, Arg):
+        mono = tuple(1 if i == u.index else 0 for i in range(len(zero)))
+        return {mono: 1}
+    if isinstance(u, Max):
+        picked = choice[u]
+        return _instantiate(picked, choice, zero) if picked is not None else {}
+    parts = [_instantiate(item, choice, zero) for item in u.items]
+    if isinstance(u, Sum):
+        return _posy_sum(parts)
+    acc = {zero: 1}
+    for p in parts:
+        acc = _posy_mul(acc, p)
+    return acc
 
 
 def expr_from_posy(p: Posy) -> QiExpr:
@@ -317,15 +324,18 @@ def expr_from_posy(p: Posy) -> QiExpr:
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
-def simplify(e: QiExpr, arity: int, cap: int = 512) -> QiExpr:
+def simplify(
+    e: QiExpr, arity: int, cap: int = 512, memo: Optional[dict] = None
+) -> QiExpr:
     """Canonical pruned max-of-posynomials form when one exists.
 
     Substitution-heavy constructions (compiled recurrences in particular)
     produce towers of shared subterms; renormalizing keeps them flat.
+    ``memo`` is the normal-form memo of max_posy_form.
     """
     if e.has_min:
         return e
-    form = max_posy_form(e, arity, cap=cap)
+    form = max_posy_form(e, arity, cap, memo)
     if form is None:
         return e
     branches = [expr_from_posy(p) for p in sorted(form, key=_posy_key)]
@@ -353,23 +363,35 @@ def _min_choices(e: QiExpr, cap: int = 64) -> Iterator[QiExpr]:
 
 
 def dominates(
-    lhs: QiExpr, rhs: QiExpr, arity: int, forms: Optional[dict] = None
+    lhs: QiExpr, rhs: QiExpr, arity: int, memo: Optional[dict] = None
 ) -> bool:
     """Sound sufficient check for lhs >= rhs pointwise on R+^arity.
 
     Both sides are brought to max-of-posynomials; each rhs branch must be
     coefficient-dominated by some lhs branch.  A min on the lhs must
     dominate through every branch, a min on the rhs through some branch.
-    ``forms`` is the normal-form memo of max_posy_form.
+    ``memo`` is the memo of max_posy_form; it also keeps each decision under
+    ``(lhs, rhs, arity)``, a key that never equals a normal form's
+    ``(e, arity)``.
     """
+    if memo is None:
+        memo = {}
+    key = (lhs, rhs, arity)
+    known = memo.get(key)
+    if known is None:
+        known = memo[key] = _dominates(lhs, rhs, arity, memo)
+    return known
+
+
+def _dominates(lhs: QiExpr, rhs: QiExpr, arity: int, memo: dict) -> bool:
     if lhs.has_min:
         # Every min branch of the lhs must dominate; never drop any.
         choices = list(itertools.islice(_min_choices(lhs), 65))
         if len(choices) > 64:
             return False
-        lhs_forms = [max_posy_form(c, arity, forms=forms) for c in choices]
+        lhs_forms = [max_posy_form(c, arity, memo=memo) for c in choices]
     else:
-        lhs_forms = [max_posy_form(lhs, arity, forms=forms)]
+        lhs_forms = [max_posy_form(lhs, arity, memo=memo)]
     if any(f is None for f in lhs_forms):
         return False
     rhs_choices = (
@@ -378,7 +400,7 @@ def dominates(
     for lf in lhs_forms:
         ok = False
         for rc in rhs_choices:
-            rf = max_posy_form(rc, arity, forms=forms)
+            rf = max_posy_form(rc, arity, memo=memo)
             if rf is None:
                 continue
             if all(any(posy_dominates(lb, rb) for lb in lf) for rb in rf):
@@ -395,6 +417,10 @@ def dominates(
 @dataclass(frozen=True)
 class QiAssignment:
     entries: dict  # symbol name -> QiExpr
+    # Normal forms and dominance decisions (max_posy_form, dominates) keyed by
+    # expressions alone, so an assignment built from the same expressions may
+    # share it.  It lives exactly as long as the assignments that hold it.
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def entry(self, name: str) -> QiExpr:
         try:
@@ -419,17 +445,17 @@ def term_qi(assignment: QiAssignment, term: Term, var_order: Optional[list] = No
     if var_order is None:
         var_order = variables(term)
     idx = {v: i for i, v in enumerate(var_order)}
+    return _term_expr(assignment, idx, term)
 
-    def go(t: Term) -> QiExpr:
-        if isinstance(t, Var):
-            try:
-                return Arg(idx[t.name])
-            except KeyError:
-                raise QiError(f"variable {t.name} not in the variable order")
-        entry = assignment.entry(t.symbol.name)
-        return substitute(entry, [go(a) for a in t.args])
 
-    return go(term)
+def _term_expr(assignment: QiAssignment, idx: dict, t: Term) -> QiExpr:
+    if isinstance(t, Var):
+        try:
+            return Arg(idx[t.name])
+        except KeyError:
+            raise QiError(f"variable {t.name} not in the variable order")
+    entry = assignment.entry(t.symbol.name)
+    return substitute(entry, [_term_expr(assignment, idx, a) for a in t.args])
 
 
 def value_qi(assignment: QiAssignment, value: Term) -> Fraction:
@@ -522,15 +548,13 @@ class ConditionReport:
         }
 
 
-def check_conditions(
-    assignment: QiAssignment, program: Program, forms: Optional[dict] = None
-) -> ConditionReport:
+def check_conditions(assignment: QiAssignment, program: Program) -> ConditionReport:
     """The four assignment conditions.
 
     Weak monotonicity and polynomial boundedness hold by construction of the
     expression language; additivity is syntactic on constructors; the
-    subterm condition is checked by dominance with sampling refutation.
-    ``forms`` is the normal-form memo of max_posy_form.
+    subterm condition is checked by dominance, in the assignment's memo, with
+    sampling refutation.
     """
     subterm: dict = {}
     additivity: dict = {}
@@ -543,7 +567,7 @@ def check_conditions(
         status = VALID
         witness = None
         for i in range(sym.arity):
-            if dominates(e, Arg(i), sym.arity, forms):
+            if dominates(e, Arg(i), sym.arity, assignment.memo):
                 continue
             status = UNKNOWN
             refuted = _refute(e, Arg(i), sym.arity, tag=f"subterm:{sym.name}:{i}")
@@ -564,10 +588,19 @@ def _refute(lhs: QiExpr, rhs: QiExpr, arity: int, tag: str, seed: int = 0):
 @dataclass(frozen=True)
 class ObligationVerdict:
     equation_index: int
-    obligation: str
+    # (lhs, rhs, variable names) of the obligation lhs >= rhs, or the
+    # equation itself when it has none; formatted only when read.
+    sides: tuple | Equation
     status: str
     witness: Optional[tuple] = None
     note: Optional[str] = None
+
+    @property
+    def obligation(self) -> str:
+        if isinstance(self.sides, Equation):
+            return repr(self.sides)
+        lhs, rhs, names = self.sides
+        return f"{format_expr(lhs, names)} >= {format_expr(rhs, names)}"
 
 
 @dataclass(frozen=True)
@@ -598,34 +631,31 @@ def check_qi(program: Program, assignment: QiAssignment, seed: int = 0) -> QiVer
 
     The variable order of each obligation is the left-to-right first
     occurrence in the lhs, so obligations are deterministic.  Normal forms
-    are computed once per (expression, arity) in one memo, which lives only
-    for this call.
+    and dominance decisions come from the assignment's memo, so each is
+    computed once per assignment, whatever checks share it.
     """
-    forms: dict = {}
-    conditions = check_conditions(assignment, program, forms)
+    conditions = check_conditions(assignment, program)
     verdicts = []
     for eq in program.equations:
         lhs_term = eq.lhs
         var_order = variables(lhs_term)
         if not (assignment.covers(lhs_term) and assignment.covers(eq.rhs)):
             verdicts.append(
-                ObligationVerdict(
-                    eq.index, repr(eq), UNKNOWN, note="missing assignment entries"
-                )
+                ObligationVerdict(eq.index, eq, UNKNOWN, note="missing assignment entries")
             )
             continue
         lhs = term_qi(assignment, lhs_term, var_order)
         rhs = term_qi(assignment, eq.rhs, var_order)
         arity = len(var_order)
-        obligation = f"{format_expr(lhs, var_order)} >= {format_expr(rhs, var_order)}"
-        if dominates(lhs, rhs, arity, forms):
-            verdicts.append(ObligationVerdict(eq.index, obligation, VALID))
+        sides = (lhs, rhs, var_order)
+        if dominates(lhs, rhs, arity, assignment.memo):
+            verdicts.append(ObligationVerdict(eq.index, sides, VALID))
             continue
         witness = _refute(lhs, rhs, arity, tag=f"eq:{eq.index}", seed=seed)
         if witness is not None:
-            verdicts.append(ObligationVerdict(eq.index, obligation, INVALID, witness))
+            verdicts.append(ObligationVerdict(eq.index, sides, INVALID, witness))
         else:
-            verdicts.append(ObligationVerdict(eq.index, obligation, UNKNOWN))
+            verdicts.append(ObligationVerdict(eq.index, sides, UNKNOWN))
     if any(v.status == INVALID for v in verdicts) or not conditions.ok:
         overall = INVALID
     elif all(v.status == VALID for v in verdicts):

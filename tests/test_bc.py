@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -25,6 +27,7 @@ from polytrs.bc import (
 from polytrs.blind import blind_program, program_is_linear, transfer_uniform_qi
 from polytrs.ordering import PPO, infer_precedence
 from polytrs.parser import format_program
+from polytrs import qi
 from polytrs.qi import check_conditions, check_qi, eval_expr, is_uniform
 from polytrs.terms import App
 
@@ -232,3 +235,49 @@ def test_blind_image_growth_within_assembled_bound():
     table = measure_strong_poly(image.program, sizes=range(1, 6))
     for row in table.rows:
         assert row.worst_rules <= strong_poly_bound(image.program, moved, prec, row.size)
+
+
+# -- the assignment's QI memo ----------------------------------------------------
+
+CHAIN_SEEDS = (5, 17, 42, 123, 199)
+
+
+def _qi_chain(term):
+    """compile_bc, check_qi, transfer_uniform_qi, then check_qi on the image."""
+    comp = compile_bc(term)
+    verdict = check_qi(comp.program, comp.qi)
+    image = blind_program(comp.program)
+    moved = transfer_uniform_qi(comp.qi, comp.program, image)
+    return comp, verdict, moved, check_qi(image.program, moved)
+
+
+@pytest.mark.parametrize("seed", CHAIN_SEEDS)
+def test_chain_expands_each_normal_form_once(seed, monkeypatch):
+    expanded = []
+    original = qi._expand
+
+    def counting(e, arity, maxes):
+        expanded.append((e, arity))
+        return original(e, arity, maxes)
+
+    monkeypatch.setattr(qi, "_expand", counting)
+    comp, verdict, moved, moved_verdict = _qi_chain(random_bc(seed, 4))
+    assert verdict.overall == moved_verdict.overall == "valid"
+    assert expanded and len(expanded) == len(set(expanded))
+    assert moved.memo is comp.qi.memo
+
+
+@pytest.mark.parametrize("seed", CHAIN_SEEDS)
+def test_assignments_die_by_reference_counting(seed):
+    # The memo is held by the two assignments alone, so it goes with them.
+    gc.collect()
+    gc.disable()
+    try:
+        comp, verdict, moved, moved_verdict = _qi_chain(random_bc(seed, 4))
+        verdict.as_dict(), moved_verdict.as_dict()  # format the obligations
+        asg, moved_ref = weakref.ref(comp.qi), weakref.ref(moved)
+        assert asg() is not None
+        del comp, verdict, moved, moved_verdict
+        assert asg() is None and moved_ref() is None
+    finally:
+        gc.enable()

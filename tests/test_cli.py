@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -348,3 +349,26 @@ def test_json_output_is_streamed_in_line_sized_chunks(monkeypatch, command):
     longest = max(len(line) for line in text.splitlines(keepends=True))
     assert len(recorder.chunks) > 10
     assert max(len(c) for c in recorder.chunks) <= longest
+
+
+def test_parser_is_built_once_and_calls_share_no_state(capsys, monkeypatch):
+    code, data = run_json(
+        capsys, "--qi", str(CORPUS / "append.qi"), "check-qi", str(CORPUS / "append.trs")
+    )
+    assert code == 0 and data["overall"] == "valid"
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, data = run_json(capsys, "check-qi", str(CORPUS / "append.trs"))
+    assert code == 3
+    assert data == {"error": "usage", "message": "--qi FILE is required"}
+    code, data = run_json(capsys, "--sizes", "abc", "measure", str(CORPUS / "append.trs"))
+    assert code == 3 and data["error"] == "usage"
+    code, data = run_json(capsys, "--sizes", "1..2", "measure", str(CORPUS / "append.trs"))
+    assert code == 0 and [r["n"] for r in data["rows"]] == [1, 2]
+    assert built == []  # later calls reuse the first call's parser

@@ -540,12 +540,16 @@ def test_memoised_max_posy_form_matches_reference(data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_memoised_dominates_matches_reference(data):
+    # Decisions and normal forms share one memo: forms stored under small
+    # caps, min-headed sides and repeated questions must not change answers.
     shared = data.draw(_shared_maxes())
     exprs = data.draw(st.lists(_exprs(shared, with_min=True), min_size=2, max_size=5))
-    forms: dict = {}
-    for lhs in exprs:
-        for rhs in exprs:
-            assert dominates(lhs, rhs, ARITY, forms) == _ref_dominates(lhs, rhs, ARITY)
+    memo: dict = {}
+    pairs = [(lhs, rhs) for lhs in exprs for rhs in exprs]
+    for lhs, rhs in pairs + pairs[::-1]:
+        assert dominates(lhs, rhs, ARITY, memo) == _ref_dominates(lhs, rhs, ARITY)
+        cap = data.draw(st.sampled_from([1, 2, 4, 512, 4096]))
+        assert max_posy_form(rhs, ARITY, cap, memo) == _ref_max_posy_form(rhs, ARITY, cap)
 
 
 def _wide():
