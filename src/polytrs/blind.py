@@ -281,7 +281,9 @@ def words_of_length(
 def input_tuples(
     program: Program, main: Symbol, n: int, cap: int = 64, seed: int = 0
 ) -> list[tuple]:
-    """Argument tuples of total word length n for the main function."""
+    """Argument tuples of total word length n for the main function.
+
+    A word pool depends on its length alone, so each is drawn once."""
     k = main.arity
     if k == 0:
         return [()]
@@ -294,9 +296,10 @@ def input_tuples(
         comps = rng.sample(comps, cap)
     per = max(2, int(cap ** (1 / k)) + 1)
     per_comp = max(1, (cap * 4) // len(comps))
+    lengths = {c for comp in comps for c in comp}
+    pools = {c: words_of_length(program, c, per, seed) for c in lengths}
     for comp in comps:
-        pools = [words_of_length(program, c, per, seed) for c in comp]
-        out.extend(itertools.islice(itertools.product(*pools), per_comp))
+        out.extend(itertools.islice(itertools.product(*(pools[c] for c in comp)), per_comp))
     return out
 
 
@@ -333,10 +336,13 @@ def measure_strong_poly(
 
     Inputs are all (or a seeded sample of) words of each size; the result
     size column measures word length.  Rows where the budget bites are
-    flagged truncated rather than silently clipped.
+    flagged truncated rather than silently clipped.  All inputs read one
+    outcome store, so each state is derived once; each input has its own
+    paid set, so it is charged the state budget a fresh table would charge.
     """
     main = program.main
     rows = []
+    store: dict = {}
     inputs_per_size = {}
     for n in sizes:
         tuples = input_tuples(program, main, n, inputs_cap, seed)
@@ -347,7 +353,7 @@ def measure_strong_poly(
         truncated = False
         for args in tuples:
             try:
-                outs = outcome_table(program, App(main, args), max_states=budget.max_rules)
+                outs = outcome_table(program, App(main, args), store, set(), budget.max_rules)
             except (BudgetExceeded, CycleDetected):
                 truncated = True
                 continue

@@ -225,24 +225,26 @@ def successors(
     program: Program,
     state: App,
     budget: Budget = DEFAULT_BUDGET,
-    _memo: Optional[dict] = None,
+    store: Optional[dict] = None,
+    paid: Optional[set] = None,
 ) -> list[TransitionEdge]:
     """All transitions realizable from a state.
 
     For every matching equation and every function-headed subterm of its
     rhs, the subterm's arguments are evaluated exhaustively (set semantics);
     each derivable argument tuple yields one edge, argument values in the
-    order the outcome table derives them.  ``_memo`` is a
-    derivable_value_set memo to share across calls; without it, the call
-    uses its own.
+    order the outcome table derives them.  The arguments are read through
+    the program's outcome ``store`` and charged to the walk's ``paid`` set
+    (see ``outcome_table``); without them the call uses fresh ones.
     """
     out = []
-    memo: dict = {} if _memo is None else _memo
+    store = {} if store is None else store
+    paid = set() if paid is None else paid
     for eq, sigma in matching_equations(program, state):
         for occ, (_, sub) in enumerate(rhs_calls(eq)):
             inst = apply_subst(sub, sigma)
             arg_sets = [
-                derivable_value_set(program, a, _memo=memo, max_states=budget.max_rules)
+                derivable_value_set(program, a, store, paid, budget.max_rules)
                 for a in inst.args
             ]
             for combo in itertools.product(*arg_sets):
@@ -255,6 +257,7 @@ def reachable_states(
     initial: App,
     budget: Budget = DEFAULT_BUDGET,
     successor_map: Optional[dict] = None,
+    store: Optional[dict] = None,
 ) -> set[App]:
     """States reachable through transitions; equals the states appearing in
     call trees rooted at the initial state.
@@ -264,20 +267,23 @@ def reachable_states(
     A state found there is not expanded again, and each expansion made here
     is added to it.  Only expansions that returned are stored: one that
     raised ``BudgetExceeded`` or ``CycleDetected`` is tried again by the
-    next walk that reaches the state.  The ``max_rules`` state cap and the
-    outcome memo belong to this walk alone.
+    next walk that reaches the state.  ``store`` is the program's outcome
+    store, which walks share the same way; the ``max_rules`` state cap and
+    the set of outcome states paid for belong to this walk alone, so each
+    walk is charged what it would be charged on its own.
     """
     shared: dict = {} if successor_map is None else successor_map
+    store = {} if store is None else store
+    paid: set = set()
     seen = {initial}
     frontier = [initial]
-    memo: dict = {}  # one derivable_value_set memo for the whole walk
     while frontier:
         if len(seen) > budget.max_rules:
             raise BudgetExceeded("state space exceeds the budget")
         eta = frontier.pop()
         edges = shared.get(eta)
         if edges is None:
-            edges = shared[eta] = successors(program, eta, budget, memo)
+            edges = shared[eta] = successors(program, eta, budget, store, paid)
         for edge in edges:
             if edge.target not in seen:
                 seen.add(edge.target)

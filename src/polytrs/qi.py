@@ -459,8 +459,26 @@ def _term_expr(assignment: QiAssignment, idx: dict, t: Term) -> QiExpr:
 
 
 def value_qi(assignment: QiAssignment, value: Term) -> Fraction:
-    """Rational weight of a ground constructor term."""
-    return eval_expr(term_qi(assignment, value), [])
+    """Rational weight of a ground constructor term, the value of its
+    ``term_qi``.  Computed bottom-up, one entry evaluated per distinct node,
+    so no recursion limit bounds the depth of the value."""
+    weight: dict = {}
+    todo = [value]
+    while todo:
+        t = todo[-1]
+        if t in weight:
+            todo.pop()
+        elif isinstance(t, Var):
+            raise QiError(f"value_qi needs a ground term, not variable {t.name}")
+        else:
+            pending = [a for a in t.args if a not in weight]
+            if pending:
+                todo.extend(pending)
+            else:
+                todo.pop()
+                entry = assignment.entry(t.symbol.name)
+                weight[t] = eval_expr(entry, [weight[a] for a in t.args])
+    return weight[value]
 
 
 def additive_shape(e: QiExpr, arity: int) -> Optional[Fraction]:

@@ -355,7 +355,11 @@ def all_derivations(
 
 
 def outcome_table(
-    program: Program, term: Term, memo: Optional[dict] = None, max_states: int = 100_000
+    program: Program,
+    term: Term,
+    store: Optional[dict] = None,
+    paid: Optional[set] = None,
+    max_states: int = 100_000,
 ) -> dict:
     """Every value derivable from a ground term, with (max rule count,
     derivation count) over the call-by-value derivations ending in it.
@@ -365,45 +369,76 @@ def outcome_table(
     counts by + and x.  A value costs its size in Constructor rules.  The
     value set is the table's key set, so transitions and growth tables read
     the same table.  Raises CycleDetected when a state still in progress is
-    entered again (possible nontermination), and BudgetExceeded when the
-    call would enter more than max_states new states.  A memo passed in is
-    shared with the caller.
+    entered again (possible nontermination).
+
+    ``store`` is one program's answer table, shared by every walk on it: it
+    maps each completed non-value state to its table and to the non-value
+    terms its step consulted (rhs instances, non-value arguments and Split
+    calls).  ``paid`` is the set of states the current walk has paid for.
+    Each state new to the walk is charged to this call, whether derived
+    here or reached through a stored table's dependencies, and the call
+    raises BudgetExceeded past max_states of them: the count a fresh memo
+    per walk would enter, whatever earlier walks stored.  Only completed
+    tables are stored, so every walk that reaches a state on a cycle
+    raises CycleDetected.  Without a store or a paid set the call uses
+    fresh ones.
     """
-    memo = {} if memo is None else memo
+    store = {} if store is None else store
+    paid = set() if paid is None else paid
     stack: set = set()
     entered = 0
+
+    def enter() -> None:
+        nonlocal entered
+        entered += 1
+        if entered > max_states:
+            raise BudgetExceeded("state budget exceeded in outcome evaluation")
 
     def add(out: dict, v: Term, cost: int, count: int) -> None:
         old = out.get(v)
         out[v] = (cost, count) if old is None else (max(old[0], cost), old[1] + count)
 
-    def known(u: Term) -> Optional[dict]:
-        """u's table when it needs no work: u is a value or memoised."""
-        return {u: (u.size, 1)} if is_value(u) else memo.get(u)
+    def known(u: Term, deps: list) -> Optional[dict]:
+        """u's table when it needs no derivation: u is a value or stored.
+        Records u in deps unless it is a value, and pays for the unpaid
+        dependency closure of a stored table."""
+        if is_value(u):
+            return {u: (u.size, 1)}
+        deps.append(u)
+        entry = store.get(u)
+        if entry is None:
+            return None
+        if u not in paid:
+            todo = [u]
+            while todo:
+                w = todo.pop()
+                if w not in paid:
+                    enter()
+                    paid.add(w)
+                    todo.extend(store[w][1])
+        return entry[0]
 
     def go(u: Term):  # for a u that is no value; its callers try known(u) first
-        nonlocal entered
         if isinstance(u, Var):
             raise NoMatchingEquation(f"cannot evaluate open term {u.name}")
-        out = memo.get(u)  # a memoised empty table is falsy: known(u) or ... lands here
-        if out is not None:
-            return out
+        entry = store.get(u)  # a stored empty table is falsy: known(u) or ... lands here
+        if entry is not None:
+            return entry[0]
         if u in stack:
             raise CycleDetected(f"recursive state {format_term(u)}")
-        entered += 1
-        if entered > max_states:
-            raise BudgetExceeded("state budget exceeded in outcome evaluation")
+        enter()
         stack.add(u)
-        out = {}
+        out: dict = {}
+        deps: list = []
         if u.symbol.is_function and all(is_value(a) for a in u.args):
             for eq, sigma in matching_equations(program, u):
                 rhs = apply_subst(eq.rhs, sigma)
-                for v, (cost, count) in (known(rhs) or (yield go(rhs))).items():
+                for v, (cost, count) in (known(rhs, deps) or (yield go(rhs))).items():
                     add(out, v, 1 + cost, count)
         else:  # Constructor or Split: one premise per argument
             tables = []
             for a in u.args:
-                tables.append((known(a) or (yield go(a))).items())
+                tables.append((known(a, deps) or (yield go(a))).items())
             for combo in itertools.product(*tables):
                 cost = 1 + sum(c for _, (c, _) in combo)
                 count = math.prod(n for _, (_, n) in combo)
@@ -411,24 +446,29 @@ def outcome_table(
                 if u.symbol.is_constructor:
                     tail = {call: (0, 1)}
                 else:
-                    tail = known(call) or (yield go(call))
+                    tail = known(call, deps) or (yield go(call))
                 for v, (c, n) in tail.items():
                     add(out, v, cost + c, count * n)
         stack.discard(u)
-        memo[u] = out
+        store[u] = (out, deps)
+        paid.add(u)
         return out
 
-    return known(term) or run_stack(go(term))
+    return known(term, []) or run_stack(go(term))
 
 
 def derivable_value_set(
-    program: Program, term: Term, _memo: Optional[dict] = None, max_states: int = 100_000
+    program: Program,
+    term: Term,
+    store: Optional[dict] = None,
+    paid: Optional[set] = None,
+    max_states: int = 100_000,
 ) -> KeysView:
     """Set of values derivable from a ground term: the key view of its
-    outcome_table, which a memo passed in shares with the caller.  The view
-    compares equal to a set and iterates in derivation order, which program
-    order fixes."""
-    return outcome_table(program, term, _memo, max_states).keys()
+    outcome_table, read through the store and charged to the walk's paid
+    set when given.  The view compares equal to a set and iterates in
+    derivation order, which program order fixes."""
+    return outcome_table(program, term, store, paid, max_states).keys()
 
 
 # -- memoisation ------------------------------------------------------------

@@ -403,11 +403,14 @@ def measure_bounded_values(
     States are enumerated through the transition relation, which agrees
     with call-tree membership; a user polynomial in the input size is
     checked against each untruncated row when supplied.  All inputs share
-    one successor map, so each state is expanded once across every walk.
+    one successor map and one outcome store, so each state is expanded, and
+    each outcome state derived, once across every walk; each walk is still
+    charged the budget it would be charged on its own.
     """
     rows = []
     main = program.main
     successor_map: dict = {}
+    store: dict = {}
     for n in sizes:
         worst = 0
         count = 0
@@ -415,7 +418,7 @@ def measure_bounded_values(
         for args in input_tuples(program, main, n, inputs_cap, seed):
             try:
                 states = reachable_states(
-                    program, App(main, tuple(args)), budget, successor_map
+                    program, App(main, tuple(args)), budget, successor_map, store
                 )
             except (BudgetExceeded, CycleDetected):
                 truncated = True

@@ -17,6 +17,10 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 CORPUS_PROGRAMS = sorted(p.name for p in CORPUS.glob("*.trs"))
 
+# max_rules values at which the measure functions are compared with one
+# unshared walk per input; None is the default budget
+PARITY_BUDGETS = [*range(1, 25), 50, 200, None]
+
 
 def load(name: str):
     return parse_program((CORPUS / name).read_text())

@@ -1,14 +1,26 @@
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from polytrs.base import Budget, NotWordProgram, QiError
+from polytrs import blind
+from polytrs.base import (
+    Budget,
+    BudgetExceeded,
+    CycleDetected,
+    DEFAULT_BUDGET,
+    NotWordProgram,
+    QiError,
+)
 from polytrs.blind import (
+    GrowthRow,
     blind_program,
     blind_proof,
     classify_growth,
+    input_tuples,
     is_linear,
     measure_strong_poly,
     program_is_linear,
@@ -19,9 +31,10 @@ from polytrs.blind import (
 from polytrs.ordering import EPPO, PPO, infer_precedence
 from polytrs.parser import format_program, parse_program, parse_term
 from polytrs.qi import check_qi, eval_expr, parse_assignment
-from polytrs.semantics import validate_proof
+from polytrs.semantics import outcome_table, validate_proof
+from polytrs.terms import App
 
-from .conftest import CORPUS, checked_cbv, symbols_of
+from .conftest import CORPUS, CORPUS_PROGRAMS, PARITY_BUDGETS, checked_cbv, symbols_of
 from .test_semantics import COUNTDOWN, LOOP
 
 
@@ -245,6 +258,75 @@ def test_rule_budget_truncates_at_the_state_count(k):
         "n": k, "worst_rules": k + 2, "worst_result_size": 0, "derivations": 1, "truncated": False,
     }
     assert short.rows[0].truncated and short.rows[0].derivations == 0
+
+
+def reference_growth_rows(program, sizes, budget):
+    """measure_strong_poly rebuilt from one fresh outcome table per input."""
+    rows = []
+    for n in sizes:
+        worst_rules = worst_result = derivations = 0
+        truncated = False
+        for args in input_tuples(program, program.main, n, 64, 0):
+            try:
+                outs = outcome_table(program, App(program.main, args), max_states=budget.max_rules)
+            except (BudgetExceeded, CycleDetected):
+                truncated = True
+                continue
+            for v, (cost, count) in outs.items():
+                worst_rules = max(worst_rules, cost)
+                worst_result = max(worst_result, word_length(v))
+                derivations += count
+        rows.append(GrowthRow(n, worst_rules, worst_result, derivations, truncated))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("max_rules", PARITY_BUDGETS)
+@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
+def test_shared_outcome_store_keeps_growth_rows_under_tight_budgets(corpus, name, max_rules):
+    # each input pays for every stored state it reads, so it truncates
+    # where a fresh table would
+    prog = corpus[name]
+    budget = DEFAULT_BUDGET if max_rules is None else Budget(max_rules=max_rules)
+    got = measure_strong_poly(prog, sizes=range(1, 9), budget=budget).rows
+    assert got == reference_growth_rows(prog, range(1, 9), budget)
+
+
+def reference_input_tuples(program, main, n, cap, seed):
+    """input_tuples drawing every composition's pools afresh."""
+    k = main.arity
+    if k == 0:
+        return [()]
+    if k == 1:
+        return [(w,) for w in words_of_length(program, n, cap, seed)]
+    out = []
+    comps = [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
+    rng = random.Random(f"{seed}:{n}:comps")
+    if len(comps) > cap:
+        comps = rng.sample(comps, cap)
+    per = max(2, int(cap ** (1 / k)) + 1)
+    per_comp = max(1, (cap * 4) // len(comps))
+    for comp in comps:
+        pools = [words_of_length(program, c, per, seed) for c in comp]
+        out.extend(itertools.islice(itertools.product(*pools), per_comp))
+    return out
+
+
+@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
+def test_input_tuples_draw_each_pool_once(corpus, monkeypatch, name):
+    prog = corpus[name]
+    drawn = []
+
+    def counted(program, n, cap, seed):
+        drawn.append(n)
+        return words_of_length(program, n, cap, seed)
+
+    monkeypatch.setattr(blind, "words_of_length", counted)
+    for n, cap, seed in itertools.product(range(9), (3, 32, 64), (0, 1)):
+        drawn.clear()
+        assert input_tuples(prog, prog.main, n, cap, seed) == reference_input_tuples(
+            prog, prog.main, n, cap, seed
+        )
+        assert len(drawn) == len(set(drawn))
 
 
 def test_measure_append_linear(corpus):

@@ -41,7 +41,7 @@ from polytrs.qi import (
     value_qi,
     _sample_points,
 )
-from polytrs.terms import term_size
+from polytrs.terms import App, term_size
 
 from .conftest import CORPUS, checked_cbv, load, symbols_of
 from .strategies import values
@@ -285,6 +285,32 @@ def test_size_sandwich_hypothesis(corpus, v):
     a = max_constructor_constant(asg, prog)
     w = value_qi(asg, v)
     assert term_size(v) <= w <= a * term_size(v)
+
+
+def test_value_qi_weighs_a_deep_word(corpus):
+    prog = corpus["append.trs"]
+    asg = parse_assignment((CORPUS / "append.qi").read_text(), prog)
+    s0, nil = prog.symbol("s0"), prog.symbol("nil")
+    word = App(nil)
+    for _ in range(1500):
+        word = App(s0, (word,))
+    assert value_qi(asg, word) == 1501
+
+
+WEIGHTS = QiAssignment(
+    {
+        "s0": Sum((Arg(0), Const(Fraction(1)))),
+        "s1": Prod((Const(Fraction(3, 2)), Max((Arg(0), Const(Fraction(2)))))),
+        "nil": Const(Fraction(1, 3)),
+        "pair": Sum((Min((Arg(0), Arg(1))), Prod((Arg(0), Arg(1))), Const(Fraction(1)))),
+    }
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=values(max_size=10, with_pair=True))
+def test_value_qi_matches_the_term_expression(v):
+    assert value_qi(WEIGHTS, v) == eval_expr(term_qi(WEIGHTS, v), [])
 
 
 @settings(max_examples=40, deadline=None)

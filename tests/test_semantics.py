@@ -141,12 +141,27 @@ def test_value_set_state_budget_is_exact(k):
 
 
 def test_state_budget_counts_only_new_states():
-    memo: dict = {}
-    derivable_value_set(COUNTDOWN, down(3), memo)
-    # with down(s^3 0), ..., down(0) memoised, down(s^5 0) enters two states
-    assert derivable_value_set(COUNTDOWN, down(5), dict(memo), max_states=2) == {t("0", COUNTDOWN)}
+    store: dict = {}
+    paid: set = set()
+    derivable_value_set(COUNTDOWN, down(3), store, paid)
+    # with down(s^3 0), ..., down(0) paid for, down(s^5 0) enters two states
+    zero = {t("0", COUNTDOWN)}
+    assert derivable_value_set(COUNTDOWN, down(5), store, set(paid), max_states=2) == zero
     with pytest.raises(BudgetExceeded):
-        derivable_value_set(COUNTDOWN, down(5), dict(memo), max_states=1)
+        derivable_value_set(COUNTDOWN, down(5), store, set(paid), max_states=1)
+    # a walk that has paid for nothing is charged all six, stored or not
+    assert derivable_value_set(COUNTDOWN, down(5), store, set(), max_states=6) == zero
+    with pytest.raises(BudgetExceeded):
+        derivable_value_set(COUNTDOWN, down(5), store, set(), max_states=5)
+    assert len(store) == 6
+
+
+def test_a_state_on_a_cycle_is_never_stored():
+    store: dict = {}
+    for _ in range(2):  # the second walk meets the cycle again
+        with pytest.raises(CycleDetected):
+            derivable_value_set(LOOP, t("loop(s 0)", LOOP), store, set())
+        assert store == {}
 
 
 def test_first_match_deterministic(corpus):

@@ -5,8 +5,15 @@ from collections import Counter
 
 import pytest
 
-from polytrs import callgraph
-from polytrs.base import Budget, BudgetExceeded, CycleDetected, NormalizationError, NotWordProgram
+from polytrs import callgraph, semantics, wordnorm
+from polytrs.base import (
+    Budget,
+    BudgetExceeded,
+    CycleDetected,
+    DEFAULT_BUDGET,
+    NormalizationError,
+    NotWordProgram,
+)
 from polytrs.blind import blind_program, input_tuples, program_is_linear
 from polytrs.callgraph import call_dag, reachable_states, state_text
 from polytrs.ordering import EPPO, infer_precedence, order_verdict
@@ -29,7 +36,7 @@ from polytrs.wordnorm import (
     word_pattern,
 )
 
-from .conftest import CORPUS, checked_memo, load, symbols_of
+from .conftest import CORPUS, CORPUS_PROGRAMS, PARITY_BUDGETS, checked_memo, load, symbols_of
 
 MULTI_LABEL = ["fib.trs", "trip.trs", "grid2.trs", "grid3.trs", "twoclass.trs"]
 
@@ -360,7 +367,8 @@ def test_measure_bounded_values_user_poly(corpus):
 
 
 def reference_value_rows(program, sizes, budget):
-    """measure_bounded_values rebuilt from one unshared walk per input."""
+    """measure_bounded_values rebuilt from one unshared walk per input: each
+    walk has its own successor map and outcome store."""
     rows = []
     for n in sizes:
         worst = count = 0
@@ -377,16 +385,14 @@ def reference_value_rows(program, sizes, budget):
     return rows
 
 
-@pytest.mark.parametrize("max_rules", [5, 20, 50, 200])
-@pytest.mark.parametrize(
-    "name",
-    ["grid2.trs", "grid3.trs", "mult.trs", "grow.trs", "fib.trs", "trip.trs", "twoclass.trs"],
-)
+@pytest.mark.parametrize("max_rules", PARITY_BUDGETS)
+@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
 def test_shared_successor_map_keeps_rows_under_tight_budgets(corpus, name, max_rules):
-    # Expansions that raised are not shared, so every walk truncates where
-    # it would on its own.
+    # Expansions that raised are not shared, and a walk pays for every
+    # stored outcome state it reads, so every walk truncates where it would
+    # on its own.
     prog = corpus[name]
-    budget = Budget(max_rules=max_rules)
+    budget = DEFAULT_BUDGET if max_rules is None else Budget(max_rules=max_rules)
     got = measure_bounded_values(prog, sizes=range(1, 9), budget=budget)
     assert got == reference_value_rows(prog, range(1, 9), budget)
 
@@ -411,6 +417,38 @@ def test_measure_bounded_values_expands_each_state_once(corpus, monkeypatch):
             reached |= reachable_states(prog, App(prog.main, tuple(args)))
     assert set(expanded) == reached
     assert len(expanded) < sum(r.states for r in rows)  # states are revisited
+
+
+@pytest.mark.parametrize(
+    "name, distinct", [("grid3.trs", 178), ("grid2.trs", 167), ("twoclass.trs", 209)]
+)
+def test_measure_bounded_values_derives_each_outcome_state_once(
+    corpus, monkeypatch, name, distinct
+):
+    # One fresh outcome memo per walk derived 1,744, 1,390 and 1,390 states.
+    prog = corpus[name]
+    stores, derived = [], []
+    walk, match = wordnorm.reachable_states, semantics.matching_equations
+
+    def recorded_walk(program, initial, budget, successor_map, store):
+        stores.append(store)
+        return walk(program, initial, budget, successor_map, store)
+
+    def recorded_match(program, call):
+        derived.append(call)  # once per call state the outcome table derives
+        return match(program, call)
+
+    monkeypatch.setattr(wordnorm, "reachable_states", recorded_walk)
+    monkeypatch.setattr(semantics, "matching_equations", recorded_match)
+    rows = measure_bounded_values(prog)
+    monkeypatch.undo()
+    assert not any(r.truncated for r in rows)
+    assert len({id(s) for s in stores}) == 1
+    store = stores[0]
+    assert len(store) == distinct
+    assert len(derived) == len(set(derived))
+    calls = {u for u in store if all(a.is_value for a in u.args)}  # not Constructor or Split
+    assert set(derived) == calls
 
 
 def extended(program, assignment=None, **kwargs):
