@@ -20,6 +20,7 @@ from .semantics import (
     Judgement,
     R_READ,
     derivable_value_set,
+    pay,
 )
 from .terms import (
     App,
@@ -29,6 +30,7 @@ from .terms import (
     Term,
     apply_subst,
     format_term,
+    is_value,
     matching_equations,
     term_size,
 )
@@ -227,6 +229,7 @@ def successors(
     budget: Budget = DEFAULT_BUDGET,
     store: Optional[dict] = None,
     paid: Optional[set] = None,
+    charged: Optional[list] = None,
 ) -> list[TransitionEdge]:
     """All transitions realizable from a state.
 
@@ -235,7 +238,9 @@ def successors(
     each derivable argument tuple yields one edge, argument values in the
     order the outcome table derives them.  The arguments are read through
     the program's outcome ``store`` and charged to the walk's ``paid`` set
-    (see ``outcome_table``); without them the call uses fresh ones.
+    (see ``outcome_table``); without them the call uses fresh ones.  When
+    ``charged`` is given, each non-value argument is appended to it in the
+    order its outcome call is charged.
     """
     out = []
     store = {} if store is None else store
@@ -243,6 +248,8 @@ def successors(
     for eq, sigma in matching_equations(program, state):
         for occ, (_, sub) in enumerate(rhs_calls(eq)):
             inst = apply_subst(sub, sigma)
+            if charged is not None:
+                charged.extend(a for a in inst.args if not is_value(a))
             arg_sets = [
                 derivable_value_set(program, a, store, paid, budget.max_rules)
                 for a in inst.args
@@ -263,14 +270,17 @@ def reachable_states(
     call trees rooted at the initial state.
 
     ``successor_map`` maps each state expanded so far on this program to
-    its edges, so walks that share it expand each state once between them.
-    A state found there is not expanded again, and each expansion made here
-    is added to it.  Only expansions that returned are stored: one that
-    raised ``BudgetExceeded`` or ``CycleDetected`` is tried again by the
-    next walk that reaches the state.  ``store`` is the program's outcome
-    store, which walks share the same way; the ``max_rules`` state cap and
-    the set of outcome states paid for belong to this walk alone, so each
-    walk is charged what it would be charged on its own.
+    its edges and the non-value arguments its expansion charged, so walks
+    that share it expand each state once between them.  A state found there
+    is not expanded again, and each expansion made here is added to it.
+    Only expansions that returned are stored: one that raised
+    ``BudgetExceeded`` or ``CycleDetected`` is tried again by the next walk
+    that reaches the state.  ``store`` is the program's outcome store,
+    which walks that share the map share too.  The ``max_rules`` state cap
+    and the set of outcome states paid for belong to this walk alone: a
+    state found in the map charges its arguments' outcome states again, in
+    order, each argument under the ``max_rules`` cap of one outcome call.
+    So each walk is charged what it would be charged on its own.
     """
     shared: dict = {} if successor_map is None else successor_map
     store = {} if store is None else store
@@ -281,10 +291,16 @@ def reachable_states(
         if len(seen) > budget.max_rules:
             raise BudgetExceeded("state space exceeds the budget")
         eta = frontier.pop()
-        edges = shared.get(eta)
-        if edges is None:
-            edges = shared[eta] = successors(program, eta, budget, store, paid)
-        for edge in edges:
+        entry = shared.get(eta)
+        if entry is None:
+            charged: list = []
+            edges = successors(program, eta, budget, store, paid, charged)
+            entry = shared[eta] = (edges, charged)
+        else:
+            for a in entry[1]:
+                if pay(store, paid, a) > budget.max_rules:
+                    raise BudgetExceeded("state budget exceeded in outcome evaluation")
+        for edge in entry[0]:
             if edge.target not in seen:
                 seen.add(edge.target)
                 frontier.append(edge.target)
@@ -396,8 +412,6 @@ def rank_stats(structure: CallStructure, precedence: Precedence, program: Progra
     same-class descendant count, d at least 1 and k the maximum rank; the +1
     absorbs the node itself alongside its descendants.
     """
-    if not precedence.is_separating():
-        raise PrecedenceError("rank statistics need a separating precedence")
     if not precedence.is_compatible(program):
         raise PrecedenceError("rank statistics need a compatible precedence")
     ranks = function_ranks(program, precedence)

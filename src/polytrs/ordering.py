@@ -1,10 +1,11 @@
 """Precedences and the product path ordering termination checkers.
 
-A precedence partitions the signature into equivalence classes and orders
-the classes.  With strict (pairwise incomparable) constructors the induced
-recursive path ordering is PPO; with fair constructors (same arity implies
-equivalent) it is EPPO.  Tuples of arguments are compared by the product
-extension: every component weakly below, some component strictly below.
+A precedence partitions the function symbols into equivalence classes and
+orders the classes.  The path ordering places every constructor below every
+function: with strict (pairwise incomparable) constructors it is PPO, with
+fair constructors (same arity implies equivalent) it is EPPO.  Tuples of
+arguments are compared by the product extension: every component weakly
+below, some component strictly below.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ INCOMPARABLE = "incomparable"
 
 @dataclass(frozen=True)
 class Precedence:
-    """Partition of symbol names into classes plus a strict order on classes.
+    """Partition of function names into classes plus a strict order on classes.
 
-    ``class_ids`` maps each symbol name to its class id; ``below`` holds the
-    transitively closed pairs (a, b) with class a strictly below class b.
+    ``class_ids`` maps each function name to its class id; ``below`` holds
+    the transitively closed pairs (a, b) with class a strictly below class b.
+    Constructors are placed by the path ordering's mode, not here.
     """
 
     class_ids: dict
@@ -60,21 +62,10 @@ class Precedence:
             return GREATER
         return INCOMPARABLE
 
-    # -- attributes ---------------------------------------------------------
-
-    def is_separating(self) -> bool:
-        return all(
-            self.compare_symbols(c, f) == LESS
-            for c in self.signature
-            if c.is_constructor
-            for f in self.signature
-            if f.is_function
-        )
-
     def is_compatible(self, program: Program) -> bool:
         for eq in program.equations:
             for u in subterms(eq.rhs):
-                if isinstance(u, App):
+                if isinstance(u, App) and u.symbol.is_function:
                     if self.compare_symbols(u.symbol, eq.lhs_function) in (
                         GREATER,
                         INCOMPARABLE,
@@ -82,100 +73,23 @@ class Precedence:
                         return False
         return True
 
-    def is_fair(self) -> bool:
-        ctors = [s for s in self.signature if s.is_constructor]
-        return all(
-            (self.compare_symbols(a, b) == EQUIV) == (a.arity == b.arity)
-            or a == b
-            for a in ctors
-            for b in ctors
-        )
-
-    def is_strict(self) -> bool:
-        ctors = [s for s in self.signature if s.is_constructor]
-        return all(
-            self.compare_symbols(a, b) == INCOMPARABLE
-            for a in ctors
-            for b in ctors
-            if a != b
-        )
-
-    def mode(self) -> str:
-        return PPO if self.is_strict() else EPPO
-
-    def describe(self) -> str:
-        by_class: dict[int, list[str]] = {}
+    def describe(self, mode: str) -> str:
+        """Classes, then the < pairs between their least names, with the
+        constructors placed as ``mode`` places them."""
+        fn_groups: dict[int, list[str]] = {}
+        ctor_groups: dict = {}
         for s in self.signature:
-            by_class.setdefault(self.class_ids[s.name], []).append(s.name)
-        parts = []
-        for cid in sorted(by_class, key=lambda c: sorted(by_class[c])[0]):
-            parts.append("{" + " ".join(sorted(by_class[cid])) + "}")
-        rels = sorted(
-            f"{sorted(by_class[a])[0]} < {sorted(by_class[b])[0]}"
-            for (a, b) in self.below
-            if a in by_class and b in by_class
-        )
-        return "; ".join([" ".join(parts)] + rels)
-
-    def with_constructor_mode(self, mode: str) -> "Precedence":
-        """Rebuild the constructor part: strict for PPO, fair for EPPO."""
-        return _build(
-            self.signature,
-            _function_classes(self),
-            mode,
-        )
-
-
-def _function_classes(prec: Precedence) -> list[list[str]]:
-    by_class: dict[int, list[str]] = {}
-    order: dict[int, int] = {}
-    for s in prec.signature:
-        if s.is_function:
-            by_class.setdefault(prec.class_ids[s.name], []).append(s.name)
-    groups = [sorted(v) for _, v in sorted(by_class.items())]
-    # Preserve the strict order among function classes via representatives.
-    return groups, [
-        (sorted(by_class[a])[0], sorted(by_class[b])[0])
-        for (a, b) in prec.below
-        if a in by_class and b in by_class
-    ]
-
-
-def _build(signature: tuple, fn_structure, mode: str) -> Precedence:
-    groups, rel = fn_structure
-    class_ids: dict[str, int] = {}
-    next_id = 0
-    rep_to_id: dict[str, int] = {}
-    for group in groups:
-        for name in group:
-            class_ids[name] = next_id
-        rep_to_id[sorted(group)[0]] = next_id
-        next_id += 1
-    ctors = [s for s in signature if s.is_constructor]
-    ctor_ids: list[int] = []
-    if mode == PPO:
-        for c in ctors:
-            class_ids[c.name] = next_id
-            ctor_ids.append(next_id)
-            next_id += 1
-    else:
-        by_arity: dict[int, int] = {}
-        for c in ctors:
-            if c.arity not in by_arity:
-                by_arity[c.arity] = next_id
-                ctor_ids.append(next_id)
-                next_id += 1
-            class_ids[c.name] = by_arity[c.arity]
-    below = _transitive_closure(
-        (rep_to_id[a], rep_to_id[b]) for a, b in rel if rep_to_id[a] != rep_to_id[b]
-    )
-    if any(a == b for a, b in below):
-        raise PrecedenceError("cyclic precedence declaration")
-    fn_ids = set(rep_to_id.values())
-    for cid in ctor_ids:
-        for fid in fn_ids:
-            below.add((cid, fid))
-    return Precedence(class_ids, frozenset(below), signature)
+            if s.is_function:
+                fn_groups.setdefault(self.class_ids[s.name], []).append(s.name)
+            else:
+                key = s.arity if mode == EPPO else s.name
+                ctor_groups.setdefault(key, []).append(s.name)
+        rep = {cid: min(names) for cid, names in fn_groups.items()}
+        rels = [f"{rep[a]} < {rep[b]}" for a, b in self.below]
+        rels += [f"{min(c)} < {f}" for c in ctor_groups.values() for f in rep.values()]
+        groups = sorted(sorted(g) for g in [*fn_groups.values(), *ctor_groups.values()])
+        parts = " ".join("{" + " ".join(g) + "}" for g in groups)
+        return "; ".join([parts] + sorted(rels))
 
 
 def _transitive_closure(edges) -> set:
@@ -200,12 +114,11 @@ def make_precedence(
     program: Program,
     classes: list[list[str]],
     order_pairs: list[tuple[str, str]],
-    mode: str = EPPO,
 ) -> Precedence:
-    """Build a separating precedence from function classes and < pairs.
+    """Build a precedence from function classes and < pairs.
 
-    Constructor classes are derived from the mode; classes mixing functions
-    and constructors are rejected outright.
+    A function in no class gets a class of its own; a constructor in a class
+    or a pair is rejected outright.
     """
     sig_names = {s.name for s in program.signature}
     fn_names = {s.name for s in program.functions}
@@ -221,26 +134,27 @@ def make_precedence(
             if name in seen:
                 raise PrecedenceError(f"symbol {name} appears in two classes")
             seen.add(name)
-    groups = [sorted(g) for g in classes]
-    for f in sorted(fn_names - seen):
-        groups.append([f])
-    rep_of: dict[str, str] = {}
-    for g in groups:
-        for name in g:
-            rep_of[name] = sorted(g)[0]
-    rel = []
+    groups = [*classes, *([f] for f in sorted(fn_names - seen))]
+    class_ids = {name: cid for cid, group in enumerate(groups) for name in group}
     for a, b in order_pairs:
-        if a not in rep_of or b not in rep_of:
+        if a not in class_ids or b not in class_ids:
             raise PrecedenceError(f"order pair {a} < {b} mentions a non-function")
-        rel.append((rep_of[a], rep_of[b]))
-    return _build(tuple(program.signature), (groups, rel), mode)
+    below = _transitive_closure(
+        (class_ids[a], class_ids[b])
+        for a, b in order_pairs
+        if class_ids[a] != class_ids[b]
+    )
+    if any(a == b for a, b in below):
+        raise PrecedenceError("cyclic precedence declaration")
+    return Precedence(class_ids, frozenset(below), tuple(program.signature))
 
 
 def parse_precedence(text: str, program: Program, mode: str = EPPO) -> Precedence:
     """Parse ``append < f ; s0 ~ s1`` into a precedence.
 
-    ``~`` between constructors is only consistent with EPPO (fair) mode and
-    is otherwise rejected; ``~`` between functions merges their classes.
+    ``~`` between constructors of one arity restates EPPO's fair
+    constructors and is rejected under PPO; ``~`` between functions merges
+    their classes.
     """
     merges: list[tuple[str, str]] = []
     pairs: list[tuple[str, str]] = []
@@ -274,7 +188,7 @@ def parse_precedence(text: str, program: Program, mode: str = EPPO) -> Precedenc
             raise PrecedenceError(f"{a} ~ {b} mixes constructor and function")
     fn_merges = [(a, b) for a, b in merges if a in fn_names]
     classes = _union_find_classes(fn_names, fn_merges)
-    return make_precedence(program, classes, pairs, mode)
+    return make_precedence(program, classes, pairs)
 
 
 def _union_find_classes(names: set, merges: list) -> list[list[str]]:
@@ -299,13 +213,28 @@ def _union_find_classes(names: set, merges: list) -> list[list[str]]:
 
 
 class PathOrder:
-    """Memoised decision procedure for s < t under a separating precedence."""
+    """Memoised decision procedure for s < t.
 
-    def __init__(self, precedence: Precedence):
-        if not precedence.is_separating():
-            raise PrecedenceError("the path ordering needs a separating precedence")
+    The precedence orders the functions; every constructor is below every
+    function, and a constructor is equivalent only to itself under PPO and
+    to every constructor of its arity under EPPO.
+    """
+
+    def __init__(self, precedence: Precedence, mode: str):
         self.precedence = precedence
+        self.mode = mode
         self._memo: dict = {}
+
+    def compare_heads(self, a: Symbol, b: Symbol) -> str:
+        if a.is_function and b.is_function:
+            return self.precedence.compare_symbols(a, b)
+        if a.is_function:
+            return GREATER
+        if b.is_function:
+            return LESS
+        if a == b or (self.mode == EPPO and a.arity == b.arity):
+            return EQUIV
+        return INCOMPARABLE
 
     def less(self, s: Term, t: Term) -> bool:
         key = (s, t)
@@ -324,7 +253,7 @@ class PathOrder:
                 if s == ti or self.less(s, ti):
                     return True
         if isinstance(s, App) and isinstance(t, App):
-            rel = self.precedence.compare_symbols(s.symbol, t.symbol)
+            rel = self.compare_heads(s.symbol, t.symbol)
             if rel == LESS:
                 # Rule 2: smaller head symbol, all arguments below t.
                 return all(self.less(si, t) for si in s.args)
@@ -345,11 +274,6 @@ class PathOrder:
             else:
                 return False
         return strict
-
-
-def compare(precedence: Precedence, s: Term, t: Term) -> bool:
-    """True iff s is strictly below t in the path ordering (Less)."""
-    return PathOrder(precedence).less(s, t)
 
 
 @dataclass(frozen=True)
@@ -374,7 +298,7 @@ class OrderingVerdict:
     def as_dict(self) -> dict:
         return {
             "mode": self.mode,
-            "precedence": self.precedence.describe(),
+            "precedence": self.precedence.describe(self.mode),
             "overall": self.overall,
             "per_equation": [
                 {
@@ -391,7 +315,7 @@ class OrderingVerdict:
 def _failing_subgoal(order: PathOrder, s: Term, t: Term) -> str:
     """A concrete unsatisfied proof obligation for s < t (which must fail)."""
     if isinstance(s, App) and isinstance(t, App):
-        rel = order.precedence.compare_symbols(s.symbol, t.symbol)
+        rel = order.compare_heads(s.symbol, t.symbol)
         if rel == LESS:
             for si in s.args:
                 if not order.less(si, t):
@@ -408,15 +332,9 @@ def _failing_subgoal(order: PathOrder, s: Term, t: Term) -> str:
     return f"{format_term(s)} is not below {format_term(t)}"
 
 
-def check_program(
-    program: Program, precedence: Precedence, mode: Optional[str] = None
-) -> OrderingVerdict:
+def check_program(program: Program, precedence: Precedence, mode: str) -> OrderingVerdict:
     """Per-equation decrease check r < l; the verdict carries witnesses."""
-    if mode is not None:
-        precedence = precedence.with_constructor_mode(mode)
-    else:
-        mode = precedence.mode()
-    order = PathOrder(precedence)
+    order = PathOrder(precedence, mode)
     verdicts = []
     for eq in program.equations:
         lhs = eq.lhs
@@ -513,6 +431,6 @@ def _inferred_verdict(program: Program, mode: str) -> Optional[OrderingVerdict]:
         for g in callees:
             if rep[f] != rep[g]:
                 pairs.append((g, f))
-    prec = make_precedence(program, comps, pairs, mode)
+    prec = make_precedence(program, comps, pairs)
     verdict = check_program(program, prec, mode)
     return verdict if verdict.overall else None

@@ -354,6 +354,20 @@ def all_derivations(
     return [_make_proof(r, "cbv") for r in derivs], run.truncated
 
 
+def pay(store: dict, paid: set, u: Term) -> int:
+    """Marks the stored non-value term u and its dependency closure paid,
+    stopping at states already paid; returns how many were new."""
+    new = 0
+    todo = [u]
+    while todo:
+        w = todo.pop()
+        if w not in paid:
+            new += 1
+            paid.add(w)
+            todo.extend(store[w][1])
+    return new
+
+
 def outcome_table(
     program: Program,
     term: Term,
@@ -388,9 +402,9 @@ def outcome_table(
     stack: set = set()
     entered = 0
 
-    def enter() -> None:
+    def enter(states: int = 1) -> None:
         nonlocal entered
-        entered += 1
+        entered += states
         if entered > max_states:
             raise BudgetExceeded("state budget exceeded in outcome evaluation")
 
@@ -408,14 +422,7 @@ def outcome_table(
         entry = store.get(u)
         if entry is None:
             return None
-        if u not in paid:
-            todo = [u]
-            while todo:
-                w = todo.pop()
-                if w not in paid:
-                    enter()
-                    paid.add(w)
-                    todo.extend(store[w][1])
+        enter(pay(store, paid, u))
         return entry[0]
 
     def go(u: Term):  # for a u that is no value; its callers try known(u) first

@@ -404,8 +404,9 @@ def measure_bounded_values(
     with call-tree membership; a user polynomial in the input size is
     checked against each untruncated row when supplied.  All inputs share
     one successor map and one outcome store, so each state is expanded, and
-    each outcome state derived, once across every walk; each walk is still
-    charged the budget it would be charged on its own.
+    each outcome state derived, once across every walk.  Each walk is still
+    charged the budget it would be charged on its own: a state it reads from
+    the map charges the outcome states of that expansion's arguments again.
     """
     rows = []
     main = program.main
@@ -474,7 +475,6 @@ def certify_extended(
     qi_overall: Optional[str],
     orthogonal: bool,
     linear: bool,
-    user_poly: Optional[QiExpr] = None,
     sizes: range = range(1, 9),
     budget: Budget = DEFAULT_BUDGET,
     seed: int = 0,
@@ -519,10 +519,7 @@ def certify_extended(
         if has_memo_path:
             try:
                 value_rows = tuple(
-                    measure_bounded_values(
-                        program, sizes=sizes, budget=budget, user_poly=user_poly,
-                        seed=seed,
-                    )
+                    measure_bounded_values(program, sizes=sizes, budget=budget, seed=seed)
                 )
                 cls = classify_growth(
                     [r.max_state_size for r in value_rows if not r.truncated]
@@ -552,10 +549,7 @@ def certify_extended(
         overall = "certified-p"
     elif bounded == "empirical-exp":
         overall = "refuted"
-    elif eppo_pass and bounded == "empirical-poly" and (
-        user_poly is None
-        or (value_rows and all(r.poly_ok for r in value_rows if r.poly_ok is not None))
-    ):
+    elif eppo_pass and bounded == "empirical-poly":
         overall = "empirically-consistent"
     else:
         overall = "unknown"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polytrs import ordering
 from polytrs.base import PrecedenceError
 from polytrs.blind import blind_program
 from polytrs.ordering import (
@@ -12,7 +13,6 @@ from polytrs.ordering import (
     PathOrder,
     _transitive_closure,
     check_program,
-    compare,
     infer_precedence,
     make_precedence,
     parse_precedence,
@@ -35,39 +35,35 @@ def running(corpus):
 
 
 @pytest.fixture(scope="module")
-def strict_prec(running):
-    return make_precedence(running, [["append"], ["f"]], [("append", "f")], PPO)
+def prec(running):
+    return make_precedence(running, [["append"], ["f"]], [("append", "f")])
 
 
-@pytest.fixture(scope="module")
-def fair_prec(running):
-    return make_precedence(running, [["append"], ["f"]], [("append", "f")], EPPO)
+def test_strict_subterm_rule(running, prec):
+    order = PathOrder(prec, PPO)
+    assert order.less(t("s1 x", running), t("s0 s1 x", running))
+    assert not order.less(t("s1 x", running), t("s0 s0 x", running))
 
 
-def test_strict_subterm_rule(running, strict_prec):
-    assert compare(strict_prec, t("s1 x", running), t("s0 s1 x", running))
-    assert not compare(strict_prec, t("s1 x", running), t("s0 s0 x", running))
+def test_fair_equivalent_heads(running, prec):
+    assert PathOrder(prec, EPPO).less(t("s1 x", running), t("s0 s0 x", running))
 
 
-def test_fair_equivalent_heads(running, fair_prec):
-    assert compare(fair_prec, t("s1 x", running), t("s0 s0 x", running))
-
-
-def test_irreflexive(running, fair_prec, strict_prec):
+def test_irreflexive(running, prec):
     for text in ("nil", "s0 x", "f(s1 x)", "append(x, y)"):
         u = t(text, running)
-        assert not compare(fair_prec, u, u)
-        assert not compare(strict_prec, u, u)
+        assert not PathOrder(prec, EPPO).less(u, u)
+        assert not PathOrder(prec, PPO).less(u, u)
 
 
-def test_running_fails_ppo_passes_eppo(running, strict_prec, fair_prec):
-    ppo = check_program(running, strict_prec, PPO)
+def test_running_fails_ppo_passes_eppo(running, prec):
+    ppo = check_program(running, prec, PPO)
     assert not ppo.overall
     failing = [v for v in ppo.per_equation if not v.decreasing]
     assert [v.equation.index for v in failing] == [0]  # the i=0 instance
     assert "s1(x)" in failing[0].failing_subgoal
     assert "s0(s0(x))" in failing[0].failing_subgoal
-    eppo = check_program(running, fair_prec, EPPO)
+    eppo = check_program(running, prec, EPPO)
     assert eppo.overall
 
 
@@ -94,13 +90,37 @@ def test_reverse_not_orderable(corpus):
 def test_infer_precedence_classes(running):
     prec = infer_precedence(running, EPPO)
     assert prec is not None
+    assert set(prec.class_ids) == {"append", "f"}
     assert prec.class_of("append") != prec.class_of("f")
     assert prec.compare_symbols(running.symbol("append"), running.symbol("f")) == "less"
-    assert prec.class_of("s0") == prec.class_of("s1")  # fair
-    assert prec.class_of("s0") != prec.class_of("nil")  # different arity
-    assert prec.is_separating()
     assert prec.is_compatible(running)
-    assert prec.is_fair()
+    s0, s1, nil = (running.symbol(c) for c in ("s0", "s1", "nil"))
+    assert PathOrder(prec, EPPO).compare_heads(s0, s1) == "equiv"  # fair
+    assert PathOrder(prec, PPO).compare_heads(s0, s1) == "incomparable"  # strict
+    for mode in (PPO, EPPO):
+        order = PathOrder(prec, mode)
+        assert order.compare_heads(s0, nil) == "incomparable"  # different arity
+        for c in running.constructors:
+            for f in running.functions:
+                assert order.compare_heads(c, f) == "less"
+                assert order.compare_heads(f, c) == "greater"
+
+
+@pytest.mark.parametrize("mode", [PPO, EPPO])
+def test_inferred_precedence_is_built_once(corpus, monkeypatch, mode):
+    prog = corpus["append.trs"]
+    built = []
+    real = ordering.Precedence
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ordering, "Precedence", counted)
+    prec = infer_precedence(prog, mode)
+    verdict = check_program(prog, prec, mode)
+    assert verdict.overall and verdict.precedence is prec
+    assert len(built) == 1
 
 
 def test_infer_precedence_flat_program(corpus):
@@ -124,8 +144,10 @@ def test_static_call_graph(running):
 
 def test_parse_precedence(running):
     prec = parse_precedence("append < f ; s0 ~ s1", running, EPPO)
+    assert set(prec.class_ids) == {"append", "f"}
     assert prec.compare_symbols(running.symbol("append"), running.symbol("f")) == "less"
-    assert prec.class_of("s0") == prec.class_of("s1")
+    s0, s1 = running.symbol("s0"), running.symbol("s1")
+    assert PathOrder(prec, EPPO).compare_heads(s0, s1) == "equiv"
     with pytest.raises(PrecedenceError):
         parse_precedence("s0 ~ s1", running, PPO)
     with pytest.raises(PrecedenceError):
@@ -159,29 +181,12 @@ def test_order_line_in_program_file(tmp_path):
 
 def test_mixed_classes_rejected(running):
     with pytest.raises(PrecedenceError):
-        make_precedence(running, [["f", "s0"]], [], EPPO)
+        make_precedence(running, [["f", "s0"]], [])
 
 
 def test_cyclic_order_rejected(running):
     with pytest.raises(PrecedenceError):
-        make_precedence(running, [["append"], ["f"]], [("append", "f"), ("f", "append")], PPO)
-
-
-def test_nonseparating_rejected(running, strict_prec):
-    # A precedence with a constructor not below functions cannot drive the order.
-    from polytrs.ordering import Precedence
-
-    broken = Precedence(
-        dict(strict_prec.class_ids),
-        frozenset(
-            p
-            for p in strict_prec.below
-            if p[0] != strict_prec.class_of("nil")
-        ),
-        strict_prec.signature,
-    )
-    with pytest.raises(PrecedenceError):
-        compare(broken, t("nil", running), t("f(nil)", running))
+        make_precedence(running, [["append"], ["f"]], [("append", "f"), ("f", "append")])
 
 
 _SAMPLED = parse_program(
@@ -191,15 +196,14 @@ _SAMPLED = parse_program(
     "g(x, y) -> x\n"
     "main: f\n"
 )
-_SAMPLED_STRICT = make_precedence(_SAMPLED, [["g"], ["f"]], [("g", "f")], PPO)
-_SAMPLED_FAIR = make_precedence(_SAMPLED, [["g"], ["f"]], [("g", "f")], EPPO)
+_SAMPLED_PREC = make_precedence(_SAMPLED, [["g"], ["f"]], [("g", "f")])
 
 
 @settings(max_examples=60, deadline=None)
 @given(u=terms(max_size=6))
 def test_subterm_implies_less(u):
-    for prec in (_SAMPLED_STRICT, _SAMPLED_FAIR):
-        order = PathOrder(prec)
+    for mode in (PPO, EPPO):
+        order = PathOrder(_SAMPLED_PREC, mode)
         for sub in subterms(u):
             if sub != u:
                 assert order.less(sub, u)
@@ -208,7 +212,7 @@ def test_subterm_implies_less(u):
 @settings(max_examples=60, deadline=None)
 @given(s=terms(max_size=5), u=terms(max_size=5), w=terms(max_size=5))
 def test_transitivity_sampled(s, u, w):
-    order = PathOrder(_SAMPLED_FAIR)
+    order = PathOrder(_SAMPLED_PREC, EPPO)
     if order.less(s, u) and order.less(u, w):
         assert order.less(s, w)
 
@@ -216,8 +220,8 @@ def test_transitivity_sampled(s, u, w):
 @settings(max_examples=80, deadline=None)
 @given(s=terms(max_size=5), u=terms(max_size=5))
 def test_eppo_extends_ppo(s, u):
-    if PathOrder(_SAMPLED_STRICT).less(s, u):
-        assert PathOrder(_SAMPLED_FAIR).less(s, u)
+    if PathOrder(_SAMPLED_PREC, PPO).less(s, u):
+        assert PathOrder(_SAMPLED_PREC, EPPO).less(s, u)
 
 
 def test_ppo_transfer_to_blind_whole_corpus(corpus):
@@ -279,9 +283,9 @@ def test_precedence_below_is_the_closure_of_the_declared_pairs(edges):
     closure = _warshall(_NODES, [(a, b) for a, b in edges if a != b])
     if any(a == b for a, b in closure):
         with pytest.raises(PrecedenceError):
-            make_precedence(_SEVEN_FUNCTIONS, [], pairs, PPO)
+            make_precedence(_SEVEN_FUNCTIONS, [], pairs)
         return
-    prec = make_precedence(_SEVEN_FUNCTIONS, [], pairs, PPO)
+    prec = make_precedence(_SEVEN_FUNCTIONS, [], pairs)
     ids = {prec.class_of(f"f{i}"): i for i in _NODES}
     functions_below = {(ids[a], ids[b]) for a, b in prec.below if a in ids and b in ids}
     assert functions_below == closure

@@ -397,6 +397,33 @@ def test_shared_successor_map_keeps_rows_under_tight_budgets(corpus, name, max_r
     assert got == reference_value_rows(prog, range(1, 9), budget)
 
 
+# The walk from m(b w) expands p(w).  The walk from m(a w) reads p(w) from the
+# successor map and must still pay for h(w)'s outcome states; otherwise its
+# next expansion, q(w), charges them to the call on h(a w), and that call can
+# exceed a budget it fits on its own.
+_SHARED_WALK = parse_program(
+    "constructors: b/1 a/1 0/0\n"
+    "functions: m/1 p/1 q/1 r/1 h/1\n"
+    "m(b x) -> p(x)\n"
+    "m(a x) -> q(x)\n"
+    "m(a x) -> p(x)\n"
+    "p(x) -> r(h(x))\n"
+    "q(x) -> r(h(a x))\n"
+    "r(y) -> y\n"
+    "h(a x) -> a a h(x)\n"
+    "h(b x) -> b b h(x)\n"
+    "h(0) -> 0\n"
+    "main: m\n"
+)
+
+
+@pytest.mark.parametrize("max_rules", PARITY_BUDGETS)
+def test_successor_map_hit_charges_its_arguments(max_rules):
+    budget = DEFAULT_BUDGET if max_rules is None else Budget(max_rules=max_rules)
+    got = measure_bounded_values(_SHARED_WALK, sizes=range(1, 9), budget=budget)
+    assert got == reference_value_rows(_SHARED_WALK, range(1, 9), budget)
+
+
 def test_measure_bounded_values_expands_each_state_once(corpus, monkeypatch):
     prog = corpus["grid3.trs"]
     expanded = []
