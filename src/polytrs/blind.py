@@ -24,7 +24,7 @@ from .base import (
     QiError,
     run_stack,
 )
-from .callgraph import function_ranks, rank_recurrence_bound, rhs_calls
+from .callgraph import function_ranks, rank_recurrence_bound
 from .ordering import Precedence
 from .qi import (
     Arg,
@@ -124,7 +124,7 @@ def is_linear(program: Program, precedence: Precedence) -> dict:
     for f in program.functions:
         cls = precedence.class_of(f.name)
         out[f.name] = all(
-            sum(precedence.class_of(u.symbol.name) == cls for _, u in rhs_calls(eq)) <= 1
+            sum(precedence.class_of(u.symbol.name) == cls for _, u in eq.calls.values()) <= 1
             for eq in program.equations_for(f)
         )
     return out

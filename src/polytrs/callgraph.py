@@ -27,7 +27,6 @@ from .terms import (
     Equation,
     Program,
     Symbol,
-    Term,
     apply_subst,
     format_term,
     is_value,
@@ -153,22 +152,7 @@ def call_tree_arity(program: Program) -> int:
     judgement under the activation, nested calls included, so the constant
     counts occurrences rather than maximal subterms.
     """
-    return max((len(rhs_calls(eq)) for eq in program.equations), default=0)
-
-
-def rhs_calls(eq: Equation) -> list[tuple[tuple, App]]:
-    """(position, subterm) of each function-headed occurrence of the rhs, pre-order."""
-    out: list[tuple[tuple, App]] = []
-
-    def go(t: Term, pos: tuple) -> None:
-        if isinstance(t, App):
-            if t.symbol.is_function:
-                out.append((pos, t))
-            for i, a in enumerate(t.args):
-                go(a, pos + (i,))
-
-    go(eq.rhs, ())
-    return out
+    return max((len(eq.calls) for eq in program.equations), default=0)
 
 
 def _topmost_calls(j: Judgement) -> list[tuple[tuple, Judgement]]:
@@ -195,9 +179,9 @@ def _call_structure(proof: DerivationProof, kind: str) -> CallStructure:
 
     def build(j: Judgement):
         node = by_lhs[j.lhs] = CallNode(j.lhs)
-        occurrence = {p: i for i, (p, _) in enumerate(rhs_calls(j.equation))}
+        calls = j.equation.calls
         for pos, call in _topmost_calls(j.activation):
-            edge = TransitionEdge(j.lhs, call.lhs, j.equation, occurrence[pos])
+            edge = TransitionEdge(j.lhs, call.lhs, j.equation, calls[pos][0])
             if call.rule == R_READ:
                 node.read_links.append((edge, by_lhs[call.lhs]))
             else:
@@ -246,16 +230,16 @@ def successors(
     store = {} if store is None else store
     paid = set() if paid is None else paid
     for eq, sigma in matching_equations(program, state):
-        for occ, (_, sub) in enumerate(rhs_calls(eq)):
-            inst = apply_subst(sub, sigma)
+        for occ, sub in eq.calls.values():
+            args = [apply_subst(a, sigma) for a in sub.args]
             if charged is not None:
-                charged.extend(a for a in inst.args if not is_value(a))
+                charged.extend(a for a in args if not is_value(a))
             arg_sets = [
                 derivable_value_set(program, a, store, paid, budget.max_rules)
-                for a in inst.args
+                for a in args
             ]
             for combo in itertools.product(*arg_sets):
-                out.append(TransitionEdge(state, App(inst.symbol, combo), eq, occ))
+                out.append(TransitionEdge(state, App(sub.symbol, combo), eq, occ))
     return out
 
 

@@ -310,10 +310,10 @@ def _dispatch(args) -> int:
 
     if args.command == "measure":
         program = _load_program(args.program)
-        poly = (
-            _parse_expr(args.poly, ["n"], 1) if getattr(args, "poly", None) else None
-        )
         if args.kind == "growth":
+            if args.poly:
+                _emit_json(args, {"error": "usage", "message": "--poly needs --kind values"})
+                return 3
             table = measure_strong_poly(
                 program, sizes=args.sizes, budget=budget, seed=args.seed
             )
@@ -322,6 +322,7 @@ def _dispatch(args) -> int:
             else:
                 _emit_json(args, table.as_dict())
         else:
+            poly = _parse_expr(args.poly, ["n"], 1) if args.poly else None
             rows = measure_bounded_values(
                 program, sizes=args.sizes, budget=budget, user_poly=poly, seed=args.seed
             )

@@ -21,7 +21,6 @@ from .terms import (
     Symbol,
     Term,
     format_term,
-    subterms,
 )
 
 PPO = "ppo"
@@ -63,15 +62,11 @@ class Precedence:
         return INCOMPARABLE
 
     def is_compatible(self, program: Program) -> bool:
-        for eq in program.equations:
-            for u in subterms(eq.rhs):
-                if isinstance(u, App) and u.symbol.is_function:
-                    if self.compare_symbols(u.symbol, eq.lhs_function) in (
-                        GREATER,
-                        INCOMPARABLE,
-                    ):
-                        return False
-        return True
+        return all(
+            self.compare_symbols(u.symbol, eq.lhs_function) in (LESS, EQUIV)
+            for eq in program.equations
+            for _, u in eq.calls.values()
+        )
 
     def describe(self, mode: str) -> str:
         """Classes, then the < pairs between their least names, with the
@@ -175,6 +170,9 @@ def parse_precedence(text: str, program: Program, mode: str = EPPO) -> Precedenc
         else:
             raise ParseError(f"cannot read precedence clause {clause!r}")
     for a, b in merges:
+        for name in (a, b):
+            if name not in fn_names and name not in ctor_names:
+                raise PrecedenceError(f"unknown symbol {name} in precedence")
         if a in ctor_names and b in ctor_names:
             ca = next(s for s in program.constructors if s.name == a)
             cb = next(s for s in program.constructors if s.name == b)
@@ -201,8 +199,7 @@ def _union_find_classes(names: set, merges: list) -> list[list[str]]:
         return x
 
     for a, b in merges:
-        if a in parent and b in parent:
-            parent[find(a)] = find(b)
+        parent[find(a)] = find(b)
     groups: dict[str, list[str]] = {}
     for n in names:
         groups.setdefault(find(n), []).append(n)
@@ -351,9 +348,7 @@ def static_call_graph(program: Program) -> dict:
     """f -> set of functions occurring in the rhs of f's equations."""
     out: dict[str, set] = {f.name: set() for f in program.functions}
     for eq in program.equations:
-        for u in subterms(eq.rhs):
-            if isinstance(u, App) and u.symbol.is_function:
-                out[eq.lhs_function.name].add(u.symbol.name)
+        out[eq.lhs_function.name].update(u.symbol.name for _, u in eq.calls.values())
     return out
 
 

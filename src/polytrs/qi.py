@@ -759,6 +759,8 @@ def parse_assignment(text: str, program: Program) -> QiAssignment:
             raise ParseError(
                 f"{name}/{sym.arity} declared with {len(params)} parameters", lineno, 1
             )
+        if name in entries:
+            raise ParseError(f"second qi line for {name}", lineno, 1)
         entries[name] = _parse_expr(body, params, lineno)
     return QiAssignment(entries)
 

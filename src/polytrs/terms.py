@@ -257,9 +257,22 @@ class Equation:
     index: int
     # Built once, so the interned lhs node lives as long as the equation.
     lhs: App = field(init=False, compare=False, repr=False)
+    # The rhs call sites: position -> (occurrence, subterm) for each
+    # function-headed rhs subterm, in pre-order, so occurrence counts up.
+    calls: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lhs", App(self.lhs_function, self.lhs_patterns))
+        calls: dict = {}
+        todo: list = [((), self.rhs)]
+        while todo:
+            pos, t = todo.pop()
+            if isinstance(t, App) and not t.is_value:  # a value holds no call
+                if t.symbol.is_function:
+                    calls[pos] = (len(calls), t)
+                for i in range(len(t.args) - 1, -1, -1):
+                    todo.append((pos + (i,), t.args[i]))
+        object.__setattr__(self, "calls", calls)
 
     def is_left_linear(self) -> bool:
         names: list[str] = []

@@ -25,7 +25,6 @@ from .callgraph import (
     CallStructure,
     DAG,
     reachable_states,
-    rhs_calls,
     state_text,
 )
 from .blind import classify_growth, input_tuples, measure_strong_poly, word_alphabet
@@ -97,7 +96,7 @@ def same_class_calls(program: Program, precedence: Precedence) -> list[SameClass
     out = []
     for eq in program.equations:
         cls = precedence.class_of(eq.lhs_function.name)
-        for occ, (_, sub) in enumerate(rhs_calls(eq)):
+        for occ, sub in eq.calls.values():
             if precedence.class_of(sub.symbol.name) != cls:
                 continue
             args = []

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from polytrs.bc import compile_bc, random_bc
 from polytrs.blind import blind_program
 from polytrs.callgraph import (
     call_dag,
@@ -21,7 +22,8 @@ from polytrs.callgraph import (
 from polytrs.ordering import EPPO, PPO, infer_precedence
 from polytrs.parser import parse_program, parse_term
 from polytrs.qi import parse_assignment, value_qi
-from polytrs.terms import App, term_size
+from polytrs.terms import App, Equation, term_size
+from polytrs.wordnorm import normalize
 
 from .conftest import CORPUS, checked_cbv, checked_memo, symbols_of
 
@@ -252,3 +254,47 @@ def test_successor_order_is_the_same_under_every_hash_seed():
         outputs.append(out.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count("\n") > 100  # the walks reached many states
+
+
+def reference_calls(eq):
+    """(position, subterm) of each function-headed rhs occurrence, pre-order,
+    by a plain positional recursion."""
+    out = []
+
+    def go(u, pos):
+        if isinstance(u, App):
+            if u.symbol.is_function:
+                out.append((pos, u))
+            for i, a in enumerate(u.args):
+                go(a, pos + (i,))
+
+    go(eq.rhs, ())
+    return out
+
+
+def test_equation_calls_match_a_positional_walk(corpus):
+    programs = {}
+    for name, prog in corpus.items():
+        programs[name] = prog
+        programs[f"blind {name}"] = blind_program(prog).program
+    for name in ("norm2rule.trs", "norm2rule_nil.trs"):
+        prog = corpus[name]
+        programs[f"normalized {name}"] = normalize(prog, infer_precedence(prog, EPPO))
+    for seed in range(200):
+        programs[f"bc {seed}"] = compile_bc(random_bc(seed, 4)).program
+    assert len(programs) == 18 * 2 + 2 + 200
+    sites = 0
+    for name, prog in programs.items():
+        for eq in prog.equations:
+            expected = [(pos, (occ, u)) for occ, (pos, u) in enumerate(reference_calls(eq))]
+            assert list(eq.calls.items()) == expected, (name, eq)
+            sites += len(expected)
+    assert sites > 1000
+
+
+def test_equation_equality_and_hash_ignore_calls(corpus):
+    eq = corpus["running.trs"].equations[1]
+    assert len(eq.calls) == 3
+    twin = Equation(eq.lhs_function, eq.lhs_patterns, eq.rhs, eq.index)
+    object.__setattr__(twin, "calls", {})
+    assert twin == eq and hash(twin) == hash(eq) and repr(twin) == repr(eq)

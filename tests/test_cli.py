@@ -372,3 +372,29 @@ def test_parser_is_built_once_and_calls_share_no_state(capsys, monkeypatch):
     code, data = run_json(capsys, "--sizes", "1..2", "measure", str(CORPUS / "append.trs"))
     assert code == 0 and [r["n"] for r in data["rows"]] == [1, 2]
     assert built == []  # later calls reuse the first call's parser
+
+
+def test_measure_poly_under_kind_growth_is_a_usage_error(capsys):
+    trs = str(CORPUS / "append.trs")
+    code, data = run_json(capsys, "measure", "--poly", "n + 1", trs)
+    assert code == 3
+    assert data == {"error": "usage", "message": "--poly needs --kind values"}
+    code, data = run_json(
+        capsys, "--sizes", "1..2", "measure", "--poly", "n + 1", "--kind", "values", trs
+    )
+    assert code == 0 and len(data["rows"]) == 2
+
+
+@pytest.mark.parametrize("order", ["f ~ zzz", "zzz ~ append", "append < zzz"])
+def test_order_with_an_unknown_symbol_exits_3(capsys, order):
+    code, data = run_json(capsys, "--order", order, "check-order", str(CORPUS / "running.trs"))
+    assert code == 3 and data["error"] == "precedence-error"
+    assert "zzz" in data["message"]
+
+
+def test_check_qi_with_a_second_line_for_a_symbol_exits_3(tmp_path, capsys):
+    qi = tmp_path / "twice.qi"
+    qi.write_text((CORPUS / "append.qi").read_text() + "qi append(X, Y) = X * Y\n")
+    code, data = run_json(capsys, "--qi", str(qi), "check-qi", str(CORPUS / "append.trs"))
+    assert code == 3
+    assert data == {"error": "parse-error", "message": "5:1: second qi line for append"}

@@ -1,10 +1,13 @@
-"""Every polytrs module imports at module level, and none caches globally.
+"""Every polytrs module imports at module level, uses what it imports, and
+none caches globally.
 
 The modules are layered terms -> semantics -> ordering -> qi -> callgraph ->
 blind -> wordnorm -> report -> cli, so no import cycle needs to be broken by
-importing inside a function.  No function is wrapped in ``functools.lru_cache``
-or ``functools.cache``: such a cache is process-global and, unbounded, keeps
-every argument alive.  Memo tables belong to one computation instead.
+importing inside a function.  A module uses every name it imports; only
+``__init__.py`` imports names to re-export them.  No function is wrapped in
+``functools.lru_cache`` or ``functools.cache``: such a cache is
+process-global and, unbounded, keeps every argument alive.  Memo tables
+belong to one computation instead.
 """
 
 from __future__ import annotations
@@ -27,6 +30,17 @@ def function_local_imports(tree: ast.AST) -> list[str]:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 out.append(f"line {node.lineno} in {fn.name}")
     return out
+
+
+def unused_imports(tree: ast.AST) -> list[str]:
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for line, name in imported if name not in used]
 
 
 GLOBAL_CACHES = {"lru_cache", "cache"}
@@ -58,6 +72,28 @@ def test_no_function_local_imports(path):
 def test_guard_sees_a_nested_import():
     tree = ast.parse("class C:\n    def m(self):\n        import os\n")
     assert function_local_imports(tree) == ["line 3 in m"]
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert unused_imports(tree) == []
+
+
+def test_import_guard_sees_every_spelling():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from .terms import App, Term as T, Var\n"
+        "def f(x: T) -> None:\n"
+        "    return system.argv, Var\n"
+    )
+    found = unused_imports(ast.parse(source))
+    assert found == ["line 2: os", "line 3: os", "line 5: App"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

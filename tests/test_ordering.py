@@ -154,6 +154,12 @@ def test_parse_precedence(running):
         parse_precedence("s0 ~ f", running, EPPO)
 
 
+@pytest.mark.parametrize("text", ["f ~ zzz", "zzz ~ append", "append < f ; s0 ~ zzz"])
+def test_equivalence_with_an_unknown_symbol_is_rejected(running, text):
+    with pytest.raises(PrecedenceError, match="^unknown symbol zzz in precedence$"):
+        parse_precedence(text, running, EPPO)
+
+
 def test_order_line_in_program_file(tmp_path):
     text = (
         "constructors: s/1 0/0\n"

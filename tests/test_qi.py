@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytrs.base import QiError
+from polytrs.base import ParseError, QiError
 from polytrs.parser import parse_program, parse_term
 from polytrs.qi import (
     GRID_CAP,
@@ -662,3 +662,11 @@ def test_expression_hash_is_the_same_in_every_process():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert int(out.stdout) == hash(e)
+
+
+def test_second_qi_line_for_a_symbol_is_a_parse_error(corpus):
+    prog = corpus["append.trs"]
+    text = (CORPUS / "append.qi").read_text() + "qi append(X, Y) = X * Y\n"
+    with pytest.raises(ParseError, match="second qi line for append") as err:
+        parse_assignment(text, prog)
+    assert err.value.line == 5
