@@ -98,21 +98,27 @@ def blind_program(program: Program) -> BlindProgram:
 
 
 def blind_proof(blind: BlindProgram, proof: DerivationProof) -> DerivationProof:
-    """Map a cbv proof through the blinding; rule counts are preserved."""
+    """Map a cbv proof through the blinding; rule counts are preserved, and
+    a judgement the proof shares maps to one shared image."""
     eq_by_index = {eq.index: eq for eq in blind.program.equations}
     memo: dict = {}
+    images: dict = {}  # judgement -> its image
 
     def go(j: Judgement):
+        out = images.get(j)
+        if out is not None:
+            return out
         kids = []
         for c in j.children:
             kids.append((yield go(c)))
-        return Judgement(
+        out = images[j] = Judgement(
             j.rule,
             (yield _blind_term(j.lhs, blind.provenance, memo)),
             (yield _blind_term(j.result, blind.provenance, memo)),
             tuple(kids),
             eq_by_index[j.equation.index] if j.equation is not None else None,
         )
+        return out
 
     root = run_stack(go(proof.root))
     return DerivationProof(root, proof.mode, classify(root), ())

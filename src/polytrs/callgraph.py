@@ -173,15 +173,22 @@ def _topmost_calls(j: Judgement) -> list[tuple[tuple, Judgement]]:
 
 
 def _call_structure(proof: DerivationProof, kind: str) -> CallStructure:
-    """One node per call judgement but Read; a Read becomes a link to the
-    node of the Update that installed its entry."""
+    """One node per call judgement occurrence but Read; a Read becomes a
+    link to the node of the Update that installed its entry.  The edges out
+    of a judgement that occurs more than once are found once."""
     by_lhs: dict[App, CallNode] = {}
+    links: dict[Judgement, list] = {}  # call judgement -> [(edge, callee)]
 
     def build(j: Judgement):
         node = by_lhs[j.lhs] = CallNode(j.lhs)
-        calls = j.equation.calls
-        for pos, call in _topmost_calls(j.activation):
-            edge = TransitionEdge(j.lhs, call.lhs, j.equation, calls[pos][0])
+        out = links.get(j)
+        if out is None:
+            calls = j.equation.calls
+            out = links[j] = [
+                (TransitionEdge(j.lhs, call.lhs, j.equation, calls[pos][0]), call)
+                for pos, call in _topmost_calls(j.activation)
+            ]
+        for edge, call in out:
             if call.rule == R_READ:
                 node.read_links.append((edge, by_lhs[call.lhs]))
             else:

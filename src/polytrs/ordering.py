@@ -159,20 +159,18 @@ def parse_precedence(text: str, program: Program, mode: str = EPPO) -> Precedenc
         clause = clause.strip()
         if not clause:
             continue
-        if "<" in clause:
-            parts = [p.strip() for p in clause.split("<")]
-            for a, b in zip(parts, parts[1:]):
-                pairs.append((a, b))
-        elif "~" in clause:
-            parts = [p.strip() for p in clause.split("~")]
-            for a, b in zip(parts, parts[1:]):
-                merges.append((a, b))
-        else:
+        op, out = ("<", pairs) if "<" in clause else ("~", merges)
+        if op not in clause:
             raise ParseError(f"cannot read precedence clause {clause!r}")
-    for a, b in merges:
-        for name in (a, b):
+        parts = [p.strip() for p in clause.split(op)]
+        if not all(parts):
+            raise ParseError(f"precedence clause {clause!r} has an empty side")
+        out.extend(zip(parts, parts[1:]))
+    for pair in merges + pairs:
+        for name in pair:
             if name not in fn_names and name not in ctor_names:
                 raise PrecedenceError(f"unknown symbol {name} in precedence")
+    for a, b in merges:
         if a in ctor_names and b in ctor_names:
             ca = next(s for s in program.constructors if s.name == a)
             cb = next(s for s in program.constructors if s.name == b)

@@ -4,6 +4,9 @@ Both interpreters build full derivation proofs.  Judgements are tagged with
 the rule that produced them; Function and Update conclusions are *active*,
 Constructor and Split conclusions *passive*, Read conclusions *semi-active*.
 The rule-count accounting on proofs is the toolkit's primary cost metric.
+A first-match call-by-value proof holds the judgement of a repeated call
+once, at every place the call occurs: it is a dag whose unfolding is the
+derivation tree, and every count is taken over that tree.
 """
 
 from __future__ import annotations
@@ -62,12 +65,17 @@ class Judgement:
     result: Term
     children: tuple = ()
     equation: Optional[Equation] = None
-    size: int = field(init=False)
+    size: int = field(init=False)  # judgement occurrences of the derivation
+    height: int = field(init=False)  # judgement levels: a leaf has height 1
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "size", 1 + sum(c.size for c in self.children)
-        )
+        size, height = 1, 0
+        for c in self.children:
+            size += c.size
+            if c.height > height:
+                height = c.height
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "height", height + 1)
 
     def __repr__(self) -> str:
         return f"Judgement({self.rule}, {format_term(self.lhs)} => {format_term(self.result)})"
@@ -92,12 +100,25 @@ class Judgement:
         return None
 
     def walk(self) -> Iterator["Judgement"]:
-        """Every judgement of the derivation, in pre-order."""
+        """Every judgement occurrence of the derivation, in pre-order."""
         todo = [self]
         while todo:
             j = todo.pop()
             yield j
             todo.extend(reversed(j.children))
+
+    def distinct(self) -> Iterator["Judgement"]:
+        """Every judgement object of the derivation once, in the pre-order
+        of its first occurrence; on a proof that shares no judgement this
+        is ``walk()``."""
+        seen: set = set()
+        todo = [self]
+        while todo:
+            j = todo.pop()
+            if j not in seen:
+                seen.add(j)
+                yield j
+                todo.extend(reversed(j.children))
 
     def shape(self) -> tuple:
         """Structure used for golden-tree comparisons."""
@@ -166,7 +187,17 @@ ChoicePolicy = FirstMatch | Seeded | Exhaustive
 
 
 def classify(root: Judgement) -> DerivationStats:
-    """Count judgements by class; active_count is over distinct judgements."""
+    """Count judgement occurrences by class; active_count is over distinct
+    (lhs, result) pairs.  A judgement object shared by several places of
+    the proof counts once per occurrence in the unfolded derivation tree."""
+    order = list(root.distinct())
+    weights = itertools.repeat(1)
+    if len(order) != root.size:
+        if any(j.rule in (R_UPDATE, R_READ) for j in order):
+            # the charged cost depends on each occurrence's pre-order place
+            order = root.walk()
+        else:
+            weights = map(_occurrences(order).__getitem__, order)
     rule_count = 0
     active_occ = 0
     passive = 0
@@ -176,21 +207,21 @@ def classify(root: Judgement) -> DerivationStats:
     per_symbol: Counter = Counter()
     charged = 0
     cache_size = 0
-    for j in root.walk():
-        rule_count += 1
+    for j, m in zip(order, weights):
+        rule_count += m
         if j.is_active:
-            active_occ += 1
+            active_occ += m
             distinct_active.add((j.lhs, j.result))
-            per_symbol[j.lhs.symbol.name] += 1
+            per_symbol[j.lhs.symbol.name] += m
             max_active = max(max_active, term_size(j.lhs))
             if j.rule == R_UPDATE:
                 charged += cache_size * term_size(j.lhs)
                 cache_size += 1
         elif j.is_semi_active:
-            semi += 1
+            semi += m
             charged += cache_size * term_size(j.lhs)
         else:
-            passive += 1
+            passive += m
     return DerivationStats(
         rule_count=rule_count,
         active_count=len(distinct_active),
@@ -201,6 +232,23 @@ def classify(root: Judgement) -> DerivationStats:
         per_symbol_active=dict(per_symbol),
         charged_cost=rule_count + charged,
     )
+
+
+def _occurrences(order: list) -> Counter:
+    """Occurrence count of each judgement in the unfolded derivation, given
+    the distinct judgements of a proof with its root first: each judgement
+    adds its count to its premises once all its own parents have."""
+    waiting = Counter(c for j in order for c in j.children)
+    counts = Counter({order[0]: 1})
+    ready = [order[0]]
+    while ready:
+        j = ready.pop()
+        for c in j.children:
+            counts[c] += counts[j]
+            waiting[c] -= 1
+            if not waiting[c]:
+                ready.append(c)
+    return counts
 
 
 def _make_proof(root: Judgement, mode: str, cache_trace: tuple = ()) -> DerivationProof:
@@ -230,6 +278,10 @@ class _Run:
         self.steps = 0
         self.truncated = False
         self.rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
+        # call term -> its Function judgement, kept when a repeated call must
+        # derive the same subproof: first match and no cache
+        first_cbv = cache is None and isinstance(policy, FirstMatch)
+        self.shared: Optional[dict] = {} if first_cbv else None
 
     # -- single-derivation path (FirstMatch / Seeded) --------------------
 
@@ -245,6 +297,18 @@ class _Run:
             key = (t.symbol.name, t.args)
             if self.cache is not None and key in self.cache:
                 return Judgement(R_READ, t, self.cache[key])
+            if self.shared is not None:
+                # a stored subproof stands for a derivation again only when
+                # that derivation would fit: else derive it, so the budget
+                # fails at the same judgement as without sharing
+                j = self.shared.get(t)
+                if (
+                    j is not None
+                    and self.steps - 1 + j.size <= self.budget.max_rules
+                    and depth - 1 + j.height <= self.budget.max_depth
+                ):
+                    self.steps += j.size - 1
+                    return j
             matches = matching_equations(self.program, t)
             if not matches:
                 raise NoMatchingEquation(f"no equation matches {format_term(t)}")
@@ -254,7 +318,10 @@ class _Run:
                 eq, sigma = matches[0]
             body = yield self.derive(apply_subst(eq.rhs, sigma), depth + 1)
             if self.cache is None:
-                return Judgement(R_FUNCTION, t, body.result, (body,), eq)
+                j = Judgement(R_FUNCTION, t, body.result, (body,), eq)
+                if self.shared is not None:
+                    self.shared[t] = j
+                return j
             self.cache[key] = body.result
             self.trace.append((t.symbol.name, t.args, body.result))
             return Judgement(R_UPDATE, t, body.result, (body,), eq)
@@ -574,9 +641,12 @@ def validate_proof(program: Program, proof: DerivationProof) -> None:
     """Check every judgement against the inference rules; raises ValueError.
 
     For memo proofs the cache is re-threaded through the traversal, so Read
-    entries must have been installed by a previous Update.
+    entries must have been installed by a previous Update.  A Function
+    judgement that occurs again is checked once, when its subderivation
+    installed no entry: the cache only grows, so its Reads would pass again.
     """
     cache: dict = {}
+    checked: set = set()  # Function judgements whose subderivation holds no Update
 
     def check(j: Judgement):
         t, v = j.lhs, j.result
@@ -613,6 +683,9 @@ def validate_proof(program: Program, proof: DerivationProof) -> None:
             yield check(final)
             _expect(final.result == v, j, "Split conclusion value")
         elif j.rule in (R_FUNCTION, R_UPDATE):
+            if j in checked:
+                return
+            entries = len(cache)
             _expect(
                 isinstance(t, App)
                 and t.symbol.is_function
@@ -635,6 +708,8 @@ def validate_proof(program: Program, proof: DerivationProof) -> None:
             _expect(act.result == v, j, "activation value")
             if j.rule == R_UPDATE:
                 cache[(t.symbol.name, t.args)] = v
+            elif len(cache) == entries:
+                checked.add(j)
         elif j.rule == R_READ:
             key = (t.symbol.name, t.args)
             _expect(cache.get(key) == v, j, "Read entry not in cache")
@@ -683,7 +758,7 @@ def max_dependence(proof: DerivationProof, judgement: Judgement) -> Dependence:
     """Largest passive-only subderivation rooted at a passive judgement."""
     if not judgement.is_passive:
         raise ValueError("dependences are rooted at passive judgements")
-    if not any(j is judgement for j in proof.root.walk()):
+    if not any(j is judgement for j in proof.root.distinct()):
         raise ValueError("judgement does not occur in the proof")
     collected: list[Judgement] = []
     run_stack(_dependence_walk(judgement, collected))
@@ -716,7 +791,7 @@ def assembled_rule_bound(program: Program, proof: DerivationProof) -> int:
 
 def check_dependence_bounds(proof: DerivationProof) -> None:
     """Assert the three dependence bounds on every passive judgement."""
-    for j in proof.root.walk():
+    for j in proof.root.distinct():
         if not j.is_passive:
             continue
         nodes: list[Judgement] = []
@@ -770,11 +845,16 @@ def proof_to_json(proof: DerivationProof) -> dict:
             out = text[t] = f"{t.symbol.name}({', '.join(args)})" if args else format_term(t)
         return out
 
+    done: dict = {}  # judgement -> its dict, written at each place it occurs
+
     def enc(j: Judgement):
+        out = done.get(j)
+        if out is not None:
+            return out
         kids = []
         for c in j.children:
             kids.append((yield enc(c)))
-        out = {
+        out = done[j] = {
             "rule": j.rule,
             "lhs": (yield fmt(j.lhs)),
             "result": (yield fmt(j.result)),

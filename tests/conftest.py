@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 
 import pytest
@@ -58,3 +59,8 @@ def checked_memo(program, term, budget=None, allow_nonconfluent=False):
 
 def symbols_of(program):
     return {s.name: s for s in program.signature}
+
+
+def unshare(j):
+    """A copy of the judgement j in which no judgement object occurs twice."""
+    return dataclasses.replace(j, children=tuple(unshare(c) for c in j.children))

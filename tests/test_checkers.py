@@ -2,7 +2,9 @@
 
 Each test takes a proof that passes ``validate_proof``, changes one thing in
 it and expects ``ValueError``.  A checker that accepted every proof would
-pass the positive tests elsewhere in the suite; these would catch it.
+pass the positive tests elsewhere in the suite; these would catch it.  A
+proof may hold one judgement object at several places; such a proof must
+fail with the message of its unshared copy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from polytrs.semantics import (
 )
 from polytrs.terms import App
 
-from .conftest import checked_cbv, checked_memo, symbols_of
+from .conftest import checked_cbv, checked_memo, symbols_of, unshare
 
 
 def replace_at(j: Judgement, path: tuple, fn) -> Judgement:
@@ -44,6 +46,20 @@ def at(j: Judgement, path: tuple) -> Judgement:
 
 def with_root(proof: DerivationProof, root: Judgement) -> DerivationProof:
     return dataclasses.replace(proof, root=root)
+
+
+def message(check, *args) -> str:
+    with pytest.raises(ValueError) as caught:
+        check(*args)
+    return str(caught.value)
+
+
+def same_failure(check, proof, *args) -> str:
+    """The message ``check(*args, proof)`` raises, which the proof's
+    unshared copy must raise too."""
+    out = message(check, *args, proof)
+    assert message(check, *args, with_root(proof, unshare(proof.root))) == out
+    return out
 
 
 @pytest.fixture
@@ -131,3 +147,57 @@ def test_dependence_member_outside_the_root_term_is_rejected(running):
     root = replace_at(proof.root, (0,), lambda j: dataclasses.replace(j, lhs=foreign))
     with pytest.raises(ValueError, match="is not a subterm"):
         check_dependence_bounds(with_root(proof, root))
+
+
+def test_one_update_object_at_two_places_is_rejected(running, memo):
+    update = at(memo.root, (0, 0))
+    bad = with_root(memo, replace_at(memo.root, (0, 1), lambda j: update))
+    assert at(bad.root, (0, 0)) is at(bad.root, (0, 1))
+    assert same_failure(validate_proof, bad, running) == (
+        "invalid Update judgement at f(s1(nil)): Update on a cached call"
+    )
+
+
+def test_shared_function_with_a_wrong_value_is_rejected(running, cbv):
+    # the Split's two f(s1 nil) premises are one Function judgement
+    split = at(cbv.root, (0,))
+    assert split.children[0] is split.children[1]
+    wrong = App(running.symbol("s0"), (App(running.symbol("nil")),))
+    bad_call = dataclasses.replace(split.children[0], result=wrong)
+    bad_split = dataclasses.replace(split, children=(bad_call, bad_call, split.children[2]))
+    bad = with_root(cbv, replace_at(cbv.root, (0,), lambda j: bad_split))
+    assert same_failure(validate_proof, bad, running) == (
+        "invalid Function judgement at f(s1(nil)): activation value"
+    )
+
+
+def test_shared_function_holding_an_update_is_checked_again(running):
+    # the run shares the two append(s1 nil, s1 nil) premises; an Update
+    # inside the shared judgement installs its entry at the first place, so
+    # the second place must fail as an unshared copy does
+    term = parse_term("append(append(s1 nil, s1 nil), append(s1 nil, s1 nil))", symbols_of(running))
+    proof = checked_cbv(running, term)
+    call = at(proof.root, (0,))
+    assert call is at(proof.root, (1,))
+    inner = (0, 0)  # append(nil, s1 nil) under the Constructor s1(...)
+    assert at(call, inner).lhs.symbol.name == "append"
+    held = replace_at(call, inner, lambda j: dataclasses.replace(j, rule=R_UPDATE))
+    root = dataclasses.replace(proof.root, children=(held, held, proof.root.children[2]))
+    assert same_failure(validate_proof, with_root(proof, root), running) == (
+        "invalid Update judgement at append(nil, s1(nil)): Update on a cached call"
+    )
+
+
+def test_shared_passive_judgement_breaking_a_bound_is_rejected(running):
+    # both f(s1 s0 nil) premises are one Function judgement, so its
+    # activation, the Constructor derivation of s0 nil, stands at two places
+    term = parse_term("append(f(s1 s0 nil), f(s1 s0 nil))", symbols_of(running))
+    proof = checked_cbv(running, term)
+    call = at(proof.root, (0,))
+    assert call is at(proof.root, (1,))
+    foreign = parse_term("s1 nil", symbols_of(running))
+    held = replace_at(call, (0, 0), lambda j: dataclasses.replace(j, lhs=foreign))
+    root = dataclasses.replace(proof.root, children=(held, held, proof.root.children[2]))
+    assert same_failure(check_dependence_bounds, with_root(proof, root)) == (
+        "dependence member s1(nil) is not a subterm of s0(nil)"
+    )

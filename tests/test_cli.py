@@ -389,7 +389,29 @@ def test_measure_poly_under_kind_growth_is_a_usage_error(capsys):
 def test_order_with_an_unknown_symbol_exits_3(capsys, order):
     code, data = run_json(capsys, "--order", order, "check-order", str(CORPUS / "running.trs"))
     assert code == 3 and data["error"] == "precedence-error"
-    assert "zzz" in data["message"]
+    assert data["message"] == "unknown symbol zzz in precedence"
+
+
+def test_order_pair_with_a_constructor_names_the_non_function(capsys):
+    code, data = run_json(
+        capsys, "--order", "append < s0", "check-order", str(CORPUS / "running.trs")
+    )
+    assert code == 3
+    assert data == {
+        "error": "precedence-error",
+        "message": "order pair append < s0 mentions a non-function",
+    }
+
+
+@pytest.mark.parametrize("order", ["f ~ ", "< f", "append <  < f", "f ~ append ~"])
+def test_order_clause_with_an_empty_side_is_a_parse_error(capsys, order):
+    code, data = run_json(capsys, "--order", order, "check-order", str(CORPUS / "running.trs"))
+    assert code == 3
+    clause = order.strip()
+    assert data == {
+        "error": "parse-error",
+        "message": f"precedence clause {clause!r} has an empty side",
+    }
 
 
 def test_check_qi_with_a_second_line_for_a_symbol_exits_3(tmp_path, capsys):

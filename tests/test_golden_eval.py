@@ -210,3 +210,18 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("case_id", sorted(CASES))
 def test_eval_output_bytes(case_id, tmp_path):
     assert output_of(case_id, tmp_path) == GOLDEN[case_id]
+
+
+# dup(s^12 0) derives each of its 2^12 - 1 repeated calls once and shares
+# the subproof; these are the bytes of the unshared tree's encoding
+SHARED_TERM = "dup(" + "s " * 12 + "0)"
+SHARED_GOLDEN = {
+    "eval": ("3648510b294e36da4062284421c99949ba1ace9349848f0c2a741e8b1333e6b4", 0),
+    "tree": ("dff8c82dff03b9b4ff70e510e16347c5d4729036976cd015f8c02a27af645a74", 0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHARED_GOLDEN))
+def test_a_shared_proof_writes_the_bytes_of_its_tree(command, tmp_path):
+    out = run(tmp_path, command, str(CORPUS / "doublerec.trs"), SHARED_TERM)
+    assert out == SHARED_GOLDEN[command]

@@ -1,0 +1,205 @@
+"""A call-by-value proof shares the judgement of a repeated call.
+
+Under FirstMatch a repeated call derives the same subproof, so the run keeps
+one Function judgement per call term and the proof is a dag whose unfolding
+is the derivation tree.  These tests hold sharing to the unshared tree: the
+budget fails at the same judgement, the statistics count occurrences, and
+the checkers and call trees see the same proof.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from collections import Counter
+
+import pytest
+
+from polytrs.base import Budget, BudgetExceeded, TrsError
+from polytrs.blind import blind_program, blind_proof
+from polytrs.callgraph import call_tree
+from polytrs.parser import parse_term
+from polytrs.semantics import (
+    R_READ,
+    R_UPDATE,
+    DerivationStats,
+    Exhaustive,
+    Judgement,
+    classify,
+    eval_cbv,
+    eval_memo,
+    proof_to_json,
+)
+from polytrs.terms import format_term, term_size
+
+from .conftest import checked_cbv, checked_memo, load, symbols_of, unshare
+from .test_golden_eval import TERMS
+
+
+def reference_classify(root: Judgement) -> DerivationStats:
+    """DerivationStats counted over an occurrence walk of the unfolded tree."""
+    rule_count = active_occ = passive = semi = max_active = charged = cache_size = 0
+    distinct_active: set = set()
+    per_symbol: Counter = Counter()
+    for j in root.walk():
+        rule_count += 1
+        if j.is_active:
+            active_occ += 1
+            distinct_active.add((j.lhs, j.result))
+            per_symbol[j.lhs.symbol.name] += 1
+            max_active = max(max_active, term_size(j.lhs))
+            if j.rule == R_UPDATE:
+                charged += cache_size * term_size(j.lhs)
+                cache_size += 1
+        elif j.is_semi_active:
+            semi += 1
+            charged += cache_size * term_size(j.lhs)
+        else:
+            passive += 1
+    return DerivationStats(
+        rule_count=rule_count,
+        active_count=len(distinct_active),
+        active_occurrences=active_occ,
+        passive_count=passive,
+        semi_active_count=semi,
+        max_active_size=max_active,
+        per_symbol_active=dict(per_symbol),
+        charged_cost=rule_count + charged,
+    )
+
+
+def cbv(program, term, budget=Budget()):
+    return next(iter(eval_cbv(program, term, budget=budget)))
+
+
+def dup(n: int) -> str:
+    return "dup(" + "s " * n + "0)"
+
+
+ORACLE_CASES = [
+    ("doublerec", dup(5)),
+    ("fib", "f(s s s s s s 0)"),
+    ("trip", "f(s s s s s s s 0)"),
+    ("running", "f(s0 s0 s1 s0 nil)"),
+    ("running", "append(f(s1 s1 nil), s0 f(s1 s1 nil))"),  # a deeper repeat
+]
+
+
+@pytest.mark.parametrize("stem, text", ORACLE_CASES)
+def test_budgets_fail_where_the_unfolded_tree_does(stem, text):
+    """The run visits the judgement occurrences in pre-order, charging each
+    one rule at its depth, so the tree of one unbudgeted proof predicts, for
+    every budget, success or the term that BudgetExceeded names."""
+    program = load(f"{stem}.trs")
+    term = parse_term(text, symbols_of(program))
+    full = cbv(program, term)
+    occurrences = []  # (lhs, depth) in pre-order
+    todo = [(full.root, 0)]
+    while todo:
+        j, depth = todo.pop()
+        occurrences.append((j.lhs, depth))
+        todo.extend((c, depth + 1) for c in reversed(j.children))
+    size, height = len(occurrences), max(d for _, d in occurrences) + 1
+    assert (full.root.size, full.root.height) == (size, height)
+    for max_depth in range(height + 1):
+        for max_rules in range(1, size + 2):
+            stop = next(
+                (
+                    lhs
+                    for k, (lhs, depth) in enumerate(occurrences, 1)
+                    if k > max_rules or depth > max_depth
+                ),
+                None,
+            )
+            budget = Budget(max_rules=max_rules, max_depth=max_depth)
+            if stop is None:
+                proof = cbv(program, term, budget)
+                assert proof.root.size == size and proof.stats == full.stats
+            else:
+                message = f"budget exceeded while evaluating {format_term(stop)[:80]}"
+                with pytest.raises(BudgetExceeded) as caught:
+                    cbv(program, term, budget)
+                assert str(caught.value) == message, (max_rules, max_depth)
+
+
+def corpus_proofs():
+    """(label, proof) for the golden eval terms under cbv and memo, the
+    exhaustive derivations of maxw and doublerec at growing sizes."""
+    for name, (stem, text) in TERMS.items():
+        program = load(f"{stem}.trs")
+        term = parse_term(text, symbols_of(program))
+        try:
+            yield f"{name}:cbv", cbv(program, term)
+        except TrsError:
+            continue  # a stuck term
+        try:
+            yield f"{name}:memo", eval_memo(program, term)
+        except TrsError:
+            pass  # memo refused on a non-orthogonal program
+    maxw = load("maxw.trs")
+    term = parse_term("maxw(s s 0, s 0)", symbols_of(maxw))
+    for i, proof in enumerate(eval_cbv(maxw, term, Exhaustive())):
+        yield f"maxw:exhaustive:{i}", proof
+    doublerec = load("doublerec.trs")
+    for n in range(8):
+        yield f"dup:{n}", cbv(doublerec, parse_term(dup(n), symbols_of(doublerec)))
+
+
+PROOFS = dict(corpus_proofs())
+
+
+@pytest.mark.parametrize("label", list(PROOFS))
+def test_stats_count_occurrences(label):
+    proof = PROOFS[label]
+    assert proof.stats == reference_classify(proof.root)
+    assert classify(unshare(proof.root)) == proof.stats
+
+
+def test_a_repeated_call_is_one_judgement(corpus):
+    program = corpus["doublerec.trs"]
+    for n in range(2, 12):
+        proof = checked_cbv(program, parse_term(dup(n), symbols_of(program)))
+        split = proof.root.children[0]
+        assert split.children[0] is split.children[1]  # dup(x), dup(x)
+        assert proof.stats.rule_count == proof.root.size == 7 * 2**n - 4
+        # per level a Function, its Split and its xorb call; xorb(0, 0) and
+        # the base of the recursion once
+        assert len(list(proof.root.distinct())) == 2 * n + 7
+
+
+def test_shared_read_objects_keep_the_charged_cost(corpus):
+    # a memo proof in which one Read object stands at two places: the
+    # charged cost depends on each occurrence's place, so it is counted
+    # over occurrences
+    program = corpus["doublerec.trs"]
+    proof = checked_memo(program, parse_term(dup(5), symbols_of(program)))
+    first = next(j for j in proof.root.walk() if j.rule == R_READ and j.lhs.symbol.name == "xorb")
+    shared = Judgement(R_READ, first.lhs, first.result)
+
+    def swap(j):
+        if j.rule == R_READ and j.lhs == first.lhs:
+            return shared
+        return dataclasses.replace(j, children=tuple(swap(c) for c in j.children))
+
+    root = swap(proof.root)
+    assert len(list(root.distinct())) < root.size
+    assert classify(root) == reference_classify(root) == proof.stats
+
+
+def test_call_tree_and_json_unfold_the_shared_proof(corpus):
+    program = corpus["doublerec.trs"]
+    proof = checked_cbv(program, parse_term(dup(6), symbols_of(program)))
+    tree = dataclasses.replace(proof, root=unshare(proof.root))
+    assert proof_to_json(proof) == proof_to_json(tree)
+    assert call_tree(proof).to_json() == call_tree(tree).to_json()
+
+
+def test_blind_proof_keeps_the_sharing(corpus):
+    program = corpus["doublerec.trs"]
+    proof = cbv(program, parse_term(dup(6), symbols_of(program)))
+    image = blind_proof(blind_program(program), proof)
+    assert image.stats == reference_classify(image.root)
+    assert image.stats.rule_count == proof.stats.rule_count
+    assert len(list(image.root.distinct())) == len(list(proof.root.distinct()))
+    assert image.root.shape() == blind_proof(
+        blind_program(program), dataclasses.replace(proof, root=unshare(proof.root))
+    ).root.shape()
