@@ -12,7 +12,6 @@ derivation tree, and every count is taken over that tree.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -513,15 +512,18 @@ def outcome_table(
             tables = []
             for a in u.args:
                 tables.append((known(a, deps) or (yield go(a))).items())
+            constructor = u.symbol.is_constructor
             for combo in itertools.product(*tables):
-                cost = 1 + sum(c for _, (c, _) in combo)
-                count = math.prod(n for _, (_, n) in combo)
-                call = App(u.symbol, tuple(v for v, _ in combo))
-                if u.symbol.is_constructor:
-                    tail = {call: (0, 1)}
-                else:
-                    tail = known(call, deps) or (yield go(call))
-                for v, (c, n) in tail.items():
+                cost, count, values = 1, 1, []
+                for v, (c, n) in combo:
+                    cost += c
+                    count *= n
+                    values.append(v)
+                call = App(u.symbol, tuple(values))
+                if constructor:
+                    add(out, call, cost, count)
+                    continue
+                for v, (c, n) in (known(call, deps) or (yield go(call))).items():
                     add(out, v, cost + c, count * n)
         stack.discard(u)
         store[u] = (out, deps)

@@ -223,30 +223,31 @@ def apply_subst(t: Term, subst: Substitution) -> Term:
             return subst[t.name]
         except KeyError:
             raise SignatureError(f"unbound variable {t.name}") from None
-    if not t.args:
+    if t.is_value:
         return t
-    # Post-order on an explicit stack: a node is rebuilt once its arguments
-    # are on ``done``.
-    done: list = []
-    todo: list = [(t, False)]
-    while todo:
-        u, ready = todo.pop()
-        if ready:
-            n = len(u.args)
-            args = tuple(done[-n:])
-            del done[-n:]
-            done.append(App(u.symbol, args))
-        elif isinstance(u, Var):
-            try:
-                done.append(subst[u.name])
-            except KeyError:
-                raise SignatureError(f"unbound variable {u.name}") from None
-        elif not u.args:
-            done.append(u)
+    # An explicit stack of frames, one per non-value App node on the path
+    # from t: the node and its arguments rebuilt so far.  Variables and
+    # value arguments are read in place; a non-value argument gets a frame.
+    stack: list = [(t, [])]
+    while True:
+        u, args = stack[-1]
+        for a in u.args[len(args) :]:
+            if a.__class__ is not App:
+                try:
+                    args.append(subst[a.name])
+                except KeyError:
+                    raise SignatureError(f"unbound variable {a.name}") from None
+            elif a.is_value:
+                args.append(a)
+            else:
+                stack.append((a, []))
+                break
         else:
-            todo.append((u, True))
-            todo.extend((a, False) for a in reversed(u.args))
-    return done[0]
+            node = App(u.symbol, tuple(args))
+            stack.pop()
+            if not stack:
+                return node
+            stack[-1][1].append(node)
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,12 +295,16 @@ class Program:
     declared_order: Optional[str] = field(default=None, compare=False)
     # Equations by function symbol, each list in program order.
     _by_function: dict = field(init=False, compare=False, repr=False)
+    # Match plans by function symbol, each built by the first
+    # ``matching_equations`` call on that symbol.
+    _plans: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         by_function: dict = {}
         for eq in self.equations:
             by_function.setdefault(eq.lhs_function, []).append(eq)
         object.__setattr__(self, "_by_function", by_function)
+        object.__setattr__(self, "_plans", {})
         names = [s.name for s in self.signature]
         if len(names) != len(set(names)):
             raise SignatureError("duplicate symbol names in signature")
@@ -357,18 +362,89 @@ def matching_equations(program: Program, call: Term) -> list[tuple[Equation, Sub
     """All equations whose patterns match a call f(v1..vn), in program order.
 
     Several matches are possible: the semantics is non-deterministic by
-    design and equation order never acts as a priority.
+    design and equation order never acts as a priority.  The candidates and
+    their matchers come from the program's match plan for f.
     """
     if not isinstance(call, App) or not call.symbol.is_function:
         raise NoMatchingEquation(f"{format_term(call)} is not a function call")
-    for a in call.args:
+    args = call.args
+    for a in args:
         if not is_value(a):
             raise NoMatchingEquation(
                 f"argument {format_term(a)} of {format_term(call)} is not a value"
             )
+    plan = program._plans.get(call.symbol)
+    if plan is None:
+        plan = program._plans[call.symbol] = match_plan(program.equations_for(call.symbol))
+    buckets, rest = plan
     out = []
-    for eq in program._by_function.get(call.symbol, ()):
-        sigma = match_tuple(eq.lhs_patterns, call.args)
+    for eq, matcher in buckets.get(args[0].symbol, rest) if args else rest:
+        sigma = matcher(args)
         if sigma is not None:
             out.append((eq, sigma))
     return out
+
+
+def match_plan(equations: list[Equation]) -> tuple[dict, tuple]:
+    """One function's equations indexed by the head of their first argument.
+
+    Returns ``(buckets, rest)``.  Each case is an ``(equation, matcher)``
+    pair, where the matcher is the equation's lhs compiled by
+    ``compile_lhs``.  ``buckets`` maps each constructor that heads some first
+    pattern to the cases a call with that first-argument head can match: the
+    equations headed by it and those whose first pattern is a variable, in
+    program order.  ``rest`` holds the variable-first cases alone, for a
+    call whose first-argument head starts no pattern and for a function of
+    arity 0.
+    """
+    cases = [(eq, compile_lhs(eq.lhs_patterns)) for eq in equations]
+    firsts = [eq.lhs_patterns[0] if eq.lhs_patterns else None for eq in equations]
+    heads = [p.symbol if isinstance(p, App) else None for p in firsts]
+    buckets = {
+        h: tuple(c for c, g in zip(cases, heads) if g is None or g == h)
+        for h in dict.fromkeys(heads)
+        if h is not None
+    }
+    return buckets, tuple(c for c, g in zip(cases, heads) if g is None)
+
+
+def compile_lhs(patterns: tuple):
+    """Compile an lhs pattern tuple once into a matcher: a function from a
+    call's argument tuple (values) to the substitution ``match_tuple`` would
+    return, or None.
+
+    A matcher works on a list of registers that starts as the arguments.
+    Each constructor node of the patterns is a check that its register's
+    head is the node's symbol, after which the value's arguments are
+    appended as new registers; checks run in register order, so every
+    pattern node has a register fixed here.  A repeated variable compares
+    its registers with ``==``, and the substitution maps each variable, in
+    order of first occurrence, to its register.
+    """
+    checks, repeats, register = [], [], {}
+    nodes = list(patterns)  # the pattern node of each register
+    for r, p in enumerate(nodes):  # nodes grows as the checks would append
+        if isinstance(p, Var):
+            if p.name in register:
+                repeats.append((register[p.name], r))
+            else:
+                register[p.name] = r
+        else:
+            checks.append((r, p.symbol))
+            nodes.extend(p.args)
+    order = dict.fromkeys(name for p in patterns for name in variables(p))
+    binds = tuple((name, register[name]) for name in order)
+
+    def matcher(args: tuple) -> Optional[Substitution]:
+        regs = list(args)
+        for r, symbol in checks:
+            v = regs[r]
+            if v.symbol is not symbol and v.symbol != symbol:
+                return None
+            regs += v.args
+        for a, b in repeats:
+            if regs[a] != regs[b]:
+                return None
+        return {name: regs[r] for name, r in binds}
+
+    return matcher

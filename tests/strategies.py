@@ -40,12 +40,13 @@ def terms(max_size: int = 8):
     return st.recursive(base, extend, max_leaves=max_size)
 
 
-def patterns(max_size: int = 6):
+def patterns(max_size: int = 6, with_pair: bool = False):
     base = st.just(App(NIL)) | st.builds(Var, st.sampled_from(["x", "y", "z"]))
 
     def extend(children):
-        return st.builds(
-            lambda a, c: App(c, (a,)), children, st.sampled_from([S0, S1])
-        )
+        unary = st.builds(lambda a, c: App(c, (a,)), children, st.sampled_from([S0, S1]))
+        if with_pair:
+            return unary | st.builds(lambda a, b: App(PAIR, (a, b)), children, children)
+        return unary
 
     return st.recursive(base, extend, max_leaves=max_size)

@@ -5,26 +5,37 @@ import gc
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytrs import terms as terms_module
 from polytrs.base import NoMatchingEquation, ParseError, SignatureError
+from polytrs.bc import compile_bc, random_bc
+from polytrs.blind import blind_program, input_tuples, transfer_uniform_qi
+from polytrs.ordering import PPO, check_program, infer_precedence
 from polytrs.parser import format_program, parse_program, parse_term
+from polytrs.qi import check_qi
 from polytrs.terms import (
+    FUNCTION,
     App,
+    Equation,
+    Program,
+    Symbol,
     Var,
     apply_subst,
     format_term,
     is_value,
     match,
+    match_tuple,
     matching_equations,
     subterms,
     term_depth,
     term_size,
+    variables,
 )
 
-from .conftest import load, symbols_of
-from .strategies import NIL, S0, S1, patterns, terms, values
+from .conftest import CORPUS_PROGRAMS, load, symbols_of
+from .strategies import NIL, PAIR, S0, S1, patterns, terms, values
 
 
 def t(text, program):
@@ -158,6 +169,157 @@ def test_subst_size_does_not_shrink(p, v):
     sigma = match(p, v)
     if sigma is not None:
         assert term_size(apply_subst(p, sigma)) >= term_size(p)
+
+
+def ref_apply_subst(u, sigma):
+    if isinstance(u, Var):
+        return sigma[u.name]
+    return App(u.symbol, tuple(ref_apply_subst(a, sigma) for a in u.args))
+
+
+@given(
+    u=terms(max_size=16),
+    bound=st.lists(values(max_size=4, with_pair=True), min_size=3, max_size=3),
+    unbound=st.sampled_from([None, "x", "y", "z"]),
+)
+def test_apply_subst_agrees_with_a_recursive_reference(u, bound, unbound):
+    sigma = dict(zip("xyz", bound))
+    sigma.pop(unbound, None)
+    try:
+        want = ref_apply_subst(u, sigma)
+    except KeyError:
+        with pytest.raises(SignatureError, match="unbound variable"):
+            apply_subst(u, sigma)
+    else:
+        assert apply_subst(u, sigma) is want
+
+
+# -- match plans --------------------------------------------------------------
+
+
+def scan_matches(program, call):
+    """The reference: every equation of the call's function, in program
+    order, matched by the generic matcher."""
+    out = []
+    for eq in program.equations_for(call.symbol):
+        sigma = match_tuple(eq.lhs_patterns, call.args)
+        if sigma is not None:
+            out.append((eq, sigma))
+    return out
+
+
+def assert_plan_agrees(program, call):
+    got = matching_equations(program, call)
+    want = scan_matches(program, call)
+    assert [(eq.index, list(s.items())) for eq, s in got] == [
+        (eq.index, list(s.items())) for eq, s in want
+    ]
+    assert all(g is w for (g, _), (w, _) in zip(got, want))
+
+
+# A small value pool, so repeated lhs variables meet equal values often.
+SMALL_VALUES = (App(NIL), App(S0, (App(NIL),)), App(PAIR, (App(NIL), App(NIL))))
+
+
+def instance(p, pick):
+    """p with each variable occurrence replaced by its own drawn value."""
+    if isinstance(p, Var):
+        return pick()
+    return App(p.symbol, tuple(instance(a, pick) for a in p.args))
+
+
+@st.composite
+def programs_and_calls(draw):
+    """A one-function program over s0/s1/nil/pair, whose lhs patterns mix
+    variable-first and constructor-first arguments, repeat variables and
+    overlap, with calls that instantiate its lhs or are random values (a
+    pair head starts no pattern unless one is drawn)."""
+    arity = draw(st.integers(0, 2))
+    h = Symbol("h", FUNCTION, arity)
+    equations = []
+    for i in range(draw(st.integers(1, 6))):
+        lhs = tuple(draw(patterns(max_size=5, with_pair=True)) for _ in range(arity))
+        names = sorted({v for p in lhs for v in variables(p)})
+        rhs = draw(st.sampled_from([App(NIL), *map(Var, names)]))
+        equations.append(Equation(h, lhs, rhs, i))
+    program = Program((S0, S1, NIL, PAIR, h), tuple(equations), h)
+    pick = lambda: draw(st.sampled_from(SMALL_VALUES))  # noqa: E731
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            eq = draw(st.sampled_from(equations))
+            calls.append(App(h, tuple(instance(p, pick) for p in eq.lhs_patterns)))
+        else:
+            args = draw(st.lists(values(max_size=4, with_pair=True), min_size=arity, max_size=arity))
+            calls.append(App(h, tuple(args)))
+    return program, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=programs_and_calls())
+def test_match_plan_agrees_with_a_scan_on_random_programs(case):
+    program, calls = case
+    for call in calls:
+        assert_plan_agrees(program, call)
+
+
+@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
+def test_match_plan_agrees_with_a_scan_on_corpus_calls(name):
+    program = load(name)
+    for prog in (program, blind_program(program).program):
+        for f in prog.functions:
+            for n in range(6):
+                for args in input_tuples(prog, f, n):
+                    assert_plan_agrees(prog, App(f, args))
+
+
+def test_match_plan_buckets_keep_variable_first_equations():
+    prog = parse_program(
+        "constructors: s0/1 s1/1 nil/0 c/2\nfunctions: h/2\n"
+        "h(x, nil) -> x\nh(s0 x, y) -> y\nh(c(x, x), y) -> x\nh(y, s1 x) -> x\n"
+        "main: h\n"
+    )
+    syms = symbols_of(prog)
+
+    def hits(text):
+        return [eq.index for eq, _ in matching_equations(prog, parse_term(text, syms))]
+
+    assert hits("h(s0 nil, nil)") == [0, 1]
+    assert hits("h(s1 nil, s1 nil)") == [3]  # s1 heads no first pattern
+    assert hits("h(c(nil, nil), nil)") == [0, 2]
+    assert hits("h(c(nil, s0 nil), s1 nil)") == [3]  # repeated x differs
+    buckets, rest = prog._plans[syms["h"]]
+    assert [eq.index for eq, _ in rest] == [0, 3]
+    assert {s.name: [eq.index for eq, _ in b] for s, b in buckets.items()} == {
+        "s0": [0, 1, 3],
+        "c": [0, 2, 3],
+    }
+
+
+def test_match_plans_are_built_lazily_once_per_function(monkeypatch):
+    built = []
+    real = terms_module.match_plan
+
+    def counted(equations):
+        built.append(equations[0].lhs_function)
+        return real(equations)
+
+    monkeypatch.setattr(terms_module, "match_plan", counted)
+    for seed in range(6):
+        comp = compile_bc(random_bc(seed, 4))
+        prec = infer_precedence(comp.program, PPO)
+        check_program(comp.program, prec, PPO)
+        check_qi(comp.program, comp.qi)
+        image = blind_program(comp.program)
+        check_qi(image.program, transfer_uniform_qi(comp.qi, comp.program, image))
+        assert built == []
+        for _ in range(2):  # the second round builds nothing
+            for f in comp.program.functions:
+                for n in range(4):
+                    for args in input_tuples(comp.program, f, n, cap=8):
+                        matching_equations(comp.program, App(f, args))
+            assert built == comp.program.functions
+        built.clear()
 
 
 # -- hash-consing -------------------------------------------------------------
