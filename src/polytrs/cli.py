@@ -19,7 +19,7 @@ from .blind import blind_program, is_linear, measure_strong_poly
 from .callgraph import call_dag, call_tree
 from .ordering import EPPO, PPO, order_verdict
 from .parser import format_program, parse_program, parse_term
-from .qi import check_qi, format_assignment, is_uniform, parse_assignment, _parse_expr
+from .qi import check_qi, format_assignment, is_uniform, parse_assignment, parse_expr
 from .report import build_report, program_digest, write_json
 from .semantics import (
     Exhaustive,
@@ -322,7 +322,7 @@ def _dispatch(args) -> int:
             else:
                 _emit_json(args, table.as_dict())
         else:
-            poly = _parse_expr(args.poly, ["n"], 1) if args.poly else None
+            poly = parse_expr(args.poly, ["n"]) if args.poly else None
             rows = measure_bounded_values(
                 program, sizes=args.sizes, budget=budget, user_poly=poly, seed=args.seed
             )

@@ -39,11 +39,14 @@ class Precedence:
     ``class_ids`` maps each function name to its class id; ``below`` holds
     the transitively closed pairs (a, b) with class a strictly below class b.
     Constructors are placed by the path ordering's mode, not here.
+    ``decided`` keeps, per mode, the ``(s, t) -> s < t`` decisions of every
+    PathOrder built on this precedence, so no pair is decided twice.
     """
 
     class_ids: dict
     below: frozenset
     signature: tuple
+    decided: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def class_of(self, name: str) -> int:
         try:
@@ -212,13 +215,14 @@ class PathOrder:
 
     The precedence orders the functions; every constructor is below every
     function, and a constructor is equivalent only to itself under PPO and
-    to every constructor of its arity under EPPO.
+    to every constructor of its arity under EPPO.  Its memo is the
+    precedence's dict of decided pairs for the mode.
     """
 
     def __init__(self, precedence: Precedence, mode: str):
         self.precedence = precedence
         self.mode = mode
-        self._memo: dict = {}
+        self._memo: dict = precedence.decided.setdefault(mode, {})
 
     def compare_heads(self, a: Symbol, b: Symbol) -> str:
         if a.is_function and b.is_function:
@@ -232,14 +236,14 @@ class PathOrder:
         return INCOMPARABLE
 
     def less(self, s: Term, t: Term) -> bool:
+        # Every recursive question is on a smaller pair, so none can meet
+        # itself; only finished decisions are stored, so a PrecedenceError
+        # leaves nothing half-decided in the shared memo.
         key = (s, t)
         hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self._memo[key] = False  # irreflexive default breaks accidental cycles
-        out = self._less(s, t)
-        self._memo[key] = out
-        return out
+        if hit is None:
+            hit = self._memo[key] = self._less(s, t)
+        return hit
 
     def _less(self, s: Term, t: Term) -> bool:
         if isinstance(t, App):
@@ -353,35 +357,36 @@ def static_call_graph(program: Program) -> dict:
 def _sccs(graph: dict) -> list[list[str]]:
     """Strongly connected components, Tarjan under run_stack, stable order."""
     index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set = set()
-    stack: list[str] = []
+    state = (index, {}, set(), [])  # index, low, on_stack, stack
     out: list[list[str]] = []
-
-    def strongconnect(v: str):
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        on_stack.add(v)
-        for w in sorted(graph[v]):
-            if w not in index:
-                yield strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            out.append(sorted(comp))
-
     for v in sorted(graph):
         if v not in index:
-            run_stack(strongconnect(v))
+            run_stack(_strongconnect(v, graph, state, out))
     return out
+
+
+def _strongconnect(v: str, graph: dict, state: tuple, out: list):
+    # Module-level, not a closure: a closure that calls itself is a reference
+    # cycle, which outlives the call until the cyclic collector runs.
+    index, low, on_stack, stack = state
+    index[v] = low[v] = len(index)
+    stack.append(v)
+    on_stack.add(v)
+    for w in sorted(graph[v]):
+        if w not in index:
+            yield _strongconnect(w, graph, state, out)
+            low[v] = min(low[v], low[w])
+        elif w in on_stack:
+            low[v] = min(low[v], index[w])
+    if low[v] == index[v]:
+        comp = []
+        while True:
+            w = stack.pop()
+            on_stack.discard(w)
+            comp.append(w)
+            if w == v:
+                break
+        out.append(sorted(comp))
 
 
 def order_verdict(

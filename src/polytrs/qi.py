@@ -9,6 +9,11 @@ The per-equation check ``floor(l) >= floor(r)`` is decided by a sound but
 incomplete normalization to maxima of posynomials with coefficient-wise
 dominance, refuted by deterministic grid plus seeded rational sampling, and
 reported Unknown otherwise.
+
+Expression nodes are immutable and store their hash and min flag when they
+are built; equality tries identity first.  An assignment's memo keeps every
+normal form, dominance decision and ``term_qi`` substitution, so checks that
+share it share the very nodes, and a repeated question costs one lookup.
 """
 
 from __future__ import annotations
@@ -37,72 +42,89 @@ UNKNOWN = "unknown"
 # -- expressions --------------------------------------------------------------
 
 
-# Each node stores whether it contains a min, and its hash once first asked
-# for: expressions share subtrees heavily, and recomputing either by recursion
-# on every lookup would cost more than the normalization it serves.
+# A node's hash and min flag are computed once, from its children's stored
+# fields: expressions share subtrees heavily, and a recursion per lookup would
+# cost more than the normalization it serves.  The hash comes from the content
+# alone (Fraction and int hashes), so a pickled node's stored hash holds in any
+# process; equality tells the node kinds apart, and tries identity first, so
+# shared subexpressions compare in O(1).
+
+_set = object.__setattr__
+_HAS_MIN = operator.attrgetter("has_min")
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
+class _Node:
+    __slots__ = ("_hash",)
     has_min = False
 
-    def __post_init__(self):
-        v = Fraction(self.value)
-        if v < 0:
-            raise QiError("negative constant in an assignment expression")
-        object.__setattr__(self, "value", v)
-        object.__setattr__(self, "_hash", hash(v))
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        field = self._field
+        return self._hash == other._hash and getattr(self, field) == getattr(other, field)
 
-@dataclass(frozen=True)
-class Arg:
-    index: int
-    has_min = False
+    def __repr__(self):
+        return f"{type(self).__name__}({self._field}={getattr(self, self._field)!r})"
 
-
-@dataclass(frozen=True)
-class _Compound:
-    items: tuple
-
-    def __post_init__(self):
-        has_min = type(self) is Min or any(i.has_min for i in self.items)
-        object.__setattr__(self, "has_min", has_min)
-
-    def __hash__(self):
-        # From the items alone, so it depends on Fraction and int hashes only
-        # and a pickled node's stored hash holds in any process.  Equality
-        # still tells the node kinds apart.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.items)
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __reduce__(self):
+        return type(self), (getattr(self, self._field),)
 
 
-# eq=False: the subclasses inherit _Compound's equality (which compares the
-# class too) and its stored hash.
-@dataclass(frozen=True, eq=False)
+class Const(_Node):
+    __slots__ = ("value",)
+    _field = "value"
+
+    def __init__(self, value):
+        v = Fraction(value)
+        if v < 0:
+            raise QiError("negative constant in an assignment expression")
+        _set(self, "value", v)
+        _set(self, "_hash", hash(v))
+
+
+class Arg(_Node):
+    __slots__ = ("index",)
+    _field = "index"
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
+        _set(self, "_hash", hash((index,)))
+
+
+class _Compound(_Node):
+    __slots__ = ("items", "has_min")
+    _field = "items"
+
+    def __init__(self, items: tuple):
+        _set(self, "items", items)
+        _set(self, "_hash", hash(items))
+        _set(self, "has_min", type(self) is Min or any(map(_HAS_MIN, items)))
+
+
 class Sum(_Compound):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Prod(_Compound):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Max(_Compound):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Min(_Compound):
-    pass
+    __slots__ = ()
 
 
 QiExpr = Const | Arg | Sum | Prod | Max | Min
@@ -372,7 +394,7 @@ def dominates(
     dominate through every branch, a min on the rhs through some branch.
     ``memo`` is the memo of max_posy_form; it also keeps each decision under
     ``(lhs, rhs, arity)``, a key that never equals a normal form's
-    ``(e, arity)``.
+    ``(e, arity)`` or term_qi's ``(entry, argument tuple)``.
     """
     if memo is None:
         memo = {}
@@ -417,9 +439,10 @@ def _dominates(lhs: QiExpr, rhs: QiExpr, arity: int, memo: dict) -> bool:
 @dataclass(frozen=True)
 class QiAssignment:
     entries: dict  # symbol name -> QiExpr
-    # Normal forms and dominance decisions (max_posy_form, dominates) keyed by
-    # expressions alone, so an assignment built from the same expressions may
-    # share it.  It lives exactly as long as the assignments that hold it.
+    # Normal forms, dominance decisions and substitutions (max_posy_form,
+    # dominates, term_qi) keyed by expressions alone, so an assignment built
+    # from the same expressions may share it.  It lives exactly as long as
+    # the assignments that hold it.
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def entry(self, name: str) -> QiExpr:
@@ -440,22 +463,30 @@ def term_qi(assignment: QiAssignment, term: Term, var_order: Optional[list] = No
     """Canonical extension of the assignment to a term.
 
     Variables become Arg indices in ``var_order`` (default: left-to-right
-    first occurrence in the term itself).
+    first occurrence in the term itself).  Each ``(entry, argument
+    expressions)`` is substituted once per assignment, kept in its memo, so
+    equal subterms, and every check that shares the memo, get the same node.
     """
     if var_order is None:
         var_order = variables(term)
-    idx = {v: i for i, v in enumerate(var_order)}
-    return _term_expr(assignment, idx, term)
+    args = {v: Arg(i) for i, v in enumerate(var_order)}
+    return _term_expr(assignment, args, term)
 
 
-def _term_expr(assignment: QiAssignment, idx: dict, t: Term) -> QiExpr:
+def _term_expr(assignment: QiAssignment, args: dict, t: Term) -> QiExpr:
     if isinstance(t, Var):
         try:
-            return Arg(idx[t.name])
+            return args[t.name]
         except KeyError:
             raise QiError(f"variable {t.name} not in the variable order")
-    entry = assignment.entry(t.symbol.name)
-    return substitute(entry, [_term_expr(assignment, idx, a) for a in t.args])
+    key = (
+        assignment.entry(t.symbol.name),
+        tuple([_term_expr(assignment, args, a) for a in t.args]),
+    )
+    out = assignment.memo.get(key)
+    if out is None:
+        out = assignment.memo[key] = substitute(*key)
+    return out
 
 
 def value_qi(assignment: QiAssignment, value: Term) -> Fraction:
@@ -761,14 +792,22 @@ def parse_assignment(text: str, program: Program) -> QiAssignment:
             )
         if name in entries:
             raise ParseError(f"second qi line for {name}", lineno, 1)
-        entries[name] = _parse_expr(body, params, lineno)
+        entries[name] = parse_expr(body, params, lineno)
     return QiAssignment(entries)
 
 
-_EXPR_TOKEN = re.compile(r"\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_']*|[(),+*]|\S")
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*"
+_EXPR_TOKEN = re.compile(rf"\d+/\d+|\d+|{_NAME}|[(),+*]|\S")
 
 
-def _parse_expr(text: str, params: list, lineno: int) -> QiExpr:
+def parse_expr(text: str, params: list, lineno: int = 1) -> QiExpr:
+    """Parse one expression over the parameter names ``params`` (Arg i for
+    ``params[i]``); a parameter must be a distinct name other than max/min."""
+    for i, p in enumerate(params):
+        if not re.fullmatch(_NAME, p) or p in ("max", "min"):
+            raise ParseError(f"parameter {p!r} is not a name", lineno, 1)
+        if p in params[:i]:
+            raise ParseError(f"parameter {p!r} is repeated", lineno, 1)
     toks = _EXPR_TOKEN.findall(text)
     pos = [0]
 

@@ -268,6 +268,24 @@ def test_chain_expands_each_normal_form_once(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", CHAIN_SEEDS)
+def test_image_check_reuses_every_expression(seed, monkeypatch):
+    # The image's obligations are the program's (entry, arguments)
+    # substitutions, so its check builds and expands nothing.
+    comp = compile_bc(random_bc(seed, 4))
+    check_qi(comp.program, comp.qi)
+    image = blind_program(comp.program)
+    moved = transfer_uniform_qi(comp.qi, comp.program, image)
+    calls = []
+    for name in ("substitute", "_expand"):
+        original = getattr(qi, name)
+        monkeypatch.setattr(
+            qi, name, lambda *a, name=name, f=original: calls.append(name) or f(*a)
+        )
+    assert check_qi(image.program, moved).overall == "valid"
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", CHAIN_SEEDS)
 def test_assignments_die_by_reference_counting(seed):
     # The memo is held by the two assignments alone, so it goes with them.
     gc.collect()

@@ -106,6 +106,16 @@ def test_check_qi_verdict_exit_codes(capsys):
     assert code == 1 and data["overall"] == "invalid"
 
 
+@pytest.mark.parametrize("head", ["append(X, X)", "append(X, 1)", "append(max, Y)"])
+def test_bad_qi_parameter_exits_3(tmp_path, capsys, head):
+    qi_file = tmp_path / "bad.qi"
+    qi_file.write_text(f"qi nil = 1\nqi {head} = 1\n")
+    code, data = run_json(
+        capsys, "--qi", str(qi_file), "check-qi", str(CORPUS / "append.trs")
+    )
+    assert code == 3 and data["error"] == "parse-error"
+
+
 def test_blind_command(capsys):
     code, data = run_json(capsys, "blind", str(CORPUS / "running.trs"))
     assert code == 0

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytrs import ordering
 from polytrs.base import PrecedenceError
+from polytrs.bc import compile_bc, random_bc
 from polytrs.blind import blind_program
 from polytrs.ordering import (
     EPPO,
@@ -121,6 +125,58 @@ def test_inferred_precedence_is_built_once(corpus, monkeypatch, mode):
     verdict = check_program(prog, prec, mode)
     assert verdict.overall and verdict.precedence is prec
     assert len(built) == 1
+
+
+def _counting_less(monkeypatch):
+    calls = []
+    real = PathOrder._less
+
+    def counted(self, s, t):
+        calls.append((s, t))
+        return real(self, s, t)
+
+    monkeypatch.setattr(PathOrder, "_less", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [PPO, EPPO])
+def test_second_check_on_a_precedence_decides_nothing(running, monkeypatch, mode):
+    # running fails PPO, so the failing-subgoal search is replayed too.
+    prec = make_precedence(running, [["append"], ["f"]], [("append", "f")])
+    first = check_program(running, prec, mode).as_dict()
+    calls = _counting_less(monkeypatch)
+    assert check_program(running, prec, mode).as_dict() == first
+    assert calls == []
+    other = EPPO if mode == PPO else PPO
+    check_program(running, prec, other)
+    assert calls  # each mode keeps its own decisions
+
+
+@pytest.mark.parametrize("seed", [5, 17, 42])
+def test_check_after_inference_decides_nothing(monkeypatch, seed):
+    prog = compile_bc(random_bc(seed, 4)).program
+    prec = infer_precedence(prog, PPO)
+    calls = _counting_less(monkeypatch)
+    assert check_program(prog, prec, PPO).overall
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [5, 17, 42])
+def test_precedence_dies_by_reference_counting(seed):
+    # The decided pairs hang off the precedence, and no PathOrder is kept
+    # there, so precedence and pairs go as soon as the last verdict does.
+    prog = compile_bc(random_bc(seed, 4)).program
+    gc.collect()
+    gc.disable()
+    try:
+        verdict = check_program(prog, infer_precedence(prog, PPO), PPO)
+        assert verdict.precedence.decided[PPO]
+        prec = weakref.ref(verdict.precedence)
+        del verdict
+        assert prec() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_infer_precedence_flat_program(corpus):

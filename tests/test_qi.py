@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from polytrs.qi import (
     max_posy_form,
     meet,
     parse_assignment,
+    parse_expr,
     simplify,
     term_qi,
     value_qi,
@@ -670,3 +672,74 @@ def test_second_qi_line_for_a_symbol_is_a_parse_error(corpus):
     with pytest.raises(ParseError, match="second qi line for append") as err:
         parse_assignment(text, prog)
     assert err.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("qi append(X, X) = X + X", "parameter 'X' is repeated"),
+        ("qi s0(1) = 1 + 1", "parameter '1' is not a name"),
+        ("qi append(X, max) = X", "parameter 'max' is not a name"),
+        ("qi append(min, Y) = Y", "parameter 'min' is not a name"),
+    ],
+)
+def test_bad_qi_parameters_are_parse_errors(corpus, line, message):
+    text = "qi nil = 1\n" + line + "\n"
+    with pytest.raises(ParseError, match=message) as err:
+        parse_assignment(text, corpus["append.trs"])
+    assert err.value.line == 2
+
+
+def test_parse_expr_is_the_line_parser(corpus):
+    assert parse_expr("max(n, 2) + 1/2", ["n"]) == Sum(
+        (Max((Arg(0), Const(2))), Const(Fraction(1, 2)))
+    )
+    with pytest.raises(ParseError, match="is repeated"):
+        parse_expr("n", ["n", "n"])
+
+
+# -- expression nodes -------------------------------------------------------------
+
+
+def _rebuilt(e):
+    """A structurally equal copy of e that shares no node with it."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Arg):
+        return Arg(e.index)
+    return type(e)(tuple(_rebuilt(i) for i in e.items))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nodes_built_twice_are_equal(data):
+    shared = data.draw(_shared_maxes())
+    e = data.draw(_exprs(shared, with_min=True))
+    copy = _rebuilt(e)
+    assert copy == e and hash(copy) == hash(e)
+    assert eval(repr(e)) == e
+    assert pickle.loads(pickle.dumps(e)) == e
+    if isinstance(e, Const):
+        assert hash(e) == hash(e.value)
+    elif isinstance(e, Arg):
+        assert hash(e) == hash((e.index,))
+    else:
+        assert hash(e) == hash(e.items)
+        assert e.has_min == (isinstance(e, Min) or any(i.has_min for i in e.items))
+
+
+def test_node_kinds_are_told_apart():
+    x = Arg(0)
+    assert Sum((x,)) != Max((x,)) and Prod((x,)) != Min((x,))
+    assert Arg(1) != Const(1) and Sum((x,)) != (x,)
+
+
+@pytest.mark.parametrize(
+    "node", [Const(2), Arg(0), Sum((Arg(0), Const(1))), Min((Arg(0), Arg(1)))]
+)
+@pytest.mark.parametrize("attr", ["value", "index", "items", "has_min", "_hash", "other"])
+def test_nodes_are_immutable(node, attr):
+    with pytest.raises(AttributeError):
+        setattr(node, attr, Const(0))
+    with pytest.raises(AttributeError):
+        delattr(node, attr)

@@ -355,13 +355,13 @@ def test_measure_bounded_values_constant():
 
 
 def test_measure_bounded_values_user_poly(corpus):
-    from polytrs.qi import _parse_expr
+    from polytrs.qi import parse_expr
 
     prog = corpus["append.trs"]
-    good = _parse_expr("2*n + 6", ["n"], 1)
+    good = parse_expr("2*n + 6", ["n"], 1)
     rows = measure_bounded_values(prog, sizes=range(1, 9), user_poly=good, inputs_cap=30)
     assert all(r.poly_ok for r in rows)
-    bad = _parse_expr("2", ["n"], 1)
+    bad = parse_expr("2", ["n"], 1)
     rows = measure_bounded_values(prog, sizes=range(4, 7), user_poly=bad, inputs_cap=30)
     assert not any(r.poly_ok for r in rows)
 
