@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .base import ParseError, SignatureError
 from .qi import Arg, Const, Max, Prod, QiAssignment, QiExpr, Sum, simplify, substitute
@@ -174,12 +173,12 @@ class _Compiler:
         if isinstance(b, BcZero):
             sym = self.fresh("zero", 0)
             self.add_equation(sym, (), App(ZERO))
-            return finish(sym, Const(Fraction(1)), "constant 0")
+            return finish(sym, Const(1), "constant 0")
         if isinstance(b, BcSucc):
             sym = self.fresh("succ", 1)
             ctor = S0 if b.bit == 0 else S1
             self.add_equation(sym, ys, App(ctor, (ys[0],)))
-            return finish(sym, Const(Fraction(1)), f"successor s{b.bit}")
+            return finish(sym, Const(1), f"successor s{b.bit}")
         if isinstance(b, BcProj):
             sym = self.fresh("proj", n + m)
             args = xs + ys
@@ -190,7 +189,7 @@ class _Compiler:
             self.entries[sym.name] = Max(tuple(Arg(i) for i in range(n + m)))
             self.symbols[b] = sym
             self.q_parts[sym.name] = (
-                Sum(tuple(Arg(i) for i in range(n))) if n else Const(Fraction(0))
+                Sum(tuple(Arg(i) for i in range(n))) if n else Const(0)
             )
             self.provenance[sym.name] = f"projection {b.index} of ({n}; {m})"
             self.boundaries[sym.name] = (n, m)
@@ -201,7 +200,7 @@ class _Compiler:
             self.add_equation(sym, (App(ZERO),), App(ZERO))
             self.add_equation(sym, (App(S0, (y,)),), y)
             self.add_equation(sym, (App(S1, (y,)),), y)
-            return finish(sym, Const(Fraction(0)), "predecessor")
+            return finish(sym, Const(0), "predecessor")
         if isinstance(b, BcCond):
             sym = self.fresh("cond", 3)
             w, y, z = Var("w"), Var("y1"), Var("y2")
@@ -209,7 +208,7 @@ class _Compiler:
             self.add_equation(sym, (App(S0, (w,)), y, z), y)
             self.add_equation(sym, (App(S1, (w,)), y, z), z)
             # floor(cond) = max of the three safe arguments, q part 0.
-            return finish(sym, Const(Fraction(0)), "conditional")
+            return finish(sym, Const(0), "conditional")
         if isinstance(b, BcSafeRec):
             g = self.compile(b.base)
             h0 = self.compile(b.step0)
@@ -270,9 +269,9 @@ def compile_bc(b: BcTerm) -> BcCompilation:
     ]
     program = Program(tuple(signature), tuple(comp.equations), main)
     entries = dict(comp.entries)
-    entries["s0"] = Sum((Arg(0), Const(Fraction(1))))
-    entries["s1"] = Sum((Arg(0), Const(Fraction(1))))
-    entries["0"] = Const(Fraction(1))
+    entries["s0"] = Sum((Arg(0), Const(1)))
+    entries["s1"] = Sum((Arg(0), Const(1)))
+    entries["0"] = Const(1)
     return BcCompilation(
         program, QiAssignment(entries, comp.memo), comp.provenance, comp.boundaries, main
     )

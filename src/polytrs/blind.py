@@ -13,7 +13,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .base import (
     Budget,
@@ -153,10 +152,10 @@ def transfer_uniform_qi(
     entries: dict = {}
     unary, nullary = word_alphabet(program)
     entries["s"] = (
-        assignment.entry(unary[0].name) if unary else Sum((Arg(0), Const(Fraction(1))))
+        assignment.entry(unary[0].name) if unary else Sum((Arg(0), Const(1)))
     )
     entries["0"] = (
-        assignment.entry(nullary[0].name) if nullary else Const(Fraction(1))
+        assignment.entry(nullary[0].name) if nullary else Const(1)
     )
     for f in program.functions:
         if f.name in assignment.entries:

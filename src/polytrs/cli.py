@@ -160,6 +160,7 @@ def main(argv: Optional[list] = None) -> int:
         _PARSER = _build_parser()
     try:
         args = _PARSER.parse_args(argv)
+        _check_flags(args)
     except argparse.ArgumentError as exc:
         _emit_json(None, {"error": "usage", "message": str(exc)})
         return 3
@@ -177,6 +178,28 @@ def main(argv: Optional[list] = None) -> int:
     except OSError:  # --out itself is unwritable
         _emit_json(None, error)
     return 3
+
+
+# The formats besides JSON that a command writes; parse and bc-compile write
+# the program text for either.
+_TEXT_FORMATS = {
+    "parse": "csv dot", "bc-compile": "csv dot", "tree": "dot", "dag": "dot",
+    "measure --kind growth": "csv",
+}
+
+
+def _check_flags(args) -> None:
+    """A usage error for a flag the command needs, or would silently ignore."""
+    command = args.command + (f" --kind {args.kind}" if args.command == "measure" else "")
+    for flag in ("budget_rules", "budget_depth", "budget_derivations"):
+        if getattr(args, flag) < 0:
+            _usage_error(f"--{flag.replace('_', '-')} {getattr(args, flag)} is negative")
+    if args.command == "check-qi" and not args.qi:
+        _usage_error("--qi FILE is required")
+    if command == "measure --kind growth" and args.poly:
+        _usage_error("--poly needs --kind values")
+    if args.format != "json" and args.format not in _TEXT_FORMATS.get(command, ""):
+        _usage_error(f"{command} does not write --format {args.format}")
 
 
 def _usage_error(message: str):
@@ -240,9 +263,6 @@ def _dispatch(args) -> int:
 
     if args.command == "check-qi":
         program = _load_program(args.program)
-        if not args.qi:
-            _emit_json(args, {"error": "usage", "message": "--qi FILE is required"})
-            return 3
         with open(args.qi, encoding="utf-8") as fh:
             assignment = parse_assignment(fh.read(), program)
         verdict = check_qi(program, assignment, seed=args.seed)
@@ -311,9 +331,6 @@ def _dispatch(args) -> int:
     if args.command == "measure":
         program = _load_program(args.program)
         if args.kind == "growth":
-            if args.poly:
-                _emit_json(args, {"error": "usage", "message": "--poly needs --kind values"})
-                return 3
             table = measure_strong_poly(
                 program, sizes=args.sizes, budget=budget, seed=args.seed
             )

@@ -203,8 +203,7 @@ def parse_program(text: str) -> Program:
     """Parse the concrete program format; enforces all structural invariants."""
     symbols: dict[str, Symbol] = {}
     equations: list[Equation] = []
-    main_name: str | None = None
-    order_text: str | None = None
+    headers: dict[str, tuple[str, int]] = {}  # "main"/"order" -> (text, line)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -216,11 +215,10 @@ def parse_program(text: str) -> Program:
             toks = _Tokens(rest, lineno)
             _parse_decls(toks, CONSTRUCTOR if key == "constructors" else FUNCTION, symbols)
             continue
-        if sep and key == "main":
-            main_name = rest.strip()
-            continue
-        if sep and key == "order":
-            order_text = rest.strip()
+        if sep and key in ("main", "order"):
+            if key in headers:
+                raise ParseError(f"second {key}: line", lineno, 1)
+            headers[key] = (rest.strip(), lineno)
             continue
         if "->" not in line:
             raise ParseError("expected an equation or a declaration", lineno, 1)
@@ -241,15 +239,16 @@ def parse_program(text: str) -> Program:
 
     if not symbols:
         raise ParseError("empty program", 1, 1)
-    fns = [s for s in symbols.values() if s.is_function]
-    if main_name is None:
-        if not fns:
-            raise ParseError("no function symbols declared", 1, 1)
-        main = fns[0]
+    if "main" in headers:
+        main_name, lineno = headers["main"]
+        main = symbols.get(main_name)
+        if main is None or not main.is_function:
+            raise ParseError(f"main symbol {main_name} is not a declared function", lineno, 1)
     else:
-        if main_name not in symbols or not symbols[main_name].is_function:
-            raise ParseError(f"main symbol {main_name} is not a declared function", 1, 1)
-        main = symbols[main_name]
+        main = next((s for s in symbols.values() if s.is_function), None)
+        if main is None:
+            raise ParseError("no function symbols declared", 1, 1)
+    order_text = headers["order"][0] if "order" in headers else None
     try:
         return Program(
             tuple(symbols.values()), tuple(equations), main, declared_order=order_text

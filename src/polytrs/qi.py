@@ -10,8 +10,9 @@ incomplete normalization to maxima of posynomials with coefficient-wise
 dominance, refuted by deterministic grid plus seeded rational sampling, and
 reported Unknown otherwise.
 
-Expression nodes are immutable and store their hash and min flag when they
-are built; equality tries identity first.  An assignment's memo keeps every
+Expression nodes are hash-consed, as terms are: one immutable node per
+distinct expression, so equality is identity, and each node stores its hash
+and min flag when it is built.  An assignment's memo keeps every
 normal form, dominance decision and ``term_qi`` substitution, so checks that
 share it share the very nodes, and a repeated question costs one lookup.
 """
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .base import ParseError, QiError
-from .terms import Equation, Program, Term, Var, term_size, variables
+from .terms import _INTERNED, Equation, Program, Term, Var, _intern, term_size, variables
 
 GRID_POINTS = (0, 1, 2, 5, 10)
 RANDOM_POINTS = 256
@@ -42,20 +43,35 @@ UNKNOWN = "unknown"
 # -- expressions --------------------------------------------------------------
 
 
-# A node's hash and min flag are computed once, from its children's stored
-# fields: expressions share subtrees heavily, and a recursion per lookup would
-# cost more than the normalization it serves.  The hash comes from the content
-# alone (Fraction and int hashes), so a pickled node's stored hash holds in any
-# process; equality tells the node kinds apart, and tries identity first, so
-# shared subexpressions compare in O(1).
+# Every node is built through the intern table of ``terms``, the one App
+# uses, under the key (node class, field), so there is one object per
+# distinct expression and equality is identity.  A node's hash and min flag
+# are computed once, when it is built, from its children's stored fields:
+# expressions share subtrees heavily, and a recursion per lookup would cost
+# more than the normalization it serves.  The hash comes from the content
+# alone (Fraction and int hashes), so a node hashes alike in every process.
 
 _set = object.__setattr__
 _HAS_MIN = operator.attrgetter("has_min")
 
 
 class _Node:
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "__weakref__")
     has_min = False
+
+    def __new__(cls, value):
+        key = (cls, value)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _set(node, cls._field, value)
+        _set(node, "_hash", hash((value,) if cls is Arg else value))
+        if issubclass(cls, _Compound):
+            _set(node, "has_min", cls is Min or any(map(_HAS_MIN, value)))
+        return _intern(key, node)
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -65,16 +81,8 @@ class _Node:
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        field = self._field
-        return self._hash == other._hash and getattr(self, field) == getattr(other, field)
-
     def __repr__(self):
-        return f"{type(self).__name__}({self._field}={getattr(self, self._field)!r})"
+        return f"{type(self).__name__}({getattr(self, self._field)!r})"
 
     def __reduce__(self):
         return type(self), (getattr(self, self._field),)
@@ -84,31 +92,21 @@ class Const(_Node):
     __slots__ = ("value",)
     _field = "value"
 
-    def __init__(self, value):
-        v = Fraction(value)
+    def __new__(cls, value):
+        v = Fraction(value)  # one key per rational, and no rejected node interned
         if v < 0:
             raise QiError("negative constant in an assignment expression")
-        _set(self, "value", v)
-        _set(self, "_hash", hash(v))
+        return _Node.__new__(cls, v)
 
 
 class Arg(_Node):
     __slots__ = ("index",)
     _field = "index"
 
-    def __init__(self, index: int):
-        _set(self, "index", index)
-        _set(self, "_hash", hash((index,)))
-
 
 class _Compound(_Node):
     __slots__ = ("items", "has_min")
     _field = "items"
-
-    def __init__(self, items: tuple):
-        _set(self, "items", items)
-        _set(self, "_hash", hash(items))
-        _set(self, "has_min", type(self) is Min or any(map(_HAS_MIN, items)))
 
 
 class Sum(_Compound):
@@ -128,14 +126,6 @@ class Min(_Compound):
 
 
 QiExpr = Const | Arg | Sum | Prod | Max | Min
-
-
-def expr_arity(e: QiExpr) -> int:
-    if isinstance(e, Arg):
-        return e.index + 1
-    if isinstance(e, Const):
-        return 0
-    return max((expr_arity(i) for i in e.items), default=0)
 
 
 def eval_expr(e: QiExpr, point) -> Fraction:
@@ -165,31 +155,22 @@ def eval_expr(e: QiExpr, point) -> Fraction:
 
 
 def format_expr(e: QiExpr, names: Optional[list] = None) -> str:
-    def name(i: int) -> str:
-        if names and i < len(names):
-            return names[i]
-        return f"X{i + 1}"
-
     if isinstance(e, Const):
         return str(e.value)
     if isinstance(e, Arg):
-        return name(e.index)
+        return names[e.index] if names and e.index < len(names) else f"X{e.index + 1}"
     if isinstance(e, Sum):
-        return " + ".join(_paren(i, names, Sum) for i in e.items) or "0"
+        return " + ".join(format_expr(i, names) for i in e.items) or "0"
     if isinstance(e, Prod):
-        return "*".join(_paren(i, names, Prod) for i in e.items) or "1"
+        return "*".join(
+            f"({format_expr(i, names)})" if isinstance(i, Sum) else format_expr(i, names)
+            for i in e.items
+        ) or "1"
     if isinstance(e, Max):
         return "max(" + ", ".join(format_expr(i, names) for i in e.items) + ")"
     if isinstance(e, Min):
         return "min(" + ", ".join(format_expr(i, names) for i in e.items) + ")"
     raise QiError(f"unknown expression node {e!r}")
-
-
-def _paren(e: QiExpr, names, ctx) -> str:
-    inner = format_expr(e, names)
-    if ctx is Prod and isinstance(e, Sum):
-        return f"({inner})"
-    return inner
 
 
 def substitute(e: QiExpr, args: list) -> QiExpr:
@@ -334,7 +315,7 @@ def _instantiate(u: QiExpr, choice: dict, zero: tuple) -> Posy:
 def expr_from_posy(p: Posy) -> QiExpr:
     """Rebuild a sum-of-monomials expression from a posynomial."""
     if not p:
-        return Const(Fraction(0))
+        return Const(0)
     terms = []
     for mono, coeff in sorted(p.items()):
         factors: list[QiExpr] = []
@@ -362,7 +343,7 @@ def simplify(
         return e
     branches = [expr_from_posy(p) for p in sorted(form, key=_posy_key)]
     if not branches:
-        return Const(Fraction(0))
+        return Const(0)
     return branches[0] if len(branches) == 1 else Max(tuple(branches))
 
 
@@ -855,8 +836,9 @@ def parse_expr(text: str, params: list, lineno: int = 1) -> QiExpr:
             expect(")")
             return e
         if re.fullmatch(r"\d+/\d+|\d+", t):
-            num, _, den = t.partition("/")
-            return Const(Fraction(int(num), int(den or 1)))
+            if re.fullmatch(r"\d+/0+", t):
+                raise ParseError(f"constant {t} has a zero denominator", lineno, 1)
+            return Const(t)  # Fraction reads p/q
         if t in params:
             return Arg(params.index(t))
         raise ParseError(f"unknown name {t!r} in expression", lineno, 1)

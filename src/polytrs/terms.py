@@ -53,12 +53,13 @@ class App:
     """An application ``symbol(args)``, hash-consed.
 
     Every node is built through one weak-value intern table keyed by
-    ``(symbol, args)``, so there is one object per distinct term and ``==``
-    is identity.  The hash, size, depth and value flag are computed once, at
-    construction, from the children's stored fields.  Nodes are immutable.
+    ``(symbol, args)``, so there is one object per distinct term: ``==`` is
+    identity and the hash is the address.  Size, depth and the value flag
+    are computed once, at construction, from the children's stored fields.
+    Nodes are immutable.
     """
 
-    __slots__ = ("symbol", "args", "size", "depth", "is_value", "_hash", "__weakref__")
+    __slots__ = ("symbol", "args", "size", "depth", "is_value", "__weakref__")
 
     def __new__(cls, symbol: Symbol, args: tuple = ()):
         key = (symbol, args)
@@ -89,18 +90,12 @@ class App:
         init(node, "size", size)
         init(node, "depth", depth + 1)
         init(node, "is_value", value)
-        init(node, "_hash", hash(key))
-        _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
-        return node
+        return _intern(key, node)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"App is immutable; cannot set {name}")
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"App is immutable; cannot change {name}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"App is immutable; cannot delete {name}")
-
-    def __hash__(self) -> int:
-        return self._hash
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         # Unpickling and deep copies rebuild through the intern table.
@@ -110,8 +105,15 @@ class App:
         return format_term(self)
 
 
-# The intern table: (symbol, args) -> weak reference to the one node.
+# The intern table of every hash-consed node: a term's (symbol, args), or a
+# QI expression's (node class, field), -> weak reference to the one node.
 _INTERNED: dict = {}
+
+
+def _intern(key: tuple, node):
+    """Enter a new node as the one node for key, until it is freed."""
+    _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
+    return node
 
 
 def _forget(ref: weakref.KeyedRef, table: dict = _INTERNED) -> None:

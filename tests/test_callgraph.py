@@ -241,19 +241,41 @@ for prog, text in cases:
 """
 
 
+def fresh_output(code: str, seed: str) -> str:
+    """What ``code`` prints in a fresh interpreter under PYTHONHASHSEED=seed."""
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
 def test_successor_order_is_the_same_under_every_hash_seed():
     # No sort fixes the edge order: it is the order in which the outcome
     # table derives each argument's values, which must not follow set order.
     code = SUCCESSOR_WALK.format(corpus=str(CORPUS))
-    outputs = []
-    for seed in ("1", "2"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        outputs.append(out.stdout)
+    outputs = [fresh_output(code, seed) for seed in ("1", "2")]
     assert outputs[0] == outputs[1]
     assert outputs[0].count("\n") > 100  # the walks reached many states
+
+
+CERTIFY_THREE = """
+from polytrs.cli import main
+
+corpus = {corpus!r} + "/"
+main(["certify", corpus + "grid3.trs"])
+main(["certify", corpus + "twoclass.trs"])
+main(["--qi", corpus + "running.qi", "certify", corpus + "running.trs"])
+"""
+
+
+def test_certify_bytes_are_the_same_in_every_process():
+    # Terms and QI nodes hash by address, which differs from process to
+    # process even under one hash seed: no report may follow that order.
+    code = CERTIFY_THREE.format(corpus=str(CORPUS))
+    outputs = [fresh_output(code, "1") for _ in range(3)]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count('"overall"') >= 3  # three whole reports
 
 
 def reference_calls(eq):

@@ -430,3 +430,51 @@ def test_check_qi_with_a_second_line_for_a_symbol_exits_3(tmp_path, capsys):
     code, data = run_json(capsys, "--qi", str(qi), "check-qi", str(CORPUS / "append.trs"))
     assert code == 3
     assert data == {"error": "parse-error", "message": "5:1: second qi line for append"}
+
+
+def test_a_zero_denominator_in_a_qi_file_or_poly_exits_3(tmp_path, capsys):
+    qi = tmp_path / "zero.qi"
+    qi.write_text("qi nil = 1\nqi append(X, Y) = X + Y + 1/0\n")
+    trs = str(CORPUS / "append.trs")
+    code, data = run_json(capsys, "--qi", str(qi), "check-qi", trs)
+    assert code == 3
+    assert data == {"error": "parse-error", "message": "2:1: constant 1/0 has a zero denominator"}
+    code, data = run_json(capsys, "measure", "--kind", "values", "--poly", "1/0", trs)
+    assert code == 3
+    assert data == {"error": "parse-error", "message": "1:1: constant 1/0 has a zero denominator"}
+
+
+@pytest.mark.parametrize("flag", ["--budget-rules", "--budget-depth", "--budget-derivations"])
+def test_a_negative_budget_is_a_usage_error(capsys, flag):
+    trs = str(CORPUS / "append.trs")
+    code, data = run_json(capsys, flag, "-1", "eval", trs, "append(nil, nil)")
+    assert code == 3
+    assert data == {"error": "usage", "message": f"{flag} -1 is negative"}
+    code, data = run_json(capsys, flag, "0", "eval", trs, "append(nil, nil)")
+    assert data.get("error") != "usage"  # a budget of 0 is a budget
+
+
+APPEND = str(CORPUS / "append.trs")
+JSON_ONLY = {  # the flags and command line of each command that writes JSON alone
+    "certify": ["certify", APPEND],
+    "eval": ["eval", APPEND, "append(nil, nil)"],
+    "memo": ["memo", APPEND, "append(nil, nil)"],
+    "check-order": ["check-order", APPEND],
+    "check-qi": ["--qi", str(CORPUS / "append.qi"), "check-qi", APPEND],
+    "blind": ["blind", APPEND],
+    "linearity": ["linearity", APPEND],
+    "normalize": ["normalize", APPEND],
+    "measure --kind values": ["measure", "--kind", "values", APPEND],
+}
+IGNORED_FORMATS = [(c, argv, f) for c, argv in JSON_ONLY.items() for f in ("csv", "dot")] + [
+    ("tree", ["tree", APPEND, "append(nil, nil)"], "csv"),
+    ("dag", ["dag", APPEND, "append(nil, nil)"], "csv"),
+    ("measure --kind growth", ["measure", APPEND], "dot"),
+]
+
+
+@pytest.mark.parametrize("command, argv, fmt", IGNORED_FORMATS)
+def test_a_format_the_command_does_not_write_is_a_usage_error(capsys, command, argv, fmt):
+    code, data = run_json(capsys, "--format", fmt, *argv)
+    assert code == 3
+    assert data == {"error": "usage", "message": f"{command} does not write --format {fmt}"}

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polytrs import terms as terms_module
 from polytrs.base import ParseError, QiError
 from polytrs.parser import parse_program, parse_term
 from polytrs.qi import (
@@ -698,11 +699,21 @@ def test_parse_expr_is_the_line_parser(corpus):
         parse_expr("n", ["n", "n"])
 
 
+@pytest.mark.parametrize("constant", ["1/0", "0/0", "3/000"])
+def test_a_zero_denominator_is_a_parse_error(corpus, constant):
+    with pytest.raises(ParseError, match=f"^7:1: constant {constant} has a zero denominator$"):
+        parse_expr(f"n + {constant}", ["n"], 7)
+    text = f"qi nil = 1\nqi append(X, Y) = X + {constant}\n"
+    with pytest.raises(ParseError, match=f"constant {constant} has") as err:
+        parse_assignment(text, corpus["append.trs"])
+    assert err.value.line == 2
+
+
 # -- expression nodes -------------------------------------------------------------
 
 
 def _rebuilt(e):
-    """A structurally equal copy of e that shares no node with it."""
+    """e built again node by node from its leaves, as a parser would."""
     if isinstance(e, Const):
         return Const(e.value)
     if isinstance(e, Arg):
@@ -715,10 +726,9 @@ def _rebuilt(e):
 def test_nodes_built_twice_are_equal(data):
     shared = data.draw(_shared_maxes())
     e = data.draw(_exprs(shared, with_min=True))
-    copy = _rebuilt(e)
-    assert copy == e and hash(copy) == hash(e)
-    assert eval(repr(e)) == e
-    assert pickle.loads(pickle.dumps(e)) == e
+    assert _rebuilt(e) is e  # hash-consed: one node per distinct expression
+    assert eval(repr(e)) is e
+    assert pickle.loads(pickle.dumps(e)) is e
     if isinstance(e, Const):
         assert hash(e) == hash(e.value)
     elif isinstance(e, Arg):
@@ -732,6 +742,11 @@ def test_node_kinds_are_told_apart():
     x = Arg(0)
     assert Sum((x,)) != Max((x,)) and Prod((x,)) != Min((x,))
     assert Arg(1) != Const(1) and Sum((x,)) != (x,)
+    assert Const(2) is Const(Fraction(4, 2)) is Const("2")
+    assert type(Const(2).value) is Fraction
+    with pytest.raises(QiError, match="negative constant"):
+        Const(-1)
+    assert (Const, Fraction(-1)) not in terms_module._INTERNED
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from polytrs.bc import compile_bc, random_bc
 from polytrs.blind import blind_program, input_tuples, transfer_uniform_qi
 from polytrs.ordering import PPO, check_program, infer_precedence
 from polytrs.parser import format_program, parse_program, parse_term
-from polytrs.qi import check_qi
+from polytrs.qi import Arg, Const, Sum, check_qi
 from polytrs.terms import (
     FUNCTION,
     App,
@@ -71,6 +71,23 @@ def test_arity_mismatch_rejected():
 def test_undeclared_symbol_with_args_rejected():
     with pytest.raises(ParseError, match="undeclared"):
         parse_program("constructors: s/1\nfunctions: f/1\nf(x) -> g(x)\nmain: f\n")
+
+
+TWO_FUNCTIONS = "constructors: 0/0\nfunctions: f/1 g/1\nf(x) -> x\ng(x) -> f(x)\n"
+
+
+@pytest.mark.parametrize("key, first, second", [("main", "f", "g"), ("order", "f < g", "g < f")])
+def test_a_second_main_or_order_line_is_a_parse_error(key, first, second):
+    once = parse_program(TWO_FUNCTIONS + f"{key}: {second}\n")
+    assert (once.main.name if key == "main" else once.declared_order) == second
+    with pytest.raises(ParseError, match=f"^7:1: second {key}: line$"):
+        parse_program(TWO_FUNCTIONS + f"{key}: {first}\n# comment\n{key}: {second}\n")
+
+
+@pytest.mark.parametrize("name", ["h", "0"])
+def test_an_undeclared_main_is_reported_at_its_line(name):
+    with pytest.raises(ParseError, match=f"^6:1: main symbol {name} is not a declared function$"):
+        parse_program(TWO_FUNCTIONS + f"order: f < g\nmain: {name}\n")
 
 
 def test_unary_chain_sugar(corpus):
@@ -371,6 +388,7 @@ def test_copy_and_pickle_return_the_interned_node(corpus):
 
 
 def test_intern_table_releases_dropped_terms():
+    # Terms and QI expression nodes share the one table.
     gc.collect()
     before = len(terms_module._INTERNED)
     words = []
@@ -381,7 +399,11 @@ def test_intern_table_releases_dropped_terms():
         words.append(w)
     assert len(set(words)) == 10_000
     assert len(terms_module._INTERNED) >= before + 10_000
-    del words, w
+    with_words = len(terms_module._INTERNED)
+    exprs = [Sum((Arg(n), Const(n + 10_000))) for n in range(10_000)]
+    assert len(set(exprs)) == 10_000
+    assert len(terms_module._INTERNED) >= with_words + 20_000  # each Sum and Const
+    del words, w, exprs
     gc.collect()
     assert len(terms_module._INTERNED) <= before
 
