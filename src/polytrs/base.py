@@ -1,7 +1,10 @@
-"""Shared error taxonomy, evaluation budgets and the recursion driver."""
+"""Shared error taxonomy, evaluation budgets, the recursion driver and the
+token cursor ``Tokens`` that every text reader (programs, terms, ``qi``
+lines, ``--poly`` and ``.bc`` terms) reads through."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Generator
 
@@ -96,3 +99,53 @@ def run_stack(root: Generator):
         else:
             callers.append(gen)
             gen, value = callee, None
+
+
+class Tokens:
+    """A cursor over the tokens of a text, each kept with its line and column.
+
+    ``pattern`` matches one token; whitespace between tokens is skipped, and
+    so is the rest of a line from ``comment`` on.  Readers look at the
+    current token with ``peek`` before they take it with ``next``, so
+    ``error`` reports the token that is wrong.  Past the last token, the
+    position is just after it, and ``peek`` is an error.
+    """
+
+    def __init__(self, pattern: re.Pattern, text: str, line: int = 1, comment: str = ""):
+        self.items: list[tuple[str, int, int]] = []
+        for lineno, chunk in enumerate(text.splitlines(), start=line):
+            if comment:
+                chunk = chunk.partition(comment)[0]
+            self.items += [(m.group(), lineno, m.start() + 1) for m in pattern.finditer(chunk)]
+        self.line = line
+        self.pos = 0
+
+    def done(self) -> bool:
+        return self.pos >= len(self.items)
+
+    def peek(self) -> str:
+        try:
+            return self.items[self.pos][0]
+        except IndexError:
+            raise self.error("unexpected end of input") from None
+
+    def next(self) -> str:
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect(self, tok: str) -> None:
+        if self.peek() != tok:
+            raise self.error(f"expected {tok!r}, got {self.peek()!r}")
+        self.pos += 1
+
+    def error(self, message: str) -> ParseError:
+        """A ParseError at the current token."""
+        if self.pos < len(self.items):
+            _, line, col = self.items[self.pos]
+        elif self.items:
+            tok, line, col = self.items[-1]
+            col += len(tok)
+        else:
+            line, col = self.line, 1
+        return ParseError(message, line, col)

@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .base import ParseError, SignatureError
+from .base import SignatureError, Tokens, run_stack
 from .qi import Arg, Const, Max, Prod, QiAssignment, QiExpr, Sum, simplify, substitute
 from .terms import (
     App,
@@ -380,85 +380,75 @@ def _gen(rng: random.Random, n: int, m: int, depth: int) -> BcTerm:
 # -- s-expression format -----------------------------------------------------------
 
 _SEXPR_TOKEN = re.compile(r"[()]|[^\s()]+")
+# each spelling of an algebra constructor, by the name it stands for
+_HEADS = {
+    "zero": "zero", "0": "zero",
+    "succ": "succ", "s": "succ",
+    "proj": "proj", "pi": "proj",
+    "pred": "pred", "p": "pred",
+    "cond": "cond", "c": "cond",
+    "rec": "rec", "saferec": "rec",
+    "comp": "comp", "safecomp": "comp",
+}
 
 
 def parse_bc(text: str) -> BcTerm:
-    """Read terms like ``(rec (proj 1 1 2) (comp (2 2) ...) ...)``."""
-    toks = _SEXPR_TOKEN.findall(re.sub(r";[^\n]*", "", text))
-    pos = [0]
-
-    def peek() -> str:
-        if pos[0] >= len(toks):
-            raise ParseError("unexpected end of input")
-        return toks[pos[0]]
-
-    def take() -> str:
-        tok = peek()
-        pos[0] += 1
-        return tok
-
-    def expect(t: str) -> None:
-        got = take()
-        if got != t:
-            raise ParseError(f"expected {t!r}, got {got!r}")
-
-    def number() -> int:
-        tok = take()
-        if not tok.isdigit():
-            raise ParseError(f"expected a number, got {tok!r}")
-        return int(tok)
-
-    def term() -> BcTerm:
-        expect("(")
-        head = take()
-        if head in ("zero", "0"):
-            expect(")")
-            return BcZero()
-        if head in ("succ", "s"):
-            bit = number()
-            expect(")")
-            return BcSucc(bit)
-        if head in ("proj", "pi"):
-            n, m, j = number(), number(), number()
-            expect(")")
-            return BcProj(n, m, j)
-        if head in ("pred", "p"):
-            expect(")")
-            return BcPred()
-        if head in ("cond", "c"):
-            expect(")")
-            return BcCond()
-        if head in ("rec", "saferec"):
-            g, h0, h1 = term(), term(), term()
-            expect(")")
-            return BcSafeRec(g, h0, h1)
-        if head in ("comp", "safecomp"):
-            expect("(")
-            n, m = number(), number()
-            expect(")")
-            g = term()
-            expect("(")
-            hs = []
-            while toks[pos[0]] != ")":
-                hs.append(term())
-            expect(")")
-            expect("(")
-            ls = []
-            while toks[pos[0]] != ")":
-                ls.append(term())
-            expect(")")
-            expect(")")
-            return BcSafeComp(n, m, g, tuple(hs), tuple(ls))
-        raise ParseError(f"unknown algebra constructor {head!r}")
-
+    """Read terms like ``(rec (proj 1 1 2) (comp (2 2) ...) ...)``; a ``;``
+    starts a comment that runs to the end of its line."""
+    toks = Tokens(_SEXPR_TOKEN, text, comment=";")
     try:
-        out = term()
-        if pos[0] != len(toks):
-            raise ParseError(f"trailing input {toks[pos[0]]!r}")
+        out = run_stack(_sexpr(toks))
+        if not toks.done():
+            raise toks.error(f"trailing input {toks.peek()!r}")
         bc_arity(out)
     except SignatureError as exc:
-        raise ParseError(str(exc)) from exc
+        # a bad bit or index is reported where it is read, an arity clash at the end
+        raise toks.error(str(exc)) from exc
     return out
+
+
+def _sexpr(toks: Tokens):
+    """One algebra term, read on ``run_stack``: each subterm is read by
+    yielding a nested reader."""
+    toks.expect("(")
+    head = _HEADS.get(toks.peek())
+    if head is None:
+        raise toks.error(f"unknown algebra constructor {toks.peek()!r}")
+    toks.next()
+    if head == "zero":
+        out = BcZero()
+    elif head == "succ":
+        out = BcSucc(_number(toks))
+    elif head == "proj":
+        out = BcProj(_number(toks), _number(toks), _number(toks))
+    elif head == "pred":
+        out = BcPred()
+    elif head == "cond":
+        out = BcCond()
+    elif head == "rec":
+        out = BcSafeRec((yield _sexpr(toks)), (yield _sexpr(toks)), (yield _sexpr(toks)))
+    else:
+        toks.expect("(")
+        n, m = _number(toks), _number(toks)
+        toks.expect(")")
+        g = yield _sexpr(toks)
+        inner: tuple = ([], [])
+        for group in inner:
+            toks.expect("(")
+            while toks.peek() != ")":
+                group.append((yield _sexpr(toks)))
+            toks.next()
+        out = BcSafeComp(n, m, g, tuple(inner[0]), tuple(inner[1]))
+    toks.expect(")")
+    return out
+
+
+def _number(toks: Tokens) -> int:
+    tok = toks.peek()
+    if not tok.isdigit():
+        raise toks.error(f"expected a number, got {tok!r}")
+    toks.next()
+    return int(tok)
 
 
 def format_bc(b: BcTerm) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .base import ParseError, SignatureError
+from .base import ParseError, SignatureError, Tokens, run_stack
 from .terms import (
     CONSTRUCTOR,
     FUNCTION,
@@ -36,166 +36,94 @@ _TOKEN = re.compile(r"[A-Za-z0-9_']+|->|[(),/<>~;]|\S")
 _NAME = re.compile(r"[A-Za-z0-9_']+\Z")
 
 
-class _Tokens:
-    def __init__(self, text: str, line: int):
-        self.line = line
-        self.items: list[tuple[str, int]] = []
-        for m in _TOKEN.finditer(text):
-            self.items.append((m.group(), m.start() + 1))
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.items[self.pos][0] if self.pos < len(self.items) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of line", self.line, self.col())
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}", self.line, self.col())
-
-    def col(self) -> int:
-        if self.pos < len(self.items):
-            return self.items[self.pos][1]
-        return self.items[-1][1] if self.items else 1
-
-    def done(self) -> bool:
-        return self.pos >= len(self.items)
-
-
-def _strip_comment(line: str) -> str:
-    i = line.find("#")
-    return line if i < 0 else line[:i]
-
-
-def _parse_decls(toks: _Tokens, kind: str, symbols: dict[str, Symbol]) -> None:
+def _parse_decls(toks: Tokens, kind: str, symbols: dict[str, Symbol]) -> None:
     while not toks.done():
-        name = toks.next()
+        name = toks.peek()
         if not _NAME.match(name):
-            raise ParseError(f"bad symbol name {name!r}", toks.line, toks.col())
-        toks.expect("/")
-        arity_tok = toks.next()
-        if not arity_tok.isdigit():
-            raise ParseError(f"bad arity {arity_tok!r}", toks.line, toks.col())
+            raise toks.error(f"bad symbol name {name!r}")
         if name in symbols:
-            raise ParseError(f"symbol {name} declared twice", toks.line, toks.col())
-        symbols[name] = Symbol(name, kind, int(arity_tok))
+            raise toks.error(f"symbol {name} declared twice")
+        toks.next()
+        toks.expect("/")
+        arity = toks.peek()
+        if not arity.isdigit():
+            raise toks.error(f"bad arity {arity!r}")
+        toks.next()
+        symbols[name] = Symbol(name, kind, int(arity))
 
 
-class _Open:
-    """A term still being read: its chain of atoms so far, and what closes it.
-
-    ``closer`` is None for the outermost term, ``")"`` for a parenthesised
-    group, and ``","`` for an argument of the call ``name(...)``, whose
-    symbol and arguments read so far the frame also holds.
-    """
-
-    __slots__ = ("closer", "chain", "name", "sym", "args")
-
-    def __init__(self, closer=None, name="", sym=None):
-        self.closer = closer
-        self.chain: list = []
-        self.name = name
-        self.sym = sym
-        self.args: list[Term] = []
-
-
-def _parse_term(toks: _Tokens, symbols: dict[str, Symbol]) -> Term:
+def _term(toks: Tokens, symbols: dict[str, Symbol]):
     """A term is a juxtaposed chain of atoms folding to the right.
 
-    Nested groups and calls are read on an explicit stack of open terms, so
-    the nesting depth is not bounded by Python's recursion limit.
+    Run by ``run_stack``: a parenthesised group or a call argument is read
+    by yielding a nested reader, so nesting depth is not bounded by
+    Python's recursion limit.
     """
-    stack = [_Open()]
+    chain: list = []
+    tok = toks.peek()
     while True:
-        tok = toks.next()
         if tok == "(":
-            stack.append(_Open(")"))
-            continue
-        if not _NAME.match(tok):
-            raise ParseError(f"unexpected token {tok!r}", toks.line, toks.col())
-        sym = symbols.get(tok)
-        if toks.peek() == "(":
             toks.next()
-            if toks.peek() != ")":
-                stack.append(_Open(",", tok, sym))
-                continue
-            toks.next()
-            atom: Term | Symbol = _call(toks, tok, sym, [])
-        elif sym is not None:
-            atom = App(sym, ()) if sym.arity == 0 else sym
-        elif tok.isdigit():
-            raise ParseError(f"undeclared symbol {tok}", toks.line, toks.col())
-        else:
-            atom = Var(tok)
-        # Add the atom to the innermost open term, and close every term that
-        # the atom completes.
-        while True:
-            top = stack[-1]
-            top.chain.append(atom)
-            nxt = toks.peek()
-            if nxt is not None and (_NAME.match(nxt) or nxt == "("):
-                break
-            term = _fold_chain(toks, top.chain)
-            if top.closer is None:
-                return term
-            if top.closer == ")":
-                toks.expect(")")
-                stack.pop()
-                atom = term
-                continue
-            top.args.append(term)
-            if nxt == ",":
-                toks.next()
-                top.chain = []
-                break
+            atom = yield _term(toks, symbols)
             toks.expect(")")
-            stack.pop()
-            atom = _call(toks, top.name, top.sym, top.args)
+        elif not _NAME.match(tok):
+            raise toks.error(f"unexpected token {tok!r}")
+        else:
+            toks.next()
+            sym = symbols.get(tok)
+            if not toks.done() and toks.peek() == "(":
+                toks.next()
+                args = []
+                if toks.peek() != ")":
+                    args.append((yield _term(toks, symbols)))
+                    while toks.peek() == ",":
+                        toks.next()
+                        args.append((yield _term(toks, symbols)))
+                toks.expect(")")
+                atom = _call(toks, tok, sym, args)
+            elif sym is not None:
+                atom = App(sym, ()) if sym.arity == 0 else sym
+            elif tok.isdigit():
+                raise toks.error(f"undeclared symbol {tok}")
+            else:
+                atom = Var(tok)
+        chain.append(atom)
+        if toks.done():
+            return _fold_chain(toks, chain)
+        tok = toks.peek()
+        if tok != "(" and not _NAME.match(tok):
+            return _fold_chain(toks, chain)
 
 
-def _fold_chain(toks: _Tokens, chain: list) -> Term:
+def _fold_chain(toks: Tokens, chain: list) -> Term:
     last = chain[-1]
     if isinstance(last, Symbol):
-        raise ParseError(
-            f"{last.name}/{last.arity} needs {last.arity} arguments",
-            toks.line,
-            toks.col(),
-        )
+        raise toks.error(f"{last.name}/{last.arity} needs {last.arity} arguments")
     out: Term = last
     for link in reversed(chain[:-1]):
         if not isinstance(link, Symbol) or link.arity != 1:
-            raise ParseError(
-                "only bare arity-1 symbols may prefix a chain",
-                toks.line,
-                toks.col(),
-            )
+            raise toks.error("only bare arity-1 symbols may prefix a chain")
         out = App(link, (out,))
     return out
 
 
-def _call(toks: _Tokens, name: str, sym: Symbol | None, args: list) -> App:
+def _call(toks: Tokens, name: str, sym: Symbol | None, args: list) -> App:
     if sym is None:
-        raise ParseError(f"undeclared symbol {name}", toks.line, toks.col())
+        raise toks.error(f"undeclared symbol {name}")
     if sym.arity != len(args):
-        raise ParseError(
-            f"{name}/{sym.arity} applied to {len(args)} arguments",
-            toks.line,
-            toks.col(),
-        )
+        raise toks.error(f"{name}/{sym.arity} applied to {len(args)} arguments")
     return App(sym, tuple(args))
 
 
-def parse_term(text: str, symbols: dict[str, Symbol], line: int = 1) -> Term:
-    toks = _Tokens(text, line)
-    t = _parse_term(toks, symbols)
+def _end(toks: Tokens) -> None:
     if not toks.done():
-        raise ParseError(f"trailing input {toks.peek()!r}", line, toks.col())
+        raise toks.error(f"trailing input {toks.peek()!r}")
+
+
+def parse_term(text: str, symbols: dict[str, Symbol], line: int = 1) -> Term:
+    toks = Tokens(_TOKEN, text, line)
+    t = run_stack(_term(toks, symbols))
+    _end(toks)
     return t
 
 
@@ -206,30 +134,30 @@ def parse_program(text: str) -> Program:
     headers: dict[str, tuple[str, int]] = {}  # "main"/"order" -> (text, line)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
+        line = raw.partition("#")[0]
         key, sep, rest = line.partition(":")
         key = key.strip()
-        if sep and key in ("constructors", "functions"):
-            toks = _Tokens(rest, lineno)
-            _parse_decls(toks, CONSTRUCTOR if key == "constructors" else FUNCTION, symbols)
-            continue
         if sep and key in ("main", "order"):
             if key in headers:
                 raise ParseError(f"second {key}: line", lineno, 1)
             headers[key] = (rest.strip(), lineno)
             continue
+        toks = Tokens(_TOKEN, line, lineno)
+        if toks.done():
+            continue
+        if sep and key in ("constructors", "functions"):
+            toks.expect(key)
+            toks.expect(":")
+            _parse_decls(toks, CONSTRUCTOR if key == "constructors" else FUNCTION, symbols)
+            continue
         if "->" not in line:
             raise ParseError("expected an equation or a declaration", lineno, 1)
-        lhs_text, _, rhs_text = line.partition("->")
-        toks = _Tokens(lhs_text, lineno)
-        lhs = _parse_term(toks, symbols)
-        if not toks.done():
-            raise ParseError(f"trailing input {toks.peek()!r}", lineno, toks.col())
+        lhs = run_stack(_term(toks, symbols))
         if isinstance(lhs, Var) or not lhs.symbol.is_function:
             raise ParseError("equation lhs must be a function application", lineno, 1)
-        rhs = parse_term(rhs_text.strip(), symbols, lineno)
+        toks.expect("->")
+        rhs = run_stack(_term(toks, symbols))
+        _end(toks)
         try:
             equations.append(
                 Equation(lhs.symbol, tuple(lhs.args), rhs, len(equations))
@@ -249,12 +177,7 @@ def parse_program(text: str) -> Program:
         if main is None:
             raise ParseError("no function symbols declared", 1, 1)
     order_text = headers["order"][0] if "order" in headers else None
-    try:
-        return Program(
-            tuple(symbols.values()), tuple(equations), main, declared_order=order_text
-        )
-    except SignatureError as exc:
-        raise ParseError(str(exc)) from exc
+    return Program(tuple(symbols.values()), tuple(equations), main, declared_order=order_text)
 
 
 def format_program(program: Program) -> str:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .base import ParseError, QiError
+from .base import ParseError, QiError, Tokens, run_stack
 from .terms import _INTERNED, Equation, Program, Term, Var, _intern, term_size, variables
 
 GRID_POINTS = (0, 1, 2, 5, 10)
@@ -750,103 +750,105 @@ def active_size_bound(
 
 # -- assignment file format ----------------------------------------------------
 
-_QI_LINE = re.compile(r"qi\s+([A-Za-z0-9_']+)\s*(?:\(([^)]*)\))?\s*=\s*(.*)")
+_TOKEN = re.compile(r"\d+/\d+|[A-Za-z0-9_']+|[(),+*]|\S")
+_NAME = re.compile(r"[A-Za-z0-9_']+")
+_PARAM = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_NUMBER = re.compile(r"\d+(?:/\d+)?")
+_ZERO_DENOMINATOR = re.compile(r"\d+/0+")
 
 
 def parse_assignment(text: str, program: Program) -> QiAssignment:
     """Parse lines like ``qi append(X,Y) = X + Y``; rationals as p/q."""
     entries: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
+        toks = Tokens(_TOKEN, raw, lineno, comment="#")
+        if toks.done():
             continue
-        m = _QI_LINE.fullmatch(line)
-        if not m:
+        if toks.next() != "qi" or not _NAME.fullmatch(toks.peek()):
             raise ParseError("expected 'qi name(X, ..) = expression'", lineno, 1)
-        name, params_text, body = m.group(1), m.group(2), m.group(3)
-        sym = program.symbol(name)
-        params = [p.strip() for p in params_text.split(",")] if params_text else []
-        params = [p for p in params if p]
+        sym = program.symbol(toks.next())
+        params: list = []
+        if toks.peek() == "(":
+            toks.next()
+            while toks.peek() != ")":
+                if params:
+                    toks.expect(",")
+                _check_param(toks.peek(), params, toks.error)
+                params.append(toks.next())
+            toks.next()
         if len(params) != sym.arity:
             raise ParseError(
-                f"{name}/{sym.arity} declared with {len(params)} parameters", lineno, 1
+                f"{sym.name}/{sym.arity} declared with {len(params)} parameters", lineno, 1
             )
-        if name in entries:
-            raise ParseError(f"second qi line for {name}", lineno, 1)
-        entries[name] = parse_expr(body, params, lineno)
+        if sym.name in entries:
+            raise ParseError(f"second qi line for {sym.name}", lineno, 1)
+        toks.expect("=")
+        entries[sym.name] = _expression(toks, params)
     return QiAssignment(entries)
 
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_']*"
-_EXPR_TOKEN = re.compile(rf"\d+/\d+|\d+|{_NAME}|[(),+*]|\S")
+def _check_param(p: str, seen: list, error) -> None:
+    """A parameter is a distinct name other than max and min."""
+    if not _PARAM.fullmatch(p) or p in ("max", "min"):
+        raise error(f"parameter {p!r} is not a name")
+    if p in seen:
+        raise error(f"parameter {p!r} is repeated")
 
 
 def parse_expr(text: str, params: list, lineno: int = 1) -> QiExpr:
     """Parse one expression over the parameter names ``params`` (Arg i for
-    ``params[i]``); a parameter must be a distinct name other than max/min."""
+    ``params[i]``)."""
     for i, p in enumerate(params):
-        if not re.fullmatch(_NAME, p) or p in ("max", "min"):
-            raise ParseError(f"parameter {p!r} is not a name", lineno, 1)
-        if p in params[:i]:
-            raise ParseError(f"parameter {p!r} is repeated", lineno, 1)
-    toks = _EXPR_TOKEN.findall(text)
-    pos = [0]
+        _check_param(p, params[:i], lambda message: ParseError(message, lineno, 1))
+    return _expression(Tokens(_TOKEN, text, lineno), params)
 
-    def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
 
-    def take():
-        t = peek()
-        if t is None:
-            raise ParseError("unexpected end of expression", lineno, 1)
-        pos[0] += 1
-        return t
-
-    def expect(t):
-        got = take()
-        if got != t:
-            raise ParseError(f"expected {t!r}, got {got!r}", lineno, 1)
-
-    def parse_sum() -> QiExpr:
-        items = [parse_prod()]
-        while peek() == "+":
-            take()
-            items.append(parse_prod())
-        return items[0] if len(items) == 1 else Sum(tuple(items))
-
-    def parse_prod() -> QiExpr:
-        items = [parse_atom()]
-        while peek() == "*":
-            take()
-            items.append(parse_atom())
-        return items[0] if len(items) == 1 else Prod(tuple(items))
-
-    def parse_atom() -> QiExpr:
-        t = take()
-        if t in ("max", "min"):
-            expect("(")
-            items = [parse_sum()]
-            while peek() == ",":
-                take()
-                items.append(parse_sum())
-            expect(")")
-            return (Max if t == "max" else Min)(tuple(items))
-        if t == "(":
-            e = parse_sum()
-            expect(")")
-            return e
-        if re.fullmatch(r"\d+/\d+|\d+", t):
-            if re.fullmatch(r"\d+/0+", t):
-                raise ParseError(f"constant {t} has a zero denominator", lineno, 1)
-            return Const(t)  # Fraction reads p/q
-        if t in params:
-            return Arg(params.index(t))
-        raise ParseError(f"unknown name {t!r} in expression", lineno, 1)
-
-    e = parse_sum()
-    if peek() is not None:
-        raise ParseError(f"trailing input {peek()!r} in expression", lineno, 1)
+def _expression(toks: Tokens, params: list) -> QiExpr:
+    e = run_stack(_sum(toks, params))
+    if not toks.done():
+        raise toks.error(f"trailing input {toks.peek()!r} in expression")
     return e
+
+
+def _sum(toks: Tokens, params: list):
+    """A sum of products of atoms, read on ``run_stack``: an atom that is a
+    group, a max or a min yields the reader of each sum inside it."""
+    terms: list = []
+    factors: list = []
+    while True:
+        tok = toks.peek()
+        if tok in ("max", "min"):
+            toks.next()
+            toks.expect("(")
+            items = [(yield _sum(toks, params))]
+            while toks.peek() == ",":
+                toks.next()
+                items.append((yield _sum(toks, params)))
+            toks.expect(")")
+            factors.append((Max if tok == "max" else Min)(tuple(items)))
+        elif tok == "(":
+            toks.next()
+            factors.append((yield _sum(toks, params)))
+            toks.expect(")")
+        elif _NUMBER.fullmatch(tok):
+            if _ZERO_DENOMINATOR.fullmatch(tok):
+                raise ParseError(f"constant {tok} has a zero denominator", toks.line, 1)
+            toks.next()
+            factors.append(Const(tok))  # Fraction reads p/q
+        elif tok in params:
+            toks.next()
+            factors.append(Arg(params.index(tok)))
+        else:
+            raise toks.error(f"unknown name {tok!r} in expression")
+        op = None if toks.done() else toks.peek()
+        if op == "*":
+            toks.next()
+            continue
+        terms.append(factors[0] if len(factors) == 1 else Prod(tuple(factors)))
+        if op != "+":
+            return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+        toks.next()
+        factors = []
 
 
 def format_assignment(assignment: QiAssignment, program: Program) -> str:

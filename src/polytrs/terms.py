@@ -155,9 +155,7 @@ def is_value(t: Term) -> bool:
 
 
 def is_pattern(t: Term) -> bool:
-    if isinstance(t, Var):
-        return True
-    return t.symbol.is_constructor and all(is_pattern(a) for a in t.args)
+    return all(isinstance(u, Var) or u.symbol.is_constructor for u in subterms(t))
 
 
 def term_size(t: Term) -> int:
@@ -265,6 +263,20 @@ class Equation:
     calls: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        lhs_vars = set()
+        for p in self.lhs_patterns:
+            if not is_pattern(p):
+                raise SignatureError(
+                    f"equation {self.index}: lhs argument {format_term(p)} "
+                    "contains a function symbol"
+                )
+            lhs_vars.update(variables(p))
+        missing = [v for v in variables(self.rhs) if v not in lhs_vars]
+        if missing:
+            raise SignatureError(
+                f"equation {self.index}: rhs variable {missing[0]} does not "
+                "occur in the lhs"
+            )
         object.__setattr__(self, "lhs", App(self.lhs_function, self.lhs_patterns))
         calls: dict = {}
         todo: list = [((), self.rhs)]
@@ -320,21 +332,6 @@ class Program:
                         raise SignatureError(
                             f"equation {eq.index}: undeclared symbol {u.symbol.name}"
                         )
-            for p in eq.lhs_patterns:
-                if not is_pattern(p):
-                    raise SignatureError(
-                        f"equation {eq.index}: lhs argument {format_term(p)} "
-                        "contains a function symbol"
-                    )
-            lhs_vars = set()
-            for p in eq.lhs_patterns:
-                lhs_vars.update(variables(p))
-            missing = [v for v in variables(eq.rhs) if v not in lhs_vars]
-            if missing:
-                raise SignatureError(
-                    f"equation {eq.index}: rhs variable {missing[0]} does not "
-                    "occur in the lhs"
-                )
 
     @property
     def constructors(self) -> list[Symbol]:

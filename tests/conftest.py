@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from polytrs.parser import parse_program
+from polytrs.parser import parse_program, parse_term
 from polytrs.semantics import (
     check_dependence_bounds,
     check_read_linkage,
@@ -59,6 +59,10 @@ def checked_memo(program, term, budget=None, allow_nonconfluent=False):
 
 def symbols_of(program):
     return {s.name: s for s in program.signature}
+
+
+def t(text, program):
+    return parse_term(text, symbols_of(program))
 
 
 def unshare(j):

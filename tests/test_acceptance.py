@@ -44,7 +44,7 @@ from polytrs.wordnorm import (
     same_class_paths,
 )
 
-from .conftest import CORPUS, CORPUS_PROGRAMS, checked_cbv, checked_memo, load, symbols_of
+from .conftest import CORPUS, CORPUS_PROGRAMS, checked_cbv, checked_memo, load, symbols_of, t
 from .test_blind import brute_force_outcomes
 from .test_semantics import dedup_equations, expected_running_shape
 
@@ -55,10 +55,6 @@ MULTI_LABEL = {
     "grid3.trs": "g3({0}, {1}, {2})",
     "twoclass.trs": "u({0}, {1})",
 }
-
-
-def t(text, program):
-    return parse_term(text, symbols_of(program))
 
 
 def word(n):

@@ -183,8 +183,12 @@ def test_sexpr_errors():
         parse_bc("(rec (proj 1 0 1))")
     with pytest.raises(ParseError):
         parse_bc("(frobnicate)")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^1:12: projection index out of range$"):
         parse_bc("(proj 0 0 1)")
+    with pytest.raises(ParseError, match=r"^1:21: unexpected end of input$"):
+        parse_bc("(comp (0 0) (zero) (")
+    with pytest.raises(ParseError, match=r"^2:3: unknown algebra constructor 'frob'$"):
+        parse_bc("; a comment (\n (frob)")
 
 
 def test_bc_property_suite_sample():

@@ -29,17 +29,13 @@ from polytrs.blind import (
     words_of_length,
 )
 from polytrs.ordering import EPPO, PPO, infer_precedence
-from polytrs.parser import format_program, parse_program, parse_term
+from polytrs.parser import format_program, parse_program
 from polytrs.qi import check_qi, eval_expr, parse_assignment
 from polytrs.semantics import outcome_table, validate_proof
 from polytrs.terms import App
 
-from .conftest import CORPUS, CORPUS_PROGRAMS, PARITY_BUDGETS, checked_cbv, symbols_of
+from .conftest import CORPUS, CORPUS_PROGRAMS, PARITY_BUDGETS, checked_cbv, t
 from .test_semantics import COUNTDOWN, LOOP
-
-
-def t(text, program):
-    return parse_term(text, symbols_of(program))
 
 
 def brute_force_outcomes(program, term):

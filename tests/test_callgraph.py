@@ -25,11 +25,7 @@ from polytrs.qi import parse_assignment, value_qi
 from polytrs.terms import App, Equation, term_size
 from polytrs.wordnorm import normalize
 
-from .conftest import CORPUS, checked_cbv, checked_memo, symbols_of
-
-
-def t(text, program):
-    return parse_term(text, symbols_of(program))
+from .conftest import CORPUS, checked_cbv, checked_memo, t
 
 
 def word(prog, n, letter="s", end="0"):

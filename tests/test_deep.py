@@ -5,7 +5,8 @@ tree n + 1 calls deep.  Every stage that follows the proof, the term or the
 call structure runs on ``run_stack`` or an iterative walk, so these words
 evaluate, check and print far beyond Python's recursion limit.  JSON this
 deep is read back by its top-level lines only: ``json.loads`` itself
-recurses once per nesting level.
+recurses once per nesting level.  The text readers run on ``run_stack`` too,
+so neither a term nor a ``qi`` or ``--poly`` expression has a nesting limit.
 """
 
 from __future__ import annotations
@@ -153,3 +154,33 @@ def test_dependence_bounds_on_a_long_constructor_chain(corpus):
     start = time.perf_counter()
     check_dependence_bounds(proof)
     assert time.perf_counter() - start < 2.0
+
+
+def nested(text: str, depth: int = 3000) -> str:
+    return "(" * depth + text + ")" * depth
+
+
+def test_deep_parentheses_in_a_qi_line(tmp_path):
+    qi = tmp_path / "deep.qi"
+    qi.write_text(
+        (CORPUS / "append.qi").read_text().replace("X + Y", nested("X") + " + Y")
+    )
+    code, text = run(tmp_path, "--qi", str(qi), "check-qi", APPEND)
+    assert code == 0
+    assert json.loads(text)["overall"] == "valid"
+
+
+def test_deep_parentheses_in_a_poly(tmp_path):
+    code, text = run(tmp_path, "measure", "--kind", "values", "--poly", nested("n"), APPEND)
+    assert code == 0
+    assert json.loads(text)["rows"]
+
+
+def test_deep_lhs_pattern_parses(tmp_path):
+    trs = tmp_path / "deep.trs"
+    trs.write_text(
+        f"constructors: s0/1 nil/0\nfunctions: f/1\nf({'s0 ' * 3000}nil) -> nil\nmain: f\n"
+    )
+    code, text = run(tmp_path, "parse", str(trs))
+    assert code == 0
+    assert json.loads(text)["program"].count("s0(") == 3000

@@ -22,15 +22,11 @@ from polytrs.ordering import (
     parse_precedence,
     static_call_graph,
 )
-from polytrs.parser import parse_program, parse_term
+from polytrs.parser import parse_program
 from polytrs.terms import subterms
 
-from .conftest import symbols_of
+from .conftest import t
 from .strategies import terms
-
-
-def t(text, program):
-    return parse_term(text, symbols_of(program))
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from polytrs.base import (
     NoMatchingEquation,
     NonConfluentProgram,
 )
-from polytrs.parser import parse_program, parse_term
+from polytrs.parser import parse_program
 from polytrs.semantics import (
     Exhaustive,
     FirstMatch,
@@ -30,14 +30,10 @@ from polytrs.semantics import (
 )
 from polytrs.terms import term_size
 
-from .conftest import checked_cbv, checked_memo, symbols_of
+from .conftest import checked_cbv, checked_memo, t
 from .strategies import values
 
 from polytrs.blind import blind_program, word_length
-
-
-def t(text, program):
-    return parse_term(text, symbols_of(program))
 
 
 def expected_running_shape(prog):

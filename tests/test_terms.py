@@ -34,12 +34,8 @@ from polytrs.terms import (
     variables,
 )
 
-from .conftest import CORPUS_PROGRAMS, load, symbols_of
+from .conftest import CORPUS_PROGRAMS, load, symbols_of, t
 from .strategies import NIL, PAIR, S0, S1, patterns, terms, values
-
-
-def t(text, program):
-    return parse_term(text, symbols_of(program))
 
 
 def test_parse_running_example(corpus):
@@ -59,8 +55,9 @@ def test_parse_identity(corpus):
 
 
 def test_rhs_variable_must_occur_in_lhs():
-    with pytest.raises(ParseError, match="rhs variable y"):
+    with pytest.raises(ParseError, match="rhs variable y") as err:
         parse_program("functions: f/1 g/1\nf(x) -> g(y)\nmain: f\n")
+    assert err.value.line == 2
 
 
 def test_arity_mismatch_rejected():

@@ -36,13 +36,9 @@ from polytrs.wordnorm import (
     word_pattern,
 )
 
-from .conftest import CORPUS, CORPUS_PROGRAMS, PARITY_BUDGETS, checked_memo, load, symbols_of
+from .conftest import CORPUS, CORPUS_PROGRAMS, PARITY_BUDGETS, checked_memo, load, symbols_of, t
 
 MULTI_LABEL = ["fib.trs", "trip.trs", "grid2.trs", "grid3.trs", "twoclass.trs"]
-
-
-def t(text, program):
-    return parse_term(text, symbols_of(program))
 
 
 def word(prog, n):
