@@ -87,41 +87,48 @@ BcTerm = BcZero | BcSucc | BcProj | BcPred | BcCond | BcSafeRec | BcSafeComp
 
 def bc_arity(b: BcTerm) -> tuple[int, int]:
     """(normal, safe) arity; validates consistency of compound terms."""
+    return run_stack(_arity_walk(b, {}))
+
+
+def _arity_walk(b: BcTerm, out: dict):
+    """bc_arity on run_stack, in one pass that records the arity of every
+    node in ``out``, keyed by ``id``."""
     if isinstance(b, BcZero):
-        return (0, 0)
-    if isinstance(b, (BcSucc, BcPred)):
-        return (0, 1)
-    if isinstance(b, BcCond):
-        return (0, 3)
-    if isinstance(b, BcProj):
-        return (b.normals, b.safes)
-    if isinstance(b, BcSafeRec):
-        n, m = bc_arity(b.base)
+        arity = (0, 0)
+    elif isinstance(b, (BcSucc, BcPred)):
+        arity = (0, 1)
+    elif isinstance(b, BcCond):
+        arity = (0, 3)
+    elif isinstance(b, BcProj):
+        arity = (b.normals, b.safes)
+    elif isinstance(b, BcSafeRec):
+        n, m = yield _arity_walk(b.base, out)
         for step in (b.step0, b.step1):
-            if bc_arity(step) != (n + 1, m + 1):
-                raise SignatureError(
-                    f"recursion step has arity {bc_arity(step)}, needs ({n + 1}; {m + 1})"
-                )
-        return (n + 1, m)
-    if isinstance(b, BcSafeComp):
-        p, q = bc_arity(b.outer)
+            got = yield _arity_walk(step, out)
+            _expect_arity("recursion step", got, (n + 1, m + 1))
+        arity = (n + 1, m)
+    elif isinstance(b, BcSafeComp):
+        p, q = yield _arity_walk(b.outer, out)
         if len(b.normal_inner) != p or len(b.safe_inner) != q:
             raise SignatureError(
                 f"composition needs {p} normal and {q} safe inner functions"
             )
         for h in b.normal_inner:
-            if bc_arity(h) != (b.normals, 0):
-                raise SignatureError(
-                    f"normal inner function has arity {bc_arity(h)}, needs ({b.normals}; 0)"
-                )
+            got = yield _arity_walk(h, out)
+            _expect_arity("normal inner function", got, (b.normals, 0))
         for l in b.safe_inner:
-            if bc_arity(l) != (b.normals, b.safes):
-                raise SignatureError(
-                    f"safe inner function has arity {bc_arity(l)}, "
-                    f"needs ({b.normals}; {b.safes})"
-                )
-        return (b.normals, b.safes)
-    raise SignatureError(f"unknown algebra term {b!r}")
+            got = yield _arity_walk(l, out)
+            _expect_arity("safe inner function", got, (b.normals, b.safes))
+        arity = (b.normals, b.safes)
+    else:
+        raise SignatureError(f"unknown algebra term {b!r}")
+    out[id(b)] = arity
+    return arity
+
+
+def _expect_arity(what: str, got: tuple, needs: tuple) -> None:
+    if got != needs:
+        raise SignatureError(f"{what} has arity {got}, needs ({needs[0]}; {needs[1]})")
 
 
 @dataclass(frozen=True)
@@ -134,8 +141,9 @@ class BcCompilation:
 
 
 class _Compiler:
-    def __init__(self):
-        self.symbols: dict[BcTerm, Symbol] = {}
+    def __init__(self, arities: dict):
+        self.arities = arities  # id of each node -> (normal, safe)
+        self.symbols: dict = {}  # structural key -> compiled symbol
         self.equations: list[Equation] = []
         self.q_parts: dict[str, QiExpr] = {}  # over normal argument indices
         self.entries: dict[str, QiExpr] = {}
@@ -152,16 +160,31 @@ class _Compiler:
     def add_equation(self, f: Symbol, patterns: tuple, rhs: Term) -> None:
         self.equations.append(Equation(f, patterns, rhs, len(self.equations)))
 
-    def compile(self, b: BcTerm) -> Symbol:
-        if b in self.symbols:
-            return self.symbols[b]
-        n, m = bc_arity(b)
+    def compile(self, b: BcTerm):
+        """b's symbol, on run_stack; b has passed ``_arity_walk``, whose
+        arities it reads.  Subterms are compiled first, so a term is keyed
+        by its head, its own fields and its subterms' symbols: structurally
+        equal terms share a key, and no key hashes deeply."""
+        if isinstance(b, BcSafeRec):
+            subterms, key = (b.base, b.step0, b.step1), (BcSafeRec,)
+        elif isinstance(b, BcSafeComp):
+            subterms = (b.outer, *b.normal_inner, *b.safe_inner)
+            key = (BcSafeComp, b.normals, b.safes, len(b.normal_inner))
+        else:
+            subterms, key = (), (b,)
+        syms = []
+        for c in subterms:
+            syms.append((yield self.compile(c)))
+        key += tuple(syms)
+        if key in self.symbols:
+            return self.symbols[key]
+        n, m = self.arities[id(b)]
         xs = tuple(Var(f"x{i + 1}") for i in range(n))
         ys = tuple(Var(f"y{i + 1}") for i in range(m))
         safe_args = [Arg(n + i) for i in range(m)]
 
         def finish(sym: Symbol, q: QiExpr, desc: str) -> Symbol:
-            self.symbols[b] = sym
+            self.symbols[key] = sym
             q = simplify(q, n, memo=self.memo)
             self.q_parts[sym.name] = q
             entry = q if m == 0 else Sum((q, Max(tuple(safe_args))))
@@ -187,7 +210,7 @@ class _Compiler:
             # posynomial over-approximation sum of normals, which keeps the
             # compiled recurrences free of nested maxima.
             self.entries[sym.name] = Max(tuple(Arg(i) for i in range(n + m)))
-            self.symbols[b] = sym
+            self.symbols[key] = sym
             self.q_parts[sym.name] = (
                 Sum(tuple(Arg(i) for i in range(n))) if n else Const(0)
             )
@@ -210,9 +233,7 @@ class _Compiler:
             # floor(cond) = max of the three safe arguments, q part 0.
             return finish(sym, Const(0), "conditional")
         if isinstance(b, BcSafeRec):
-            g = self.compile(b.base)
-            h0 = self.compile(b.step0)
-            h1 = self.compile(b.step1)
+            g, h0, h1 = syms
             sym = self.fresh("rec", n + m)
             z = Var("z")
             rest = xs[1:]
@@ -237,9 +258,9 @@ class _Compiler:
             q = Sum(tuple([base_q] + normals))
             return finish(sym, q, "safe recursion")
         if isinstance(b, BcSafeComp):
-            outer = self.compile(b.outer)
-            hs = [self.compile(h) for h in b.normal_inner]
-            ls = [self.compile(l) for l in b.safe_inner]
+            outer = syms[0]
+            hs = syms[1 : 1 + len(b.normal_inner)]
+            ls = syms[1 + len(b.normal_inner) :]
             sym = self.fresh("comp", n + m)
             rhs = App(
                 outer,
@@ -252,7 +273,6 @@ class _Compiler:
             q_ls = [substitute(self.q_parts[l.name], normals) for l in ls]
             q = Sum(tuple([q_g] + q_ls + normals))
             return finish(sym, q, "safe composition")
-        raise SignatureError(f"unknown algebra term {b!r}")
 
 
 def compile_bc(b: BcTerm) -> BcCompilation:
@@ -261,9 +281,10 @@ def compile_bc(b: BcTerm) -> BcCompilation:
     Structurally identical subterms share one compiled symbol; naming is
     deterministic, so compilation is reproducible.
     """
-    bc_arity(b)  # validate before emitting anything
-    comp = _Compiler()
-    main = comp.compile(b)
+    arities: dict = {}
+    run_stack(_arity_walk(b, arities))  # validate before emitting anything
+    comp = _Compiler(arities)
+    main = run_stack(comp.compile(b))
     signature = [S0, S1, ZERO] + [
         s for s in _symbol_order(comp.equations) if s.is_function
     ]

@@ -10,7 +10,6 @@ table of semantics.outcome_table rather than enumerating derivations.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -23,18 +22,9 @@ from .base import (
     QiError,
     run_stack,
 )
-from .callgraph import function_ranks, rank_recurrence_bound
 from .ordering import Precedence
-from .qi import (
-    Arg,
-    Const,
-    QiAssignment,
-    Sum,
-    eval_expr,
-    is_uniform,
-    max_constructor_constant,
-)
-from .semantics import DerivationProof, Judgement, activation_growth, classify, outcome_table
+from .qi import Arg, Const, QiAssignment, Sum, is_uniform
+from .semantics import DerivationProof, Judgement, classify, outcome_table
 from .terms import App, CONSTRUCTOR, Equation, FUNCTION, Program, Symbol, Term, Var
 
 BLIND_S = Symbol("s", CONSTRUCTOR, 1)
@@ -306,28 +296,6 @@ def input_tuples(
     for comp in comps:
         out.extend(itertools.islice(itertools.product(*(pools[c] for c in comp)), per_comp))
     return out
-
-
-def strong_poly_bound(
-    program: Program, assignment: QiAssignment, precedence: Precedence, n: int
-) -> int:
-    """Concrete per-size derivation bound for strict-order, valid-QI,
-    linear programs: rank recurrence x per-rank descendant cap x activation
-    growth, with the QI bounding active sizes."""
-    main = program.main
-    arity = max(1, main.arity)
-    a = max_constructor_constant(assignment, program)
-    point = [a * (n + 1)] * main.arity
-    s_cap = 1 + max(1, program.max_arity()) * eval_expr(
-        assignment.entry(main.name), point
-    )
-    s_cap = int(math.ceil(s_cap))
-    a_cap = n + arity  # same-class descendants per node: linearity + descent
-    ranks = function_ranks(program, precedence)
-    k = max(ranks.values(), default=1)
-    total_nodes = rank_recurrence_bound(program, k, a_cap)
-    g = activation_growth(program)
-    return (total_nodes + 1) * (g * (s_cap + 1) + 1) + n + arity + 1
 
 
 def measure_strong_poly(

@@ -1,0 +1,379 @@
+"""The paper's lemma bounds, each as a concrete number to check against.
+
+The polynomial bound is built from lemmas: the rank recurrence over
+precedence classes, same-class descendant counts, path commutation, and
+the active-size and derivation-size bounds that a quasi-interpretation
+gives under the P-criterion.  Each function here instantiates one of them
+on a program, a proof or a call structure.  They state what the paper
+proves rather than decide a verdict, so no other module imports this one.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .base import PrecedenceError, QiError, run_stack
+from .callgraph import DAG, CallNode, CallStructure, state_text
+from .ordering import EQUIV, LESS, Precedence
+from .qi import QiAssignment, additive_shape, eval_expr
+from .semantics import DerivationProof
+from .terms import App, Program, Symbol, Term, term_size
+from .wordnorm import same_class_calls
+
+# -- rank statistics ----------------------------------------------------------
+
+
+def call_tree_arity(program: Program) -> int:
+    """Bound on the number of children of any call-structure node.
+
+    Every function-headed occurrence of an rhs spawns exactly one call
+    judgement under the activation, nested calls included, so the constant
+    counts occurrences rather than maximal subterms.
+    """
+    return max((len(eq.calls) for eq in program.equations), default=0)
+
+
+@dataclass(frozen=True)
+class ClassRankStats:
+    class_symbols: tuple
+    rank: int
+    node_count: int
+    max_same_class_descendants: int
+
+
+@dataclass(frozen=True)
+class RankReport:
+    per_class: tuple
+    max_descendants: int  # the quantity A
+    total_nodes: int
+    bound: int
+    holds: bool
+
+
+def function_ranks(program: Program, precedence: Precedence) -> dict:
+    """rank(f) = 1 + max rank of strictly smaller function classes."""
+    classes: dict[int, list[Symbol]] = {}
+    for f in program.functions:
+        classes.setdefault(precedence.class_of(f.name), []).append(f)
+    memo: dict[int, int] = {}
+
+    def rank(cid: int) -> int:
+        if cid in memo:
+            return memo[cid]
+        smaller = [o for o in classes if o != cid and (o, cid) in precedence.below]
+        memo[cid] = 1 + max((rank(o) for o in smaller), default=0)
+        return memo[cid]
+
+    return {cid: rank(cid) for cid in classes}
+
+
+def same_class_descendant_counts(structure: CallStructure, precedence: Precedence) -> dict:
+    """Per node: number of descendant node occurrences in the same class.
+
+    In a dag, distinct nodes are distinct states, so occurrence counting and
+    state counting coincide.
+    """
+    counts: dict[CallNode, int] = {}
+
+    def descend(node: CallNode, cls: int, seen: set):
+        total = 0
+        for _, c in structure.successors_of(node):
+            if c in seen:
+                continue
+            seen.add(c)
+            here = 1 if precedence.class_of(c.state.symbol.name) == cls else 0
+            total += here + (yield descend(c, cls, seen))
+        return total
+
+    for node in structure.nodes():
+        cls = precedence.class_of(node.state.symbol.name)
+        counts[node] = run_stack(descend(node, cls, set()))
+    return counts
+
+
+def rank_recurrence_bound(program: Program, k: int, a: int, min_d: int = 0) -> int:
+    """Sum over 1 <= i <= k of B_i = sum_{i<=j<=k} d^(k-j) * (a+1)^(k-j+1).
+
+    d is the call-tree arity (the most function occurrences in any rhs),
+    raised to at least ``min_d``.
+    """
+    d = max(min_d, call_tree_arity(program))
+    return sum(
+        d ** (k - j) * (a + 1) ** (k - j + 1)
+        for i in range(1, k + 1)
+        for j in range(i, k + 1)
+    )
+
+
+def rank_stats(structure: CallStructure, precedence: Precedence, program: Program) -> RankReport:
+    """Per-class counting and the rank-recurrence size bound.
+
+    The bound instantiates ``rank_recurrence_bound`` with A the largest
+    same-class descendant count, d at least 1 and k the maximum rank; the +1
+    absorbs the node itself alongside its descendants.
+    """
+    if not precedence.is_compatible(program):
+        raise PrecedenceError("rank statistics need a compatible precedence")
+    ranks = function_ranks(program, precedence)
+    counts = same_class_descendant_counts(structure, precedence)
+    nodes = structure.nodes()
+    a_max = max(counts.values(), default=0)
+    k = max(ranks.values(), default=0)
+
+    per_class = []
+    for cid, rank in sorted(ranks.items()):
+        members = tuple(sorted(s.name for s in program.functions if precedence.class_of(s.name) == cid))
+        cls_nodes = [n for n in nodes if precedence.class_of(n.state.symbol.name) == cid]
+        per_class.append(
+            ClassRankStats(
+                members,
+                rank,
+                len(cls_nodes),
+                max((counts[n] for n in cls_nodes), default=0),
+            )
+        )
+    bound = rank_recurrence_bound(program, k, a_max, min_d=1)
+    bound *= max(1, len(structure.roots))
+    return RankReport(tuple(per_class), a_max, len(nodes), bound, len(nodes) <= bound)
+
+
+def check_edge_class_descent(structure: CallStructure, precedence: Precedence) -> None:
+    """Along every edge the child's class is weakly below the parent's."""
+    for n in structure.nodes():
+        for e, c in structure.successors_of(n):
+            rel = precedence.compare_symbols(c.state.symbol, n.state.symbol)
+            if rel not in (LESS, EQUIV):
+                raise ValueError(
+                    f"edge {state_text(n.state)} -> {state_text(c.state)} "
+                    "climbs the precedence"
+                )
+
+
+def ppo_descendant_bound(structure: CallStructure, precedence: Precedence) -> list[dict]:
+    """Per-node check of the PPO same-class dag bound c * prod(|v_i| + 1)."""
+    counts = same_class_descendant_counts(structure, precedence)
+    out = []
+    for n in structure.nodes():
+        cid = precedence.class_of(n.state.symbol.name)
+        bound = max(1, sum(
+            s.is_function and precedence.class_ids[s.name] == cid for s in precedence.signature
+        ))
+        for v in n.state.args:
+            bound *= term_size(v) + 1
+        out.append(
+            {
+                "state": state_text(n.state),
+                "descendants": counts[n],
+                "bound": bound,
+                "holds": counts[n] <= bound,
+            }
+        )
+    return out
+
+
+# -- path words over the call dag ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class PathLabel:
+    """One occurrence in the global enumeration of same-class call sites."""
+
+    index: int
+    equation_index: int
+    occurrence: int
+    callee: str
+
+    def __repr__(self) -> str:
+        return f"{self.callee}^{self.index}"
+
+
+def call_site_labels(program: Program, precedence: Precedence) -> dict:
+    """(equation index, rhs occurrence) -> PathLabel for same-class sites."""
+    labels = {}
+    for i, call in enumerate(same_class_calls(program, precedence)):
+        labels[(call.equation.index, call.occurrence)] = PathLabel(
+            i + 1, call.equation.index, call.occurrence, call.callee.name
+        )
+    return labels
+
+
+def same_class_paths(
+    dag: CallStructure,
+    start: CallNode,
+    labels: dict,
+    precedence: Precedence,
+    max_length: int = 6,
+) -> list[tuple[tuple, CallNode]]:
+    """All same-class label paths from a node, up to a length cap."""
+    cls = precedence.class_of(start.state.symbol.name)
+    out: list[tuple[tuple, CallNode]] = []
+
+    def go(node: CallNode, word: tuple) -> None:
+        if len(word) >= max_length:
+            return
+        for edge, child in dag.successors_of(node):
+            if precedence.class_of(child.state.symbol.name) != cls:
+                continue
+            lab = labels.get((edge.equation.index, edge.occurrence))
+            if lab is None:
+                continue
+            out.append((word + (lab,), child))
+            go(child, word + (lab,))
+
+    go(start, ())
+    return out
+
+
+def path_word(
+    dag: CallStructure,
+    ancestor: App,
+    descendant: App,
+    program: Program,
+    precedence: Precedence,
+    max_length: int = 12,
+) -> list[PathLabel]:
+    """The label sequence of a same-class path between two dag states."""
+    labels = call_site_labels(program, precedence)
+    start = next((n for n in dag.nodes() if n.state == ancestor), None)
+    if start is None:
+        raise ValueError(f"{state_text(ancestor)} does not occur in the dag")
+    for word, node in same_class_paths(dag, start, labels, precedence, max_length):
+        if node.state == descendant:
+            return list(word)
+    raise ValueError(
+        f"no same-class path from {state_text(ancestor)} to {state_text(descendant)}"
+    )
+
+
+@dataclass(frozen=True)
+class DescendantBound:
+    state: App
+    count: int
+    bound: int
+    holds: bool
+    branch_cap: int
+    longest_branch: int
+    branch_holds: bool
+
+
+def same_class_descendant_bound(
+    dag: CallStructure, node: CallNode, precedence: Precedence, program: Program
+) -> DescendantBound:
+    """Distinct same-class descendants against (I+1)^M, branches against I.
+
+    M is the size of the path-label alphabet of the node's class: the number
+    of enumerated same-class call sites.  Counting class members instead is
+    too small; a two-site single-function descent already beats it.
+    """
+    if dag.kind != DAG:
+        raise ValueError("the descendant bound is a call-dag statement")
+    cls = precedence.class_of(node.state.symbol.name)
+    calls = same_class_calls(program, precedence)
+    m = max(1, sum(precedence.class_of(c.equation.lhs_function.name) == cls for c in calls))
+    n = node.state.symbol.arity
+    i_cap = n * max((term_size(v) for v in node.state.args), default=0)
+    seen: set = set()
+
+    def go(cur: CallNode, depth: int):
+        """The greatest depth at which the walk from cur first meets a node."""
+        longest = depth
+        for _, child in dag.successors_of(cur):
+            if precedence.class_of(child.state.symbol.name) != cls:
+                continue
+            if child.state in seen:
+                continue
+            seen.add(child.state)
+            longest = max(longest, (yield go(child, depth + 1)))
+        return longest
+
+    longest = run_stack(go(node, 0))
+    bound = (i_cap + 1) ** m
+    return DescendantBound(
+        node.state, len(seen), bound, len(seen) <= bound, i_cap, longest, longest <= i_cap
+    )
+
+
+# -- active sizes and derivation sizes ------------------------------------------
+
+
+def max_constructor_constant(assignment: QiAssignment, program: Program) -> Fraction:
+    """The constant a with |v| <= floor(v) <= a * |v| on values."""
+    out = Fraction(1)
+    for c in program.constructors:
+        if c.name in assignment.entries:
+            a = additive_shape(assignment.entry(c.name), c.arity)
+            if a is None:
+                raise QiError(f"constructor {c.name} is not additively assigned")
+            out = max(out, a)
+    return out
+
+
+def _active_size_cap(
+    assignment: QiAssignment, program: Program, name: str, sizes: list
+) -> Fraction:
+    """1 + k * floor(name)(a * sizes), where k is the largest arity."""
+    a = max_constructor_constant(assignment, program)
+    point = [a * size for size in sizes]
+    k = max(1, program.max_arity())
+    return 1 + k * eval_expr(assignment.entry(name), point)
+
+
+def active_size_bound(
+    assignment: QiAssignment, program: Program, call: Term
+) -> Fraction:
+    """Bound on the size of any active term in derivations of a call f(v..).
+
+    Instantiates |s| <= 1 + k * floor(call) with floor(v_i) <= a|v_i|.
+    """
+    sizes = [term_size(v) for v in call.args]
+    return _active_size_cap(assignment, program, call.symbol.name, sizes)
+
+
+def activation_growth(program: Program) -> int:
+    """Max rhs size over all equations: the linear-growth constant c such
+    that any activation of an active term t has size <= c * |t|."""
+    return max((term_size(eq.rhs) for eq in program.equations), default=1)
+
+
+def _derivation_size(activations: int, growth: int, active_size: int) -> int:
+    """Q(A, S) = (A + 1) * (G * (S + 1) + 1): each of A activations, and the
+    root term, roots a dependence of at most G * (S + 1) + 1 judgements."""
+    return (activations + 1) * (growth * (active_size + 1) + 1)
+
+
+def assembled_rule_bound(program: Program, proof: DerivationProof) -> int:
+    """Concrete instance of the derivation-size polynomial Q(A, S).
+
+    Every passive judgement sits in the dependence of some activation (or of
+    the root term), each bounded by the activation size G*(S+1); Read leaves
+    add at most an arity factor.
+    """
+    stats = proof.stats
+    g = activation_growth(program)
+    s = max(stats.max_active_size, 1)
+    a = stats.active_occurrences
+    k = max(program.max_arity(), 1)
+    base = _derivation_size(a, g, s) + term_size(proof.root.lhs)
+    if proof.mode == "memo":
+        return (k + 1) * base
+    return base
+
+
+def strong_poly_bound(
+    program: Program, assignment: QiAssignment, precedence: Precedence, n: int
+) -> int:
+    """Concrete per-size derivation bound for strict-order, valid-QI,
+    linear programs: rank recurrence x per-rank descendant cap x activation
+    growth, with the QI bounding active sizes."""
+    main = program.main
+    arity = max(1, main.arity)
+    s_cap = _active_size_cap(assignment, program, main.name, [n + 1] * main.arity)
+    s_cap = int(math.ceil(s_cap))
+    a_cap = n + arity  # same-class descendants per node: linearity + descent
+    ranks = function_ranks(program, precedence)
+    k = max(ranks.values(), default=1)
+    total_nodes = rank_recurrence_bound(program, k, a_cap)
+    g = activation_growth(program)
+    return _derivation_size(total_nodes, g, s_cap) + n + arity + 1

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .base import Budget, BudgetExceeded, DEFAULT_BUDGET, PrecedenceError, run_stack
+from .base import Budget, BudgetExceeded, DEFAULT_BUDGET, run_stack
 from .semantics import (
     DerivationProof,
     Judgement,
@@ -26,14 +26,11 @@ from .terms import (
     App,
     Equation,
     Program,
-    Symbol,
     apply_subst,
     format_term,
     is_value,
     matching_equations,
-    term_size,
 )
-from .ordering import EQUIV, LESS, Precedence
 
 FOREST = "forest"
 DAG = "dag"
@@ -143,16 +140,6 @@ class CallStructure:
                 for e, c in group
             ],
         }
-
-
-def call_tree_arity(program: Program) -> int:
-    """Bound on the number of children of any call-structure node.
-
-    Every function-headed occurrence of an rhs spawns exactly one call
-    judgement under the activation, nested calls included, so the constant
-    counts occurrences rather than maximal subterms.
-    """
-    return max((len(eq.calls) for eq in program.equations), default=0)
 
 
 def _topmost_calls(j: Judgement) -> list[tuple[tuple, Judgement]]:
@@ -297,182 +284,3 @@ def reachable_states(
                 frontier.append(edge.target)
     return seen
 
-
-# -- rank statistics ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClassRankStats:
-    class_symbols: tuple
-    rank: int
-    node_count: int
-    max_same_class_descendants: int
-
-
-@dataclass(frozen=True)
-class RankReport:
-    per_class: tuple
-    max_descendants: int  # the quantity A
-    total_nodes: int
-    bound: int
-    holds: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "per_class": [
-                {
-                    "symbols": list(c.class_symbols),
-                    "rank": c.rank,
-                    "nodes": c.node_count,
-                    "max_same_class_descendants": c.max_same_class_descendants,
-                }
-                for c in self.per_class
-            ],
-            "max_descendants": self.max_descendants,
-            "total_nodes": self.total_nodes,
-            "bound": self.bound,
-            "holds": self.holds,
-        }
-
-
-def function_ranks(program: Program, precedence: Precedence) -> dict:
-    """rank(f) = 1 + max rank of strictly smaller function classes."""
-    classes: dict[int, list[Symbol]] = {}
-    for f in program.functions:
-        classes.setdefault(precedence.class_of(f.name), []).append(f)
-    memo: dict[int, int] = {}
-
-    def rank(cid: int) -> int:
-        if cid in memo:
-            return memo[cid]
-        smaller = [
-            o
-            for o in classes
-            if o != cid and (o, cid) in precedence.below
-        ]
-        memo[cid] = 1 + max((rank(o) for o in smaller), default=0)
-        return memo[cid]
-
-    return {cid: rank(cid) for cid in classes}
-
-
-def same_class_descendant_counts(
-    structure: CallStructure, precedence: Precedence
-) -> dict:
-    """Per node: number of descendant node occurrences in the same class.
-
-    In a dag, distinct nodes are distinct states, so occurrence counting and
-    state counting coincide.
-    """
-    counts: dict[CallNode, int] = {}
-
-    def descend(node: CallNode, cls: int, seen: set):
-        total = 0
-        for _, c in structure.successors_of(node):
-            if c in seen:
-                continue
-            seen.add(c)
-            here = 1 if precedence.class_of(c.state.symbol.name) == cls else 0
-            total += here + (yield descend(c, cls, seen))
-        return total
-
-    for node in structure.nodes():
-        cls = precedence.class_of(node.state.symbol.name)
-        counts[node] = run_stack(descend(node, cls, set()))
-    return counts
-
-
-def rank_recurrence_bound(program: Program, k: int, a: int, min_d: int = 0) -> int:
-    """Sum over 1 <= i <= k of B_i = sum_{i<=j<=k} d^(k-j) * (a+1)^(k-j+1).
-
-    d is the call-tree arity (the most function occurrences in any rhs),
-    raised to at least ``min_d``.
-    """
-    d = max(min_d, call_tree_arity(program))
-    return sum(
-        d ** (k - j) * (a + 1) ** (k - j + 1)
-        for i in range(1, k + 1)
-        for j in range(i, k + 1)
-    )
-
-
-def rank_stats(structure: CallStructure, precedence: Precedence, program: Program) -> RankReport:
-    """Per-class counting and the rank-recurrence size bound.
-
-    The bound instantiates ``rank_recurrence_bound`` with A the largest
-    same-class descendant count, d at least 1 and k the maximum rank; the +1
-    absorbs the node itself alongside its descendants.
-    """
-    if not precedence.is_compatible(program):
-        raise PrecedenceError("rank statistics need a compatible precedence")
-    ranks = function_ranks(program, precedence)
-    counts = same_class_descendant_counts(structure, precedence)
-    nodes = structure.nodes()
-    a_max = max(counts.values(), default=0)
-    k = max(ranks.values(), default=0)
-
-    per_class = []
-    for cid, rank in sorted(ranks.items()):
-        members = tuple(sorted(s.name for s in program.functions if precedence.class_of(s.name) == cid))
-        cls_nodes = [n for n in nodes if precedence.class_of(n.state.symbol.name) == cid]
-        per_class.append(
-            ClassRankStats(
-                members,
-                rank,
-                len(cls_nodes),
-                max((counts[n] for n in cls_nodes), default=0),
-            )
-        )
-    bound = rank_recurrence_bound(program, k, a_max, min_d=1)
-    bound *= max(1, len(structure.roots))
-    return RankReport(
-        tuple(per_class),
-        a_max,
-        len(nodes),
-        bound,
-        len(nodes) <= bound,
-    )
-
-
-def check_edge_class_descent(
-    structure: CallStructure, precedence: Precedence
-) -> None:
-    """Along every edge the child's class is weakly below the parent's."""
-    for n in structure.nodes():
-        for e, c in structure.successors_of(n):
-            rel = precedence.compare_symbols(c.state.symbol, n.state.symbol)
-            if rel not in (LESS, EQUIV):
-                raise ValueError(
-                    f"edge {state_text(n.state)} -> {state_text(c.state)} "
-                    "climbs the precedence"
-                )
-
-
-def ppo_descendant_bound(
-    structure: CallStructure, precedence: Precedence
-) -> list[dict]:
-    """Per-node check of the PPO same-class dag bound c * prod(|v_i| + 1)."""
-    counts = same_class_descendant_counts(structure, precedence)
-    out = []
-    for n in structure.nodes():
-        cid = precedence.class_of(n.state.symbol.name)
-        c = max(
-            1,
-            sum(
-                1
-                for s in precedence.signature
-                if s.is_function and precedence.class_ids[s.name] == cid
-            ),
-        )
-        bound = c
-        for v in n.state.args:
-            bound *= term_size(v) + 1
-        out.append(
-            {
-                "state": state_text(n.state),
-                "descendants": counts[n],
-                "bound": bound,
-                "holds": counts[n] <= bound,
-            }
-        )
-    return out

@@ -236,43 +236,54 @@ class PathOrder:
         return INCOMPARABLE
 
     def less(self, s: Term, t: Term) -> bool:
-        # Every recursive question is on a smaller pair, so none can meet
-        # itself; only finished decisions are stored, so a PrecedenceError
-        # leaves nothing half-decided in the shared memo.
+        # Every sub-question is on a smaller pair, so none can meet a
+        # question still open below it; only finished decisions are stored,
+        # so a PrecedenceError leaves nothing half-decided in the shared memo.
         key = (s, t)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = self._less(s, t)
+            hit = self._memo[key] = run_stack(self._less(s, t))
         return hit
 
-    def _less(self, s: Term, t: Term) -> bool:
+    def _less(self, s: Term, t: Term):
+        """Decide s < t on run_stack.  A sub-question is read from the memo;
+        one not there is decided by yielding its own generator, then stored."""
+        memo = self._memo
         if isinstance(t, App):
             # Rule 1: s is, or is below, an immediate argument of t.
             for ti in t.args:
-                if s == ti or self.less(s, ti):
+                if s == ti:
                     return True
-        if isinstance(s, App) and isinstance(t, App):
-            rel = self.compare_heads(s.symbol, t.symbol)
-            if rel == LESS:
-                # Rule 2: smaller head symbol, all arguments below t.
-                return all(self.less(si, t) for si in s.args)
-            if rel == EQUIV and len(s.args) == len(t.args):
-                # Rule 3: equivalent heads, product-wise smaller arguments.
-                return self.product_less(s.args, t.args) and all(
-                    self.less(si, t) for si in s.args
-                )
-        return False
-
-    def product_less(self, ss: tuple, ts: tuple) -> bool:
-        strict = False
-        for a, b in zip(ss, ts):
-            if a == b:
-                continue
-            if self.less(a, b):
-                strict = True
-            else:
+                if not isinstance(ti, App):  # nothing is below a variable
+                    continue
+                hit = memo.get((s, ti))
+                if hit is None:
+                    hit = memo[s, ti] = yield self._less(s, ti)
+                if hit:
+                    return True
+        if not (isinstance(s, App) and isinstance(t, App)):
+            return False
+        rel = self.compare_heads(s.symbol, t.symbol)
+        if rel == LESS:
+            # Rule 2: smaller head symbol, all arguments below t.
+            questions = []
+        elif rel == EQUIV and len(s.args) == len(t.args):
+            # Rule 3: equivalent heads, product-wise smaller arguments (each
+            # equal to its counterpart or below it, some below), and all
+            # arguments below t.
+            questions = [(a, b) for a, b in zip(s.args, t.args) if a != b]
+            if not questions:
                 return False
-        return strict
+        else:
+            return False
+        questions += [(si, t) for si in s.args]
+        for a, b in questions:
+            hit = memo.get((a, b))
+            if hit is None:
+                hit = memo[a, b] = yield self._less(a, b)
+            if not hit:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -313,12 +324,13 @@ class OrderingVerdict:
 
 def _failing_subgoal(order: PathOrder, s: Term, t: Term) -> str:
     """A concrete unsatisfied proof obligation for s < t (which must fail)."""
-    if isinstance(s, App) and isinstance(t, App):
+    while isinstance(s, App) and isinstance(t, App):
         rel = order.compare_heads(s.symbol, t.symbol)
         if rel == LESS:
-            for si in s.args:
-                if not order.less(si, t):
-                    return _failing_subgoal(order, si, t)
+            below = next((si for si in s.args if not order.less(si, t)), None)
+            if below is not None:
+                s = below
+                continue
         if rel == EQUIV and len(s.args) == len(t.args):
             for a, b in zip(s.args, t.args):
                 if a != b and not order.less(a, b):
@@ -328,6 +340,7 @@ def _failing_subgoal(order: PathOrder, s: Term, t: Term) -> str:
                     )
             if all(a == b for a, b in zip(s.args, t.args)):
                 return "no strictly decreasing argument in the product comparison"
+        break
     return f"{format_term(s)} is not below {format_term(t)}"
 
 

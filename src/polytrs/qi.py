@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .base import ParseError, QiError, Tokens, run_stack
-from .terms import _INTERNED, Equation, Program, Term, Var, _intern, term_size, variables
+from .terms import _INTERNED, Equation, Program, Term, Var, _intern, variables
 
 GRID_POINTS = (0, 1, 2, 5, 10)
 RANDOM_POINTS = 256
@@ -720,32 +720,6 @@ def meet(a1: QiAssignment, a2: QiAssignment, program: Program) -> QiAssignment:
             e2 = a2.entries[name]
             entries[name] = e1 if e1 == e2 else Min((e1, e2))
     return QiAssignment(entries)
-
-
-def max_constructor_constant(assignment: QiAssignment, program: Program) -> Fraction:
-    """The constant a with |v| <= floor(v) <= a * |v| on values."""
-    out = Fraction(1)
-    for c in program.constructors:
-        if c.name in assignment.entries:
-            a = additive_shape(assignment.entry(c.name), c.arity)
-            if a is None:
-                raise QiError(f"constructor {c.name} is not additively assigned")
-            out = max(out, a)
-    return out
-
-
-def active_size_bound(
-    assignment: QiAssignment, program: Program, call: Term
-) -> Fraction:
-    """Bound on the size of any active term in derivations of a call f(v..).
-
-    Instantiates |s| <= 1 + k * floor(call) with floor(v_i) <= a|v_i|.
-    """
-    a = max_constructor_constant(assignment, program)
-    entry = assignment.entry(call.symbol.name)
-    point = [a * term_size(v) for v in call.args]
-    k = max(1, program.max_arity())
-    return 1 + k * eval_expr(entry, point)
 
 
 # -- assignment file format ----------------------------------------------------

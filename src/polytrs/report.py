@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__
-from .base import Budget, DEFAULT_BUDGET, NotWordProgram, TrsError, run_stack
+from .base import Budget, DEFAULT_BUDGET, NotWordProgram, run_stack
 from .blind import blind_program, is_linear, transfer_uniform_qi
 from .ordering import EPPO, PPO, order_verdict
 from .parser import format_program
@@ -172,15 +172,11 @@ def build_report(
     except NotWordProgram as exc:
         stages["blind"] = {"error": str(exc)}
 
-    extended = None
-    try:
-        extended = certify_extended(
-            program, eppo, qi_overall, orthogonal, bool(linear),
-            sizes=sizes, budget=budget, seed=seed,
-        )
-        stages["extended"] = extended.as_dict()
-    except TrsError as exc:
-        stages["extended"] = {"error": str(exc)}
+    extended = certify_extended(
+        program, eppo, qi_overall, orthogonal, bool(linear),
+        sizes=sizes, budget=budget, seed=seed,
+    )
+    stages["extended"] = extended.as_dict()
 
     if ppo_pass and qi_overall == VALID:
         p_criterion = PASS
@@ -197,17 +193,12 @@ def build_report(
             else UNKNOWN
         )
     )
-    if extended is not None:
-        if extended.overall == "certified-p":
-            extended_p = PASS
-        elif extended.overall == "refuted" or not eppo_pass:
-            extended_p = FAIL
-        else:
-            extended_p = UNKNOWN
+    if extended.overall == "certified-p":
+        extended_p = PASS
+    elif extended.overall == "refuted" or not eppo_pass:
+        extended_p = FAIL
     else:
-        extended_p = PASS if (eppo_pass and qi_overall == VALID) else (
-            FAIL if not eppo_pass else UNKNOWN
-        )
+        extended_p = UNKNOWN
 
     data = {
         "schema_version": SCHEMA_VERSION,

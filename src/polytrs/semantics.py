@@ -767,30 +767,6 @@ def max_dependence(proof: DerivationProof, judgement: Judgement) -> Dependence:
     return Dependence(judgement, tuple(collected))
 
 
-def activation_growth(program: Program) -> int:
-    """Max rhs size over all equations: the linear-growth constant c such
-    that any activation of an active term t has size <= c * |t|."""
-    return max((term_size(eq.rhs) for eq in program.equations), default=1)
-
-
-def assembled_rule_bound(program: Program, proof: DerivationProof) -> int:
-    """Concrete instance of the derivation-size polynomial Q(A, S).
-
-    Every passive judgement sits in the dependence of some activation (or of
-    the root term), each bounded by the activation size G*(S+1); Read leaves
-    add at most an arity factor.
-    """
-    stats = proof.stats
-    g = activation_growth(program)
-    s = max(stats.max_active_size, 1)
-    a = stats.active_occurrences
-    k = max(program.max_arity(), 1)
-    base = (a + 1) * (g * (s + 1) + 1) + term_size(proof.root.lhs)
-    if proof.mode == "memo":
-        return (k + 1) * base
-    return base
-
-
 def check_dependence_bounds(proof: DerivationProof) -> None:
     """Assert the three dependence bounds on every passive judgement."""
     for j in proof.root.distinct():

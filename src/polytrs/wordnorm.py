@@ -1,5 +1,5 @@
 """Word-program analysis: production sizes, normality, normalization,
-path commutation, descendant bounds and the extended certification.
+bounded-values measurement and the extended certification.
 
 Everything here assumes unary words: all constructors have arity at most
 one, so patterns are either ground words or a constructor prefix applied to
@@ -18,15 +18,8 @@ from .base import (
     DEFAULT_BUDGET,
     NormalizationError,
     NotWordProgram,
-    run_stack,
 )
-from .callgraph import (
-    CallNode,
-    CallStructure,
-    DAG,
-    reachable_states,
-    state_text,
-)
+from .callgraph import reachable_states
 from .blind import classify_growth, input_tuples, measure_strong_poly, word_alphabet
 from .ordering import EPPO, OrderingVerdict, Precedence, check_program, order_verdict
 from .qi import QiExpr, VALID, eval_expr
@@ -39,7 +32,6 @@ from .terms import (
     Term,
     Var,
     format_term,
-    term_size,
     variables,
 )
 
@@ -234,138 +226,6 @@ def normalization_diff(original: Program, normalized: Program) -> dict:
         "equations_before": len(original.equations),
         "equations_after": len(normalized.equations),
     }
-
-
-# -- path words over the call dag ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathLabel:
-    """One occurrence in the global enumeration of same-class call sites."""
-
-    index: int
-    equation_index: int
-    occurrence: int
-    callee: str
-
-    def __repr__(self) -> str:
-        return f"{self.callee}^{self.index}"
-
-
-def call_site_labels(program: Program, precedence: Precedence) -> dict:
-    """(equation index, rhs occurrence) -> PathLabel for same-class sites."""
-    labels = {}
-    for i, call in enumerate(same_class_calls(program, precedence)):
-        labels[(call.equation.index, call.occurrence)] = PathLabel(
-            i + 1, call.equation.index, call.occurrence, call.callee.name
-        )
-    return labels
-
-
-def same_class_paths(
-    dag: CallStructure,
-    start: CallNode,
-    labels: dict,
-    precedence: Precedence,
-    max_length: int = 6,
-) -> list[tuple[tuple, CallNode]]:
-    """All same-class label paths from a node, up to a length cap."""
-    cls = precedence.class_of(start.state.symbol.name)
-    out: list[tuple[tuple, CallNode]] = []
-
-    def go(node: CallNode, word: tuple) -> None:
-        if len(word) >= max_length:
-            return
-        for edge, child in dag.successors_of(node):
-            if precedence.class_of(child.state.symbol.name) != cls:
-                continue
-            lab = labels.get((edge.equation.index, edge.occurrence))
-            if lab is None:
-                continue
-            out.append((word + (lab,), child))
-            go(child, word + (lab,))
-
-    go(start, ())
-    return out
-
-
-def path_word(
-    dag: CallStructure,
-    ancestor: App,
-    descendant: App,
-    program: Program,
-    precedence: Precedence,
-    max_length: int = 12,
-) -> list[PathLabel]:
-    """The label sequence of a same-class path between two dag states."""
-    labels = call_site_labels(program, precedence)
-    start = next((n for n in dag.nodes() if n.state == ancestor), None)
-    if start is None:
-        raise ValueError(f"{state_text(ancestor)} does not occur in the dag")
-    for word, node in same_class_paths(dag, start, labels, precedence, max_length):
-        if node.state == descendant:
-            return list(word)
-    raise ValueError(
-        f"no same-class path from {state_text(ancestor)} to {state_text(descendant)}"
-    )
-
-
-@dataclass(frozen=True)
-class DescendantBound:
-    state: App
-    count: int
-    bound: int
-    holds: bool
-    branch_cap: int
-    longest_branch: int
-    branch_holds: bool
-
-
-def same_class_descendant_bound(
-    dag: CallStructure, node: CallNode, precedence: Precedence, program: Program
-) -> DescendantBound:
-    """Distinct same-class descendants against (I+1)^M, branches against I.
-
-    M is the size of the path-label alphabet of the node's class: the number
-    of enumerated same-class call sites.  Counting class members instead is
-    too small; a two-site single-function descent already beats it.
-    """
-    if dag.kind != DAG:
-        raise ValueError("the descendant bound is a call-dag statement")
-    cls = precedence.class_of(node.state.symbol.name)
-    m = sum(
-        1
-        for call in same_class_calls(program, precedence)
-        if precedence.class_of(call.equation.lhs_function.name) == cls
-    )
-    m = max(m, 1)
-    n = node.state.symbol.arity
-    i_cap = n * max((term_size(v) for v in node.state.args), default=0)
-    seen: set = set()
-
-    def go(cur: CallNode, depth: int):
-        """The greatest depth at which the walk from cur first meets a node."""
-        longest = depth
-        for _, child in dag.successors_of(cur):
-            if precedence.class_of(child.state.symbol.name) != cls:
-                continue
-            if child.state in seen:
-                continue
-            seen.add(child.state)
-            longest = max(longest, (yield go(child, depth + 1)))
-        return longest
-
-    longest = run_stack(go(node, 0))
-    bound = (i_cap + 1) ** m
-    return DescendantBound(
-        node.state,
-        len(seen),
-        bound,
-        len(seen) <= bound,
-        i_cap,
-        longest,
-        longest <= i_cap,
-    )
 
 
 # -- bounded values measurement --------------------------------------------------

@@ -22,6 +22,12 @@ from polytrs.blind import (
     transfer_uniform_qi,
     word_length,
 )
+from polytrs.bounds import (
+    call_site_labels,
+    max_constructor_constant,
+    same_class_descendant_bound,
+    same_class_paths,
+)
 from polytrs.callgraph import call_dag
 from polytrs.ordering import EPPO, PPO, check_program, infer_precedence
 from polytrs.parser import parse_program, parse_term
@@ -29,20 +35,13 @@ from polytrs.qi import (
     check_qi,
     eval_expr,
     is_uniform,
-    max_constructor_constant,
     parse_assignment,
     term_qi,
     value_qi,
 )
 from polytrs.semantics import derivable_value_set, eval_cbv, FirstMatch
 from polytrs.terms import is_value, subterms, term_size, variables
-from polytrs.wordnorm import (
-    call_site_labels,
-    is_normal,
-    normalize,
-    same_class_descendant_bound,
-    same_class_paths,
-)
+from polytrs.wordnorm import is_normal, normalize
 
 from .conftest import CORPUS, CORPUS_PROGRAMS, checked_cbv, checked_memo, load, symbols_of, t
 from .test_blind import brute_force_outcomes

@@ -228,7 +228,8 @@ def test_compiled_semantics_matches_reference_randomly():
 
 
 def test_blind_image_growth_within_assembled_bound():
-    from polytrs.blind import measure_strong_poly, strong_poly_bound
+    from polytrs.blind import measure_strong_poly
+    from polytrs.bounds import strong_poly_bound
 
     add = parse_bc((CORPUS / "add.bc").read_text())
     comp = compile_bc(add)

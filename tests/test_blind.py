@@ -370,7 +370,7 @@ def test_words_of_length_enumeration(corpus):
 
 def test_strong_poly_theorem_bound_on_corpus(corpus):
     """Strict order + valid QI + linear: rows stay under an assembled bound."""
-    from polytrs.blind import strong_poly_bound
+    from polytrs.bounds import strong_poly_bound
 
     for name, qi_name in (("add.trs", "add.qi"), ("mult.trs", "mult.qi"), ("flip.trs", None)):
         prog = corpus[name]

@@ -8,17 +8,13 @@ import pytest
 
 from polytrs.bc import compile_bc, random_bc
 from polytrs.blind import blind_program
-from polytrs.callgraph import (
-    call_dag,
-    call_tree,
+from polytrs.bounds import (
     check_edge_class_descent,
     ppo_descendant_bound,
     rank_stats,
-    reachable_states,
     same_class_descendant_counts,
-    state_text,
-    successors,
 )
+from polytrs.callgraph import call_dag, call_tree, reachable_states, state_text, successors
 from polytrs.ordering import EPPO, PPO, infer_precedence
 from polytrs.parser import parse_program, parse_term
 from polytrs.qi import parse_assignment, value_qi
@@ -57,7 +53,7 @@ def test_call_tree_node_count_is_active_occurrences(corpus):
 
 
 def test_call_tree_arity_bound(corpus):
-    from polytrs.callgraph import call_tree_arity
+    from polytrs.bounds import call_tree_arity
 
     for name in ("fib.trs", "running.trs", "grid3.trs", "mult.trs"):
         prog = corpus[name]

@@ -6,7 +6,8 @@ call structure runs on ``run_stack`` or an iterative walk, so these words
 evaluate, check and print far beyond Python's recursion limit.  JSON this
 deep is read back by its top-level lines only: ``json.loads`` itself
 recurses once per nesting level.  The text readers run on ``run_stack`` too,
-so neither a term nor a ``qi`` or ``--poly`` expression has a nesting limit.
+so neither a term nor a ``qi`` or ``--poly`` expression has a nesting limit,
+and neither path-order checking nor algebra-term compilation adds one.
 """
 
 from __future__ import annotations
@@ -184,3 +185,44 @@ def test_deep_lhs_pattern_parses(tmp_path):
     code, text = run(tmp_path, "parse", str(trs))
     assert code == 0
     assert json.loads(text)["program"].count("s0(") == 3000
+
+
+def deep_program(tmp_path, equation: str) -> str:
+    trs = tmp_path / "deep.trs"
+    trs.write_text(f"constructors: s0/1 nil/0\nfunctions: f/1\n{equation}\nmain: f\n")
+    return str(trs)
+
+
+def test_deep_lhs_through_check_order_and_certify(tmp_path):
+    trs = deep_program(tmp_path, f"f({'s0 ' * 3000}nil) -> nil")
+    code, text = run(tmp_path, "check-order", trs)
+    assert code == 0, text[:200]
+    assert json.loads(text)["overall"] is True
+    code, text = run(tmp_path, "certify", trs)
+    assert code in (0, 1, 2), text[:200]
+    assert json.loads(text)["stages"]["ordering"]["eppo"]["overall"] is True
+
+
+def test_deep_failing_pair_is_explained(tmp_path):
+    # rhs < lhs fails 3,000 constructors down, where f(nil) meets itself;
+    # no precedence is inferred for a failing program, so one is given.
+    trs = deep_program(tmp_path, f"f(nil) -> {'s0(' * 3000}f(nil){')' * 3000}")
+    code, text = run(tmp_path, "--order", "f ~ f", "check-order", trs)
+    assert code == 1, text[:200]
+    (verdict,) = json.loads(text)["per_equation"]
+    assert verdict["failing_subgoal"] == "no strictly decreasing argument in the product comparison"
+
+
+def nested_comp(depth: int) -> str:
+    term = "(zero)"
+    for _ in range(depth):
+        term = f"(comp (0 0) {term} () ())"
+    return term
+
+
+def test_deep_algebra_term_compiles(tmp_path):
+    bc = tmp_path / "deep.bc"
+    bc.write_text(nested_comp(1500))
+    code, text = run(tmp_path, "bc-compile", str(bc))
+    assert code == 0, text[:200]
+    assert len(json.loads(text)["provenance"]) == 1501

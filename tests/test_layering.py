@@ -1,13 +1,16 @@
 """Every polytrs module imports at module level, uses what it imports, and
 none caches globally.
 
-The modules are layered terms -> semantics -> ordering -> qi -> callgraph ->
-blind -> wordnorm -> report -> cli, so no import cycle needs to be broken by
-importing inside a function.  A module uses every name it imports; only
-``__init__.py`` imports names to re-export them.  No function is wrapped in
-``functools.lru_cache`` or ``functools.cache``: such a cache is
-process-global and, unbounded, keeps every argument alive.  Memo tables
-belong to one computation instead.
+The modules are layered, each importing only from the layers before it:
+base; terms; parser, semantics, ordering and qi; callgraph, blind and bc;
+wordnorm; report; cli.  So no import cycle needs to be broken by importing
+inside a function.  ``bounds`` holds the paper's lemma bounds, which state
+what is proved rather than decide a verdict: it imports from wordnorm and
+below, and no other module imports it.  A module uses every name it
+imports; only ``__init__.py`` imports names to re-export them.  No
+function is wrapped in ``functools.lru_cache`` or ``functools.cache``:
+such a cache is process-global and, unbounded, keeps every argument
+alive.  Memo tables belong to one computation instead.
 """
 
 from __future__ import annotations
@@ -115,3 +118,41 @@ def test_cache_guard_sees_every_spelling():
     )
     found = globally_cached_functions(ast.parse(source))
     assert [entry.split(": ")[1] for entry in found] == ["a", "b", "c", "d", "e"]
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """The polytrs modules a source imports, however the import is spelled."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("polytrs."))
+        elif isinstance(node, ast.ImportFrom):
+            package = "." * node.level + (node.module or "")
+            if package in (".", "polytrs"):
+                out.update(a.name for a in node.names)
+            elif package.startswith((".", "polytrs.")):
+                out.add(package.lstrip(".").removeprefix("polytrs.").split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name not in ("bounds.py", "__init__.py")], ids=lambda p: p.name
+)
+def test_no_module_imports_bounds(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "bounds" not in imported_modules(tree)
+
+
+def test_bounds_guard_sees_every_spelling():
+    spellings = (
+        "from .bounds import rank_stats\n",
+        "from . import bounds\n",
+        "from polytrs.bounds import rank_stats\n",
+        "from polytrs import bounds as b\n",
+        "import polytrs.bounds\n",
+        "def f():\n    from .bounds import rank_stats\n",
+    )
+    for source in spellings:
+        assert "bounds" in imported_modules(ast.parse(source)), source
+    others = "from .callgraph import call_dag\nimport os.path\nfrom os import path\n"
+    assert imported_modules(ast.parse(others)) == {"callgraph"}

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from polytrs import terms as terms_module
 from polytrs.base import ParseError, QiError
+from polytrs.bounds import max_constructor_constant
 from polytrs.parser import parse_program
 from polytrs.qi import (
     GRID_CAP,
@@ -35,7 +36,6 @@ from polytrs.qi import (
     format_assignment,
     format_expr,
     is_uniform,
-    max_constructor_constant,
     max_posy_form,
     meet,
     parse_assignment,
@@ -363,7 +363,7 @@ def test_simplify_keeps_value():
 
 
 def test_active_size_bound_on_proofs(corpus):
-    from polytrs.qi import active_size_bound
+    from polytrs.bounds import active_size_bound
 
     prog = corpus["mult.trs"]
     asg = parse_assignment((CORPUS / "mult.qi").read_text(), prog)

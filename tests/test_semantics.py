@@ -10,14 +10,13 @@ from polytrs.base import (
     NoMatchingEquation,
     NonConfluentProgram,
 )
+from polytrs.bounds import activation_growth, assembled_rule_bound
 from polytrs.parser import parse_program
 from polytrs.semantics import (
     Exhaustive,
     FirstMatch,
     Seeded,
-    activation_growth,
     all_derivations,
-    assembled_rule_bound,
     classify,
     derivable_value_set,
     eval_cbv,

@@ -15,6 +15,12 @@ from polytrs.base import (
     NotWordProgram,
 )
 from polytrs.blind import blind_program, input_tuples, program_is_linear
+from polytrs.bounds import (
+    call_site_labels,
+    path_word,
+    same_class_descendant_bound,
+    same_class_paths,
+)
 from polytrs.callgraph import call_dag, reachable_states, state_text
 from polytrs.ordering import EPPO, infer_precedence, order_verdict
 from polytrs.parser import format_program, parse_program, parse_term
@@ -23,16 +29,12 @@ from polytrs.semantics import derivable_value_set, is_orthogonal
 from polytrs.terms import App, term_size
 from polytrs.wordnorm import (
     BoundedValuesRow,
-    call_site_labels,
     certify_extended,
     is_normal,
     measure_bounded_values,
     normalization_diff,
     normalize,
-    path_word,
     production_profile,
-    same_class_descendant_bound,
-    same_class_paths,
     word_pattern,
 )
 
