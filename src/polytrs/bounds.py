@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .base import PrecedenceError, QiError, run_stack
-from .callgraph import DAG, CallNode, CallStructure, state_text
+from .callgraph import DAG, FOREST, CallNode, CallStructure, state_text
 from .ordering import EQUIV, LESS, Precedence
 from .qi import QiAssignment, additive_shape, eval_expr
 from .semantics import DerivationProof
@@ -72,10 +72,18 @@ def function_ranks(program: Program, precedence: Precedence) -> dict:
 def same_class_descendant_counts(structure: CallStructure, precedence: Precedence) -> dict:
     """Per node: number of descendant node occurrences in the same class.
 
-    In a dag, distinct nodes are distinct states, so occurrence counting and
+    A forest counts occurrences in its unfolding, one bottom-up sum per
+    (node, class), so a shared node is counted wherever it occurs.  In a
+    dag, distinct nodes are distinct states, so occurrence counting and
     state counting coincide.
     """
     counts: dict[CallNode, int] = {}
+    if structure.kind == FOREST:
+        below: dict = {}  # (node, class) -> same-class occurrences under node
+        for node in structure.subtree_sizes():
+            cls = precedence.class_of(node.state.symbol.name)
+            counts[node] = run_stack(_forest_count(node, cls, precedence, below))
+        return counts
 
     def descend(node: CallNode, cls: int, seen: set):
         total = 0
@@ -91,6 +99,17 @@ def same_class_descendant_counts(structure: CallStructure, precedence: Precedenc
         cls = precedence.class_of(node.state.symbol.name)
         counts[node] = run_stack(descend(node, cls, set()))
     return counts
+
+
+def _forest_count(node: CallNode, cls: int, precedence: Precedence, below: dict):
+    key = (node, cls)
+    if key not in below:
+        total = 0
+        for _, c in node.children:
+            here = precedence.class_of(c.state.symbol.name) == cls
+            total += here + (yield _forest_count(c, cls, precedence, below))
+        below[key] = total
+    return below[key]
 
 
 def rank_recurrence_bound(program: Program, k: int, a: int, min_d: int = 0) -> int:

@@ -2,7 +2,8 @@
 
 A state is a function symbol applied to values: the interned call term
 ``f(v1..vn)``, written ``<f, v1, .., vn>`` in reports.  The call tree of a
-cbv proof keeps only the active judgements; the call dag of a memo proof
+cbv proof keeps only the active judgements, one node per judgement object,
+so a repeated call shares its subtree; the call dag of a memo proof
 keeps the Update judgements and turns every Read leaf into a link to the
 unique Update node with the same call.  Edges are labelled with the activated
 equation and the rhs call-site occurrence they realise.
@@ -57,7 +58,8 @@ class CallNode:
     read_links: list = field(default_factory=list)  # (TransitionEdge, CallNode)
 
     def walk(self) -> Iterator["CallNode"]:
-        """This node and its tree descendants, in pre-order."""
+        """This node and its tree descendants, in pre-order; a node shared
+        by several parents is listed at each of its occurrences."""
         todo = [self]
         while todo:
             n = todo.pop()
@@ -70,10 +72,17 @@ class CallNode:
 
 @dataclass
 class CallStructure:
+    """A FOREST is the call tree of a cbv proof, with one node per call
+    judgement object: a repeated call shares its node, and the tree is its
+    unfolding.  ``walk()``, ``nodes()`` and every count and output of a
+    forest are over occurrences in that unfolding.  A DAG has one node per
+    Update and links each Read to it."""
+
     kind: str  # FOREST or DAG
     roots: list
 
     def nodes(self) -> list[CallNode]:
+        """A forest's node occurrences in pre-order; a dag's distinct nodes."""
         if self.kind == FOREST:
             out = []
             for r in self.roots:
@@ -92,54 +101,99 @@ class CallStructure:
                 stack.append(c)
         return list(seen)
 
+    def subtree_sizes(self) -> dict[CallNode, int]:
+        """Each distinct node, with the node occurrences of its unfolded
+        subtree over child edges, itself included; one bottom-up pass."""
+        sizes: dict[CallNode, int] = {}
+        todo = list(self.roots)
+        while todo:
+            n = todo[-1]
+            if n in sizes:
+                todo.pop()
+                continue
+            pending = [c for _, c in n.children if c not in sizes]
+            if pending:
+                todo.extend(pending)
+            else:
+                todo.pop()
+                sizes[n] = 1 + sum(sizes[c] for _, c in n.children)
+        return sizes
+
     def node_count(self) -> int:
+        if self.kind == FOREST:
+            sizes = self.subtree_sizes()
+            return sum(sizes[r] for r in self.roots)
         return len(self.nodes())
 
     def successors_of(self, node: CallNode) -> list[tuple[TransitionEdge, CallNode]]:
         return list(node.children) + list(node.read_links)
 
     def max_children(self) -> int:
-        return max((len(n.children) for n in self.nodes()), default=0)
+        # every node of a dag is a root or some node's child
+        return max((len(n.children) for n in self.subtree_sizes()), default=0)
+
+    def _numbered(self) -> Iterator[tuple[int, CallNode, list]]:
+        """(number, node, [(edge, callee number, is read link)]) of each entry
+        of ``nodes()``, numbered in that order.  A forest numbers occurrences:
+        a child's number is its parent's + 1 + the occurrences under its
+        earlier siblings, so no number is looked up by node."""
+        if self.kind == DAG:
+            node_list = self.nodes()
+            ids = {n: i for i, n in enumerate(node_list)}
+            for i, n in enumerate(node_list):
+                yield i, n, [
+                    (e, ids[c], linked)
+                    for linked, group in ((False, n.children), (True, n.read_links))
+                    for e, c in group
+                ]
+            return
+        sizes = self.subtree_sizes()
+        todo = []
+        number = 0
+        for r in self.roots:
+            todo.append((r, number))
+            number += sizes[r]
+        todo.reverse()
+        while todo:
+            n, i = todo.pop()
+            out, kids = [], []
+            number = i + 1
+            for e, c in n.children:
+                out.append((e, number, False))
+                kids.append((c, number))
+                number += sizes[c]
+            yield i, n, out
+            todo.extend(reversed(kids))
 
     def to_dot(self) -> str:
         lines = ["digraph calls {"]
-        node_list = self.nodes()
-        ids = {n: f"n{i}" for i, n in enumerate(node_list)}
-        for n in node_list:
-            lines.append(f'  {ids[n]} [label="{state_text(n.state)}"];')
-        for n in node_list:
-            for e, c in n.children:
-                lines.append(
-                    f"  {ids[n]} -> {ids[c]} "
-                    f'[label="e{e.equation.index}.{e.occurrence}"];'
+        edges = []
+        for i, n, out in self._numbered():
+            lines.append(f'  n{i} [label="{state_text(n.state)}"];')
+            for e, j, linked in out:
+                style = ", style=dashed" if linked else ""
+                edges.append(
+                    f'  n{i} -> n{j} [label="e{e.equation.index}.{e.occurrence}"{style}];'
                 )
-            for e, c in n.read_links:
-                lines.append(
-                    f"  {ids[n]} -> {ids[c]} "
-                    f'[label="e{e.equation.index}.{e.occurrence}", style=dashed];'
-                )
+        lines.extend(edges)
         lines.append("}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        node_list = self.nodes()
-        ids = {n: i for i, n in enumerate(node_list)}
-        return {
-            "kind": self.kind,
-            "nodes": [state_text(n.state) for n in node_list],
-            "edges": [
+        nodes, edges = [], []
+        for i, n, out in self._numbered():
+            nodes.append(state_text(n.state))
+            edges.extend(
                 {
-                    "from": ids[n],
-                    "to": ids[c],
+                    "from": i,
+                    "to": j,
                     "equation": e.equation.index,
                     "occurrence": e.occurrence,
                     "read_link": linked,
                 }
-                for n in node_list
-                for linked, group in ((False, n.children), (True, n.read_links))
-                for e, c in group
-            ],
-        }
+                for e, j, linked in out
+            )
+        return {"kind": self.kind, "nodes": nodes, "edges": edges}
 
 
 def _topmost_calls(j: Judgement) -> list[tuple[tuple, Judgement]]:
@@ -160,30 +214,33 @@ def _topmost_calls(j: Judgement) -> list[tuple[tuple, Judgement]]:
 
 
 def _call_structure(proof: DerivationProof, kind: str) -> CallStructure:
-    """One node per call judgement occurrence but Read; a Read becomes a
-    link to the node of the Update that installed its entry.  The edges out
-    of a judgement that occurs more than once are found once."""
+    """One node per call judgement object but Read; a Read becomes a link to
+    the node of the Update that installed its entry.  A judgement that
+    occurs more than once, the repeated call of a cbv proof, keeps its one
+    node, so its edges are found once and its subtree is shared."""
+    built: dict[Judgement, CallNode] = {}
     by_lhs: dict[App, CallNode] = {}
-    links: dict[Judgement, list] = {}  # call judgement -> [(edge, callee)]
 
     def build(j: Judgement):
-        node = by_lhs[j.lhs] = CallNode(j.lhs)
-        out = links.get(j)
-        if out is None:
-            calls = j.equation.calls
-            out = links[j] = [
-                (TransitionEdge(j.lhs, call.lhs, j.equation, calls[pos][0]), call)
-                for pos, call in _topmost_calls(j.activation)
-            ]
-        for edge, call in out:
+        node = built[j] = by_lhs[j.lhs] = CallNode(j.lhs)
+        calls = j.equation.calls
+        for pos, call in _topmost_calls(j.activation):
+            edge = TransitionEdge(j.lhs, call.lhs, j.equation, calls[pos][0])
             if call.rule == R_READ:
                 node.read_links.append((edge, by_lhs[call.lhs]))
             else:
-                node.children.append((edge, (yield build(call))))
+                child = built.get(call)
+                if child is None:
+                    child = yield build(call)
+                node.children.append((edge, child))
         return node
 
     # a repeated root-level call resolves inside the dag
-    roots = [run_stack(build(j)) for _, j in _topmost_calls(proof.root) if j.rule != R_READ]
+    roots = [
+        built.get(j) or run_stack(build(j))
+        for _, j in _topmost_calls(proof.root)
+        if j.rule != R_READ
+    ]
     return CallStructure(kind, roots)
 
 

@@ -126,60 +126,106 @@ class Min(_Compound):
 
 
 QiExpr = Const | Arg | Sum | Prod | Max | Min
+_ZERO = Fraction(0)
+
+
+# The walks over expressions below are loops: an expression read from a
+# ``qi`` line or a deep term has no nesting limit.  Each visits every
+# distinct compound node of an expression once, in ``_postorder``.
+
+
+def _postorder(e: QiExpr) -> list:
+    """The nodes of e, each after its items, leftmost first: every distinct
+    compound node once, a constant or argument at each occurrence."""
+    order: list = []
+    seen: set = set()
+    todo = [e]
+    while todo:
+        u = todo.pop()
+        if u is None:  # all items of the node below are in order
+            order.append(todo.pop())
+        elif not isinstance(u, _Compound):
+            order.append(u)
+        elif id(u) not in seen:
+            seen.add(id(u))
+            todo += (u, None)
+            todo.extend(u.items[::-1])
+    return order
 
 
 def eval_expr(e: QiExpr, point) -> Fraction:
     """Exact rational evaluation at a point of non-negative rationals."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Arg):
-        try:
-            v = Fraction(point[e.index])
-        except IndexError:
-            raise QiError(f"point of length {len(point)} for argument {e.index + 1}")
-        if v < 0:
-            raise QiError("assignment expressions are evaluated on R+")
-        return v
-    if isinstance(e, Sum):
-        return sum((eval_expr(i, point) for i in e.items), Fraction(0))
-    if isinstance(e, Prod):
-        out = Fraction(1)
-        for i in e.items:
-            out *= eval_expr(i, point)
-        return out
-    if isinstance(e, Max):
-        return max((eval_expr(i, point) for i in e.items), default=Fraction(0))
-    if isinstance(e, Min):
-        return min(eval_expr(i, point) for i in e.items)
-    raise QiError(f"unknown expression node {e!r}")
+    return _evaluate(_postorder(e), point)
+
+
+def _evaluate(order: list, point) -> Fraction:
+    """eval_expr over the ``_postorder`` of an expression."""
+    value: dict = {}
+    for u in order:
+        kind = type(u)
+        if kind is Const:
+            v = u.value
+        elif kind is Arg:
+            try:
+                v = Fraction(point[u.index])
+            except IndexError:
+                raise QiError(f"point of length {len(point)} for argument {u.index + 1}")
+            if v < 0:
+                raise QiError("assignment expressions are evaluated on R+")
+        else:
+            items = [value[id(i)] for i in u.items]
+            if kind is Sum:
+                v = sum(items, _ZERO)
+            elif kind is Prod:
+                v = Fraction(1)
+                for i in items:
+                    v *= i
+            elif kind is Max:
+                v = max(items, default=_ZERO)
+            else:
+                v = min(items)
+        value[id(u)] = v
+    return v
 
 
 def format_expr(e: QiExpr, names: Optional[list] = None) -> str:
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Arg):
-        return names[e.index] if names and e.index < len(names) else f"X{e.index + 1}"
-    if isinstance(e, Sum):
-        return " + ".join(format_expr(i, names) for i in e.items) or "0"
-    if isinstance(e, Prod):
-        return "*".join(
-            f"({format_expr(i, names)})" if isinstance(i, Sum) else format_expr(i, names)
-            for i in e.items
-        ) or "1"
-    if isinstance(e, Max):
-        return "max(" + ", ".join(format_expr(i, names) for i in e.items) + ")"
-    if isinstance(e, Min):
-        return "min(" + ", ".join(format_expr(i, names) for i in e.items) + ")"
-    raise QiError(f"unknown expression node {e!r}")
+    text: dict = {}
+    for u in _postorder(e):
+        if isinstance(u, Const):
+            out = str(u.value)
+        elif isinstance(u, Arg):
+            out = names[u.index] if names and u.index < len(names) else f"X{u.index + 1}"
+        elif isinstance(u, Sum):
+            out = " + ".join(text[id(i)] for i in u.items) or "0"
+        elif isinstance(u, Prod):
+            out = "*".join(
+                f"({text[id(i)]})" if isinstance(i, Sum) else text[id(i)] for i in u.items
+            ) or "1"
+        else:
+            inner = ", ".join(text[id(i)] for i in u.items)
+            out = f"{'max' if isinstance(u, Max) else 'min'}({inner})"
+        text[id(u)] = out
+    return out
 
 
 def substitute(e: QiExpr, args: list) -> QiExpr:
-    """Replace Arg i by args[i]."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Arg):
-        return args[e.index]
-    return type(e)(tuple(substitute(i, args) for i in e.items))
+    """Replace Arg i by args[i], building each distinct node's image once."""
+    if not isinstance(e, _Compound):
+        return args[e.index] if isinstance(e, Arg) else e
+    new: dict = {}
+    todo = [e]
+    while todo:
+        u = todo.pop()
+        if u is None:
+            u = todo.pop()
+            new[id(u)] = type(u)(tuple([new[id(i)] for i in u.items]))
+        elif id(u) not in new:
+            if isinstance(u, _Compound):
+                todo += (u, None)
+                todo.extend(reversed(u.items))
+            else:
+                new[id(u)] = args[u.index] if isinstance(u, Arg) else u
+    return new[id(e)]
 
 
 # -- posynomial normal form ---------------------------------------------------
@@ -283,33 +329,52 @@ def _distinct_maxes(e: QiExpr) -> list:
 
 
 def _expand(e: QiExpr, arity: int, maxes: list) -> list:
-    """The pruned branches of e, one per choice of an item for every max."""
+    """The pruned branches of e, one per choice of an item for every max.
+
+    A node with no max at or below it has the same posynomial under every
+    choice, so it is computed once; the rest are recomputed per choice, in
+    ``_postorder``, each max taking its chosen item's posynomial."""
     zero = tuple([0] * arity)
+    posy: dict = {}  # id -> posynomial of the node under the current choice
+    varying = []
+    for u in _postorder(e):
+        if isinstance(u, Max) or (
+            maxes and isinstance(u, _Compound) and any(id(i) not in posy for i in u.items)
+        ):
+            varying.append(u)
+        else:
+            posy[id(u)] = _posy_of(u, posy, zero)
     branches = []
     pools = [list(m.items) if m.items else [None] for m in maxes]
     for combo in itertools.product(*pools):
-        branches.append(_instantiate(e, dict(zip(maxes, combo)), zero))
+        choice = dict(zip(maxes, combo))
+        for u in varying:
+            if isinstance(u, Max):
+                picked = choice[u]
+                posy[id(u)] = posy[id(picked)] if picked is not None else {}
+            else:
+                posy[id(u)] = _posy_of(u, posy, zero)
+        branches.append(posy[id(e)])
     return _prune(branches)
 
 
-def _instantiate(u: QiExpr, choice: dict, zero: tuple) -> Posy:
-    """The posynomial of u with every max node replaced by its chosen item."""
-    if isinstance(u, Const):
+def _posy_of(u: QiExpr, posy: dict, zero: tuple) -> Posy:
+    """The posynomial of a node other than max, from its items' posynomials
+    in ``posy``."""
+    kind = type(u)
+    if kind is Const:
         v = u.value
         return {zero: v.numerator if v.denominator == 1 else v} if v else {}
-    if isinstance(u, Arg):
-        mono = tuple(1 if i == u.index else 0 for i in range(len(zero)))
-        return {mono: 1}
-    if isinstance(u, Max):
-        picked = choice[u]
-        return _instantiate(picked, choice, zero) if picked is not None else {}
-    parts = [_instantiate(item, choice, zero) for item in u.items]
-    if isinstance(u, Sum):
-        return _posy_sum(parts)
-    acc = {zero: 1}
-    for p in parts:
-        acc = _posy_mul(acc, p)
-    return acc
+    if kind is Arg:
+        return {zero[: u.index] + (1,) + zero[u.index + 1 :]: 1}
+    if kind is Sum:
+        return _posy_sum([posy[id(i)] for i in u.items])
+    if not u.items:
+        return {zero: 1}
+    out = posy[id(u.items[0])]  # the product starts at its first factor, not at 1
+    for i in u.items[1:]:
+        out = _posy_mul(out, posy[id(i)])
+    return out
 
 
 def expr_from_posy(p: Posy) -> QiExpr:
@@ -351,18 +416,23 @@ def _posy_key(p: Posy):
     return sorted(p.items())
 
 
-def _min_choices(e: QiExpr, cap: int = 64) -> Iterator[QiExpr]:
-    """All expressions obtained by committing every min node to one branch."""
-    if isinstance(e, (Const, Arg)):
-        yield e
-        return
-    if isinstance(e, Min):
-        for item in e.items:
-            yield from _min_choices(item, cap)
-        return
-    pools = [list(itertools.islice(_min_choices(i, cap), cap)) for i in e.items]
-    for combo in itertools.product(*pools):
-        yield type(e)(tuple(combo))
+def _min_choices(e: QiExpr, cap: int = 64) -> list:
+    """The first cap + 1 expressions obtained by committing every min node
+    to one branch, in the order of committing left to right: a min node
+    lists its items' choices in turn, any other node the product of its
+    items' first cap choices."""
+    choices: dict = {}
+    for u in _postorder(e):
+        if not u.has_min:
+            out = [u]
+        elif isinstance(u, Min):
+            out = [c for i in u.items for c in choices[id(i)]][: cap + 1]
+        else:
+            pools = [choices[id(i)][:cap] for i in u.items]
+            combos = itertools.islice(itertools.product(*pools), cap + 1)
+            out = [type(u)(combo) for combo in combos]
+        choices[id(u)] = out
+    return out
 
 
 def dominates(
@@ -389,7 +459,7 @@ def dominates(
 def _dominates(lhs: QiExpr, rhs: QiExpr, arity: int, memo: dict) -> bool:
     if lhs.has_min:
         # Every min branch of the lhs must dominate; never drop any.
-        choices = list(itertools.islice(_min_choices(lhs), 65))
+        choices = _min_choices(lhs)
         if len(choices) > 64:
             return False
         lhs_forms = [max_posy_form(c, arity, memo=memo) for c in choices]
@@ -398,7 +468,7 @@ def _dominates(lhs: QiExpr, rhs: QiExpr, arity: int, memo: dict) -> bool:
     if any(f is None for f in lhs_forms):
         return False
     rhs_choices = (
-        [rhs] if not rhs.has_min else list(itertools.islice(_min_choices(rhs), 64))
+        [rhs] if not rhs.has_min else _min_choices(rhs)[:64]
     )
     for lf in lhs_forms:
         ok = False
@@ -432,13 +502,6 @@ class QiAssignment:
         except KeyError:
             raise QiError(f"no assignment entry for symbol {name}")
 
-    def covers(self, term: Term) -> bool:
-        if isinstance(term, Var):
-            return True
-        return term.symbol.name in self.entries and all(
-            self.covers(a) for a in term.args
-        )
-
 
 def term_qi(assignment: QiAssignment, term: Term, var_order: Optional[list] = None) -> QiExpr:
     """Canonical extension of the assignment to a term.
@@ -455,19 +518,35 @@ def term_qi(assignment: QiAssignment, term: Term, var_order: Optional[list] = No
 
 
 def _term_expr(assignment: QiAssignment, args: dict, t: Term) -> QiExpr:
+    """term_qi in one post-order loop over the distinct applications of t,
+    so no recursion limit bounds the depth of the term."""
     if isinstance(t, Var):
-        try:
-            return args[t.name]
-        except KeyError:
-            raise QiError(f"variable {t.name} not in the variable order")
-    key = (
-        assignment.entry(t.symbol.name),
-        tuple([_term_expr(assignment, args, a) for a in t.args]),
-    )
-    out = assignment.memo.get(key)
-    if out is None:
-        out = assignment.memo[key] = substitute(*key)
-    return out
+        return _variable(args, t)
+    exprs: dict = {}  # id of an application -> its expression
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if u is None:  # all arguments of the application below are done
+            u = todo.pop()
+            key = (
+                assignment.entry(u.symbol.name),
+                tuple([_variable(args, a) if type(a) is Var else exprs[id(a)] for a in u.args]),
+            )
+            out = assignment.memo.get(key)
+            if out is None:
+                out = assignment.memo[key] = substitute(*key)
+            exprs[id(u)] = out
+        elif id(u) not in exprs:
+            todo += (u, None)
+            todo.extend([a for a in reversed(u.args) if type(a) is not Var])
+    return exprs[id(t)]
+
+
+def _variable(args: dict, v: Var) -> QiExpr:
+    try:
+        return args[v.name]
+    except KeyError:
+        raise QiError(f"variable {v.name} not in the variable order")
 
 
 def value_qi(assignment: QiAssignment, value: Term) -> Fraction:
@@ -609,8 +688,9 @@ def check_conditions(assignment: QiAssignment, program: Program) -> ConditionRep
 
 
 def _refute(lhs: QiExpr, rhs: QiExpr, arity: int, tag: str, seed: int = 0):
+    lhs_order, rhs_order = _postorder(lhs), _postorder(rhs)
     for p in _sample_points(arity, tag, seed):
-        if eval_expr(lhs, p) < eval_expr(rhs, p):
+        if _evaluate(lhs_order, p) < _evaluate(rhs_order, p):
             return p
     return None
 
@@ -667,15 +747,16 @@ def check_qi(program: Program, assignment: QiAssignment, seed: int = 0) -> QiVer
     conditions = check_conditions(assignment, program)
     verdicts = []
     for eq in program.equations:
-        lhs_term = eq.lhs
-        var_order = variables(lhs_term)
-        if not (assignment.covers(lhs_term) and assignment.covers(eq.rhs)):
+        var_order = variables(eq.lhs)
+        try:
+            lhs = term_qi(assignment, eq.lhs, var_order)
+            rhs = term_qi(assignment, eq.rhs, var_order)
+        except QiError:
+            # every rhs variable occurs in the lhs, so a symbol has no entry
             verdicts.append(
                 ObligationVerdict(eq.index, eq, UNKNOWN, note="missing assignment entries")
             )
             continue
-        lhs = term_qi(assignment, lhs_term, var_order)
-        rhs = term_qi(assignment, eq.rhs, var_order)
         arity = len(var_order)
         sides = (lhs, rhs, var_order)
         if dominates(lhs, rhs, arity, assignment.memo):

@@ -226,3 +226,36 @@ def test_deep_algebra_term_compiles(tmp_path):
     code, text = run(tmp_path, "bc-compile", str(bc))
     assert code == 0, text[:200]
     assert len(json.loads(text)["provenance"]) == 1501
+
+
+def deep_qi(tmp_path, text: str) -> str:
+    qi = tmp_path / "deep.qi"
+    qi.write_text(text)
+    return str(qi)
+
+
+def test_deep_lhs_through_check_qi_and_certify(tmp_path):
+    trs = deep_program(tmp_path, f"f({'s0 ' * 3000}nil) -> nil")
+    qi = deep_qi(tmp_path, "qi s0(X) = X + 1\nqi nil = 1\nqi f(X) = X\n")
+    code, text = run(tmp_path, "--qi", qi, "check-qi", trs)
+    assert code == 0, text[:200]
+    assert json.loads(text)["overall"] == "valid"
+    code, text = run(tmp_path, "--qi", qi, "certify", trs)
+    assert code == 0, text[:200]
+    assert json.loads(text)["stages"]["qi"]["overall"] == "valid"
+
+
+@pytest.mark.parametrize(
+    "entry, overall",
+    [
+        ("(Y + " * 3000 + "X" + ")" * 3000, "valid"),
+        # max(X, Y): append(s0 x, y) >= s0 append(x, y) fails at X = 0, Y = 1
+        ("max(X, " * 3000 + "Y" + ")" * 3000, "invalid"),
+    ],
+    ids=["sum", "max"],
+)
+def test_deep_qi_expression_gets_a_verdict(tmp_path, entry, overall):
+    qi = deep_qi(tmp_path, (CORPUS / "append.qi").read_text().replace("X + Y", entry))
+    code, text = run(tmp_path, "--qi", qi, "check-qi", APPEND)
+    assert code in (0, 1, 2), text[:200]
+    assert json.loads(text)["overall"] == overall

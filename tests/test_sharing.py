@@ -10,13 +10,16 @@ the checkers and call trees see the same proof.
 from __future__ import annotations
 
 import dataclasses
+import time
 from collections import Counter
 
 import pytest
 
 from polytrs.base import Budget, BudgetExceeded, TrsError
 from polytrs.blind import blind_program, blind_proof
+from polytrs.bounds import check_edge_class_descent, ppo_descendant_bound, rank_stats
 from polytrs.callgraph import call_tree
+from polytrs.ordering import EPPO, infer_precedence
 from polytrs.parser import parse_term
 from polytrs.semantics import (
     R_READ,
@@ -185,12 +188,41 @@ def test_shared_read_objects_keep_the_charged_cost(corpus):
     assert classify(root) == reference_classify(root) == proof.stats
 
 
-def test_call_tree_and_json_unfold_the_shared_proof(corpus):
+def test_call_tree_and_json_unfold_the_shared_proof():
+    """The call tree keeps one node per call judgement object; everything
+    read off it equals the tree of the unshared proof, one node per
+    occurrence."""
+    for stem, text in ORACLE_CASES:
+        program = load(f"{stem}.trs")
+        proof = checked_cbv(program, parse_term(text, symbols_of(program)))
+        unfolded = dataclasses.replace(proof, root=unshare(proof.root))
+        assert proof_to_json(proof) == proof_to_json(unfolded)
+        shared, tree = call_tree(proof), call_tree(unfolded)
+        assert shared.to_json() == tree.to_json(), text
+        assert shared.to_dot() == tree.to_dot(), text
+        assert shared.node_count() == tree.node_count() == len(tree.nodes()), text
+        assert shared.max_children() == tree.max_children(), text
+        assert [n.state for n in shared.nodes()] == [n.state for n in tree.nodes()], text
+        prec = infer_precedence(program, EPPO)
+        assert rank_stats(shared, prec, program) == rank_stats(tree, prec, program), text
+        assert ppo_descendant_bound(shared, prec) == ppo_descendant_bound(tree, prec), text
+        check_edge_class_descent(shared, prec)
+        check_edge_class_descent(tree, prec)
+        # one node per distinct call judgement, one per occurrence unshared
+        active = [j for j in proof.root.distinct() if j.is_active]
+        assert len(shared.subtree_sizes()) == len(active), text
+        assert len(tree.subtree_sizes()) == tree.node_count(), text
+
+
+def test_call_tree_of_a_long_doubling_is_built_once_per_call(corpus):
+    # dup(s^20 0) has 3 * 2^20 - 2 active occurrences but 23 distinct calls
     program = corpus["doublerec.trs"]
-    proof = checked_cbv(program, parse_term(dup(6), symbols_of(program)))
-    tree = dataclasses.replace(proof, root=unshare(proof.root))
-    assert proof_to_json(proof) == proof_to_json(tree)
-    assert call_tree(proof).to_json() == call_tree(tree).to_json()
+    term = parse_term(dup(20), symbols_of(program))
+    proof = cbv(program, term, Budget(max_rules=10**8))
+    start = time.perf_counter()
+    tree = call_tree(proof)
+    assert tree.node_count() == proof.stats.active_occurrences
+    assert time.perf_counter() - start < 1.0
 
 
 def test_blind_proof_keeps_the_sharing(corpus):
