@@ -1,6 +1,7 @@
-"""Shared error taxonomy, evaluation budgets, the recursion driver and the
-token cursor ``Tokens`` that every text reader (programs, terms, ``qi``
-lines, ``--poly`` and ``.bc`` terms) reads through."""
+"""Shared error taxonomy, evaluation budgets, ``run_stack`` for deep
+recursion, the post-order walk that every fold over shared structure reads,
+and the token cursor ``Tokens`` that every text reader (programs, terms,
+``qi`` lines, ``--poly`` and ``.bc`` terms) reads through."""
 
 from __future__ import annotations
 
@@ -99,6 +100,36 @@ def run_stack(root: Generator):
         else:
             callers.append(gen)
             gen, value = callee, None
+
+
+def postorder(roots, field: str) -> list:
+    """The nodes reached from the roots through the tuple in each node's
+    ``field`` attribute (``args`` of a term, ``items`` of a QI expression,
+    ``children`` of a judgement), each after everything below it, leftmost
+    first, root after root.
+
+    A node whose tuple is non-empty is listed once, told apart by identity,
+    even when several roots reach it, so a fold over the list visits each
+    distinct node of a hash-consed or shared structure once.  Any other
+    node, a leaf, is listed at each of its occurrences.  The walk is a
+    loop, so depth is bounded by memory alone.
+    """
+    order: list = []
+    seen: set = set()
+    todo = list(roots)[::-1]
+    while todo:
+        u = todo.pop()
+        if u is None:  # everything below the node under this marker is listed
+            order.append(todo.pop())
+            continue
+        below = getattr(u, field, ())
+        if not below:
+            order.append(u)
+        elif id(u) not in seen:
+            seen.add(id(u))
+            todo += (u, None)
+            todo.extend(below[::-1])
+    return order
 
 
 class Tokens:

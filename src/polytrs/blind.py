@@ -20,7 +20,7 @@ from .base import (
     DEFAULT_BUDGET,
     NotWordProgram,
     QiError,
-    run_stack,
+    postorder,
 )
 from .ordering import Precedence
 from .qi import Arg, Const, QiAssignment, Sum, is_uniform
@@ -44,17 +44,14 @@ def _blind_symbol(sym: Symbol, names: dict) -> Symbol:
     return Symbol(names[sym.name], FUNCTION, sym.arity)
 
 
-def _blind_term(t: Term, names: dict, memo: dict):
-    """The blind image of t, memoised per subterm; for run_stack."""
-    out = memo.get(t)
-    if out is None:
-        if isinstance(t, Var):
-            return t
-        args = []
-        for a in t.args:
-            args.append((yield _blind_term(a, names, memo)))
-        out = memo[t] = App(_blind_symbol(t.symbol, names), tuple(args))
-    return out
+def _blind_images(terms: list, names: dict) -> dict:
+    """The blind image of every subterm of the terms, in one walk."""
+    image: dict = {}
+    for u in postorder(terms, "args"):
+        image[u] = u if type(u) is Var else App(
+            _blind_symbol(u.symbol, names), tuple([image[a] for a in u.args])
+        )
+    return image
 
 
 def blind_program(program: Program) -> BlindProgram:
@@ -68,12 +65,11 @@ def blind_program(program: Program) -> BlindProgram:
     signature = [BLIND_S, BLIND_0] + [
         Symbol(fn_names[f.name], FUNCTION, f.arity) for f in program.functions
     ]
-    memo: dict = {}
+    image = _blind_images([t for eq in program.equations for t in (eq.lhs, eq.rhs)], fn_names)
     equations = []
     for eq in program.equations:
-        lhs = run_stack(_blind_term(eq.lhs, fn_names, memo))
-        rhs = run_stack(_blind_term(eq.rhs, fn_names, memo))
-        equations.append(Equation(lhs.symbol, lhs.args, rhs, eq.index))
+        lhs = image[eq.lhs]
+        equations.append(Equation(lhs.symbol, lhs.args, image[eq.rhs], eq.index))
     groups: dict[tuple, list[int]] = {}
     for eq in equations:
         key = (eq.lhs_function.name, eq.lhs_patterns, eq.rhs)
@@ -88,28 +84,21 @@ def blind_program(program: Program) -> BlindProgram:
 
 def blind_proof(blind: BlindProgram, proof: DerivationProof) -> DerivationProof:
     """Map a cbv proof through the blinding; rule counts are preserved, and
-    a judgement the proof shares maps to one shared image."""
+    a judgement with premises that the proof shares maps to one shared
+    image."""
     eq_by_index = {eq.index: eq for eq in blind.program.equations}
-    memo: dict = {}
-    images: dict = {}  # judgement -> its image
-
-    def go(j: Judgement):
-        out = images.get(j)
-        if out is not None:
-            return out
-        kids = []
-        for c in j.children:
-            kids.append((yield go(c)))
-        out = images[j] = Judgement(
+    order = postorder([proof.root], "children")
+    image = _blind_images([t for j in order for t in (j.lhs, j.result)], blind.provenance)
+    mapped: dict = {}  # judgement -> its image
+    for j in order:
+        mapped[j] = Judgement(
             j.rule,
-            (yield _blind_term(j.lhs, blind.provenance, memo)),
-            (yield _blind_term(j.result, blind.provenance, memo)),
-            tuple(kids),
+            image[j.lhs],
+            image[j.result],
+            tuple([mapped[c] for c in j.children]),
             eq_by_index[j.equation.index] if j.equation is not None else None,
         )
-        return out
-
-    root = run_stack(go(proof.root))
+    root = mapped[proof.root]
     return DerivationProof(root, proof.mode, classify(root), ())
 
 

@@ -38,7 +38,6 @@ def call_tree_arity(program: Program) -> int:
 @dataclass(frozen=True)
 class ClassRankStats:
     class_symbols: tuple
-    rank: int
     node_count: int
     max_same_class_descendants: int
 
@@ -46,8 +45,6 @@ class ClassRankStats:
 @dataclass(frozen=True)
 class RankReport:
     per_class: tuple
-    max_descendants: int  # the quantity A
-    total_nodes: int
     bound: int
     holds: bool
 
@@ -142,20 +139,19 @@ def rank_stats(structure: CallStructure, precedence: Precedence, program: Progra
     k = max(ranks.values(), default=0)
 
     per_class = []
-    for cid, rank in sorted(ranks.items()):
+    for cid in sorted(ranks):
         members = tuple(sorted(s.name for s in program.functions if precedence.class_of(s.name) == cid))
         cls_nodes = [n for n in nodes if precedence.class_of(n.state.symbol.name) == cid]
         per_class.append(
             ClassRankStats(
                 members,
-                rank,
                 len(cls_nodes),
                 max((counts[n] for n in cls_nodes), default=0),
             )
         )
     bound = rank_recurrence_bound(program, k, a_max, min_d=1)
     bound *= max(1, len(structure.roots))
-    return RankReport(tuple(per_class), a_max, len(nodes), bound, len(nodes) <= bound)
+    return RankReport(tuple(per_class), bound, len(nodes) <= bound)
 
 
 def check_edge_class_descent(structure: CallStructure, precedence: Precedence) -> None:
@@ -251,14 +247,13 @@ def path_word(
     descendant: App,
     program: Program,
     precedence: Precedence,
-    max_length: int = 12,
 ) -> list[PathLabel]:
     """The label sequence of a same-class path between two dag states."""
     labels = call_site_labels(program, precedence)
     start = next((n for n in dag.nodes() if n.state == ancestor), None)
     if start is None:
         raise ValueError(f"{state_text(ancestor)} does not occur in the dag")
-    for word, node in same_class_paths(dag, start, labels, precedence, max_length):
+    for word, node in same_class_paths(dag, start, labels, precedence, max_length=12):
         if node.state == descendant:
             return list(word)
     raise ValueError(
@@ -272,8 +267,6 @@ class DescendantBound:
     count: int
     bound: int
     holds: bool
-    branch_cap: int
-    longest_branch: int
     branch_holds: bool
 
 
@@ -310,7 +303,7 @@ def same_class_descendant_bound(
     longest = run_stack(go(node, 0))
     bound = (i_cap + 1) ** m
     return DescendantBound(
-        node.state, len(seen), bound, len(seen) <= bound, i_cap, longest, longest <= i_cap
+        node.state, len(seen), bound, len(seen) <= bound, longest <= i_cap
     )
 
 

@@ -45,7 +45,6 @@ def state_text(state: App) -> str:
 
 @dataclass(frozen=True)
 class TransitionEdge:
-    source: App
     target: App
     equation: Equation
     occurrence: int  # index among the function-headed subterm occurrences of the rhs
@@ -225,7 +224,7 @@ def _call_structure(proof: DerivationProof, kind: str) -> CallStructure:
         node = built[j] = by_lhs[j.lhs] = CallNode(j.lhs)
         calls = j.equation.calls
         for pos, call in _topmost_calls(j.activation):
-            edge = TransitionEdge(j.lhs, call.lhs, j.equation, calls[pos][0])
+            edge = TransitionEdge(call.lhs, j.equation, calls[pos][0])
             if call.rule == R_READ:
                 node.read_links.append((edge, by_lhs[call.lhs]))
             else:
@@ -290,7 +289,7 @@ def successors(
                 for a in args
             ]
             for combo in itertools.product(*arg_sets):
-                out.append(TransitionEdge(state, App(sub.symbol, combo), eq, occ))
+                out.append(TransitionEdge(App(sub.symbol, combo), eq, occ))
     return out
 
 

@@ -120,8 +120,8 @@ def _end(toks: Tokens) -> None:
         raise toks.error(f"trailing input {toks.peek()!r}")
 
 
-def parse_term(text: str, symbols: dict[str, Symbol], line: int = 1) -> Term:
-    toks = Tokens(_TOKEN, text, line)
+def parse_term(text: str, symbols: dict[str, Symbol]) -> Term:
+    toks = Tokens(_TOKEN, text)
     t = run_stack(_term(toks, symbols))
     _end(toks)
     return t

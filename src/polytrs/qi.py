@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .base import ParseError, QiError, Tokens, run_stack
+from .base import ParseError, QiError, Tokens, postorder, run_stack
 from .terms import _INTERNED, Equation, Program, Term, Var, _intern, variables
 
 GRID_POINTS = (0, 1, 2, 5, 10)
 RANDOM_POINTS = 256
 GRID_CAP = 20_000  # full grid up to this many points, seeded subsample beyond
+MIN_CHOICES = 64  # branch choices of a min tried on each side of a dominance check
 
 VALID = "valid"
 INVALID = "invalid"
@@ -130,36 +131,17 @@ _ZERO = Fraction(0)
 
 
 # The walks over expressions below are loops: an expression read from a
-# ``qi`` line or a deep term has no nesting limit.  Each visits every
-# distinct compound node of an expression once, in ``_postorder``.
-
-
-def _postorder(e: QiExpr) -> list:
-    """The nodes of e, each after its items, leftmost first: every distinct
-    compound node once, a constant or argument at each occurrence."""
-    order: list = []
-    seen: set = set()
-    todo = [e]
-    while todo:
-        u = todo.pop()
-        if u is None:  # all items of the node below are in order
-            order.append(todo.pop())
-        elif not isinstance(u, _Compound):
-            order.append(u)
-        elif id(u) not in seen:
-            seen.add(id(u))
-            todo += (u, None)
-            todo.extend(u.items[::-1])
-    return order
+# ``qi`` line or a deep term has no nesting limit.  Each folds over
+# ``postorder([e], "items")``, which lists every distinct compound node once.
 
 
 def eval_expr(e: QiExpr, point) -> Fraction:
     """Exact rational evaluation at a point of non-negative rationals."""
-    return _evaluate(_postorder(e), point)
+    return _evaluate(postorder([e], "items"), point)
 
 
 def _evaluate(order: list, point) -> Fraction:
-    """eval_expr over the ``_postorder`` of an expression."""
+    """eval_expr over the ``postorder`` of an expression."""
     value: dict = {}
     for u in order:
         kind = type(u)
@@ -190,7 +172,7 @@ def _evaluate(order: list, point) -> Fraction:
 
 def format_expr(e: QiExpr, names: Optional[list] = None) -> str:
     text: dict = {}
-    for u in _postorder(e):
+    for u in postorder([e], "items"):
         if isinstance(u, Const):
             out = str(u.value)
         elif isinstance(u, Arg):
@@ -210,22 +192,17 @@ def format_expr(e: QiExpr, names: Optional[list] = None) -> str:
 
 def substitute(e: QiExpr, args: list) -> QiExpr:
     """Replace Arg i by args[i], building each distinct node's image once."""
-    if not isinstance(e, _Compound):
-        return args[e.index] if isinstance(e, Arg) else e
     new: dict = {}
-    todo = [e]
-    while todo:
-        u = todo.pop()
-        if u is None:
-            u = todo.pop()
-            new[id(u)] = type(u)(tuple([new[id(i)] for i in u.items]))
-        elif id(u) not in new:
-            if isinstance(u, _Compound):
-                todo += (u, None)
-                todo.extend(reversed(u.items))
-            else:
-                new[id(u)] = args[u.index] if isinstance(u, Arg) else u
-    return new[id(e)]
+    for u in postorder([e], "items"):
+        kind = type(u)
+        if kind is Arg:
+            out = args[u.index]
+        elif kind is Const:
+            out = u
+        else:
+            out = kind(tuple([new[id(i)] for i in u.items]))
+        new[id(u)] = out
+    return out
 
 
 # -- posynomial normal form ---------------------------------------------------
@@ -333,11 +310,11 @@ def _expand(e: QiExpr, arity: int, maxes: list) -> list:
 
     A node with no max at or below it has the same posynomial under every
     choice, so it is computed once; the rest are recomputed per choice, in
-    ``_postorder``, each max taking its chosen item's posynomial."""
+    ``postorder``, each max taking its chosen item's posynomial."""
     zero = tuple([0] * arity)
     posy: dict = {}  # id -> posynomial of the node under the current choice
     varying = []
-    for u in _postorder(e):
+    for u in postorder([e], "items"):
         if isinstance(u, Max) or (
             maxes and isinstance(u, _Compound) and any(id(i) not in posy for i in u.items)
         ):
@@ -392,9 +369,7 @@ def expr_from_posy(p: Posy) -> QiExpr:
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
-def simplify(
-    e: QiExpr, arity: int, cap: int = 512, memo: Optional[dict] = None
-) -> QiExpr:
+def simplify(e: QiExpr, arity: int, memo: Optional[dict] = None) -> QiExpr:
     """Canonical pruned max-of-posynomials form when one exists.
 
     Substitution-heavy constructions (compiled recurrences in particular)
@@ -403,7 +378,7 @@ def simplify(
     """
     if e.has_min:
         return e
-    form = max_posy_form(e, arity, cap, memo)
+    form = max_posy_form(e, arity, cap=512, memo=memo)
     if form is None:
         return e
     branches = [expr_from_posy(p) for p in sorted(form, key=_posy_key)]
@@ -416,20 +391,20 @@ def _posy_key(p: Posy):
     return sorted(p.items())
 
 
-def _min_choices(e: QiExpr, cap: int = 64) -> list:
-    """The first cap + 1 expressions obtained by committing every min node
-    to one branch, in the order of committing left to right: a min node
-    lists its items' choices in turn, any other node the product of its
-    items' first cap choices."""
+def _min_choices(e: QiExpr) -> list:
+    """The first MIN_CHOICES + 1 expressions obtained by committing every
+    min node to one branch, in the order of committing left to right: a min
+    node lists its items' choices in turn, any other node the product of its
+    items' first MIN_CHOICES choices."""
     choices: dict = {}
-    for u in _postorder(e):
+    for u in postorder([e], "items"):
         if not u.has_min:
             out = [u]
         elif isinstance(u, Min):
-            out = [c for i in u.items for c in choices[id(i)]][: cap + 1]
+            out = [c for i in u.items for c in choices[id(i)]][: MIN_CHOICES + 1]
         else:
-            pools = [choices[id(i)][:cap] for i in u.items]
-            combos = itertools.islice(itertools.product(*pools), cap + 1)
+            pools = [choices[id(i)][:MIN_CHOICES] for i in u.items]
+            combos = itertools.islice(itertools.product(*pools), MIN_CHOICES + 1)
             out = [type(u)(combo) for combo in combos]
         choices[id(u)] = out
     return out
@@ -460,7 +435,7 @@ def _dominates(lhs: QiExpr, rhs: QiExpr, arity: int, memo: dict) -> bool:
     if lhs.has_min:
         # Every min branch of the lhs must dominate; never drop any.
         choices = _min_choices(lhs)
-        if len(choices) > 64:
+        if len(choices) > MIN_CHOICES:
             return False
         lhs_forms = [max_posy_form(c, arity, memo=memo) for c in choices]
     else:
@@ -468,7 +443,7 @@ def _dominates(lhs: QiExpr, rhs: QiExpr, arity: int, memo: dict) -> bool:
     if any(f is None for f in lhs_forms):
         return False
     rhs_choices = (
-        [rhs] if not rhs.has_min else _min_choices(rhs)[:64]
+        [rhs] if not rhs.has_min else _min_choices(rhs)[:MIN_CHOICES]
     )
     for lf in lhs_forms:
         ok = False
@@ -518,16 +493,13 @@ def term_qi(assignment: QiAssignment, term: Term, var_order: Optional[list] = No
 
 
 def _term_expr(assignment: QiAssignment, args: dict, t: Term) -> QiExpr:
-    """term_qi in one post-order loop over the distinct applications of t,
-    so no recursion limit bounds the depth of the term."""
-    if isinstance(t, Var):
+    """term_qi folded over the ``postorder`` of t, so no recursion limit
+    bounds the depth of the term."""
+    if type(t) is Var:
         return _variable(args, t)
     exprs: dict = {}  # id of an application -> its expression
-    todo = [t]
-    while todo:
-        u = todo.pop()
-        if u is None:  # all arguments of the application below are done
-            u = todo.pop()
+    for u in postorder([t], "args"):
+        if type(u) is not Var:
             key = (
                 assignment.entry(u.symbol.name),
                 tuple([_variable(args, a) if type(a) is Var else exprs[id(a)] for a in u.args]),
@@ -536,10 +508,7 @@ def _term_expr(assignment: QiAssignment, args: dict, t: Term) -> QiExpr:
             if out is None:
                 out = assignment.memo[key] = substitute(*key)
             exprs[id(u)] = out
-        elif id(u) not in exprs:
-            todo += (u, None)
-            todo.extend([a for a in reversed(u.args) if type(a) is not Var])
-    return exprs[id(t)]
+    return out
 
 
 def _variable(args: dict, v: Var) -> QiExpr:
@@ -551,25 +520,15 @@ def _variable(args: dict, v: Var) -> QiExpr:
 
 def value_qi(assignment: QiAssignment, value: Term) -> Fraction:
     """Rational weight of a ground constructor term, the value of its
-    ``term_qi``.  Computed bottom-up, one entry evaluated per distinct node,
-    so no recursion limit bounds the depth of the value."""
+    ``term_qi``, folded over its ``postorder``, so no recursion limit bounds
+    the depth of the value."""
     weight: dict = {}
-    todo = [value]
-    while todo:
-        t = todo[-1]
-        if t in weight:
-            todo.pop()
-        elif isinstance(t, Var):
+    for t in postorder([value], "args"):
+        if type(t) is Var:
             raise QiError(f"value_qi needs a ground term, not variable {t.name}")
-        else:
-            pending = [a for a in t.args if a not in weight]
-            if pending:
-                todo.extend(pending)
-            else:
-                todo.pop()
-                entry = assignment.entry(t.symbol.name)
-                weight[t] = eval_expr(entry, [weight[a] for a in t.args])
-    return weight[value]
+        entry = assignment.entry(t.symbol.name)
+        weight[id(t)] = out = eval_expr(entry, [weight[id(a)] for a in t.args])
+    return out
 
 
 def additive_shape(e: QiExpr, arity: int) -> Optional[Fraction]:
@@ -634,8 +593,6 @@ def _grid_point(index: int, arity: int) -> tuple:
 class ConditionReport:
     subterm: dict  # name -> (status, witness point or None)
     additivity: dict  # constructor name -> bool
-    monotone: bool  # by construction
-    polynomial: bool  # by construction
 
     @property
     def ok(self) -> bool:
@@ -646,8 +603,8 @@ class ConditionReport:
 
     def as_dict(self) -> dict:
         return {
-            "monotone": self.monotone,
-            "polynomial": self.polynomial,
+            "monotone": True,  # by construction
+            "polynomial": True,  # by construction
             "subterm": {
                 k: {"status": s, "witness": [str(x) for x in w] if w else None}
                 for k, (s, w) in sorted(self.subterm.items())
@@ -684,11 +641,11 @@ def check_conditions(assignment: QiAssignment, program: Program) -> ConditionRep
                 status, witness = INVALID, refuted
                 break
         subterm[sym.name] = (status, witness)
-    return ConditionReport(subterm, additivity, True, True)
+    return ConditionReport(subterm, additivity)
 
 
 def _refute(lhs: QiExpr, rhs: QiExpr, arity: int, tag: str, seed: int = 0):
-    lhs_order, rhs_order = _postorder(lhs), _postorder(rhs)
+    lhs_order, rhs_order = postorder([lhs], "items"), postorder([rhs], "items")
     for p in _sample_points(arity, tag, seed):
         if _evaluate(lhs_order, p) < _evaluate(rhs_order, p):
             return p

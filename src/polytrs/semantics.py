@@ -24,6 +24,7 @@ from .base import (
     DEFAULT_BUDGET,
     NoMatchingEquation,
     NonConfluentProgram,
+    postorder,
     run_stack,
 )
 from .terms import (
@@ -121,14 +122,15 @@ class Judgement:
 
     def shape(self) -> tuple:
         """Structure used for golden-tree comparisons."""
-
-        def go(j: Judgement):
-            kids = []
-            for c in j.children:
-                kids.append((yield go(c)))
-            return (j.rule, format_term(j.lhs), format_term(j.result), tuple(kids))
-
-        return run_stack(go(self))
+        shapes: dict = {}
+        for j in postorder([self], "children"):
+            shapes[j] = out = (
+                j.rule,
+                format_term(j.lhs),
+                format_term(j.result),
+                tuple([shapes[c] for c in j.children]),
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -342,31 +344,37 @@ class _Run:
             return []
         if isinstance(t, Var):
             raise NoMatchingEquation(f"cannot evaluate open term {t.name}")
+        # a step is a matching equation of a call on values, else a tuple of
+        # argument derivations, for Constructor or Split
+        call = t.symbol.is_function and all(is_value(a) for a in t.args)
+        if call:
+            steps = matching_equations(self.program, t)
+        else:
+            steps = yield from self._child_product(t.args, depth, used + 1)
+        room = max(1, self.budget.max_derivations)  # a budget of 0 lets one through
         out: list[Judgement] = []
-        if t.symbol.is_function and all(is_value(a) for a in t.args):
-            for eq, sigma in matching_equations(self.program, t):
-                for body in (
-                    yield self.enumerate(apply_subst(eq.rhs, sigma), depth + 1, used + 1)
-                ):
-                    out.append(Judgement(R_FUNCTION, t, body.result, (body,), eq))
-                    if len(out) >= self.budget.max_derivations:
-                        self.truncated = True
-                        return out
-            return out
-        for kids in (yield from self._child_product(t.args, depth, used + 1)):
-            value = App(t.symbol, tuple(k.result for k in kids))
-            if t.symbol.is_constructor:
-                out.append(Judgement(R_CONSTRUCTOR, t, value, kids))
-                if len(out) >= self.budget.max_derivations:
-                    self.truncated = True
-                    return out
-                continue
-            inner_used = used + 1 + sum(k.size for k in kids)
-            for final in (yield self.enumerate(value, depth + 1, inner_used)):
-                out.append(Judgement(R_SPLIT, t, final.result, kids + (final,)))
-                if len(out) >= self.budget.max_derivations:
-                    self.truncated = True
-                    return out
+        for step in steps:
+            if call:
+                eq, sigma = step
+                bodies = yield self.enumerate(apply_subst(eq.rhs, sigma), depth + 1, used + 1)
+                out += [
+                    Judgement(R_FUNCTION, t, body.result, (body,), eq)
+                    for body in bodies[: room - len(out)]
+                ]
+            else:
+                value = App(t.symbol, tuple(k.result for k in step))
+                if t.symbol.is_constructor:
+                    out.append(Judgement(R_CONSTRUCTOR, t, value, step))
+                else:
+                    inner_used = used + 1 + sum(k.size for k in step)
+                    finals = yield self.enumerate(value, depth + 1, inner_used)
+                    out += [
+                        Judgement(R_SPLIT, t, final.result, step + (final,))
+                        for final in finals[: room - len(out)]
+                    ]
+            if len(out) >= room:
+                self.truncated = True
+                return out
         return out
 
     def _child_product(self, args: tuple, depth: int, used: int):
@@ -551,27 +559,28 @@ def derivable_value_set(
 
 
 def unify_patterns(p: Term, q: Term, subst: Substitution) -> Optional[Substitution]:
-    """Syntactic unification of two constructor patterns (shared var space)."""
+    """Syntactic unification of two constructor patterns (shared var space),
+    one pair of subterms at a time, leftmost first."""
 
     def resolve(t: Term) -> Term:
         while isinstance(t, Var) and t.name in subst:
             t = subst[t.name]
         return t
 
-    p, q = resolve(p), resolve(q)
-    if p == q:
-        return subst
-    if isinstance(p, Var):
-        subst[p.name] = q
-        return subst
-    if isinstance(q, Var):
-        subst[q.name] = p
-        return subst
-    if p.symbol != q.symbol:
-        return None
-    for a, b in zip(p.args, q.args):
-        if unify_patterns(a, b, subst) is None:
+    todo = [(p, q)]
+    while todo:
+        p, q = todo.pop()
+        p, q = resolve(p), resolve(q)
+        if p == q:
+            continue
+        if isinstance(p, Var):
+            subst[p.name] = q
+        elif isinstance(q, Var):
+            subst[q.name] = p
+        elif p.symbol != q.symbol:
             return None
+        else:
+            todo.extend(zip(p.args[::-1], q.args[::-1]))
     return subst
 
 
@@ -595,12 +604,15 @@ def overlapping_pairs(program: Program) -> list[tuple[Equation, Equation]]:
 
 
 def _rename(patterns: tuple) -> tuple:
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(t.name + "'r")
-        return App(t.symbol, tuple(go(a) for a in t.args))
-
-    return tuple(go(p) for p in patterns)
+    """The patterns with every variable primed apart."""
+    renamed: dict = {}
+    for u in postorder(patterns, "args"):
+        renamed[id(u)] = (
+            Var(u.name + "'r")
+            if type(u) is Var
+            else App(u.symbol, tuple([renamed[id(a)] for a in u.args]))
+        )
+    return tuple([renamed[id(p)] for p in patterns])
 
 
 def is_orthogonal(program: Program) -> bool:
@@ -812,45 +824,36 @@ def check_read_linkage(proof: DerivationProof) -> None:
 
 
 def proof_to_json(proof: DerivationProof) -> dict:
+    order = postorder([proof.root], "children")
+    terms = [t for j in order for t in (j.lhs, j.result)]
+    for _, args, v in proof.cache_trace:
+        terms += (*args, v)
     text: dict = {}  # format_term(t) per subterm, built from its arguments' texts
-
-    def fmt(t: Term):
-        out = text.get(t)
-        if out is None:
-            args = []
-            for a in t.args if isinstance(t, App) else ():
-                args.append((yield fmt(a)))
-            out = text[t] = f"{t.symbol.name}({', '.join(args)})" if args else format_term(t)
-        return out
-
+    for u in postorder(terms, "args"):
+        text[u] = (
+            f"{u.symbol.name}({', '.join([text[a] for a in u.args])})"
+            if type(u) is App and u.args
+            else format_term(u)
+        )
     done: dict = {}  # judgement -> its dict, written at each place it occurs
-
-    def enc(j: Judgement):
-        out = done.get(j)
-        if out is not None:
-            return out
-        kids = []
-        for c in j.children:
-            kids.append((yield enc(c)))
-        out = done[j] = {
+    for j in order:
+        done[j] = out = {
             "rule": j.rule,
-            "lhs": (yield fmt(j.lhs)),
-            "result": (yield fmt(j.result)),
-            "children": kids,
+            "lhs": text[j.lhs],
+            "result": text[j.result],
+            "children": [done[c] for c in j.children],
         }
         if j.equation is not None:
             out["equation"] = j.equation.index
-        return out
-
     return {
         "mode": proof.mode,
-        "root": run_stack(enc(proof.root)),
+        "root": done[proof.root],
         "stats": proof.stats.as_dict(),
         "cache_trace": [
             {
                 "function": f,
-                "args": [run_stack(fmt(a)) for a in args],
-                "value": run_stack(fmt(v)),
+                "args": [text[a] for a in args],
+                "value": text[v],
             }
             for (f, args, v) in proof.cache_trace
         ],

@@ -191,20 +191,24 @@ def match(pattern: Term, value: Term, subst: Optional[Substitution] = None) -> O
     """Match a pattern against a value; repeated variables must agree.
 
     Returns the substitution sigma with ``pattern sigma == value`` or None.
+    A loop over pairs of subterms, leftmost first, so no recursion limit
+    bounds the depth of the pattern.
     """
     if subst is None:
         subst = {}
-    if isinstance(pattern, Var):
-        bound = subst.get(pattern.name)
-        if bound is None:
-            subst[pattern.name] = value
-            return subst
-        return subst if bound == value else None
-    if not isinstance(value, App) or value.symbol != pattern.symbol:
-        return None
-    for p, v in zip(pattern.args, value.args):
-        if match(p, v, subst) is None:
+    todo = [(pattern, value)]
+    while todo:
+        p, v = todo.pop()
+        if isinstance(p, Var):
+            bound = subst.get(p.name)
+            if bound is None:
+                subst[p.name] = v
+            elif bound != v:
+                return None
+        elif not isinstance(v, App) or v.symbol != p.symbol:
             return None
+        else:
+            todo.extend(zip(p.args[::-1], v.args[::-1]))
     return subst
 
 

@@ -35,12 +35,13 @@ from .terms import (
     variables,
 )
 
+MAX_EQUATIONS = 10_000  # normalization gives up past this many equations
+
 
 @dataclass(frozen=True)
 class WordPattern:
     prefix: tuple  # unary constructor symbols, outermost first
     tail: Optional[str]  # variable name, or None for a ground word
-    terminator: Optional[Symbol]  # nullary constructor of a ground word
 
     @property
     def length(self) -> int:
@@ -57,9 +58,9 @@ def word_pattern(p: Term) -> WordPattern:
         prefix.append(p.symbol)
         p = p.args[0]
     if isinstance(p, Var):
-        return WordPattern(tuple(prefix), p.name, None)
+        return WordPattern(tuple(prefix), p.name)
     if isinstance(p, App) and p.symbol.is_constructor and p.symbol.arity == 0:
-        return WordPattern(tuple(prefix), None, p.symbol)
+        return WordPattern(tuple(prefix), None)
     raise NotWordProgram(f"{format_term(p)} is not a word pattern")
 
 
@@ -164,11 +165,7 @@ def _instantiate(eq: Equation, var: str, replacement: Term) -> Equation:
     )
 
 
-def normalize(
-    program: Program,
-    precedence: Optional[Precedence] = None,
-    max_equations: int = 10_000,
-) -> Program:
+def normalize(program: Program, precedence: Optional[Precedence] = None) -> Program:
     """Extend under-sized patterns until every class reaches its production size.
 
     An equation whose pattern is shorter than the class K is replaced by its
@@ -211,9 +208,9 @@ def normalize(
         for z in nullary:
             instances.append(_instantiate(eq, tail, App(z)))
         equations = equations[:index] + instances + equations[index + 1 :]
-        if len(equations) > max_equations:
+        if len(equations) > MAX_EQUATIONS:
             raise NormalizationError(
-                f"normalization exceeded the {max_equations}-equation cap"
+                f"normalization exceeded the {MAX_EQUATIONS}-equation cap"
             )
 
 

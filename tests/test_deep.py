@@ -22,7 +22,7 @@ from polytrs.base import Budget
 from polytrs.blind import blind_program, blind_proof
 from polytrs.callgraph import call_dag, call_tree
 from polytrs.cli import main
-from polytrs.parser import parse_term
+from polytrs.parser import parse_program, parse_term
 from polytrs.semantics import (
     all_derivations,
     check_dependence_bounds,
@@ -259,3 +259,31 @@ def test_deep_qi_expression_gets_a_verdict(tmp_path, entry, overall):
     code, text = run(tmp_path, "--qi", qi, "check-qi", APPEND)
     assert code in (0, 1, 2), text[:200]
     assert json.loads(text)["overall"] == overall
+
+
+def overlapping_program(tmp_path) -> str:
+    return deep_program(
+        tmp_path, f"f({'s0 ' * 3000}nil) -> nil\nf({'s0 ' * 3000}x) -> nil"
+    )
+
+
+def test_deep_overlapping_equations_through_certify(tmp_path):
+    code, text = run(tmp_path, "certify", overlapping_program(tmp_path))
+    assert code in (0, 1, 2), text[:200]
+
+
+@pytest.mark.parametrize("command", ["memo", "dag"])
+def test_deep_overlapping_equations_refuse_memoisation(tmp_path, command):
+    code, text = run(tmp_path, command, overlapping_program(tmp_path), f"f({'s0 ' * 3000}nil)")
+    assert code == 3, text[:200]
+    assert json.loads(text)["error"] == "non-confluent-program"
+
+
+def test_deep_lhs_proof_validates(tmp_path):
+    program = parse_program(
+        f"constructors: s0/1 nil/0\nfunctions: f/1\nf({'s0 ' * 3000}nil) -> nil\nmain: f\n"
+    )
+    term = parse_term(f"f({'s0 ' * 3000}nil)", symbols_of(program))
+    proof = next(iter(eval_cbv(program, term)))
+    validate_proof(program, proof)
+    assert format_term(proof.result) == "nil"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytrs import terms as terms_module
-from polytrs.base import NoMatchingEquation, ParseError, SignatureError
+from polytrs.base import NoMatchingEquation, ParseError, SignatureError, postorder
 from polytrs.bc import compile_bc, random_bc
 from polytrs.blind import blind_program, input_tuples, transfer_uniform_qi
 from polytrs.ordering import PPO, check_program, infer_precedence
@@ -418,6 +418,45 @@ def test_stored_fields_agree_on_values(v):
     assert is_value(v) and ref_is_value(v)
     assert term_size(v) == ref_size(v)
     assert term_depth(v) == ref_depth(v)
+
+
+# -- post-order walk ----------------------------------------------------------
+
+
+def test_postorder_lists_a_shared_node_once_after_everything_below_it():
+    shared = App(PAIR, (App(S0, (App(NIL),)), Var("x")))
+    root = App(PAIR, (shared, App(S1, (shared,))))
+    order = postorder([root], "args")
+    assert [u for u in order if u is shared] == [shared]
+    below = order.index(shared)
+    assert order[:below] == [App(NIL), shared.args[0], Var("x")]
+    assert order[below + 1 :] == [root.args[1], root]
+
+
+def test_postorder_lists_a_leaf_at_each_occurrence_leftmost_first():
+    nil = App(NIL)
+    root = App(PAIR, (App(PAIR, (Var("x"), nil)), App(PAIR, (nil, Var("x")))))
+    order = postorder([root], "args")
+    assert order == [Var("x"), nil, root.args[0], nil, Var("x"), root.args[1], root]
+    assert postorder([Var("x"), nil, Var("x")], "args") == [Var("x"), nil, Var("x")]
+    assert postorder([Sum((Arg(0), Arg(0)))], "items") == [Arg(0), Arg(0), Sum((Arg(0), Arg(0)))]
+
+
+def test_postorder_lists_a_node_that_several_roots_reach_once():
+    word = App(S0, (App(NIL),))
+    roots = [App(S1, (word,)), word, App(PAIR, (word, word))]
+    order = postorder(roots, "args")
+    assert order == [App(NIL), word, roots[0], roots[2]]
+
+
+def test_postorder_walks_a_deep_chain_without_recursion():
+    chain = App(NIL)
+    for _ in range(100_000):
+        chain = App(S0, (chain,))
+    order = postorder([chain], "args")
+    assert len(order) == 100_001
+    assert order[0] == App(NIL) and order[-1] is chain
+    assert all(u.args == (v,) for v, u in zip(order, order[1:]))
 
 
 # -- deep terms ---------------------------------------------------------------
