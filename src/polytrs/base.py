@@ -67,14 +67,11 @@ class Budget:
 
     max_rules bounds the judgement count of a single derivation, max_depth
     the nesting of judgements (every premise sits one level below its
-    conclusion, so an n-letter append word needs depth 2n + 1), and
-    max_derivations the number of derivations an exhaustive enumeration may
-    emit.
+    conclusion, so an n-letter append word needs depth 2n + 1).
     """
 
     max_rules: int = 200_000
     max_depth: int = 2_000
-    max_derivations: int = 5_000
 
 
 DEFAULT_BUDGET = Budget()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import traceback
 from typing import Optional
@@ -45,11 +46,7 @@ def _load_program(path: str) -> Program:
 
 
 def _budget(args) -> Budget:
-    return Budget(
-        max_rules=args.budget_rules,
-        max_depth=args.budget_depth,
-        max_derivations=args.budget_derivations,
-    )
+    return Budget(max_rules=args.budget_rules, max_depth=args.budget_depth)
 
 
 def _sizes(text: str) -> range:
@@ -95,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget-rules", type=int, default=200_000)
     parser.add_argument("--budget-depth", type=int, default=2_000)
-    parser.add_argument("--budget-derivations", type=int, default=5_000)
     parser.add_argument("--sizes", type=_sizes, default=range(1, 9))
     parser.add_argument("--qi", metavar="FILE", help="assignment file")
     parser.add_argument("--order", metavar="STRING", help="precedence, e.g. 'append < f'")
@@ -155,6 +151,18 @@ _PARSER: Optional[argparse.ArgumentParser] = None
 
 
 def main(argv: Optional[list] = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # stdout's reader is gone.  As the Python docs' note on SIGPIPE
+        # shows, point stdout at devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
+    return code
+
+
+def _main(argv: Optional[list]) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
@@ -166,6 +174,8 @@ def main(argv: Optional[list] = None) -> int:
         return 3
     try:
         return _dispatch(args)
+    except BrokenPipeError:
+        raise  # no error report can reach a closed stdout
     except TrsError as exc:
         error = {"error": exc.code, "message": str(exc)}
     except OSError as exc:
@@ -191,9 +201,11 @@ _TEXT_FORMATS = {
 def _check_flags(args) -> None:
     """A usage error for a flag the command needs, or would silently ignore."""
     command = args.command + (f" --kind {args.kind}" if args.command == "measure" else "")
-    for flag in ("budget_rules", "budget_depth", "budget_derivations"):
+    for flag in ("budget_rules", "budget_depth"):
         if getattr(args, flag) < 0:
             _usage_error(f"--{flag.replace('_', '-')} {getattr(args, flag)} is negative")
+    if args.policy != "first" and args.command not in ("eval", "tree"):
+        _usage_error(f"{args.command} does not take --policy {args.policy}")
     if args.command == "check-qi" and not args.qi:
         _usage_error("--qi FILE is required")
     if command == "measure --kind growth" and args.poly:

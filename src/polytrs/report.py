@@ -30,7 +30,7 @@ from .semantics import is_orthogonal
 from .terms import Program
 from .wordnorm import certify_extended
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 PASS = "pass"
 FAIL = "fail"
@@ -212,11 +212,7 @@ def build_report(
         },
         "parameters": {
             "seed": seed,
-            "budget": {
-                "max_rules": budget.max_rules,
-                "max_depth": budget.max_depth,
-                "max_derivations": budget.max_derivations,
-            },
+            "budget": {"max_rules": budget.max_rules, "max_depth": budget.max_depth},
             "sizes": [sizes.start, sizes.stop - 1] if isinstance(sizes, range) else None,
             # fixed evaluation conventions that shape which derivations are
             # explored under truncation

@@ -272,19 +272,15 @@ class _Run:
         cache: Optional[dict] = None,
     ):
         self.program = program
-        self.policy = policy
         self.budget = budget
         self.cache = cache
         self.trace: list = []  # (function name, args, value) in Update order
         self.steps = 0
-        self.truncated = False
         self.rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
         # call term -> its Function judgement, kept when a repeated call must
         # derive the same subproof: first match and no cache
         first_cbv = cache is None and isinstance(policy, FirstMatch)
         self.shared: Optional[dict] = {} if first_cbv else None
-
-    # -- single-derivation path (FirstMatch / Seeded) --------------------
 
     def derive(self, t: Term, depth: int):
         self.steps += 1
@@ -335,64 +331,6 @@ class _Run:
         final = yield self.derive(value, depth + 1)
         return Judgement(R_SPLIT, t, final.result, (*kids, final))
 
-    # -- exhaustive enumeration -------------------------------------------
-
-    def enumerate(self, t: Term, depth: int, used: int):
-        """All derivations of t whose size fits in the remaining budget."""
-        if depth > self.budget.max_depth or used >= self.budget.max_rules:
-            self.truncated = True
-            return []
-        if isinstance(t, Var):
-            raise NoMatchingEquation(f"cannot evaluate open term {t.name}")
-        # a step is a matching equation of a call on values, else a tuple of
-        # argument derivations, for Constructor or Split
-        call = t.symbol.is_function and all(is_value(a) for a in t.args)
-        if call:
-            steps = matching_equations(self.program, t)
-        else:
-            steps = yield from self._child_product(t.args, depth, used + 1)
-        room = max(1, self.budget.max_derivations)  # a budget of 0 lets one through
-        out: list[Judgement] = []
-        for step in steps:
-            if call:
-                eq, sigma = step
-                bodies = yield self.enumerate(apply_subst(eq.rhs, sigma), depth + 1, used + 1)
-                out += [
-                    Judgement(R_FUNCTION, t, body.result, (body,), eq)
-                    for body in bodies[: room - len(out)]
-                ]
-            else:
-                value = App(t.symbol, tuple(k.result for k in step))
-                if t.symbol.is_constructor:
-                    out.append(Judgement(R_CONSTRUCTOR, t, value, step))
-                else:
-                    inner_used = used + 1 + sum(k.size for k in step)
-                    finals = yield self.enumerate(value, depth + 1, inner_used)
-                    out += [
-                        Judgement(R_SPLIT, t, final.result, step + (final,))
-                        for final in finals[: room - len(out)]
-                    ]
-            if len(out) >= room:
-                self.truncated = True
-                return out
-        return out
-
-    def _child_product(self, args: tuple, depth: int, used: int):
-        """Lazy cartesian product of the argument derivations, budget-pruned."""
-        lists = []
-        for a in args:
-            derivs = yield self.enumerate(a, depth + 1, used)
-            if not derivs:
-                return ()
-            lists.append(derivs)
-        return (kids for kids in itertools.product(*lists) if self._fits(kids, used))
-
-    def _fits(self, kids: tuple, used: int) -> bool:
-        if used + sum(k.size for k in kids) > self.budget.max_rules:
-            self.truncated = True
-            return False
-        return True
-
 
 def eval_cbv(
     program: Program,
@@ -400,32 +338,68 @@ def eval_cbv(
     policy: ChoicePolicy = FirstMatch(),
     budget: Budget = DEFAULT_BUDGET,
 ) -> Iterator[DerivationProof]:
-    """Stream of call-by-value derivation proofs of a ground term.
+    """Stream of one call-by-value derivation proof of a ground term.
 
-    FirstMatch / Seeded emit exactly one proof; Exhaustive enumerates every
-    derivation within the budget (deduplication never applies: each rule
-    choice sequence is its own derivation).
+    FirstMatch / Seeded take one equation at each call; Exhaustive gives a
+    derivation of largest rule count over every choice, read off the
+    outcome tables (``_worst_derivation``).
     """
-    run = _Run(program, policy, budget)
     if isinstance(policy, Exhaustive):
-        derivs = run_stack(run.enumerate(term, 0, 0))
-        if not derivs and run.truncated:
-            raise BudgetExceeded(f"no derivation of {format_term(term)} fits the budget")
-        if not derivs:
-            raise NoMatchingEquation(f"no derivation of {format_term(term)} exists")
-        for root in derivs:
-            yield _make_proof(root, "cbv")
+        root = _worst_derivation(program, term, budget)
+        # the same caps as a derivation built step by step: rule count, and
+        # the depth of the deepest judgement with the root at depth 0
+        if root.size > budget.max_rules or root.height - 1 > budget.max_depth:
+            raise BudgetExceeded(f"the worst derivation of {format_term(term)} exceeds the budget")
     else:
-        yield _make_proof(run_stack(run.derive(term, 0)), "cbv")
+        root = run_stack(_Run(program, policy, budget).derive(term, 0))
+    yield _make_proof(root, "cbv")
 
 
-def all_derivations(
-    program: Program, term: Term, budget: Budget = DEFAULT_BUDGET
-) -> tuple[list[DerivationProof], bool]:
-    """Materialised exhaustive enumeration plus a truncation flag."""
-    run = _Run(program, Exhaustive(), budget)
-    derivs = run_stack(run.enumerate(term, 0, 0))
-    return [_make_proof(r, "cbv") for r in derivs], run.truncated
+def _worst_derivation(program: Program, term: Term, budget: Budget) -> Judgement:
+    """The first derivation of largest rule count, rebuilt top-down from
+    the outcome tables: the table's first value of largest cost, then at a
+    call the first matching equation, and at a Constructor or Split the
+    first argument values, whose tables reach the cost.  One judgement per
+    (state, value), so a repeated call shares its subproof."""
+    store: dict = {}
+    top = outcome_table(program, term, store, max_states=budget.max_rules)
+    if not top:
+        raise NoMatchingEquation(f"no derivation of {format_term(term)} exists")
+    worst = max(cost for cost, _ in top.values())
+    built: dict = {}
+
+    def table(u: Term) -> dict:
+        return {u: (u.size, 1)} if is_value(u) else store[u][0]
+
+    def build(u: Term, v: Term):
+        j = built.get((u, v))
+        if j is not None:
+            return j
+        rest = table(u)[v][0] - 1  # the rule count of the premises
+        if u.symbol.is_function and all(is_value(a) for a in u.args):
+            for eq, sigma in matching_equations(program, u):
+                rhs = apply_subst(eq.rhs, sigma)
+                if table(rhs).get(v, (None,))[0] == rest:
+                    break
+            j = Judgement(R_FUNCTION, u, v, ((yield build(rhs, v)),), eq)
+        else:
+            constructor = u.symbol.is_constructor
+            for combo in itertools.product(*[table(a).items() for a in u.args]):
+                left = rest - sum([c for _, (c, _) in combo])  # for the Split call
+                call = App(u.symbol, tuple([w for w, _ in combo]))
+                if call == v if constructor else table(call).get(v, (None,))[0] == left:
+                    break
+            kids = []
+            for a, (w, _) in zip(u.args, combo):
+                kids.append((yield build(a, w)))
+            if constructor:
+                j = Judgement(R_CONSTRUCTOR, u, v, tuple(kids))
+            else:
+                j = Judgement(R_SPLIT, u, v, (*kids, (yield build(call, v))))
+        built[(u, v)] = j
+        return j
+
+    return run_stack(build(term, next(v for v, (c, _) in top.items() if c == worst)))
 
 
 def pay(store: dict, paid: set, u: Term) -> int:

@@ -31,10 +31,11 @@ from polytrs.blind import (
 from polytrs.ordering import EPPO, PPO, infer_precedence
 from polytrs.parser import format_program, parse_program
 from polytrs.qi import check_qi, eval_expr, parse_assignment
-from polytrs.semantics import outcome_table, validate_proof
+from polytrs.semantics import Exhaustive, eval_cbv, outcome_table, validate_proof
 from polytrs.terms import App
 
 from .conftest import CORPUS, CORPUS_PROGRAMS, PARITY_BUDGETS, checked_cbv, t
+from .oracles import all_derivations
 from .test_semantics import COUNTDOWN, LOOP
 
 
@@ -212,10 +213,10 @@ def test_measure_matches_brute_force_oracle(corpus, name, sizes):
     ids=["running", "append", "flip", "doublerec"],
 )
 def test_oracle_agrees_with_raw_enumeration(corpus, name, lean, terms):
-    # Validate the oracle and the outcome table against straight derivation
-    # enumeration: per value, the table holds the largest rule count and the
-    # number of derivations.
-    from polytrs.semantics import all_derivations, outcome_table
+    # Validate the oracle, the outcome table and the exhaustive policy's
+    # derivation against straight derivation enumeration: per value, the
+    # table holds the largest rule count and the number of derivations, and
+    # the exhaustive proof is a valid derivation of the largest rule count.
     from .test_semantics import dedup_equations
 
     bl = blind_program(corpus[name]).program
@@ -224,7 +225,7 @@ def test_oracle_agrees_with_raw_enumeration(corpus, name, lean, terms):
     for text in terms:
         term = t(text, bl)
         proofs, truncated = all_derivations(
-            bl, term, Budget(max_rules=2000, max_derivations=50_000)
+            bl, term, Budget(max_rules=2000), max_derivations=50_000
         )
         assert not truncated
         raw = {(p.result, p.stats.rule_count) for p in proofs}
@@ -234,6 +235,11 @@ def test_oracle_agrees_with_raw_enumeration(corpus, name, lean, terms):
             per_value.setdefault(p.result, []).append(p.stats.rule_count)
         expected = {v: (max(costs), len(costs)) for v, costs in per_value.items()}
         assert outcome_table(bl, term) == expected
+        worst = max(p.stats.rule_count for p in proofs)
+        proof = next(iter(eval_cbv(bl, term, Exhaustive())))
+        validate_proof(bl, proof)
+        assert proof.stats.rule_count == worst
+        assert max(per_value[proof.result]) == worst
 
 
 def test_looping_program_rows_are_truncated():

@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from polytrs.blind import blind_program
 from polytrs.cli import main
+from polytrs.parser import format_program
 
-from .conftest import CORPUS
+from .conftest import CORPUS, load
 
 
 def run(capsys, *argv):
@@ -343,6 +348,9 @@ class ChunkRecorder:
         self.chunks.append(chunk)
         return len(chunk)
 
+    def flush(self) -> None:
+        pass
+
 
 @pytest.mark.parametrize("command", ["eval", "tree", "certify"])
 def test_json_output_is_streamed_in_line_sized_chunks(monkeypatch, command):
@@ -444,7 +452,7 @@ def test_a_zero_denominator_in_a_qi_file_or_poly_exits_3(tmp_path, capsys):
     assert data == {"error": "parse-error", "message": "1:1: constant 1/0 has a zero denominator"}
 
 
-@pytest.mark.parametrize("flag", ["--budget-rules", "--budget-depth", "--budget-derivations"])
+@pytest.mark.parametrize("flag", ["--budget-rules", "--budget-depth"])
 def test_a_negative_budget_is_a_usage_error(capsys, flag):
     trs = str(CORPUS / "append.trs")
     code, data = run_json(capsys, flag, "-1", "eval", trs, "append(nil, nil)")
@@ -452,6 +460,9 @@ def test_a_negative_budget_is_a_usage_error(capsys, flag):
     assert data == {"error": "usage", "message": f"{flag} -1 is negative"}
     code, data = run_json(capsys, flag, "0", "eval", trs, "append(nil, nil)")
     assert data.get("error") != "usage"  # a budget of 0 is a budget
+    # the exhaustive policy enumerates no derivations, so none are budgeted
+    code, data = run_json(capsys, "--budget-derivations", "5", "eval", trs, "append(nil, nil)")
+    assert code == 3 and data["error"] == "usage"
 
 
 APPEND = str(CORPUS / "append.trs")
@@ -478,3 +489,53 @@ def test_a_format_the_command_does_not_write_is_a_usage_error(capsys, command, a
     code, data = run_json(capsys, "--format", fmt, *argv)
     assert code == 3
     assert data == {"error": "usage", "message": f"{command} does not write --format {fmt}"}
+
+
+POLICY_FREE = {  # every command but eval and tree, with its command line
+    **{command: argv for command, argv in JSON_ONLY.items() if command != "eval"},
+    "parse": ["parse", APPEND],
+    "dag": ["dag", APPEND, "append(nil, nil)"],
+    "measure --kind growth": ["measure", APPEND],
+    "bc-compile": ["bc-compile", str(CORPUS / "add.bc")],
+}
+
+
+@pytest.mark.parametrize("policy", ["seeded", "exhaustive"])
+@pytest.mark.parametrize("command", sorted(POLICY_FREE))
+def test_a_policy_the_command_does_not_use_is_a_usage_error(capsys, policy, command):
+    code, data = run_json(capsys, "--policy", policy, *POLICY_FREE[command])
+    assert code == 3
+    message = f"{command.split()[0]} does not take --policy {policy}"
+    assert data == {"error": "usage", "message": message}
+
+
+def test_exhaustive_eval_prints_the_worst_derivation(tmp_path, capsys):
+    # 764 rules under first match; the worst of the blind image's
+    # derivations of bl_f(s^8 0) has 1,020
+    trs = tmp_path / "blind.trs"
+    trs.write_text(format_program(blind_program(load("running.trs")).program))
+    term = "bl_f(" + "s " * 8 + "0)"
+    rules = {}
+    for policy in ("first", "exhaustive"):
+        code, data = run_json(capsys, "--policy", policy, "eval", str(trs), term)
+        assert code == 0
+        rules[policy] = data["stats"]["rule_count"]
+    assert rules == {"first": 764, "exhaustive": 1020}
+
+
+def test_a_closed_stdout_exits_3_without_a_traceback():
+    # dup(s^12 0) writes about 22 MB of JSON, far more than a pipe buffers,
+    # so polytrs is still writing when its reader stops
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = ["eval", str(CORPUS / "doublerec.trs"), "dup(" + "s " * 12 + "0)"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "polytrs", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 3
+    assert err == b""

@@ -24,7 +24,6 @@ from polytrs.callgraph import call_dag, call_tree
 from polytrs.cli import main
 from polytrs.parser import parse_program, parse_term
 from polytrs.semantics import (
-    all_derivations,
     check_dependence_bounds,
     check_read_linkage,
     eval_cbv,
@@ -36,6 +35,7 @@ from polytrs.semantics import (
 from polytrs.terms import format_term
 
 from .conftest import CORPUS, symbols_of
+from .oracles import all_derivations
 
 APPEND = str(CORPUS / "append.trs")
 

@@ -5,7 +5,10 @@ dot] [--policy P] --out F CMD X.trs TERM`` writes, and its exit code, are
 pinned for ``eval``, ``memo``, ``tree`` and ``dag``.  The cases cover Split
 and Constructor nesting in the input term, memo Read links, a non-confluent
 program whose memo run is refused, stuck terms, and the exhaustive policy on
-the blind image of running.trs.  Any change to the proof shape, the JSON
+maxw and on the blind image of running.trs.  That policy prints the
+worst-cost derivation rebuilt from the outcome table; on these four terms it
+is also the first derivation in rule-choice order, so their digests predate
+the rebuild.  Any change to the proof shape, the JSON
 layout, the call-structure node order or the edge labels shows up here.
 """
 

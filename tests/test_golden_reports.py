@@ -19,24 +19,24 @@ from .conftest import CORPUS, CORPUS_PROGRAMS
 
 # program stem -> (SHA-256 of the report bytes, exit code)
 GOLDEN = {
-    "add": ("a7e856f2c6f7620f41961675889e9bb5574292e376000193c61cd04021736fd6", 0),
-    "append": ("6b7d4bafceb7a02173f6099efb15b2b8c2ea043d347ff3b948031cd9a67b4226", 0),
-    "doublerec": ("70d874acc1d3b1521dfb29b00e2808a69666e75f351c9c25123b7b7789fce71f", 2),
-    "even_odd": ("9c9f4ad9b421af5ba864f66ba5dfef489bd179d268b90b39a18f463d56bd3f3f", 2),
-    "fib": ("c7781da0c5325031acada0a42c8822e66835a15fc663a12224a997a5b1df7b56", 1),
-    "flip": ("df90d06b0004645f51338628793cf0c4fbbbf4a428e7344d52c106d099042561", 2),
-    "grid2": ("5052ba7e950bd29bfc29cb8d118a3b55dab169c9a841cdcb946243e7fbe902a3", 2),
-    "grid3": ("70916f18cf6bc6bb118bb57060c941217c8b21715e95ed88b33039ac98136566", 2),
-    "grow": ("7ff4f61788b39b64caed44f76a01c476d4afbd653a83a4abf667fab4a2aa90ed", 2),
-    "identity": ("d4990b2bda712d7854bf3f7075a724bfadaccf6966c9975eb82be50519e54122", 2),
-    "maxw": ("a4ad78c7394e7bd6d8123035769cdcfe847b03af019b78f1a16ff0100736dbbc", 2),
-    "mult": ("85d125cadf752d0a75ac3ce9d79447e78dca68c47fd28296111d2bd77d8d519d", 0),
-    "norm2rule": ("a4d99960e24d102361a72fb27e1aa34f66a732fc060bbc719c5e613457d2cb8c", 2),
-    "norm2rule_nil": ("70af7922d8de87daa926f626c92e58602080e759bcdc8d3dedad6b573cde26e3", 2),
-    "reverse": ("3ebe5178bb554c43a64db9d57a6ba365c87e7a9f325c2c72da213f9b51325232", 1),
-    "running": ("cfd4d307d4e75b0ae563b8ee152ffa08df3e65aaf5f56de88ac50f4e09f0a540", 2),
-    "trip": ("db16ae0f67021e78e65a1afb7961936c317a2e8565b637da52fe20f6878365b5", 2),
-    "twoclass": ("18561c78299e68dae225a15f45602ffeb80485a3a46bed5a5cb439f743d2c5f5", 2),
+    "add": ("db2cb78e0ffac581d85b86331e2bed9f4433797b3bdac2851887101d9894c764", 0),
+    "append": ("ca5cb0827142f362fd2f8f0f437645f2ee694b9c4427ba67f79a7ccf543c3e14", 0),
+    "doublerec": ("a1145cd34397c53e6431d75250f6bb6bf91c4dff8025db9346626fd31817f3c7", 2),
+    "even_odd": ("43156cd19d8ee296a23257e3e115d9e181f1baa21a9950866faf10d894550baa", 2),
+    "fib": ("e8b1a5efed83fd2ac5dbf3d8880dc0a42d4ac98373bb4523850154b67d10c798", 1),
+    "flip": ("f2b497f8aeb1087ebd3d070d41654fdd9b5fd88cb8989cb6fa449b35d8ce3433", 2),
+    "grid2": ("e7c485401d1348dc02a7ebc49ad9a45503e66900e03d321539fb9c18a2b6140e", 2),
+    "grid3": ("7696898b1206f8f3c570948e4667f7f0e88ccd7ca46bd6e10d34964e6e384fe4", 2),
+    "grow": ("73f69ea7585f55647d43084af3f6d9f70975cd170111ab41af036c9e80adfdfe", 2),
+    "identity": ("0e3f561dd2e5fc2118cb75877758ed487cc3c8d8f90fcf8ac7c8949dcb2696ed", 2),
+    "maxw": ("59a94314b8b7f92507e60b174f079dc5a73396426890c2c7c2157e6d78a28e8b", 2),
+    "mult": ("df33cd8d57aa07994d480dd64f508e32f5853fb153574a9034399e7a28ff1ced", 0),
+    "norm2rule": ("65acf19e47ed1cd8403e1d7aedc361836b3253532569eb1fc1f228abd5e7c930", 2),
+    "norm2rule_nil": ("cb552d9e37c2003a4574f3ee7ef0dab557502ffab7153a0fde0d6d80843ca584", 2),
+    "reverse": ("4c7243a92a467cd8caf10074fb1ccc54a01355cf54e394a6722d0858c93bf246", 1),
+    "running": ("3039247ec687d696129d2a704c45153e277a211d0eca710ce2434a036c17dc64", 2),
+    "trip": ("712a459268757d69c0cd481a2c14d761c145679a9db1b552cc199e3abbccb066", 2),
+    "twoclass": ("730c2bcef8bb2cbbb88fe3b505343cbb3aa03de0a149bd0d6971ff76792ea7d9", 2),
 }
 
 

@@ -16,7 +16,6 @@ from polytrs.semantics import (
     Exhaustive,
     FirstMatch,
     Seeded,
-    all_derivations,
     classify,
     derivable_value_set,
     eval_cbv,
@@ -30,6 +29,7 @@ from polytrs.semantics import (
 from polytrs.terms import term_size
 
 from .conftest import checked_cbv, checked_memo, t
+from .oracles import all_derivations
 from .strategies import values
 
 from polytrs.blind import blind_program, word_length
@@ -96,7 +96,7 @@ def dedup_equations(program):
 def test_exhaustive_blind_result_sizes(corpus):
     bl = dedup_equations(blind_program(corpus["running.trs"]).program)
     proofs, truncated = all_derivations(
-        bl, t("bl_f(s s s s s 0)", bl), Budget(max_rules=4000, max_derivations=100_000)
+        bl, t("bl_f(s s s s s 0)", bl), Budget(max_rules=4000), max_derivations=100_000
     )
     assert not truncated
     worst = max(word_length(p.result) for p in proofs)
@@ -108,7 +108,7 @@ def test_exhaustive_blind_result_sizes(corpus):
 def test_exhaustive_agrees_with_value_set(corpus):
     bl = dedup_equations(blind_program(corpus["running.trs"]).program)
     term = t("bl_f(s s s s 0)", bl)
-    proofs, _ = all_derivations(bl, term, Budget(max_rules=4000, max_derivations=100_000))
+    proofs, _ = all_derivations(bl, term, Budget(max_rules=4000), max_derivations=100_000)
     assert {p.result for p in proofs} == set(derivable_value_set(bl, term))
 
 

@@ -35,6 +35,7 @@ from polytrs.semantics import (
 from polytrs.terms import format_term, term_size
 
 from .conftest import checked_cbv, checked_memo, load, symbols_of, unshare
+from .oracles import all_derivations
 from .test_golden_eval import TERMS
 
 
@@ -125,8 +126,9 @@ def test_budgets_fail_where_the_unfolded_tree_does(stem, text):
 
 
 def corpus_proofs():
-    """(label, proof) for the golden eval terms under cbv and memo, the
-    exhaustive derivations of maxw and doublerec at growing sizes."""
+    """(label, proof) for the golden eval terms under cbv and memo, every
+    derivation of maxw, the exhaustive policy's worst derivations of maxw
+    and the blind running example, and doublerec at growing sizes."""
     for name, (stem, text) in TERMS.items():
         program = load(f"{stem}.trs")
         term = parse_term(text, symbols_of(program))
@@ -140,8 +142,12 @@ def corpus_proofs():
             pass  # memo refused on a non-orthogonal program
     maxw = load("maxw.trs")
     term = parse_term("maxw(s s 0, s 0)", symbols_of(maxw))
-    for i, proof in enumerate(eval_cbv(maxw, term, Exhaustive())):
+    for i, proof in enumerate(all_derivations(maxw, term)[0]):
         yield f"maxw:exhaustive:{i}", proof
+    yield "maxw:worst", next(iter(eval_cbv(maxw, term, Exhaustive())))
+    blind = blind_program(load("running.trs")).program
+    term = parse_term("bl_f(s s s s 0)", symbols_of(blind))
+    yield "blind-f:worst", next(iter(eval_cbv(blind, term, Exhaustive())))
     doublerec = load("doublerec.trs")
     for n in range(8):
         yield f"dup:{n}", cbv(doublerec, parse_term(dup(n), symbols_of(doublerec)))
