@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from .base import (
     Budget,
@@ -263,11 +264,19 @@ def words_of_length(
 
 
 def input_tuples(
-    program: Program, main: Symbol, n: int, cap: int = 64, seed: int = 0
+    program: Program,
+    main: Symbol,
+    n: int,
+    cap: int = 64,
+    seed: int = 0,
+    pools: Optional[dict] = None,
 ) -> list[tuple]:
     """Argument tuples of total word length n for the main function.
 
-    A word pool depends on its length alone, so each is drawn once."""
+    A word pool depends on its length alone, so each is drawn once.
+    ``pools`` maps each length to its pool drawn so far; a measurement that
+    passes one dict to all its sizes, under one main, cap and seed, draws
+    each pool once across them.  Without it the call uses a fresh one."""
     k = main.arity
     if k == 0:
         return [()]
@@ -280,8 +289,10 @@ def input_tuples(
         comps = rng.sample(comps, cap)
     per = max(2, int(cap ** (1 / k)) + 1)
     per_comp = max(1, (cap * 4) // len(comps))
-    lengths = {c for comp in comps for c in comp}
-    pools = {c: words_of_length(program, c, per, seed) for c in lengths}
+    pools = {} if pools is None else pools
+    for c in {c for comp in comps for c in comp}:
+        if c not in pools:
+            pools[c] = words_of_length(program, c, per, seed)
     for comp in comps:
         out.extend(itertools.islice(itertools.product(*(pools[c] for c in comp)), per_comp))
     return out
@@ -298,16 +309,18 @@ def measure_strong_poly(
 
     Inputs are all (or a seeded sample of) words of each size; the result
     size column measures word length.  Rows where the budget bites are
-    flagged truncated rather than silently clipped.  All inputs read one
+    flagged truncated rather than silently clipped.  All sizes draw from one
+    pool dict, so each word pool is drawn once.  All inputs read one
     outcome store, so each state is derived once; each input has its own
     paid set, so it is charged the state budget a fresh table would charge.
     """
     main = program.main
     rows = []
     store: dict = {}
+    pools: dict = {}
     inputs_per_size = {}
     for n in sizes:
-        tuples = input_tuples(program, main, n, inputs_cap, seed)
+        tuples = input_tuples(program, main, n, inputs_cap, seed, pools)
         inputs_per_size[n] = len(tuples)
         worst_rules = 0
         worst_result = 0

@@ -27,9 +27,9 @@ from .terms import (
     App,
     Equation,
     Program,
+    Var,
     apply_subst,
     format_term,
-    is_value,
     matching_equations,
 )
 
@@ -270,24 +270,34 @@ def successors(
     For every matching equation and every function-headed subterm of its
     rhs, the subterm's arguments are evaluated exhaustively (set semantics);
     each derivable argument tuple yields one edge, argument values in the
-    order the outcome table derives them.  The arguments are read through
-    the program's outcome ``store`` and charged to the walk's ``paid`` set
-    (see ``outcome_table``); without them the call uses fresh ones.  When
-    ``charged`` is given, each non-value argument is appended to it in the
-    order its outcome call is charged.
+    order the outcome table derives them.  An argument that instantiates to
+    a value, a variable bound by the matcher included, is its own value
+    set: its outcome table ``{v: (size, 1)}`` is never stored, entered or
+    charged, so it is read in place.  Each non-value argument is read
+    through the program's outcome ``store`` and charged to the walk's
+    ``paid`` set (see ``outcome_table``); without them the call uses fresh
+    ones.  When ``charged`` is given, each non-value argument is appended
+    to it in the order its outcome call is charged.
     """
     out = []
     store = {} if store is None else store
     paid = set() if paid is None else paid
     for eq, sigma in matching_equations(program, state):
         for occ, sub in eq.calls.values():
-            args = [apply_subst(a, sigma) for a in sub.args]
-            if charged is not None:
-                charged.extend(a for a in args if not is_value(a))
-            arg_sets = [
-                derivable_value_set(program, a, store, paid, budget.max_rules)
-                for a in args
-            ]
+            arg_sets = []
+            for a in sub.args:
+                if a.__class__ is Var:
+                    arg_sets.append((sigma[a.name],))
+                    continue
+                a = apply_subst(a, sigma)
+                if a.is_value:
+                    arg_sets.append((a,))
+                    continue
+                if charged is not None:
+                    charged.append(a)
+                arg_sets.append(
+                    derivable_value_set(program, a, store, paid, budget.max_rules)
+                )
             for combo in itertools.product(*arg_sets):
                 out.append(TransitionEdge(App(sub.symbol, combo), eq, occ))
     return out

@@ -137,13 +137,8 @@ _ZERO = Fraction(0)
 
 def eval_expr(e: QiExpr, point) -> Fraction:
     """Exact rational evaluation at a point of non-negative rationals."""
-    return _evaluate(postorder([e], "items"), point)
-
-
-def _evaluate(order: list, point) -> Fraction:
-    """eval_expr over the ``postorder`` of an expression."""
     value: dict = {}
-    for u in order:
+    for u in postorder([e], "items"):
         kind = type(u)
         if kind is Const:
             v = u.value
@@ -168,6 +163,80 @@ def _evaluate(order: list, point) -> Fraction:
                 v = min(items)
         value[id(u)] = v
     return v
+
+
+class _Scaled:
+    """Exact evaluation of every node of a ``postorder`` in integers.
+
+    At a point, let d be the lcm of the denominators of its coordinates and
+    of the constants.  Each node's value is then N / d**k for an integer N,
+    and the degree k depends on the node alone: 1 for a constant or an
+    argument, the items' total for a product, and the items' largest (0
+    for none) for a sum, a max or a min.  A node's N is computed from its
+    items' N, each scaled by d up to the node's degree, by integer sums,
+    products and comparisons, so no gcd is ever taken.
+    """
+
+    def __init__(self, order: list):
+        self.index: dict = {}  # id of a node -> its step
+        self.degree: list = []
+        # (kind, constant | argument index | item steps, shifts or None)
+        self.steps: list = []
+        self.den = 1  # lcm of the constants' denominators
+        shifts = set()
+        for u in order:
+            if id(u) in self.index:  # a leaf met again
+                continue
+            kind = type(u)
+            scale = None
+            if kind is Const:
+                self.den = math.lcm(self.den, u.value.denominator)
+                step, k = u.value, 1
+            elif kind is Arg:
+                step, k = u.index, 1
+            else:
+                step = [self.index[id(i)] for i in u.items]
+                degrees = [self.degree[i] for i in step]
+                if kind is Prod:
+                    k = sum(degrees)
+                else:
+                    k = max(degrees, default=0)
+                    if any(j != k for j in degrees):
+                        scale = [k - j for j in degrees]
+                        shifts.update(scale)
+            self.index[id(u)] = len(self.steps)
+            self.steps.append((kind, step, scale))
+            self.degree.append(k)
+        self.shifts = shifts
+
+    def numerators(self, point) -> tuple[int, list]:
+        """d and each step's N at a point of non-negative rationals."""
+        d = math.lcm(self.den, *(x.denominator for x in point))
+        power = {s: d**s for s in self.shifts}
+        value: list = []
+        for kind, step, scale in self.steps:
+            if kind is Const:
+                v = step.numerator * (d // step.denominator)
+            elif kind is Arg:
+                x = point[step]
+                v = x.numerator * (d // x.denominator)
+            elif kind is Prod:
+                v = 1
+                for i in step:
+                    v *= value[i]
+            else:
+                if scale is None:
+                    items = [value[i] for i in step]
+                else:
+                    items = [value[i] * power[s] for i, s in zip(step, scale)]
+                if kind is Max:
+                    v = max(items, default=0)
+                elif kind is Sum:
+                    v = sum(items)
+                else:
+                    v = min(items)
+            value.append(v)
+        return d, value
 
 
 def format_expr(e: QiExpr, names: Optional[list] = None) -> str:
@@ -645,9 +714,14 @@ def check_conditions(assignment: QiAssignment, program: Program) -> ConditionRep
 
 
 def _refute(lhs: QiExpr, rhs: QiExpr, arity: int, tag: str, seed: int = 0):
-    lhs_order, rhs_order = postorder([lhs], "items"), postorder([rhs], "items")
+    """The first sample point where lhs < rhs, or None.  Both sides are
+    evaluated in integers over one common denominator per point."""
+    scaled = _Scaled(postorder([lhs, rhs], "items"))
+    left, right = scaled.index[id(lhs)], scaled.index[id(rhs)]
+    k_left, k_right = scaled.degree[left], scaled.degree[right]
     for p in _sample_points(arity, tag, seed):
-        if _evaluate(lhs_order, p) < _evaluate(rhs_order, p):
+        d, value = scaled.numerators(p)
+        if value[left] * d**k_right < value[right] * d**k_left:
             return p
     return None
 

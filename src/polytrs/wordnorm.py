@@ -258,21 +258,24 @@ def measure_bounded_values(
 
     States are enumerated through the transition relation, which agrees
     with call-tree membership; a user polynomial in the input size is
-    checked against each untruncated row when supplied.  All inputs share
-    one successor map and one outcome store, so each state is expanded, and
-    each outcome state derived, once across every walk.  Each walk is still
-    charged the budget it would be charged on its own: a state it reads from
-    the map charges the outcome states of that expansion's arguments again.
+    checked against each untruncated row when supplied.  All sizes draw
+    their inputs from one pool dict, so each word pool is drawn once.  All
+    inputs share one successor map and one outcome store, so each state is
+    expanded, and each outcome state derived, once across every walk.  Each
+    walk is still charged the budget it would be charged on its own: a
+    state it reads from the map charges the outcome states of that
+    expansion's arguments again.
     """
     rows = []
     main = program.main
     successor_map: dict = {}
     store: dict = {}
+    pools: dict = {}
     for n in sizes:
         worst = 0
         count = 0
         truncated = False
-        for args in input_tuples(program, main, n, inputs_cap, seed):
+        for args in input_tuples(program, main, n, inputs_cap, seed, pools):
             try:
                 states = reachable_states(
                     program, App(main, tuple(args)), budget, successor_map, store

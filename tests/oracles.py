@@ -3,6 +3,10 @@ for the worst-cost derivation that ``--policy exhaustive`` rebuilds from it.
 
 Every call-by-value derivation of a ground term is built, one rule choice
 sequence at a time, so the number of derivations it may keep is capped.
+
+``reference_successors`` is the transition expansion that sends every
+call-site argument, values included, through ``derivable_value_set``: the
+oracle for ``callgraph.successors``, which reads value arguments in place.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import itertools
 
 from polytrs.base import DEFAULT_BUDGET, Budget, NoMatchingEquation, run_stack
+from polytrs.callgraph import TransitionEdge
 from polytrs.semantics import (
     R_CONSTRUCTOR,
     R_FUNCTION,
@@ -17,6 +22,7 @@ from polytrs.semantics import (
     DerivationProof,
     Judgement,
     classify,
+    derivable_value_set,
 )
 from polytrs.terms import App, Program, Term, Var, apply_subst, is_value, matching_equations
 
@@ -99,3 +105,28 @@ def all_derivations(
     run = _Enumeration(program, budget, max_derivations)
     derivs = run_stack(run.enumerate(term, 0, 0))
     return [DerivationProof(r, "cbv", classify(r)) for r in derivs], run.truncated
+
+
+def reference_successors(
+    program: Program,
+    state: App,
+    budget: Budget,
+    store: dict,
+    paid: set,
+    charged: list,
+) -> list[TransitionEdge]:
+    """``successors`` as it was first written: every argument is
+    instantiated, the non-value ones are listed in ``charged``, and then
+    each argument's value set is read from its outcome table."""
+    out = []
+    for eq, sigma in matching_equations(program, state):
+        for occ, sub in eq.calls.values():
+            args = [apply_subst(a, sigma) for a in sub.args]
+            charged.extend(a for a in args if not is_value(a))
+            arg_sets = [
+                derivable_value_set(program, a, store, paid, budget.max_rules)
+                for a in args
+            ]
+            for combo in itertools.product(*arg_sets):
+                out.append(TransitionEdge(App(sub.symbol, combo), eq, occ))
+    return out

@@ -329,6 +329,15 @@ def test_input_tuples_draw_each_pool_once(corpus, monkeypatch, name):
             prog, prog.main, n, cap, seed
         )
         assert len(drawn) == len(set(drawn))
+    # one pool dict shared by sizes 0..8, as a measurement shares it
+    for cap, seed in itertools.product((3, 32, 64), (0, 1)):
+        drawn.clear()
+        pools: dict = {}
+        for n in range(9):
+            assert input_tuples(prog, prog.main, n, cap, seed, pools) == (
+                reference_input_tuples(prog, prog.main, n, cap, seed)
+            )
+        assert len(drawn) == len(set(drawn))
 
 
 def test_measure_append_linear(corpus):

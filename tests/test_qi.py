@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytrs import terms as terms_module
-from polytrs.base import ParseError, QiError
+from polytrs.base import ParseError, QiError, postorder
 from polytrs.bounds import max_constructor_constant
 from polytrs.parser import parse_program
 from polytrs.qi import (
@@ -43,7 +43,9 @@ from polytrs.qi import (
     simplify,
     term_qi,
     value_qi,
+    _refute,
     _sample_points,
+    _Scaled,
 )
 from polytrs.terms import App, term_size
 
@@ -633,6 +635,58 @@ def _listed_sample_points(arity, tag, seed=0):
 def test_sample_points_match_the_listed_grid(arity):
     tag = f"eq:{arity}"
     assert list(_sample_points(arity, tag, 2)) == list(_listed_sample_points(arity, tag, 2))
+
+
+def _random_expr(rng, arity, depth):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return Arg(rng.randrange(arity))
+        return Const(Fraction(rng.randint(0, 12), rng.choice([1, 1, 2, 3, 4, 7])))
+    kind = rng.choice([Sum, Prod, Max, Min])
+    size = rng.randint(1 if kind is Min else 0, 3)
+    return kind(tuple(_random_expr(rng, arity, depth - 1) for _ in range(size)))
+
+
+def _random_point(rng, arity):
+    if rng.random() < 0.3:
+        return tuple(Fraction(rng.choice(GRID_POINTS)) for _ in range(arity))
+    return tuple(Fraction(rng.randint(0, 64), rng.randint(1, 8)) for _ in range(arity))
+
+
+def test_scaled_evaluation_agrees_with_eval_expr():
+    # Every node's N / d**k, at about 3,000 random expressions and points.
+    rng = random.Random(11)
+    for _ in range(3000):
+        arity = rng.randint(1, 3)
+        e = _random_expr(rng, arity, rng.randint(0, 5))
+        point = _random_point(rng, arity)
+        order = postorder([e], "items")
+        scaled = _Scaled(order)
+        d, value = scaled.numerators(point)
+        for u in order:
+            i = scaled.index[id(u)]
+            assert Fraction(value[i], d ** scaled.degree[i]) == eval_expr(u, point)
+
+
+def test_refute_finds_the_first_point_eval_expr_refutes():
+    rng = random.Random(12)
+    found = 0
+    for n in range(100):
+        arity = rng.randint(1, 3)
+        lhs = _random_expr(rng, arity, 3)
+        rhs = _random_expr(rng, arity, 3)
+        tag = f"eq:{n}"
+        expected = next(
+            (
+                p
+                for p in _sample_points(arity, tag)
+                if eval_expr(lhs, p) < eval_expr(rhs, p)
+            ),
+            None,
+        )
+        assert _refute(lhs, rhs, arity, tag) == expected
+        found += expected is not None
+    assert 20 < found < 80  # both verdicts are exercised
 
 
 def test_sample_points_stream_in_bounded_memory():

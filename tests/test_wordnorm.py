@@ -21,7 +21,7 @@ from polytrs.bounds import (
     same_class_descendant_bound,
     same_class_paths,
 )
-from polytrs.callgraph import call_dag, reachable_states, state_text
+from polytrs.callgraph import call_dag, reachable_states, state_text, successors
 from polytrs.ordering import EPPO, infer_precedence, order_verdict
 from polytrs.parser import format_program, parse_program, parse_term
 from polytrs.qi import check_qi, parse_assignment
@@ -39,6 +39,7 @@ from polytrs.wordnorm import (
 )
 
 from .conftest import CORPUS, CORPUS_PROGRAMS, PARITY_BUDGETS, checked_memo, load, symbols_of, t
+from .oracles import reference_successors
 
 MULTI_LABEL = ["fib.trs", "trip.trs", "grid2.trs", "grid3.trs", "twoclass.trs"]
 
@@ -420,6 +421,69 @@ def test_successor_map_hit_charges_its_arguments(max_rules):
     budget = DEFAULT_BUDGET if max_rules is None else Budget(max_rules=max_rules)
     got = measure_bounded_values(_SHARED_WALK, sizes=range(1, 9), budget=budget)
     assert got == reference_value_rows(_SHARED_WALK, range(1, 9), budget)
+
+
+def _expansion(expand, program, state, budget, store, paid, charged):
+    """The edges of one expansion as (target, equation, occurrence), or the
+    error it raised."""
+    try:
+        edges = expand(program, state, budget, store, paid, charged)
+    except (BudgetExceeded, CycleDetected) as err:
+        return type(err), str(err)
+    return [(e.target, e.equation.index, e.occurrence) for e in edges]
+
+
+@pytest.mark.parametrize("max_rules", [None, 8])
+@pytest.mark.parametrize("name", [*CORPUS_PROGRAMS, "shared-walk"])
+def test_successors_match_the_expansion_of_every_argument(corpus, name, max_rules):
+    # Every state reachable from the inputs of sizes 1..6, walked as
+    # measure_bounded_values walks them: one outcome store per program, one
+    # paid set per input.  Both sides give the same edges in order, or the
+    # same error, leave the same store and paid sets, and when they return,
+    # charge the same arguments.
+    prog = _SHARED_WALK if name == "shared-walk" else corpus[name]
+    budget = DEFAULT_BUDGET if max_rules is None else Budget(max_rules=max_rules)
+    store, ref_store = {}, {}
+    for n in range(1, 7):
+        for args in input_tuples(prog, prog.main, n, 32, 0):
+            paid, ref_paid = set(), set()
+            seen = {App(prog.main, tuple(args))}
+            frontier = list(seen)
+            while frontier:
+                state = frontier.pop()
+                charged, ref_charged = [], []
+                got = _expansion(successors, prog, state, budget, store, paid, charged)
+                ref = _expansion(
+                    reference_successors, prog, state, budget, ref_store, ref_paid, ref_charged
+                )
+                assert got == ref, state_text(state)
+                assert paid == ref_paid, state_text(state)
+                if isinstance(got, list):  # what a raising expansion charged is dropped
+                    assert charged == ref_charged, state_text(state)
+                    for target, _, _ in got:
+                        if target not in seen:
+                            seen.add(target)
+                            frontier.append(target)
+    assert store == ref_store
+
+
+# grid3 has nested calls as arguments; every call-site argument of reverse is
+# a variable or a constructor term over variables, so it asks for none.
+@pytest.mark.parametrize("name, asks", [("grid3.trs", True), ("reverse.trs", False)])
+def test_measure_bounded_values_never_evaluates_a_value(corpus, monkeypatch, name, asks):
+    prog = corpus[name]
+    asked = []
+    original = callgraph.derivable_value_set
+
+    def recorded(program, term, *rest):
+        asked.append(term)
+        return original(program, term, *rest)
+
+    monkeypatch.setattr(callgraph, "derivable_value_set", recorded)
+    rows = measure_bounded_values(prog, sizes=range(1, 9))
+    assert not any(r.truncated for r in rows)
+    assert bool(asked) == asks
+    assert not [a for a in asked if a.is_value]
 
 
 def test_measure_bounded_values_expands_each_state_once(corpus, monkeypatch):
