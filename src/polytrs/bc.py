@@ -305,54 +305,6 @@ def _symbol_order(equations: list) -> list[Symbol]:
     return list(seen.values())
 
 
-# -- reference semantics (independent of the rewrite machinery) -----------------
-
-
-def bc_eval(b: BcTerm, normals: tuple, safes: tuple) -> tuple:
-    """Direct denotation on bit tuples; leftmost bit is outermost."""
-    if isinstance(b, BcZero):
-        return ()
-    if isinstance(b, BcSucc):
-        return (b.bit,) + safes[0]
-    if isinstance(b, BcProj):
-        args = normals + safes
-        return args[b.index - 1]
-    if isinstance(b, BcPred):
-        return safes[0][1:]
-    if isinstance(b, BcCond):
-        w, y, z = safes
-        if not w or w[0] == 0:
-            return y
-        return z
-    if isinstance(b, BcSafeRec):
-        z, rest = normals[0], normals[1:]
-        if not z:
-            return bc_eval(b.base, rest, safes)
-        step = b.step0 if z[0] == 0 else b.step1
-        prev = bc_eval(b, (z[1:],) + rest, safes)
-        return bc_eval(step, (z[1:],) + rest, safes + (prev,))
-    if isinstance(b, BcSafeComp):
-        hs = tuple(bc_eval(h, normals, ()) for h in b.normal_inner)
-        ls = tuple(bc_eval(l, normals, safes) for l in b.safe_inner)
-        return bc_eval(b.outer, hs, ls)
-    raise SignatureError(f"unknown algebra term {b!r}")
-
-
-def word_to_bits(v: Term) -> tuple:
-    bits = []
-    while isinstance(v, App) and v.symbol.arity == 1:
-        bits.append(0 if v.symbol.name == "s0" else 1)
-        v = v.args[0]
-    return tuple(bits)
-
-
-def bits_to_word(bits: tuple) -> Term:
-    out: Term = App(ZERO)
-    for b in reversed(bits):
-        out = App(S0 if b == 0 else S1, (out,))
-    return out
-
-
 # -- random generation -----------------------------------------------------------
 
 
@@ -470,23 +422,3 @@ def _number(toks: Tokens) -> int:
         raise toks.error(f"expected a number, got {tok!r}")
     toks.next()
     return int(tok)
-
-
-def format_bc(b: BcTerm) -> str:
-    if isinstance(b, BcZero):
-        return "(zero)"
-    if isinstance(b, BcSucc):
-        return f"(succ {b.bit})"
-    if isinstance(b, BcProj):
-        return f"(proj {b.normals} {b.safes} {b.index})"
-    if isinstance(b, BcPred):
-        return "(pred)"
-    if isinstance(b, BcCond):
-        return "(cond)"
-    if isinstance(b, BcSafeRec):
-        return f"(rec {format_bc(b.base)} {format_bc(b.step0)} {format_bc(b.step1)})"
-    if isinstance(b, BcSafeComp):
-        hs = " ".join(format_bc(h) for h in b.normal_inner)
-        ls = " ".join(format_bc(l) for l in b.safe_inner)
-        return f"(comp ({b.normals} {b.safes}) {format_bc(b.outer)} ({hs}) ({ls}))"
-    raise SignatureError(f"unknown algebra term {b!r}")

@@ -25,7 +25,7 @@ from .base import (
 )
 from .ordering import Precedence
 from .qi import Arg, Const, QiAssignment, Sum, is_uniform
-from .semantics import DerivationProof, Judgement, classify, outcome_table
+from .semantics import outcome_table
 from .terms import App, CONSTRUCTOR, Equation, FUNCTION, Program, Symbol, Term, Var
 
 BLIND_S = Symbol("s", CONSTRUCTOR, 1)
@@ -81,26 +81,6 @@ def blind_program(program: Program) -> BlindProgram:
     main = next(s for s in signature if s.name == fn_names[program.main.name])
     blinded = Program(tuple(signature), tuple(equations), main)
     return BlindProgram(blinded, provenance, dupes)
-
-
-def blind_proof(blind: BlindProgram, proof: DerivationProof) -> DerivationProof:
-    """Map a cbv proof through the blinding; rule counts are preserved, and
-    a judgement with premises that the proof shares maps to one shared
-    image."""
-    eq_by_index = {eq.index: eq for eq in blind.program.equations}
-    order = postorder([proof.root], "children")
-    image = _blind_images([t for j in order for t in (j.lhs, j.result)], blind.provenance)
-    mapped: dict = {}  # judgement -> its image
-    for j in order:
-        mapped[j] = Judgement(
-            j.rule,
-            image[j.lhs],
-            image[j.result],
-            tuple([mapped[c] for c in j.children]),
-            eq_by_index[j.equation.index] if j.equation is not None else None,
-        )
-    root = mapped[proof.root]
-    return DerivationProof(root, proof.mode, classify(root), ())
 
 
 def is_linear(program: Program, precedence: Precedence) -> dict:

@@ -124,13 +124,6 @@ class CallStructure:
             return sum(sizes[r] for r in self.roots)
         return len(self.nodes())
 
-    def successors_of(self, node: CallNode) -> list[tuple[TransitionEdge, CallNode]]:
-        return list(node.children) + list(node.read_links)
-
-    def max_children(self) -> int:
-        # every node of a dag is a root or some node's child
-        return max((len(n.children) for n in self.subtree_sizes()), default=0)
-
     def _numbered(self) -> Iterator[tuple[int, CallNode, list]]:
         """(number, node, [(edge, callee number, is read link)]) of each entry
         of ``nodes()``, numbered in that order.  A forest numbers occurrences:

@@ -64,13 +64,6 @@ class Precedence:
             return GREATER
         return INCOMPARABLE
 
-    def is_compatible(self, program: Program) -> bool:
-        return all(
-            self.compare_symbols(u.symbol, eq.lhs_function) in (LESS, EQUIV)
-            for eq in program.equations
-            for _, u in eq.calls.values()
-        )
-
     def describe(self, mode: str) -> str:
         """Classes, then the < pairs between their least names, with the
         constructors placed as ``mode`` places them."""

@@ -1,7 +1,7 @@
-"""Quasi-interpretation expressions, verification and the meet semi-lattice.
+"""Quasi-interpretation expressions and their verification.
 
 Assignment expressions are max-plus polynomials over non-negative rationals:
-sums, products, max and (for meets only) min of constants and arguments.
+sums, products, max and min of constants and arguments.
 Every expression is weakly monotone and polynomially bounded by construction;
 the additivity, subterm and per-equation inequality conditions are verified.
 
@@ -127,42 +127,11 @@ class Min(_Compound):
 
 
 QiExpr = Const | Arg | Sum | Prod | Max | Min
-_ZERO = Fraction(0)
 
 
 # The walks over expressions below are loops: an expression read from a
 # ``qi`` line or a deep term has no nesting limit.  Each folds over
 # ``postorder([e], "items")``, which lists every distinct compound node once.
-
-
-def eval_expr(e: QiExpr, point) -> Fraction:
-    """Exact rational evaluation at a point of non-negative rationals."""
-    value: dict = {}
-    for u in postorder([e], "items"):
-        kind = type(u)
-        if kind is Const:
-            v = u.value
-        elif kind is Arg:
-            try:
-                v = Fraction(point[u.index])
-            except IndexError:
-                raise QiError(f"point of length {len(point)} for argument {u.index + 1}")
-            if v < 0:
-                raise QiError("assignment expressions are evaluated on R+")
-        else:
-            items = [value[id(i)] for i in u.items]
-            if kind is Sum:
-                v = sum(items, _ZERO)
-            elif kind is Prod:
-                v = Fraction(1)
-                for i in items:
-                    v *= i
-            elif kind is Max:
-                v = max(items, default=_ZERO)
-            else:
-                v = min(items)
-        value[id(u)] = v
-    return v
 
 
 class _Scaled:
@@ -237,6 +206,21 @@ class _Scaled:
                     v = min(items)
             value.append(v)
         return d, value
+
+
+def eval_expr(e: QiExpr, point) -> Fraction:
+    """Exact rational evaluation at a point of non-negative rationals, in
+    integers through ``_Scaled``."""
+    scaled = _Scaled(postorder([e], "items"))
+    for kind, i, _ in scaled.steps:
+        if kind is Arg:
+            if i >= len(point):
+                raise QiError(f"point of length {len(point)} for argument {i + 1}")
+            if point[i] < 0:
+                raise QiError("assignment expressions are evaluated on R+")
+    d, value = scaled.numerators([Fraction(x) for x in point])
+    root = scaled.index[id(e)]
+    return Fraction(value[root], d ** scaled.degree[root])
 
 
 def format_expr(e: QiExpr, names: Optional[list] = None) -> str:
@@ -587,19 +571,6 @@ def _variable(args: dict, v: Var) -> QiExpr:
         raise QiError(f"variable {v.name} not in the variable order")
 
 
-def value_qi(assignment: QiAssignment, value: Term) -> Fraction:
-    """Rational weight of a ground constructor term, the value of its
-    ``term_qi``, folded over its ``postorder``, so no recursion limit bounds
-    the depth of the value."""
-    weight: dict = {}
-    for t in postorder([value], "args"):
-        if type(t) is Var:
-            raise QiError(f"value_qi needs a ground term, not variable {t.name}")
-        entry = assignment.entry(t.symbol.name)
-        weight[id(t)] = out = eval_expr(entry, [weight[id(a)] for a in t.args])
-    return out
-
-
 def additive_shape(e: QiExpr, arity: int) -> Optional[Fraction]:
     """If e is exactly Sum(all Args once, Const a >= 1), return a, else None."""
     items: tuple
@@ -814,24 +785,6 @@ def is_uniform(assignment: QiAssignment, program: Program) -> bool:
         if c.name in assignment.entries:
             by_arity.setdefault(c.arity, []).append(assignment.entry(c.name))
     return all(all(e == es[0] for e in es) for es in by_arity.values())
-
-
-def meet(a1: QiAssignment, a2: QiAssignment, program: Program) -> QiAssignment:
-    """Pointwise greatest lower bound of two compatible assignments."""
-    for c in program.constructors:
-        if a1.entries.get(c.name) != a2.entries.get(c.name):
-            raise QiError(
-                f"incompatible assignments: constructor {c.name} entries differ"
-            )
-    entries = {}
-    for name, e1 in a1.entries.items():
-        sym = program.symbol(name)
-        if sym.is_constructor:
-            entries[name] = e1
-        elif name in a2.entries:
-            e2 = a2.entries[name]
-            entries[name] = e1 if e1 == e2 else Min((e1, e2))
-    return QiAssignment(entries)
 
 
 # -- assignment file format ----------------------------------------------------

@@ -58,7 +58,7 @@ SEMI_ACTIVE_RULES = frozenset({R_READ})
 @dataclass(frozen=True, eq=False)
 class Judgement:
     """A derivation node: identity equality and a shallow repr, so no dunder
-    walks a deep proof.  ``shape()`` gives the structure to compare."""
+    walks a deep proof."""
 
     rule: str
     lhs: Term
@@ -119,18 +119,6 @@ class Judgement:
                 seen.add(j)
                 yield j
                 todo.extend(reversed(j.children))
-
-    def shape(self) -> tuple:
-        """Structure used for golden-tree comparisons."""
-        shapes: dict = {}
-        for j in postorder([self], "children"):
-            shapes[j] = out = (
-                j.rule,
-                format_term(j.lhs),
-                format_term(j.result),
-                tuple([shapes[c] for c in j.children]),
-            )
-        return out
 
 
 @dataclass(frozen=True)
@@ -273,8 +261,7 @@ class _Run:
     ):
         self.program = program
         self.budget = budget
-        self.cache = cache
-        self.trace: list = []  # (function name, args, value) in Update order
+        self.cache = cache  # call term -> value, written once, at its Update
         self.steps = 0
         self.rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
         # call term -> its Function judgement, kept when a repeated call must
@@ -291,9 +278,8 @@ class _Run:
         if isinstance(t, Var):
             raise NoMatchingEquation(f"cannot evaluate open term {t.name}")
         if t.symbol.is_function and all(is_value(a) for a in t.args):
-            key = (t.symbol.name, t.args)
-            if self.cache is not None and key in self.cache:
-                return Judgement(R_READ, t, self.cache[key])
+            if self.cache is not None and t in self.cache:
+                return Judgement(R_READ, t, self.cache[t])
             if self.shared is not None:
                 # a stored subproof stands for a derivation again only when
                 # that derivation would fit: else derive it, so the budget
@@ -319,8 +305,7 @@ class _Run:
                 if self.shared is not None:
                     self.shared[t] = j
                 return j
-            self.cache[key] = body.result
-            self.trace.append((t.symbol.name, t.args, body.result))
+            self.cache[t] = body.result
             return Judgement(R_UPDATE, t, body.result, (body,), eq)
         kids = []
         for a in t.args:
@@ -617,9 +602,11 @@ def eval_memo(
             "program is not orthogonal (left-linear + non-overlapping); "
             "memoisation refused without an explicit override"
         )
-    run = _Run(program, FirstMatch(), budget, cache={})
-    root = run_stack(run.derive(term, 0))
-    return _make_proof(root, "memo", tuple(run.trace))
+    cache: dict = {}
+    root = run_stack(_Run(program, FirstMatch(), budget, cache).derive(term, 0))
+    # the cache's insertion order is the order of the Updates
+    trace = tuple([(t.symbol.name, t.args, v) for t, v in cache.items()])
+    return _make_proof(root, "memo", trace)
 
 
 # -- proof validation and accounting ----------------------------------------
@@ -726,31 +713,6 @@ def _dependence_walk(j: Judgement, out: list):
         if c.is_passive:
             depth = max(depth, (yield _dependence_walk(c, out)))
     return 1 + depth
-
-
-@dataclass(frozen=True)
-class Dependence:
-    root: Judgement
-    judgements: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.judgements)
-
-    @property
-    def depth(self) -> int:
-        return run_stack(_dependence_walk(self.root, []))
-
-
-def max_dependence(proof: DerivationProof, judgement: Judgement) -> Dependence:
-    """Largest passive-only subderivation rooted at a passive judgement."""
-    if not judgement.is_passive:
-        raise ValueError("dependences are rooted at passive judgements")
-    if not any(j is judgement for j in proof.root.distinct()):
-        raise ValueError("judgement does not occur in the proof")
-    collected: list[Judgement] = []
-    run_stack(_dependence_walk(judgement, collected))
-    return Dependence(judgement, tuple(collected))
 
 
 def check_dependence_bounds(proof: DerivationProof) -> None:

@@ -354,9 +354,6 @@ class Program:
     def equations_for(self, f: Symbol) -> list[Equation]:
         return list(self._by_function.get(f, ()))
 
-    def max_arity(self) -> int:
-        return max((s.arity for s in self.signature), default=0)
-
     def has_repeated_lhs_variables(self) -> bool:
         return any(not e.is_left_linear() for e in self.equations)
 

@@ -1,11 +1,13 @@
 """The paper's lemma bounds, each as a concrete number to check against.
 
 The polynomial bound is built from lemmas: the rank recurrence over
-precedence classes, same-class descendant counts, path commutation, and
-the active-size and derivation-size bounds that a quasi-interpretation
-gives under the P-criterion.  Each function here instantiates one of them
-on a program, a proof or a call structure.  They state what the paper
-proves rather than decide a verdict, so no other module imports this one.
+precedence classes, same-class descendant counts, path commutation,
+maximal dependences, and the active-size and derivation-size bounds that a
+quasi-interpretation gives under the P-criterion.  Each function here
+instantiates one of them on a program, a proof or a call structure.  They
+state what the paper proves rather than decide a verdict, so they live
+beside the tests that check them, with the small readers of programs,
+precedences and call structures that only they need.
 """
 
 from __future__ import annotations
@@ -14,13 +16,74 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base import PrecedenceError, QiError, run_stack
-from .callgraph import DAG, FOREST, CallNode, CallStructure, state_text
-from .ordering import EQUIV, LESS, Precedence
-from .qi import QiAssignment, additive_shape, eval_expr
-from .semantics import DerivationProof
-from .terms import App, Program, Symbol, Term, term_size
-from .wordnorm import same_class_calls
+from polytrs.base import PrecedenceError, QiError, run_stack
+from polytrs.callgraph import (
+    DAG,
+    FOREST,
+    CallNode,
+    CallStructure,
+    TransitionEdge,
+    state_text,
+)
+from polytrs.ordering import EQUIV, LESS, Precedence
+from polytrs.qi import QiAssignment, additive_shape, eval_expr
+from polytrs.semantics import DerivationProof, Judgement, _dependence_walk
+from polytrs.terms import App, Program, Symbol, Term, term_size
+from polytrs.wordnorm import same_class_calls
+
+# -- readers of programs, precedences and call structures ----------------------
+
+
+def max_arity(program: Program) -> int:
+    return max((s.arity for s in program.signature), default=0)
+
+
+def is_compatible(precedence: Precedence, program: Program) -> bool:
+    """Every call in an rhs is weakly below the function it defines."""
+    return all(
+        precedence.compare_symbols(u.symbol, eq.lhs_function) in (LESS, EQUIV)
+        for eq in program.equations
+        for _, u in eq.calls.values()
+    )
+
+
+def successors_of(node: CallNode) -> list[tuple[TransitionEdge, CallNode]]:
+    """A node's callees: its child edges, then its read links."""
+    return list(node.children) + list(node.read_links)
+
+
+def max_children(structure: CallStructure) -> int:
+    # every node of a dag is a root or some node's child
+    return max((len(n.children) for n in structure.subtree_sizes()), default=0)
+
+
+# -- maximal dependences ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Dependence:
+    root: Judgement
+    judgements: tuple
+
+    @property
+    def size(self) -> int:
+        return len(self.judgements)
+
+    @property
+    def depth(self) -> int:
+        return run_stack(_dependence_walk(self.root, []))
+
+
+def max_dependence(proof: DerivationProof, judgement: Judgement) -> Dependence:
+    """Largest passive-only subderivation rooted at a passive judgement."""
+    if not judgement.is_passive:
+        raise ValueError("dependences are rooted at passive judgements")
+    if not any(j is judgement for j in proof.root.distinct()):
+        raise ValueError("judgement does not occur in the proof")
+    collected: list[Judgement] = []
+    run_stack(_dependence_walk(judgement, collected))
+    return Dependence(judgement, tuple(collected))
+
 
 # -- rank statistics ----------------------------------------------------------
 
@@ -84,7 +147,7 @@ def same_class_descendant_counts(structure: CallStructure, precedence: Precedenc
 
     def descend(node: CallNode, cls: int, seen: set):
         total = 0
-        for _, c in structure.successors_of(node):
+        for _, c in successors_of(node):
             if c in seen:
                 continue
             seen.add(c)
@@ -130,7 +193,7 @@ def rank_stats(structure: CallStructure, precedence: Precedence, program: Progra
     same-class descendant count, d at least 1 and k the maximum rank; the +1
     absorbs the node itself alongside its descendants.
     """
-    if not precedence.is_compatible(program):
+    if not is_compatible(precedence, program):
         raise PrecedenceError("rank statistics need a compatible precedence")
     ranks = function_ranks(program, precedence)
     counts = same_class_descendant_counts(structure, precedence)
@@ -157,7 +220,7 @@ def rank_stats(structure: CallStructure, precedence: Precedence, program: Progra
 def check_edge_class_descent(structure: CallStructure, precedence: Precedence) -> None:
     """Along every edge the child's class is weakly below the parent's."""
     for n in structure.nodes():
-        for e, c in structure.successors_of(n):
+        for e, c in successors_of(n):
             rel = precedence.compare_symbols(c.state.symbol, n.state.symbol)
             if rel not in (LESS, EQUIV):
                 raise ValueError(
@@ -228,7 +291,7 @@ def same_class_paths(
     def go(node: CallNode, word: tuple) -> None:
         if len(word) >= max_length:
             return
-        for edge, child in dag.successors_of(node):
+        for edge, child in successors_of(node):
             if precedence.class_of(child.state.symbol.name) != cls:
                 continue
             lab = labels.get((edge.equation.index, edge.occurrence))
@@ -291,7 +354,7 @@ def same_class_descendant_bound(
     def go(cur: CallNode, depth: int):
         """The greatest depth at which the walk from cur first meets a node."""
         longest = depth
-        for _, child in dag.successors_of(cur):
+        for _, child in successors_of(cur):
             if precedence.class_of(child.state.symbol.name) != cls:
                 continue
             if child.state in seen:
@@ -328,7 +391,7 @@ def _active_size_cap(
     """1 + k * floor(name)(a * sizes), where k is the largest arity."""
     a = max_constructor_constant(assignment, program)
     point = [a * size for size in sizes]
-    k = max(1, program.max_arity())
+    k = max(1, max_arity(program))
     return 1 + k * eval_expr(assignment.entry(name), point)
 
 
@@ -366,7 +429,7 @@ def assembled_rule_bound(program: Program, proof: DerivationProof) -> int:
     g = activation_growth(program)
     s = max(stats.max_active_size, 1)
     a = stats.active_occurrences
-    k = max(program.max_arity(), 1)
+    k = max(max_arity(program), 1)
     base = _derivation_size(a, g, s) + term_size(proof.root.lhs)
     if proof.mode == "memo":
         return (k + 1) * base

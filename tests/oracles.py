@@ -1,4 +1,7 @@
-"""Brute-force derivation enumeration, the oracle for ``outcome_table`` and
+"""Reference implementations that the program's faster code is checked
+against.
+
+Brute-force derivation enumeration is the oracle for ``outcome_table`` and
 for the worst-cost derivation that ``--policy exhaustive`` rebuilds from it.
 
 Every call-by-value derivation of a ground term is built, one rule choice
@@ -7,14 +10,20 @@ sequence at a time, so the number of derivations it may keep is capped.
 ``reference_successors`` is the transition expansion that sends every
 call-site argument, values included, through ``derivable_value_set``: the
 oracle for ``callgraph.successors``, which reads value arguments in place.
+
+``reference_eval_expr`` evaluates a QI expression by ``Fraction``
+arithmetic, node by node: the oracle for ``qi._Scaled`` and ``eval_expr``,
+which compute in integers over one common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from polytrs.base import DEFAULT_BUDGET, Budget, NoMatchingEquation, run_stack
+from polytrs.base import DEFAULT_BUDGET, Budget, NoMatchingEquation, QiError, postorder, run_stack
 from polytrs.callgraph import TransitionEdge
+from polytrs.qi import Arg, Const, Max, Prod, QiExpr, Sum
 from polytrs.semantics import (
     R_CONSTRUCTOR,
     R_FUNCTION,
@@ -130,3 +139,33 @@ def reference_successors(
             for combo in itertools.product(*arg_sets):
                 out.append(TransitionEdge(App(sub.symbol, combo), eq, occ))
     return out
+
+
+def reference_eval_expr(e: QiExpr, point) -> Fraction:
+    """Exact rational evaluation at a point of non-negative rationals."""
+    value: dict = {}
+    for u in postorder([e], "items"):
+        kind = type(u)
+        if kind is Const:
+            v = u.value
+        elif kind is Arg:
+            try:
+                v = Fraction(point[u.index])
+            except IndexError:
+                raise QiError(f"point of length {len(point)} for argument {u.index + 1}")
+            if v < 0:
+                raise QiError("assignment expressions are evaluated on R+")
+        else:
+            items = [value[id(i)] for i in u.items]
+            if kind is Sum:
+                v = sum(items, Fraction(0))
+            elif kind is Prod:
+                v = Fraction(1)
+                for i in items:
+                    v *= i
+            elif kind is Max:
+                v = max(items, default=Fraction(0))
+            else:
+                v = min(items)
+        value[id(u)] = v
+    return v

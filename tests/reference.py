@@ -1,0 +1,168 @@
+"""Reference constructions that only the tests use.
+
+The denotation of the safe-recursion algebra on bit tuples, independent of
+the rewrite machinery, and its word encoding; the algebra's s-expression
+printer; the blind image of a proof; the structure of a judgement, for
+golden-tree comparisons; the rational weight of a value; and the paper's
+meet of two assignments.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from polytrs.base import QiError, SignatureError, postorder
+from polytrs.bc import (
+    S0,
+    S1,
+    ZERO,
+    BcCond,
+    BcPred,
+    BcProj,
+    BcSafeComp,
+    BcSafeRec,
+    BcSucc,
+    BcTerm,
+    BcZero,
+)
+from polytrs.blind import BlindProgram, _blind_images
+from polytrs.qi import Min, QiAssignment, eval_expr
+from polytrs.semantics import DerivationProof, Judgement, classify
+from polytrs.terms import App, Program, Term, Var, format_term
+
+# -- the safe-recursion algebra ----------------------------------------------------
+
+
+def bc_eval(b: BcTerm, normals: tuple, safes: tuple) -> tuple:
+    """Direct denotation on bit tuples; leftmost bit is outermost."""
+    if isinstance(b, BcZero):
+        return ()
+    if isinstance(b, BcSucc):
+        return (b.bit,) + safes[0]
+    if isinstance(b, BcProj):
+        args = normals + safes
+        return args[b.index - 1]
+    if isinstance(b, BcPred):
+        return safes[0][1:]
+    if isinstance(b, BcCond):
+        w, y, z = safes
+        if not w or w[0] == 0:
+            return y
+        return z
+    if isinstance(b, BcSafeRec):
+        z, rest = normals[0], normals[1:]
+        if not z:
+            return bc_eval(b.base, rest, safes)
+        step = b.step0 if z[0] == 0 else b.step1
+        prev = bc_eval(b, (z[1:],) + rest, safes)
+        return bc_eval(step, (z[1:],) + rest, safes + (prev,))
+    if isinstance(b, BcSafeComp):
+        hs = tuple(bc_eval(h, normals, ()) for h in b.normal_inner)
+        ls = tuple(bc_eval(l, normals, safes) for l in b.safe_inner)
+        return bc_eval(b.outer, hs, ls)
+    raise SignatureError(f"unknown algebra term {b!r}")
+
+
+def word_to_bits(v: Term) -> tuple:
+    bits = []
+    while isinstance(v, App) and v.symbol.arity == 1:
+        bits.append(0 if v.symbol.name == "s0" else 1)
+        v = v.args[0]
+    return tuple(bits)
+
+
+def bits_to_word(bits: tuple) -> Term:
+    out: Term = App(ZERO)
+    for b in reversed(bits):
+        out = App(S0 if b == 0 else S1, (out,))
+    return out
+
+
+def format_bc(b: BcTerm) -> str:
+    if isinstance(b, BcZero):
+        return "(zero)"
+    if isinstance(b, BcSucc):
+        return f"(succ {b.bit})"
+    if isinstance(b, BcProj):
+        return f"(proj {b.normals} {b.safes} {b.index})"
+    if isinstance(b, BcPred):
+        return "(pred)"
+    if isinstance(b, BcCond):
+        return "(cond)"
+    if isinstance(b, BcSafeRec):
+        return f"(rec {format_bc(b.base)} {format_bc(b.step0)} {format_bc(b.step1)})"
+    if isinstance(b, BcSafeComp):
+        hs = " ".join(format_bc(h) for h in b.normal_inner)
+        ls = " ".join(format_bc(l) for l in b.safe_inner)
+        return f"(comp ({b.normals} {b.safes}) {format_bc(b.outer)} ({hs}) ({ls}))"
+    raise SignatureError(f"unknown algebra term {b!r}")
+
+
+# -- proofs ------------------------------------------------------------------------
+
+
+def blind_proof(blind: BlindProgram, proof: DerivationProof) -> DerivationProof:
+    """Map a cbv proof through the blinding; rule counts are preserved, and
+    a judgement with premises that the proof shares maps to one shared
+    image."""
+    eq_by_index = {eq.index: eq for eq in blind.program.equations}
+    order = postorder([proof.root], "children")
+    image = _blind_images([t for j in order for t in (j.lhs, j.result)], blind.provenance)
+    mapped: dict = {}  # judgement -> its image
+    for j in order:
+        mapped[j] = Judgement(
+            j.rule,
+            image[j.lhs],
+            image[j.result],
+            tuple([mapped[c] for c in j.children]),
+            eq_by_index[j.equation.index] if j.equation is not None else None,
+        )
+    root = mapped[proof.root]
+    return DerivationProof(root, proof.mode, classify(root), ())
+
+
+def shape(judgement: Judgement) -> tuple:
+    """Structure used for golden-tree comparisons."""
+    shapes: dict = {}
+    for j in postorder([judgement], "children"):
+        shapes[j] = out = (
+            j.rule,
+            format_term(j.lhs),
+            format_term(j.result),
+            tuple([shapes[c] for c in j.children]),
+        )
+    return out
+
+
+# -- quasi-interpretations ---------------------------------------------------------
+
+
+def value_qi(assignment: QiAssignment, value: Term) -> Fraction:
+    """Rational weight of a ground constructor term, the value of its
+    ``term_qi``, folded over its ``postorder``, so no recursion limit bounds
+    the depth of the value."""
+    weight: dict = {}
+    for t in postorder([value], "args"):
+        if type(t) is Var:
+            raise QiError(f"value_qi needs a ground term, not variable {t.name}")
+        entry = assignment.entry(t.symbol.name)
+        weight[id(t)] = out = eval_expr(entry, [weight[id(a)] for a in t.args])
+    return out
+
+
+def meet(a1: QiAssignment, a2: QiAssignment, program: Program) -> QiAssignment:
+    """Pointwise greatest lower bound of two compatible assignments."""
+    for c in program.constructors:
+        if a1.entries.get(c.name) != a2.entries.get(c.name):
+            raise QiError(
+                f"incompatible assignments: constructor {c.name} entries differ"
+            )
+    entries = {}
+    for name, e1 in a1.entries.items():
+        sym = program.symbol(name)
+        if sym.is_constructor:
+            entries[name] = e1
+        elif name in a2.entries:
+            e2 = a2.entries[name]
+            entries[name] = e1 if e1 == e2 else Min((e1, e2))
+    return QiAssignment(entries)

@@ -22,12 +22,6 @@ from polytrs.blind import (
     transfer_uniform_qi,
     word_length,
 )
-from polytrs.bounds import (
-    call_site_labels,
-    max_constructor_constant,
-    same_class_descendant_bound,
-    same_class_paths,
-)
 from polytrs.callgraph import call_dag
 from polytrs.ordering import EPPO, PPO, check_program, infer_precedence
 from polytrs.parser import parse_program, parse_term
@@ -37,13 +31,19 @@ from polytrs.qi import (
     is_uniform,
     parse_assignment,
     term_qi,
-    value_qi,
 )
 from polytrs.semantics import derivable_value_set, eval_cbv, FirstMatch
 from polytrs.terms import is_value, subterms, term_size, variables
 from polytrs.wordnorm import is_normal, normalize
 
 from .conftest import CORPUS, CORPUS_PROGRAMS, checked_cbv, checked_memo, load, symbols_of, t
+from .bounds import (
+    call_site_labels,
+    max_constructor_constant,
+    same_class_descendant_bound,
+    same_class_paths,
+)
+from .reference import shape, value_qi
 from .test_blind import brute_force_outcomes
 from .test_semantics import dedup_equations, expected_running_shape
 
@@ -68,7 +68,7 @@ def test_criterion_1_golden_derivation(corpus):
     start = time.monotonic()
     prog = corpus["running.trs"]
     proof = checked_cbv(prog, t("f(s0 s1 nil)", prog))
-    assert proof.root.shape() == expected_running_shape(prog)
+    assert shape(proof.root) == expected_running_shape(prog)
     assert str(proof.result) == "nil"
     assert proof.stats.active_count == 3
     judgements = Counter((j.rule, str(j.lhs)) for j in proof.root.walk())

@@ -16,13 +16,9 @@ from polytrs.bc import (
     BcSucc,
     BcZero,
     bc_arity,
-    bc_eval,
-    bits_to_word,
     compile_bc,
-    format_bc,
     parse_bc,
     random_bc,
-    word_to_bits,
 )
 from polytrs.blind import blind_program, program_is_linear, transfer_uniform_qi
 from polytrs.ordering import PPO, infer_precedence
@@ -32,6 +28,7 @@ from polytrs.qi import check_conditions, check_qi, eval_expr, is_uniform
 from polytrs.terms import App
 
 from .conftest import CORPUS, checked_cbv
+from .reference import bc_eval, bits_to_word, format_bc, word_to_bits
 
 
 def run_compiled(comp, normals, safes):
@@ -229,7 +226,7 @@ def test_compiled_semantics_matches_reference_randomly():
 
 def test_blind_image_growth_within_assembled_bound():
     from polytrs.blind import measure_strong_poly
-    from polytrs.bounds import strong_poly_bound
+    from .bounds import strong_poly_bound
 
     add = parse_bc((CORPUS / "add.bc").read_text())
     comp = compile_bc(add)

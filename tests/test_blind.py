@@ -18,7 +18,6 @@ from polytrs.base import (
 from polytrs.blind import (
     GrowthRow,
     blind_program,
-    blind_proof,
     classify_growth,
     input_tuples,
     is_linear,
@@ -36,6 +35,7 @@ from polytrs.terms import App
 
 from .conftest import CORPUS, CORPUS_PROGRAMS, PARITY_BUDGETS, checked_cbv, t
 from .oracles import all_derivations
+from .reference import blind_proof
 from .test_semantics import COUNTDOWN, LOOP
 
 
@@ -385,7 +385,7 @@ def test_words_of_length_enumeration(corpus):
 
 def test_strong_poly_theorem_bound_on_corpus(corpus):
     """Strict order + valid QI + linear: rows stay under an assembled bound."""
-    from polytrs.bounds import strong_poly_bound
+    from .bounds import strong_poly_bound
 
     for name, qi_name in (("add.trs", "add.qi"), ("mult.trs", "mult.qi"), ("flip.trs", None)):
         prog = corpus[name]

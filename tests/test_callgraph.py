@@ -8,20 +8,22 @@ import pytest
 
 from polytrs.bc import compile_bc, random_bc
 from polytrs.blind import blind_program
-from polytrs.bounds import (
-    check_edge_class_descent,
-    ppo_descendant_bound,
-    rank_stats,
-    same_class_descendant_counts,
-)
 from polytrs.callgraph import call_dag, call_tree, reachable_states, state_text, successors
 from polytrs.ordering import EPPO, PPO, infer_precedence
 from polytrs.parser import parse_program, parse_term
-from polytrs.qi import parse_assignment, value_qi
+from polytrs.qi import parse_assignment
 from polytrs.terms import App, Equation, term_size
 from polytrs.wordnorm import normalize
 
 from .conftest import CORPUS, checked_cbv, checked_memo, t
+from .bounds import (
+    check_edge_class_descent,
+    max_children,
+    ppo_descendant_bound,
+    rank_stats,
+    same_class_descendant_counts,
+)
+from .reference import value_qi
 
 
 def word(prog, n, letter="s", end="0"):
@@ -53,7 +55,7 @@ def test_call_tree_node_count_is_active_occurrences(corpus):
 
 
 def test_call_tree_arity_bound(corpus):
-    from polytrs.bounds import call_tree_arity
+    from .bounds import call_tree_arity
 
     for name in ("fib.trs", "running.trs", "grid3.trs", "mult.trs"):
         prog = corpus[name]
@@ -61,7 +63,7 @@ def test_call_tree_arity_bound(corpus):
         arity = prog.main.arity
         args = ", ".join(["s s s 0" if name != "running.trs" else "s0 s1 s0 nil"] * arity)
         proof = checked_cbv(prog, t(f"{prog.main.name}({args})", prog))
-        assert call_tree(proof).max_children() <= k, name
+        assert max_children(call_tree(proof)) <= k, name
 
 
 def test_call_dag_running_example(corpus):

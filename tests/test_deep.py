@@ -19,7 +19,7 @@ import time
 import pytest
 
 from polytrs.base import Budget
-from polytrs.blind import blind_program, blind_proof
+from polytrs.blind import blind_program
 from polytrs.callgraph import call_dag, call_tree
 from polytrs.cli import main
 from polytrs.parser import parse_program, parse_term
@@ -36,6 +36,7 @@ from polytrs.terms import format_term
 
 from .conftest import CORPUS, symbols_of
 from .oracles import all_derivations
+from .reference import blind_proof
 
 APPEND = str(CORPUS / "append.trs")
 

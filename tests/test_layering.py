@@ -1,16 +1,21 @@
 """Every polytrs module imports at module level, uses what it imports, and
-none caches globally.
+none caches globally; every public name it defines has a caller.
 
 The modules are layered, each importing only from the layers before it:
 base; terms; parser, semantics, ordering and qi; callgraph, blind and bc;
 wordnorm; report; cli.  So no import cycle needs to be broken by importing
-inside a function.  ``bounds`` holds the paper's lemma bounds, which state
-what is proved rather than decide a verdict: it imports from wordnorm and
-below, and no other module imports it.  A module uses every name it
-imports; only ``__init__.py`` imports names to re-export them.  No
-function is wrapped in ``functools.lru_cache`` or ``functools.cache``:
-such a cache is process-global and, unbounded, keeps every argument
-alive.  Memo tables belong to one computation instead.
+inside a function.  A module uses every name it imports; only
+``__init__.py`` imports names to re-export them.  No function is wrapped in
+``functools.lru_cache`` or ``functools.cache``: such a cache is
+process-global and, unbounded, keeps every argument alive.  Memo tables
+belong to one computation instead.  The test helpers that hold code moved
+out of the package keep these rules.
+
+The package ships only what a command, a script or the benchmark runs.  So
+each public function, class and method is referred to from another
+package module, from itself outside its own body, from ``perfbench`` or
+from ``scripts``.  What only the tests reach, such as the paper's lemma
+bounds, lives beside the tests.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "polytrs"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = pathlib.Path(__file__).resolve().parent
+MOVED = [TESTS / "bounds.py", TESTS / "oracles.py", TESTS / "reference.py"]
 
 
 def function_local_imports(tree: ast.AST) -> list[str]:
@@ -66,7 +73,7 @@ def test_modules_found():
     assert {"terms.py", "report.py", "cli.py"} <= {m.name for m in MODULES}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + MOVED, ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert function_local_imports(tree) == []
@@ -78,7 +85,7 @@ def test_guard_sees_a_nested_import():
 
 
 @pytest.mark.parametrize(
-    "path", [m for m in MODULES if m.name != "__init__.py"], ids=lambda p: p.name
+    "path", [m for m in MODULES + MOVED if m.name != "__init__.py"], ids=lambda p: p.name
 )
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -99,7 +106,7 @@ def test_import_guard_sees_every_spelling():
     assert found == ["line 2: os", "line 3: os", "line 5: App"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + MOVED, ids=lambda p: p.name)
 def test_no_global_function_caches(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert globally_cached_functions(tree) == []
@@ -120,39 +127,98 @@ def test_cache_guard_sees_every_spelling():
     assert [entry.split(": ")[1] for entry in found] == ["a", "b", "c", "d", "e"]
 
 
-def imported_modules(tree: ast.AST) -> set[str]:
-    """The polytrs modules a source imports, however the import is spelled."""
+def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name a source refers to, as a bare name, an attribute or an
+    imported name, outside the ``skip`` subtree."""
     out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("polytrs."))
-        elif isinstance(node, ast.ImportFrom):
-            package = "." * node.level + (node.module or "")
-            if package in (".", "polytrs"):
-                out.update(a.name for a in node.names)
-            elif package.startswith((".", "polytrs.")):
-                out.add(package.lstrip(".").removeprefix("polytrs.").split(".")[0])
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        todo.extend(ast.iter_child_nodes(node))
     return out
 
 
-@pytest.mark.parametrize(
-    "path", [m for m in MODULES if m.name not in ("bounds.py", "__init__.py")], ids=lambda p: p.name
-)
-def test_no_module_imports_bounds(path):
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, definition) of each public top-level function or class, and of
+    each public method of a top-level class, named ``Class.method``."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (f"{node.name}.{m.name}", m)
+                for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+            ]
+    return out
+
+
+def names_without_a_caller(tree: ast.Module, elsewhere: set[str]) -> list[str]:
+    """The public definitions of a module whose name is not in ``elsewhere``,
+    the names its callers refer to, and that the module itself refers to
+    only inside their own body."""
+    return [
+        name
+        for name, node in public_definitions(tree)
+        if node.name not in elsewhere and node.name not in referenced_names(tree, node)
+    ]
+
+
+ROOT = SRC.parent.parent
+CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+@pytest.fixture(scope="module")
+def references() -> dict:
+    """Each package module and caller, with the names it refers to."""
+    return {
+        path: referenced_names(ast.parse(path.read_text(), filename=str(path)))
+        for path in MODULES + CALLERS
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_name_has_a_caller(path, references):
+    elsewhere = set().union(*(names for p, names in references.items() if p != path))
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert "bounds" not in imported_modules(tree)
+    assert names_without_a_caller(tree, elsewhere) == []
 
 
-def test_bounds_guard_sees_every_spelling():
-    spellings = (
-        "from .bounds import rank_stats\n",
-        "from . import bounds\n",
-        "from polytrs.bounds import rank_stats\n",
-        "from polytrs import bounds as b\n",
-        "import polytrs.bounds\n",
-        "def f():\n    from .bounds import rank_stats\n",
+def test_caller_guard_sees_every_spelling():
+    module = ast.parse(
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def by_tests(): pass\n"
+        "def by_attribute(): pass\n"
+        "def by_name(): pass\n"
+        "def in_module(): pass\n"
+        "class Box:\n"
+        "    def method(self): pass\n"
+        "    def loop(self):\n        return self.loop()\n"
+        "    def _private(self): pass\n"
+        "def main():\n    return in_module(), Box()\n"
     )
-    for source in spellings:
-        assert "bounds" in imported_modules(ast.parse(source)), source
-    others = "from .callgraph import call_dag\nimport os.path\nfrom os import path\n"
-    assert imported_modules(ast.parse(others)) == {"callgraph"}
+    callers = {
+        "by_attribute": "import m\nm.by_attribute()\n",
+        "by_name": "from m import *\nby_name()\n",
+        "Box.method": "def f(box):\n    return box.method()\n",
+        "main": "from m import main\n",
+    }
+    tests = "from m import by_tests\nby_tests()\n"  # a test is no caller
+    elsewhere = set().union(*(referenced_names(ast.parse(c)) for c in callers.values()))
+    assert "by_tests" in referenced_names(ast.parse(tests))
+    assert names_without_a_caller(module, elsewhere) == ["recursive", "by_tests", "Box.loop"]
+    for name in callers:
+        others = [c for n, c in callers.items() if n != name]
+        elsewhere = set().union(*(referenced_names(ast.parse(c)) for c in others))
+        assert name in names_without_a_caller(module, elsewhere), name

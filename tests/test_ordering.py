@@ -26,6 +26,7 @@ from polytrs.parser import parse_program
 from polytrs.terms import subterms
 
 from .conftest import t
+from .bounds import is_compatible
 from .strategies import terms
 
 
@@ -93,7 +94,7 @@ def test_infer_precedence_classes(running):
     assert set(prec.class_ids) == {"append", "f"}
     assert prec.class_of("append") != prec.class_of("f")
     assert prec.compare_symbols(running.symbol("append"), running.symbol("f")) == "less"
-    assert prec.is_compatible(running)
+    assert is_compatible(prec, running)
     s0, s1, nil = (running.symbol(c) for c in ("s0", "s1", "nil"))
     assert PathOrder(prec, EPPO).compare_heads(s0, s1) == "equiv"  # fair
     assert PathOrder(prec, PPO).compare_heads(s0, s1) == "incomparable"  # strict

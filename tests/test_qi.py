@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from polytrs import terms as terms_module
 from polytrs.base import ParseError, QiError, postorder
-from polytrs.bounds import max_constructor_constant
 from polytrs.parser import parse_program
 from polytrs.qi import (
     GRID_CAP,
@@ -37,12 +36,10 @@ from polytrs.qi import (
     format_expr,
     is_uniform,
     max_posy_form,
-    meet,
     parse_assignment,
     parse_expr,
     simplify,
     term_qi,
-    value_qi,
     _refute,
     _sample_points,
     _Scaled,
@@ -50,6 +47,9 @@ from polytrs.qi import (
 from polytrs.terms import App, term_size
 
 from .conftest import CORPUS, checked_cbv, load, t
+from .oracles import reference_eval_expr
+from .bounds import max_constructor_constant
+from .reference import meet, value_qi
 from .strategies import values
 
 
@@ -365,7 +365,7 @@ def test_simplify_keeps_value():
 
 
 def test_active_size_bound_on_proofs(corpus):
-    from polytrs.bounds import active_size_bound
+    from .bounds import active_size_bound
 
     prog = corpus["mult.trs"]
     asg = parse_assignment((CORPUS / "mult.qi").read_text(), prog)
@@ -654,7 +654,8 @@ def _random_point(rng, arity):
 
 
 def test_scaled_evaluation_agrees_with_eval_expr():
-    # Every node's N / d**k, at about 3,000 random expressions and points.
+    # Every node's N / d**k, and eval_expr of every node, at about 3,000
+    # random expressions and points.
     rng = random.Random(11)
     for _ in range(3000):
         arity = rng.randint(1, 3)
@@ -665,7 +666,30 @@ def test_scaled_evaluation_agrees_with_eval_expr():
         d, value = scaled.numerators(point)
         for u in order:
             i = scaled.index[id(u)]
-            assert Fraction(value[i], d ** scaled.degree[i]) == eval_expr(u, point)
+            expected = reference_eval_expr(u, point)
+            assert Fraction(value[i], d ** scaled.degree[i]) == expected
+            assert eval_expr(u, point) == expected
+
+
+def test_eval_expr_fails_where_the_fraction_reference_fails():
+    # a point too short, or negative at an argument read, fails at the same
+    # node: the first such argument in post-order
+    rng = random.Random(13)
+    failures = 0
+    for _ in range(500):
+        arity = rng.randint(1, 3)
+        e = _random_expr(rng, arity, rng.randint(0, 4))
+        point = list(_random_point(rng, arity))[: rng.randint(0, arity)]
+        point = [-x if rng.random() < 0.3 else x for x in point]
+        try:
+            expected = reference_eval_expr(e, point)
+        except QiError as exc:
+            with pytest.raises(QiError, match=f"^{re.escape(str(exc))}$"):
+                eval_expr(e, point)
+            failures += 1
+        else:
+            assert eval_expr(e, point) == expected
+    assert 100 < failures < 400  # both outcomes are exercised
 
 
 def test_refute_finds_the_first_point_eval_expr_refutes():
@@ -680,7 +704,7 @@ def test_refute_finds_the_first_point_eval_expr_refutes():
             (
                 p
                 for p in _sample_points(arity, tag)
-                if eval_expr(lhs, p) < eval_expr(rhs, p)
+                if reference_eval_expr(lhs, p) < reference_eval_expr(rhs, p)
             ),
             None,
         )

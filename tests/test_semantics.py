@@ -9,10 +9,11 @@ from polytrs.base import (
     CycleDetected,
     NoMatchingEquation,
     NonConfluentProgram,
+    postorder,
 )
-from polytrs.bounds import activation_growth, assembled_rule_bound
 from polytrs.parser import parse_program
 from polytrs.semantics import (
+    R_UPDATE,
     Exhaustive,
     FirstMatch,
     Seeded,
@@ -21,18 +22,19 @@ from polytrs.semantics import (
     eval_cbv,
     eval_memo,
     is_orthogonal,
-    max_dependence,
     overlapping_pairs,
     proof_to_json,
     validate_proof,
 )
-from polytrs.terms import term_size
+from polytrs.terms import App, term_size
 
-from .conftest import checked_cbv, checked_memo, t
+from .conftest import CORPUS_PROGRAMS, checked_cbv, checked_memo, t
 from .oracles import all_derivations
+from .bounds import activation_growth, assembled_rule_bound, max_arity, max_dependence
+from .reference import shape
 from .strategies import values
 
-from polytrs.blind import blind_program, word_length
+from polytrs.blind import blind_program, input_tuples, word_length
 
 
 def expected_running_shape(prog):
@@ -47,7 +49,7 @@ def expected_running_shape(prog):
 def test_golden_running_derivation(corpus):
     prog = corpus["running.trs"]
     proof = checked_cbv(prog, t("f(s0 s1 nil)", prog))
-    assert proof.root.shape() == expected_running_shape(prog)
+    assert shape(proof.root) == expected_running_shape(prog)
     assert str(proof.result) == "nil"
     stats = proof.stats
     assert stats.active_count == 3  # distinct active judgements
@@ -191,6 +193,28 @@ def test_memo_value_is_trivial(corpus):
     assert proof.stats.semi_active_count == 0
 
 
+def test_cache_trace_lists_updates_as_their_subderivations_finish(corpus):
+    # the cache trace is ordered, not only a set of entries: an Update
+    # enters it when its subderivation is done, so in proof post-order
+    proofs = 0
+    for name in CORPUS_PROGRAMS:
+        prog = corpus[name]
+        for n in range(1, 5):
+            for args in input_tuples(prog, prog.main, n, cap=3):
+                try:
+                    proof = checked_memo(prog, App(prog.main, args), allow_nonconfluent=True)
+                except NoMatchingEquation:  # a partial function
+                    continue
+                updates = [
+                    (j.lhs.symbol.name, j.lhs.args, j.result)
+                    for j in postorder([proof.root], "children")
+                    if j.rule == R_UPDATE
+                ]
+                assert list(proof.cache_trace) == updates, (name, args)
+                proofs += 1
+    assert proofs > 150
+
+
 def test_memo_rejects_nonconfluent(corpus):
     bl = blind_program(corpus["running.trs"]).program
     with pytest.raises(NonConfluentProgram):
@@ -218,7 +242,7 @@ def test_semi_active_arity_bound(corpus):
     prog = corpus["doublerec.trs"]
     proof = checked_memo(prog, t("dup(" + "s " * 8 + "0)", prog))
     stats = proof.stats
-    k = prog.max_arity()
+    k = max_arity(prog)
     others = stats.rule_count - stats.semi_active_count
     assert stats.semi_active_count <= k * others
 

@@ -16,8 +16,7 @@ from collections import Counter
 import pytest
 
 from polytrs.base import Budget, BudgetExceeded, TrsError
-from polytrs.blind import blind_program, blind_proof
-from polytrs.bounds import check_edge_class_descent, ppo_descendant_bound, rank_stats
+from polytrs.blind import blind_program
 from polytrs.callgraph import call_tree
 from polytrs.ordering import EPPO, infer_precedence
 from polytrs.parser import parse_term
@@ -36,6 +35,8 @@ from polytrs.terms import format_term, term_size
 
 from .conftest import checked_cbv, checked_memo, load, symbols_of, unshare
 from .oracles import all_derivations
+from .bounds import check_edge_class_descent, max_children, ppo_descendant_bound, rank_stats
+from .reference import blind_proof, shape
 from .test_golden_eval import TERMS
 
 
@@ -207,7 +208,7 @@ def test_call_tree_and_json_unfold_the_shared_proof():
         assert shared.to_json() == tree.to_json(), text
         assert shared.to_dot() == tree.to_dot(), text
         assert shared.node_count() == tree.node_count() == len(tree.nodes()), text
-        assert shared.max_children() == tree.max_children(), text
+        assert max_children(shared) == max_children(tree), text
         assert [n.state for n in shared.nodes()] == [n.state for n in tree.nodes()], text
         prec = infer_precedence(program, EPPO)
         assert rank_stats(shared, prec, program) == rank_stats(tree, prec, program), text
@@ -238,6 +239,6 @@ def test_blind_proof_keeps_the_sharing(corpus):
     assert image.stats == reference_classify(image.root)
     assert image.stats.rule_count == proof.stats.rule_count
     assert len(list(image.root.distinct())) == len(list(proof.root.distinct()))
-    assert image.root.shape() == blind_proof(
+    assert shape(image.root) == shape(blind_proof(
         blind_program(program), dataclasses.replace(proof, root=unshare(proof.root))
-    ).root.shape()
+    ).root)

@@ -15,12 +15,6 @@ from polytrs.base import (
     NotWordProgram,
 )
 from polytrs.blind import blind_program, input_tuples, program_is_linear
-from polytrs.bounds import (
-    call_site_labels,
-    path_word,
-    same_class_descendant_bound,
-    same_class_paths,
-)
 from polytrs.callgraph import call_dag, reachable_states, state_text, successors
 from polytrs.ordering import EPPO, infer_precedence, order_verdict
 from polytrs.parser import format_program, parse_program, parse_term
@@ -40,6 +34,13 @@ from polytrs.wordnorm import (
 
 from .conftest import CORPUS, CORPUS_PROGRAMS, PARITY_BUDGETS, checked_memo, load, symbols_of, t
 from .oracles import reference_successors
+from .bounds import (
+    call_site_labels,
+    path_word,
+    same_class_descendant_bound,
+    same_class_paths,
+    successors_of,
+)
 
 MULTI_LABEL = ["fib.trs", "trip.trs", "grid2.trs", "grid3.trs", "twoclass.trs"]
 
@@ -320,7 +321,7 @@ def test_strict_descent_along_same_class_edges(corpus):
         dag = _dag_for(prog, call)
         for node in dag.nodes():
             cls = prec.class_of(node.state.symbol.name)
-            for _, child in dag.successors_of(node):
+            for _, child in successors_of(node):
                 if prec.class_of(child.state.symbol.name) != cls:
                     continue
                 pairs = list(zip(node.state.args, child.state.args))
