@@ -12,7 +12,7 @@ reported Unknown otherwise.
 
 Expression nodes are hash-consed, as terms are: one immutable node per
 distinct expression, so equality is identity, and each node stores its hash
-and min flag when it is built.  An assignment's memo keeps every
+and its min and max flags when it is built.  An assignment's memo keeps every
 normal form, dominance decision and ``term_qi`` substitution, so checks that
 share it share the very nodes, and a repeated question costs one lookup.
 """
@@ -46,19 +46,21 @@ UNKNOWN = "unknown"
 
 # Every node is built through the intern table of ``terms``, the one App
 # uses, under the key (node class, field), so there is one object per
-# distinct expression and equality is identity.  A node's hash and min flag
-# are computed once, when it is built, from its children's stored fields:
+# distinct expression and equality is identity.  A node's hash and min and
+# max flags are computed once, when it is built, from its children's stored
+# fields:
 # expressions share subtrees heavily, and a recursion per lookup would cost
 # more than the normalization it serves.  The hash comes from the content
 # alone (Fraction and int hashes), so a node hashes alike in every process.
 
 _set = object.__setattr__
 _HAS_MIN = operator.attrgetter("has_min")
+_HAS_MAX = operator.attrgetter("has_max")
 
 
 class _Node:
     __slots__ = ("_hash", "__weakref__")
-    has_min = False
+    has_min = has_max = False
 
     def __new__(cls, value):
         key = (cls, value)
@@ -72,6 +74,7 @@ class _Node:
         _set(node, "_hash", hash((value,) if cls is Arg else value))
         if issubclass(cls, _Compound):
             _set(node, "has_min", cls is Min or any(map(_HAS_MIN, value)))
+            _set(node, "has_max", cls is Max or any(map(_HAS_MAX, value)))
         return _intern(key, node)
 
     def __setattr__(self, name, *value):
@@ -106,7 +109,7 @@ class Arg(_Node):
 
 
 class _Compound(_Node):
-    __slots__ = ("items", "has_min")
+    __slots__ = ("items", "has_min", "has_max")
     _field = "items"
 
 
@@ -131,7 +134,8 @@ QiExpr = Const | Arg | Sum | Prod | Max | Min
 
 # The walks over expressions below are loops: an expression read from a
 # ``qi`` line or a deep term has no nesting limit.  Each folds over
-# ``postorder([e], "items")``, which lists every distinct compound node once.
+# ``postorder([e], "items")``, which lists every distinct compound node once,
+# but for the expansion to normal form, whose walk stops at memoised nodes.
 
 
 class _Scaled:
@@ -314,9 +318,10 @@ def max_posy_form(
 
     ``memo`` is the memo of an assignment (QiAssignment.memo): it maps
     ``(e, arity)`` to ``[branch total, distinct max nodes, form or None]``,
-    so each expression is expanded once however often it is asked for.  The
-    cap is applied to the stored total on every call.  A form taken from the
-    memo is shared with later callers and must not be mutated.
+    so each expression is expanded once however often it is asked for.  An
+    expansion also enters the one-branch form of every max-free node it
+    meets.  The cap is applied to the stored total on every call.  A form
+    taken from the memo is shared with later callers and must not be mutated.
     """
     if e.has_min:
         return None
@@ -331,7 +336,7 @@ def max_posy_form(
     if total > cap:
         return None
     if form is None:
-        form = known[2] = _expand(e, arity, maxes)
+        form = known[2] = _expand(e, arity, maxes, memo)
     return form
 
 
@@ -341,45 +346,59 @@ def max_posy_form(
 
 
 def _distinct_maxes(e: QiExpr) -> list:
-    """The distinct max nodes of e, in pre-order of first occurrence."""
+    """The distinct max nodes of e, in pre-order of first occurrence.  The
+    walk stops at a max-free node and at a node met before, whose maxes were
+    all listed at its first occurrence."""
     maxes: list[Max] = []
     seen: set = set()
     todo = [e]
     while todo:
         u = todo.pop()
-        if isinstance(u, (Const, Arg)):
+        if not u.has_max or id(u) in seen:
             continue
-        if isinstance(u, Max):
-            if u in seen:
-                continue  # its subtree was walked at its first occurrence
-            seen.add(u)
+        seen.add(id(u))
+        if type(u) is Max:
             maxes.append(u)
         todo.extend(reversed(u.items))
     return maxes
 
 
-def _expand(e: QiExpr, arity: int, maxes: list) -> list:
+def _expand(e: QiExpr, arity: int, maxes: list, memo: dict) -> list:
     """The pruned branches of e, one per choice of an item for every max.
 
     A node with no max at or below it has the same posynomial under every
-    choice, so it is computed once; the rest are recomputed per choice, in
-    ``postorder``, each max taking its chosen item's posynomial."""
+    choice.  Its one-branch form is kept in ``memo`` under ``(node, arity)``,
+    so it is computed once per assignment and arity, and the walk below
+    stops at it.  The other nodes are listed in post-order and recomputed
+    per choice, each max taking its chosen item's posynomial."""
     zero = tuple([0] * arity)
     posy: dict = {}  # id -> posynomial of the node under the current choice
     varying = []
-    for u in postorder([e], "items"):
-        if isinstance(u, Max) or (
-            maxes and isinstance(u, _Compound) and any(id(i) not in posy for i in u.items)
-        ):
-            varying.append(u)
-        else:
-            posy[id(u)] = _posy_of(u, posy, zero)
+    seen: set = set()
+    todo: list = [e]
+    while todo:
+        u = todo.pop()
+        if u is None:  # everything below the node under this marker is done
+            u = todo.pop()
+            if u.has_max:
+                varying.append(u)
+            else:
+                p = posy[id(u)] = _posy_of(u, posy, zero)
+                memo.setdefault((u, arity), [1, [], None])[2] = [p]
+        elif id(u) not in seen:
+            seen.add(id(u))
+            known = None if u.has_max else memo.get((u, arity))
+            if known is not None and known[2] is not None:
+                posy[id(u)] = known[2][0]
+            else:
+                todo += (u, None)
+                todo.extend(reversed(getattr(u, "items", ())))
     branches = []
     pools = [list(m.items) if m.items else [None] for m in maxes]
     for combo in itertools.product(*pools):
         choice = dict(zip(maxes, combo))
         for u in varying:
-            if isinstance(u, Max):
+            if type(u) is Max:
                 picked = choice[u]
                 posy[id(u)] = posy[id(picked)] if picked is not None else {}
             else:
@@ -427,17 +446,24 @@ def simplify(e: QiExpr, arity: int, memo: Optional[dict] = None) -> QiExpr:
 
     Substitution-heavy constructions (compiled recurrences in particular)
     produce towers of shared subterms; renormalizing keeps them flat.
-    ``memo`` is the normal-form memo of max_posy_form.
+    ``memo`` is the normal-form memo of max_posy_form; the result's own form
+    is e's in the result's branch order, and it is entered there too.
     """
     if e.has_min:
         return e
+    if memo is None:
+        memo = {}
     form = max_posy_form(e, arity, cap=512, memo=memo)
     if form is None:
         return e
-    branches = [expr_from_posy(p) for p in sorted(form, key=_posy_key)]
-    if not branches:
-        return Const(0)
-    return branches[0] if len(branches) == 1 else Max(tuple(branches))
+    form = sorted(form, key=_posy_key)
+    if len(form) == 1:
+        out, known = expr_from_posy(form[0]), [1, [], form]
+    else:
+        out = Max(tuple([expr_from_posy(p) for p in form]))
+        known = [len(form), [out], form]
+    memo.setdefault((out, arity), known)
+    return out
 
 
 def _posy_key(p: Posy):

@@ -45,6 +45,10 @@ class Symbol:
 class Var:
     name: str
 
+    def __hash__(self) -> int:
+        # As Symbol's: the generated hash would build a 1-tuple per call.
+        return hash(self.name)
+
     def __repr__(self) -> str:
         return self.name
 
@@ -152,10 +156,6 @@ def format_term(t: Term) -> str:
 def is_value(t: Term) -> bool:
     """A value is a ground term built only from constructors."""
     return isinstance(t, App) and t.is_value
-
-
-def is_pattern(t: Term) -> bool:
-    return all(isinstance(u, Var) or u.symbol.is_constructor for u in subterms(t))
 
 
 def term_size(t: Term) -> int:
@@ -267,30 +267,38 @@ class Equation:
     calls: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # One walk over each pattern and one over the rhs; a value holds no
+        # variable, no function symbol and no call, so neither walk enters one.
         lhs_vars = set()
         for p in self.lhs_patterns:
-            if not is_pattern(p):
-                raise SignatureError(
-                    f"equation {self.index}: lhs argument {format_term(p)} "
-                    "contains a function symbol"
-                )
-            lhs_vars.update(variables(p))
-        missing = [v for v in variables(self.rhs) if v not in lhs_vars]
-        if missing:
-            raise SignatureError(
-                f"equation {self.index}: rhs variable {missing[0]} does not "
-                "occur in the lhs"
-            )
-        object.__setattr__(self, "lhs", App(self.lhs_function, self.lhs_patterns))
+            todo = [p]
+            while todo:
+                u = todo.pop()
+                if isinstance(u, Var):
+                    lhs_vars.add(u.name)
+                elif not u.is_value:
+                    if u.symbol.is_function:
+                        raise SignatureError(
+                            f"equation {self.index}: lhs argument {format_term(p)} "
+                            "contains a function symbol"
+                        )
+                    todo.extend(u.args)
         calls: dict = {}
         todo: list = [((), self.rhs)]
-        while todo:
+        while todo:  # in pre-order, so the first missing variable is named
             pos, t = todo.pop()
-            if isinstance(t, App) and not t.is_value:  # a value holds no call
+            if isinstance(t, Var):
+                if t.name not in lhs_vars:
+                    raise SignatureError(
+                        f"equation {self.index}: rhs variable {t.name} does not "
+                        "occur in the lhs"
+                    )
+            elif not t.is_value:
                 if t.symbol.is_function:
                     calls[pos] = (len(calls), t)
                 for i in range(len(t.args) - 1, -1, -1):
                     todo.append((pos + (i,), t.args[i]))
+        object.__setattr__(self, "lhs", App(self.lhs_function, self.lhs_patterns))
         object.__setattr__(self, "calls", calls)
 
     def is_left_linear(self) -> bool:
@@ -329,13 +337,16 @@ class Program:
         by_name = {s.name: s for s in self.signature}
         if by_name.get(self.main.name) != self.main:
             raise SignatureError(f"main symbol {self.main.name} not declared")
+        declared: set = set()  # ids of the Symbol objects already checked
         for eq in self.equations:
             for t in (eq.lhs, eq.rhs):
                 for u in subterms(t):
-                    if isinstance(u, App) and by_name.get(u.symbol.name) != u.symbol:
-                        raise SignatureError(
-                            f"equation {eq.index}: undeclared symbol {u.symbol.name}"
-                        )
+                    if isinstance(u, App) and id(u.symbol) not in declared:
+                        if by_name.get(u.symbol.name) != u.symbol:
+                            raise SignatureError(
+                                f"equation {eq.index}: undeclared symbol {u.symbol.name}"
+                            )
+                        declared.add(id(u.symbol))
 
     @property
     def constructors(self) -> list[Symbol]:

@@ -258,15 +258,33 @@ def test_chain_expands_each_normal_form_once(seed, monkeypatch):
     expanded = []
     original = qi._expand
 
-    def counting(e, arity, maxes):
+    def counting(e, arity, *rest):
         expanded.append((e, arity))
-        return original(e, arity, maxes)
+        return original(e, arity, *rest)
 
     monkeypatch.setattr(qi, "_expand", counting)
     comp, verdict, moved, moved_verdict = _qi_chain(random_bc(seed, 4))
     assert verdict.overall == moved_verdict.overall == "valid"
     assert expanded and len(expanded) == len(set(expanded))
     assert moved.memo is comp.qi.memo
+
+
+@pytest.mark.parametrize("seed", CHAIN_SEEDS)
+def test_chain_computes_each_max_free_posynomial_once(seed, monkeypatch):
+    # A max-free node's posynomial is the same under every branch choice and
+    # in every expression that contains it, so the assignment's memo keeps it.
+    computed = []
+    original = qi._posy_of
+
+    def counting(u, posy, zero):
+        if not u.has_max:
+            computed.append((u, len(zero)))
+        return original(u, posy, zero)
+
+    monkeypatch.setattr(qi, "_posy_of", counting)
+    comp, verdict, moved, moved_verdict = _qi_chain(random_bc(seed, 4))
+    assert verdict.overall == moved_verdict.overall == "valid"
+    assert computed and len(computed) == len(set(computed))
 
 
 @pytest.mark.parametrize("seed", CHAIN_SEEDS)

@@ -6,6 +6,9 @@ blind image under the transferred one), the SHA-256 of
 ``json.dumps(check_qi(...).as_dict(), sort_keys=True)`` is pinned.  Obligation
 strings, statuses, witnesses and notes all enter the digest, so a change to
 normalization, memoisation or sampling that alters any verdict shows up here.
+
+The compiled assignments themselves, ``simplify``'s output, are pinned for all
+200 terms of the safe-recursion sweep by one digest of their text.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import pytest
 
 from polytrs.bc import compile_bc, random_bc
 from polytrs.blind import blind_program, transfer_uniform_qi
-from polytrs.qi import check_qi, parse_assignment
+from polytrs.qi import check_qi, format_assignment, parse_assignment
 
 from .conftest import CORPUS, load
 
@@ -74,6 +77,10 @@ BC_GOLDEN = [
     ("1977067ed2b612630c1494f9caebd548ff26206fc6e5b3cd3809fb0eb6aed9f6", "a2c8a2735948383c91dce77b24aa6523f49c578a36f01f868ce488bad83563bb"),
 ]
 
+# SHA-256 of format_assignment(compile_bc(random_bc(s, 4)).qi, program) over
+# s in 0..199, the texts joined in order of s
+ASSIGNMENTS_GOLDEN = "f9ed52bcec4f071e1b484e95eacff7951691e07d2d5da5a441082141bbc37c71"
+
 
 def _digest(verdict) -> str:
     text = json.dumps(verdict.as_dict(), sort_keys=True)
@@ -98,3 +105,11 @@ def test_compiled_bc_qi_verdicts(seed):
     moved = transfer_uniform_qi(comp.qi, comp.program, image)
     got = (_digest(check_qi(comp.program, comp.qi)), _digest(check_qi(image.program, moved)))
     assert got == BC_GOLDEN[seed]
+
+
+def test_compiled_bc_assignments():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        comp = compile_bc(random_bc(seed, 4))
+        digest.update(format_assignment(comp.qi, comp.program).encode())
+    assert digest.hexdigest() == ASSIGNMENTS_GOLDEN

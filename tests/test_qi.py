@@ -560,9 +560,15 @@ def test_memoised_max_posy_form_matches_reference(data):
     forms: dict = {}
     # Revisit every expression with a shared memo and mixed caps, so stored
     # totals meet both smaller and larger caps than the call that stored them.
+    # The memo serves the same nodes at two arities, so a max-free subtree's
+    # stored posynomial must be told apart by the arity it was built for.
+    # simplify enters its result's form, which must be the result's own.
     for e in exprs + exprs[::-1]:
-        cap = data.draw(st.sampled_from([1, 2, 4, 4096]))
-        assert max_posy_form(e, ARITY, cap, forms) == _ref_max_posy_form(e, ARITY, cap)
+        for arity in (ARITY, ARITY + 1):
+            cap = data.draw(st.sampled_from([1, 2, 4, 4096]))
+            assert max_posy_form(e, arity, cap, forms) == _ref_max_posy_form(e, arity, cap)
+            out = simplify(e, arity, forms)
+            assert max_posy_form(out, arity, cap, forms) == _ref_max_posy_form(out, arity, cap)
 
 
 @settings(max_examples=150, deadline=None)
@@ -813,6 +819,7 @@ def test_nodes_built_twice_are_equal(data):
     else:
         assert hash(e) == hash(e.items)
         assert e.has_min == (isinstance(e, Min) or any(i.has_min for i in e.items))
+        assert e.has_max == (isinstance(e, Max) or any(i.has_max for i in e.items))
 
 
 def test_node_kinds_are_told_apart():
@@ -829,7 +836,7 @@ def test_node_kinds_are_told_apart():
 @pytest.mark.parametrize(
     "node", [Const(2), Arg(0), Sum((Arg(0), Const(1))), Min((Arg(0), Arg(1)))]
 )
-@pytest.mark.parametrize("attr", ["value", "index", "items", "has_min", "_hash", "other"])
+@pytest.mark.parametrize("attr", ["value", "index", "items", "has_min", "has_max", "_hash", "other"])
 def test_nodes_are_immutable(node, attr):
     with pytest.raises(AttributeError):
         setattr(node, attr, Const(0))

@@ -35,7 +35,7 @@ from polytrs.terms import (
 )
 
 from .conftest import CORPUS_PROGRAMS, load, symbols_of, t
-from .strategies import NIL, PAIR, S0, S1, patterns, terms, values
+from .strategies import F, G, NIL, PAIR, S0, S1, patterns, terms, values
 
 
 def test_parse_running_example(corpus):
@@ -68,6 +68,30 @@ def test_arity_mismatch_rejected():
 def test_undeclared_symbol_with_args_rejected():
     with pytest.raises(ParseError, match="undeclared"):
         parse_program("constructors: s/1\nfunctions: f/1\nf(x) -> g(x)\nmain: f\n")
+
+
+X, Y, Z = Var("x"), Var("y"), Var("z")
+
+
+def test_a_function_in_a_pattern_is_reported_before_a_missing_rhs_variable():
+    with pytest.raises(
+        SignatureError, match=r"^equation 0: lhs argument s0\(f\(x\)\) contains a function symbol$"
+    ):
+        Equation(G, (X, App(S0, (App(F, (X,)),))), Y, 0)
+
+
+def test_a_missing_rhs_variable_is_reported_before_a_wrong_lhs_arity():
+    with pytest.raises(SignatureError, match="^equation 3: rhs variable y does not occur in the lhs$"):
+        Equation(F, (X, Z), App(PAIR, (X, Y)), 3)
+    with pytest.raises(SignatureError, match="applied to 2 arguments"):
+        Equation(F, (X, Z), X, 3)
+
+
+def test_the_first_missing_rhs_variable_in_pre_order_is_named():
+    # z comes first in pre-order; y is the shallower and the rightmost.
+    rhs = App(PAIR, (App(F, (App(S0, (Z,)),)), App(PAIR, (X, Y))))
+    with pytest.raises(SignatureError, match="^equation 1: rhs variable z does not occur"):
+        Equation(F, (X,), rhs, 1)
 
 
 TWO_FUNCTIONS = "constructors: 0/0\nfunctions: f/1 g/1\nf(x) -> x\ng(x) -> f(x)\n"
