@@ -83,69 +83,68 @@ class Precedence:
         return "; ".join([parts] + sorted(rels))
 
 
-def _transitive_closure(edges) -> set:
-    """All pairs (a, d) with a path a -> .. -> d: one walk per start node."""
-    succ: dict = {}
-    for a, b in edges:
-        succ.setdefault(a, []).append(b)
-    closure = set()
-    for start in succ:
+def _reach_sets(succ: dict) -> dict:
+    """Each node's set of nodes reached in one or more steps: one loop-based
+    walk per node."""
+    reach = {}
+    for start, nodes in succ.items():
         reached: set = set()
-        stack = list(succ[start])
+        stack = list(nodes)
         while stack:
             node = stack.pop()
             if node not in reached:
                 reached.add(node)
-                stack.extend(succ.get(node, ()))
-        closure.update((start, node) for node in reached)
-    return closure
+                stack.extend(succ[node])
+        reach[start] = reached
+    return reach
 
 
 def make_precedence(
     program: Program,
-    classes: list[list[str]],
-    order_pairs: list[tuple[str, str]],
+    at_most: list[tuple[str, str]],
+    below: list[tuple[str, str]],
 ) -> Precedence:
-    """Build a precedence from function classes and < pairs.
+    """The least quasi-order on the functions with a <= b for each pair in
+    ``at_most`` and a < b for each pair in ``below``.
 
-    A function in no class gets a class of its own; a constructor in a class
-    or a pair is rejected outright.
+    A class is a function with every function it reaches through the pairs
+    that also reaches it back; a < pair inside one class is a cycle.  A pair
+    that names a constructor or an unknown symbol is rejected outright.
     """
-    sig_names = {s.name for s in program.signature}
-    fn_names = {s.name for s in program.functions}
-    seen: set[str] = set()
-    for group in classes:
-        for name in group:
-            if name not in sig_names:
-                raise PrecedenceError(f"unknown symbol {name} in precedence")
-            if name not in fn_names:
-                raise PrecedenceError(
-                    f"constructor {name} may not be placed in a function class"
-                )
-            if name in seen:
-                raise PrecedenceError(f"symbol {name} appears in two classes")
-            seen.add(name)
-    groups = [*classes, *([f] for f in sorted(fn_names - seen))]
-    class_ids = {name: cid for cid, group in enumerate(groups) for name in group}
-    for a, b in order_pairs:
-        if a not in class_ids or b not in class_ids:
-            raise PrecedenceError(f"order pair {a} < {b} mentions a non-function")
-    below = _transitive_closure(
-        (class_ids[a], class_ids[b])
-        for a, b in order_pairs
-        if class_ids[a] != class_ids[b]
-    )
-    if any(a == b for a, b in below):
+    succ: dict = {s.name: [] for s in program.functions}
+    for op, pairs in (("<=", at_most), ("<", below)):
+        for a, b in pairs:
+            if a not in succ or b not in succ:
+                raise PrecedenceError(f"order pair {a} {op} {b} mentions a non-function")
+            succ[a].append(b)
+    reach = _reach_sets(succ)
+    class_ids: dict = {}
+    roots = []
+    for a, reached in reach.items():
+        if a not in class_ids:
+            class_ids[a] = len(roots)
+            roots.append(a)
+            for b in reached:
+                if a in reach[b]:
+                    class_ids[b] = class_ids[a]
+    if any(class_ids[a] == class_ids[b] for a, b in below):
         raise PrecedenceError("cyclic precedence declaration")
-    return Precedence(class_ids, frozenset(below), tuple(program.signature))
+    # Every member of a class reaches what its root reaches.
+    strict = frozenset(
+        (cid, class_ids[b])
+        for cid, a in enumerate(roots)
+        for b in reach[a]
+        if class_ids[b] != cid
+    )
+    return Precedence(class_ids, strict, tuple(program.signature))
 
 
 def parse_precedence(text: str, program: Program, mode: str = EPPO) -> Precedence:
     """Parse ``append < f ; s0 ~ s1`` into a precedence.
 
     ``~`` between constructors of one arity restates EPPO's fair
-    constructors and is rejected under PPO; ``~`` between functions merges
-    their classes.
+    constructors and is rejected under PPO; ``~`` between functions puts
+    them in one class.
     """
     merges: list[tuple[str, str]] = []
     pairs: list[tuple[str, str]] = []
@@ -178,26 +177,8 @@ def parse_precedence(text: str, program: Program, mode: str = EPPO) -> Precedenc
                 raise PrecedenceError(f"{a} ~ {b}: arities differ")
         elif a in ctor_names or b in ctor_names:
             raise PrecedenceError(f"{a} ~ {b} mixes constructor and function")
-    fn_merges = [(a, b) for a, b in merges if a in fn_names]
-    classes = _union_find_classes(fn_names, fn_merges)
-    return make_precedence(program, classes, pairs)
-
-
-def _union_find_classes(names: set, merges: list) -> list[list[str]]:
-    parent = {n: n for n in names}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in merges:
-        parent[find(a)] = find(b)
-    groups: dict[str, list[str]] = {}
-    for n in names:
-        groups.setdefault(find(n), []).append(n)
-    return [sorted(g) for g in groups.values()]
+    at_most = [pair for a, b in merges if a in fn_names for pair in ((a, b), (b, a))]
+    return make_precedence(program, at_most, pairs)
 
 
 # -- the path ordering -------------------------------------------------------
@@ -360,41 +341,6 @@ def static_call_graph(program: Program) -> dict:
     return out
 
 
-def _sccs(graph: dict) -> list[list[str]]:
-    """Strongly connected components, Tarjan under run_stack, stable order."""
-    index: dict[str, int] = {}
-    state = (index, {}, set(), [])  # index, low, on_stack, stack
-    out: list[list[str]] = []
-    for v in sorted(graph):
-        if v not in index:
-            run_stack(_strongconnect(v, graph, state, out))
-    return out
-
-
-def _strongconnect(v: str, graph: dict, state: tuple, out: list):
-    # Module-level, not a closure: a closure that calls itself is a reference
-    # cycle, which outlives the call until the cyclic collector runs.
-    index, low, on_stack, stack = state
-    index[v] = low[v] = len(index)
-    stack.append(v)
-    on_stack.add(v)
-    for w in sorted(graph[v]):
-        if w not in index:
-            yield _strongconnect(w, graph, state, out)
-            low[v] = min(low[v], low[w])
-        elif w in on_stack:
-            low[v] = min(low[v], index[w])
-    if low[v] == index[v]:
-        comp = []
-        while True:
-            w = stack.pop()
-            on_stack.discard(w)
-            comp.append(w)
-            if w == v:
-                break
-        out.append(sorted(comp))
-
-
 def order_verdict(
     program: Program, mode: str, order_text: Optional[str] = None
 ) -> Optional[OrderingVerdict]:
@@ -420,21 +366,11 @@ def infer_precedence(program: Program, mode: str = EPPO) -> Optional[Precedence]
 
 
 def _inferred_verdict(program: Program, mode: str) -> Optional[OrderingVerdict]:
-    """Canonical candidate: classes from call-graph SCCs, order from calls.
+    """Canonical candidate: each callee at most its caller, so the classes
+    are the call graph's cycles and the order is the calls between them.
 
     Only this finest compatible candidate is tried.
     """
-    graph = static_call_graph(program)
-    comps = _sccs(graph)
-    rep = {}
-    for comp in comps:
-        for name in comp:
-            rep[name] = comp[0]
-    pairs = []
-    for f, callees in graph.items():
-        for g in callees:
-            if rep[f] != rep[g]:
-                pairs.append((g, f))
-    prec = make_precedence(program, comps, pairs)
-    verdict = check_program(program, prec, mode)
+    calls = [(g, f) for f, callees in static_call_graph(program).items() for g in callees]
+    verdict = check_program(program, make_precedence(program, calls, []), mode)
     return verdict if verdict.overall else None

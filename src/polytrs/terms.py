@@ -338,15 +338,21 @@ class Program:
         if by_name.get(self.main.name) != self.main:
             raise SignatureError(f"main symbol {self.main.name} not declared")
         declared: set = set()  # ids of the Symbol objects already checked
+        checked: set = set()  # App nodes met before: all below them is checked
         for eq in self.equations:
-            for t in (eq.lhs, eq.rhs):
-                for u in subterms(t):
-                    if isinstance(u, App) and id(u.symbol) not in declared:
-                        if by_name.get(u.symbol.name) != u.symbol:
-                            raise SignatureError(
-                                f"equation {eq.index}: undeclared symbol {u.symbol.name}"
-                            )
-                        declared.add(id(u.symbol))
+            todo = [eq.rhs, eq.lhs]  # pre-order, lhs first
+            while todo:
+                u = todo.pop()
+                if not isinstance(u, App) or u in checked:
+                    continue
+                checked.add(u)
+                if id(u.symbol) not in declared:
+                    if by_name.get(u.symbol.name) != u.symbol:
+                        raise SignatureError(
+                            f"equation {eq.index}: undeclared symbol {u.symbol.name}"
+                        )
+                    declared.add(id(u.symbol))
+                todo.extend(reversed(u.args))
 
     @property
     def constructors(self) -> list[Symbol]:

@@ -421,6 +421,13 @@ def test_order_pair_with_a_constructor_names_the_non_function(capsys):
     }
 
 
+@pytest.mark.parametrize("order", ["f < f", "append < f ; append ~ f"])
+def test_order_pair_inside_a_class_exits_3(capsys, order):
+    code, data = run_json(capsys, "--order", order, "check-order", str(CORPUS / "running.trs"))
+    assert code == 3
+    assert data == {"error": "precedence-error", "message": "cyclic precedence declaration"}
+
+
 @pytest.mark.parametrize("order", ["f ~ ", "< f", "append <  < f", "f ~ append ~"])
 def test_order_clause_with_an_empty_side_is_a_parse_error(capsys, order):
     code, data = run_json(capsys, "--order", order, "check-order", str(CORPUS / "running.trs"))

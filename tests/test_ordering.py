@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import random
 import weakref
 
 import pytest
@@ -15,7 +17,7 @@ from polytrs.ordering import (
     EPPO,
     PPO,
     PathOrder,
-    _transitive_closure,
+    _reach_sets,
     check_program,
     infer_precedence,
     make_precedence,
@@ -37,7 +39,7 @@ def running(corpus):
 
 @pytest.fixture(scope="module")
 def prec(running):
-    return make_precedence(running, [["append"], ["f"]], [("append", "f")])
+    return make_precedence(running, [], [("append", "f")])
 
 
 def test_strict_subterm_rule(running, prec):
@@ -139,7 +141,7 @@ def _counting_less(monkeypatch):
 @pytest.mark.parametrize("mode", [PPO, EPPO])
 def test_second_check_on_a_precedence_decides_nothing(running, monkeypatch, mode):
     # running fails PPO, so the failing-subgoal search is replayed too.
-    prec = make_precedence(running, [["append"], ["f"]], [("append", "f")])
+    prec = make_precedence(running, [], [("append", "f")])
     first = check_program(running, prec, mode).as_dict()
     calls = _counting_less(monkeypatch)
     assert check_program(running, prec, mode).as_dict() == first
@@ -240,12 +242,17 @@ def test_order_line_in_program_file(tmp_path):
 
 def test_mixed_classes_rejected(running):
     with pytest.raises(PrecedenceError):
-        make_precedence(running, [["f", "s0"]], [])
+        make_precedence(running, [("f", "s0")], [])
 
 
 def test_cyclic_order_rejected(running):
     with pytest.raises(PrecedenceError):
-        make_precedence(running, [["append"], ["f"]], [("append", "f"), ("f", "append")])
+        make_precedence(running, [], [("append", "f"), ("f", "append")])
+
+
+def test_self_order_pair_rejected(running):
+    with pytest.raises(PrecedenceError, match="^cyclic precedence declaration$"):
+        make_precedence(running, [], [("f", "f")])
 
 
 _SAMPLED = parse_program(
@@ -255,7 +262,7 @@ _SAMPLED = parse_program(
     "g(x, y) -> x\n"
     "main: f\n"
 )
-_SAMPLED_PREC = make_precedence(_SAMPLED, [["g"], ["f"]], [("g", "f")])
+_SAMPLED_PREC = make_precedence(_SAMPLED, [], [("g", "f")])
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,7 +330,11 @@ _relations = st.lists(st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES)
 @settings(max_examples=300, deadline=None)
 @given(edges=_relations)
 def test_transitive_closure_matches_warshall(edges):
-    assert _transitive_closure(edges) == _warshall(_NODES, edges)
+    succ = {n: [] for n in _NODES}
+    for a, b in edges:
+        succ[a].append(b)
+    reach = _reach_sets(succ)
+    assert {(a, b) for a in _NODES for b in reach[a]} == _warshall(_NODES, edges)
 
 
 _SEVEN_FUNCTIONS = parse_program(
@@ -348,3 +359,83 @@ def test_precedence_below_is_the_closure_of_the_declared_pairs(edges):
     ids = {prec.class_of(f"f{i}"): i for i in _NODES}
     functions_below = {(ids[a], ids[b]) for a, b in prec.below if a in ids and b in ids}
     assert functions_below == closure
+
+
+def _least_quasi_order(nodes, at_most, below):
+    """Classes, strict pairs between classes and cycle flag of the least
+    quasi-order with a <= b for each ``at_most`` pair and a < b for each
+    ``below`` pair, from a Warshall closure."""
+    reach = _warshall(nodes, [*at_most, *below])
+    classes = {
+        a: frozenset([a, *(b for b in nodes if (a, b) in reach and (b, a) in reach)])
+        for a in nodes
+    }
+    strict = {(classes[a], classes[b]) for a, b in reach if classes[a] != classes[b]}
+    cyclic = any(classes[a] == classes[b] for a, b in below)
+    return classes, strict, cyclic
+
+
+def _name_classes(prec, names):
+    members: dict = {}
+    for n in names:
+        members.setdefault(prec.class_of(n), set()).add(n)
+    classes = {n: frozenset(members[prec.class_of(n)]) for n in names}
+    by_id = {prec.class_of(n): classes[n] for n in names}
+    return classes, {(by_id[a], by_id[b]) for a, b in prec.below}
+
+
+def test_make_precedence_is_the_least_quasi_order():
+    rng = random.Random(0)
+    names = [f"f{i}" for i in _NODES]
+
+    def pairs(most):
+        return [tuple(rng.sample(names, 2)) for _ in range(rng.randrange(most))]
+
+    for _ in range(400):
+        at_most, below = pairs(9), pairs(4)
+        if rng.random() < 0.1:
+            below.append((rng.choice(names),) * 2)
+        classes, strict, cyclic = _least_quasi_order(names, at_most, below)
+        if cyclic:
+            with pytest.raises(PrecedenceError, match="^cyclic precedence declaration$"):
+                make_precedence(_SEVEN_FUNCTIONS, at_most, below)
+            continue
+        prec = make_precedence(_SEVEN_FUNCTIONS, at_most, below)
+        assert _name_classes(prec, names) == (classes, strict), (at_most, below)
+
+
+def _corpus_and_images(corpus):
+    for name, prog in sorted(corpus.items()):
+        yield name, prog
+        yield "blind " + name, blind_program(prog).program
+
+
+def test_inferred_classes_are_the_call_graph_cycles(corpus, monkeypatch):
+    built = []
+    real = ordering.check_program
+
+    def recording(program, prec, mode):
+        built.append(prec)
+        return real(program, prec, mode)
+
+    monkeypatch.setattr(ordering, "check_program", recording)
+    for name, prog in _corpus_and_images(corpus):
+        graph = static_call_graph(prog)
+        calls = [(g, f) for f, callees in graph.items() for g in callees]
+        classes, strict, _ = _least_quasi_order(sorted(graph), calls, [])
+        infer_precedence(prog, EPPO)
+        assert _name_classes(built[-1], sorted(graph)) == (classes, strict), name
+
+
+# SHA-256 of the PPO ``describe`` strings of the inferred precedences of
+# compile_bc(random_bc(s, 4)) and its blind image, s in 0..199, one per line.
+BC_PRECEDENCES_GOLDEN = "9d63300fb20cc34433c48538e3b357d585d374ca8361326589131e559c33e267"
+
+
+def test_compiled_bc_precedences_golden():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        prog = compile_bc(random_bc(seed, 4)).program
+        for p in (prog, blind_program(prog).program):
+            digest.update(infer_precedence(p, PPO).describe(PPO).encode() + b"\n")
+    assert digest.hexdigest() == BC_PRECEDENCES_GOLDEN

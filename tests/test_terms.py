@@ -94,6 +94,16 @@ def test_the_first_missing_rhs_variable_in_pre_order_is_named():
         Equation(F, (X,), rhs, 1)
 
 
+def test_the_first_undeclared_symbol_in_pre_order_is_named():
+    # u1 comes first in pre-order; u2 is deeper, and the second pair
+    # argument holds the same u2 node again.
+    u1, u2 = Symbol("u1", FUNCTION, 1), Symbol("u2", FUNCTION, 1)
+    inner = App(u2, (X,))
+    eq = Equation(F, (X,), App(PAIR, (App(u1, (inner,)), inner)), 0)
+    with pytest.raises(SignatureError, match="^equation 0: undeclared symbol u1$"):
+        Program((F, PAIR), (eq,), F)
+
+
 TWO_FUNCTIONS = "constructors: 0/0\nfunctions: f/1 g/1\nf(x) -> x\ng(x) -> f(x)\n"
 
 
