@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 
 from .base import SignatureError, Tokens, run_stack
-from .qi import Arg, Const, Max, Prod, QiAssignment, QiExpr, Sum, simplify, substitute
+from .qi import Arg, Const, Max, Posy, QiAssignment, QiExpr, Sum, expr_from_form
+from .qi import expr_from_posy, posy_compose, posy_mul, posy_sum
 from .terms import (
     App,
     CONSTRUCTOR,
@@ -145,7 +146,7 @@ class _Compiler:
         self.arities = arities  # id of each node -> (normal, safe)
         self.symbols: dict = {}  # structural key -> compiled symbol
         self.equations: list[Equation] = []
-        self.q_parts: dict[str, QiExpr] = {}  # over normal argument indices
+        self.q_parts: dict[str, Posy] = {}  # posynomials over normal indices
         self.entries: dict[str, QiExpr] = {}
         self.provenance: dict[str, str] = {}
         self.boundaries: dict[str, tuple] = {}
@@ -181,14 +182,13 @@ class _Compiler:
         n, m = self.arities[id(b)]
         xs = tuple(Var(f"x{i + 1}") for i in range(n))
         ys = tuple(Var(f"y{i + 1}") for i in range(m))
-        safe_args = [Arg(n + i) for i in range(m)]
+        units = [{_unit(i, n): 1} for i in range(n)]  # the normal arguments
+        parts = self.q_parts
 
-        def finish(sym: Symbol, q: QiExpr, desc: str) -> Symbol:
+        def finish(sym: Symbol, q: Posy, desc: str, entry=None) -> Symbol:
             self.symbols[key] = sym
-            q = simplify(q, n, memo=self.memo)
             self.q_parts[sym.name] = q
-            entry = q if m == 0 else Sum((q, Max(tuple(safe_args))))
-            self.entries[sym.name] = simplify(entry, n + m, memo=self.memo)
+            self.entries[sym.name] = entry or _entry(q, n, m, self.memo)
             self.provenance[sym.name] = desc
             self.boundaries[sym.name] = (n, m)
             return sym
@@ -196,12 +196,12 @@ class _Compiler:
         if isinstance(b, BcZero):
             sym = self.fresh("zero", 0)
             self.add_equation(sym, (), App(ZERO))
-            return finish(sym, Const(1), "constant 0")
+            return finish(sym, {(): 1}, "constant 0")
         if isinstance(b, BcSucc):
             sym = self.fresh("succ", 1)
             ctor = S0 if b.bit == 0 else S1
             self.add_equation(sym, ys, App(ctor, (ys[0],)))
-            return finish(sym, Const(1), f"successor s{b.bit}")
+            return finish(sym, {(): 1}, f"successor s{b.bit}")
         if isinstance(b, BcProj):
             sym = self.fresh("proj", n + m)
             args = xs + ys
@@ -209,21 +209,16 @@ class _Compiler:
             # floor(proj) is the max over all arguments; its q part is the
             # posynomial over-approximation sum of normals, which keeps the
             # compiled recurrences free of nested maxima.
-            self.entries[sym.name] = Max(tuple(Arg(i) for i in range(n + m)))
-            self.symbols[key] = sym
-            self.q_parts[sym.name] = (
-                Sum(tuple(Arg(i) for i in range(n))) if n else Const(0)
-            )
-            self.provenance[sym.name] = f"projection {b.index} of ({n}; {m})"
-            self.boundaries[sym.name] = (n, m)
-            return sym
+            entry = Max(tuple(Arg(i) for i in range(n + m)))
+            desc = f"projection {b.index} of ({n}; {m})"
+            return finish(sym, posy_sum(units), desc, entry)
         if isinstance(b, BcPred):
             sym = self.fresh("pred", 1)
             y = Var("y1")
             self.add_equation(sym, (App(ZERO),), App(ZERO))
             self.add_equation(sym, (App(S0, (y,)),), y)
             self.add_equation(sym, (App(S1, (y,)),), y)
-            return finish(sym, Const(0), "predecessor")
+            return finish(sym, {}, "predecessor")
         if isinstance(b, BcCond):
             sym = self.fresh("cond", 3)
             w, y, z = Var("w"), Var("y1"), Var("y2")
@@ -231,7 +226,7 @@ class _Compiler:
             self.add_equation(sym, (App(S0, (w,)), y, z), y)
             self.add_equation(sym, (App(S1, (w,)), y, z), z)
             # floor(cond) = max of the three safe arguments, q part 0.
-            return finish(sym, Const(0), "conditional")
+            return finish(sym, {}, "conditional")
         if isinstance(b, BcSafeRec):
             g, h0, h1 = syms
             sym = self.fresh("rec", n + m)
@@ -249,13 +244,9 @@ class _Compiler:
             # q(A, X..) = A * (q_h0 + q_h1)(A, X..) + q_g(X..), padded with
             # the sum of the normal arguments so the subterm condition holds
             # on all of R+ even when inner functions drop arguments.
-            a = Arg(0)
-            normals = [Arg(i) for i in range(n)]
-            q_g = substitute(self.q_parts[g.name], normals[1:])
-            q_h0 = substitute(self.q_parts[h0.name], normals)
-            q_h1 = substitute(self.q_parts[h1.name], normals)
-            base_q = Sum((Prod((a, Sum((q_h0, q_h1)))), q_g))
-            q = Sum(tuple([base_q] + normals))
+            q_h = posy_sum([parts[h0.name], parts[h1.name]])
+            q_g = {(0,) + mono: c for mono, c in parts[g.name].items()}
+            q = posy_sum([posy_mul(units[0], q_h), q_g] + units)
             return finish(sym, q, "safe recursion")
         if isinstance(b, BcSafeComp):
             outer = syms[0]
@@ -267,12 +258,28 @@ class _Compiler:
                 tuple(App(h, xs) for h in hs) + tuple(App(l, xs + ys) for l in ls),
             )
             self.add_equation(sym, xs + ys, rhs)
-            normals = [Arg(i) for i in range(n)]
-            q_hs = [substitute(self.q_parts[h.name], normals) for h in hs]
-            q_g = substitute(self.q_parts[outer.name], q_hs)
-            q_ls = [substitute(self.q_parts[l.name], normals) for l in ls]
-            q = Sum(tuple([q_g] + q_ls + normals))
+            q_g = posy_compose(parts[outer.name], [parts[h.name] for h in hs], n)
+            q = posy_sum([q_g] + [parts[l.name] for l in ls] + units)
             return finish(sym, q, "safe composition")
+
+
+def _unit(i: int, arity: int) -> tuple:
+    """The exponents of argument i alone, over ``arity`` arguments."""
+    return (0,) * i + (1,) + (0,) * (arity - i - 1)
+
+
+def _entry(q: Posy, n: int, m: int, memo: dict) -> QiExpr:
+    """The entry q + max(X_{n+1}, .., X_{n+m}) of a symbol with n normal and
+    m safe arguments as the max of the posynomials q + X_{n+j}, which is its
+    normal form, entered in ``memo``: q has no monomial in a safe argument,
+    so no branch dominates another.  Above 512 safe arguments the entry is
+    left as q + max(safe arguments)."""
+    if m > 512:
+        return Sum((expr_from_posy(q), Max(tuple(Arg(n + j) for j in range(m)))))
+    pad = (0,) * m
+    q = {mono + pad: c for mono, c in q.items()}
+    branches = [{**q, _unit(n + j, n + m): 1} for j in range(m)]
+    return expr_from_form(branches or [q], n + m, memo)
 
 
 def compile_bc(b: BcTerm) -> BcCompilation:
@@ -285,24 +292,15 @@ def compile_bc(b: BcTerm) -> BcCompilation:
     run_stack(_arity_walk(b, arities))  # validate before emitting anything
     comp = _Compiler(arities)
     main = run_stack(comp.compile(b))
-    signature = [S0, S1, ZERO] + [
-        s for s in _symbol_order(comp.equations) if s.is_function
-    ]
+    functions = dict.fromkeys(eq.lhs_function for eq in comp.equations)
+    signature = [S0, S1, ZERO] + list(functions)
     program = Program(tuple(signature), tuple(comp.equations), main)
     entries = dict(comp.entries)
-    entries["s0"] = Sum((Arg(0), Const(1)))
-    entries["s1"] = Sum((Arg(0), Const(1)))
+    entries["s0"] = entries["s1"] = Sum((Arg(0), Const(1)))
     entries["0"] = Const(1)
     return BcCompilation(
         program, QiAssignment(entries, comp.memo), comp.provenance, comp.boundaries, main
     )
-
-
-def _symbol_order(equations: list) -> list[Symbol]:
-    seen: dict[str, Symbol] = {}
-    for eq in equations:
-        seen.setdefault(eq.lhs_function.name, eq.lhs_function)
-    return list(seen.values())
 
 
 # -- random generation -----------------------------------------------------------
@@ -326,8 +324,6 @@ def _initial(rng: random.Random, n: int, m: int) -> BcTerm:
         options.append(BcCond())
     if n + m >= 1:
         options.extend(BcProj(n, m, j) for j in range(1, n + m + 1))
-    if not options:
-        options.append(BcZero() if (n, m) == (0, 0) else BcProj(n, m, 1))
     return options[rng.randrange(len(options))]
 
 

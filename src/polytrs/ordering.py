@@ -157,6 +157,8 @@ def parse_precedence(text: str, program: Program, mode: str = EPPO) -> Precedenc
         op, out = ("<", pairs) if "<" in clause else ("~", merges)
         if op not in clause:
             raise ParseError(f"cannot read precedence clause {clause!r}")
+        if "<" in clause and "~" in clause:
+            raise ParseError(f"precedence clause {clause!r} mixes < and ~")
         parts = [p.strip() for p in clause.split(op)]
         if not all(parts):
             raise ParseError(f"precedence clause {clause!r} has an empty side")

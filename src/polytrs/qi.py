@@ -11,10 +11,11 @@ dominance, refuted by deterministic grid plus seeded rational sampling, and
 reported Unknown otherwise.
 
 Expression nodes are hash-consed, as terms are: one immutable node per
-distinct expression, so equality is identity, and each node stores its hash
-and its min and max flags when it is built.  An assignment's memo keeps every
-normal form, dominance decision and ``term_qi`` substitution, so checks that
-share it share the very nodes, and a repeated question costs one lookup.
+distinct expression, so equality is identity and the hash is the address,
+and each node stores its min and max flags when it is built.  An
+assignment's memo keeps every normal form, dominance decision and
+``term_qi`` substitution, so checks that share it share the very nodes, and
+a repeated question costs one lookup.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ UNKNOWN = "unknown"
 
 # Every node is built through the intern table of ``terms``, the one App
 # uses, under the key (node class, field), so there is one object per
-# distinct expression and equality is identity.  A node's hash and min and
-# max flags are computed once, when it is built, from its children's stored
-# fields:
-# expressions share subtrees heavily, and a recursion per lookup would cost
-# more than the normalization it serves.  The hash comes from the content
-# alone (Fraction and int hashes), so a node hashes alike in every process.
+# distinct expression, equality is identity and the hash is the address, as
+# for App.  A node's min and max flags are computed once, when it is built,
+# from its children's stored flags: expressions share subtrees heavily, and a
+# recursion per lookup would cost more than the normalization it serves.  An
+# address differs from process to process, so no output may follow the
+# iteration order of a set of nodes; every one is only probed.
 
 _set = object.__setattr__
 _HAS_MIN = operator.attrgetter("has_min")
@@ -59,7 +60,7 @@ _HAS_MAX = operator.attrgetter("has_max")
 
 
 class _Node:
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
     has_min = has_max = False
 
     def __new__(cls, value):
@@ -71,7 +72,6 @@ class _Node:
                 return node
         node = object.__new__(cls)
         _set(node, cls._field, value)
-        _set(node, "_hash", hash((value,) if cls is Arg else value))
         if issubclass(cls, _Compound):
             _set(node, "has_min", cls is Min or any(map(_HAS_MIN, value)))
             _set(node, "has_max", cls is Max or any(map(_HAS_MAX, value)))
@@ -81,9 +81,6 @@ class _Node:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"{type(self).__name__}({getattr(self, self._field)!r})"
@@ -274,7 +271,7 @@ Posy = dict  # tuple[int, ...] -> int or Fraction
 # compares exactly with Fractions, at a fraction of the cost.
 
 
-def _posy_sum(parts: list) -> Posy:
+def posy_sum(parts: list) -> Posy:
     out: Posy = {}
     for p in parts:
         for m, c in p.items():
@@ -282,13 +279,26 @@ def _posy_sum(parts: list) -> Posy:
     return out
 
 
-def _posy_mul(a: Posy, b: Posy) -> Posy:
+def posy_mul(a: Posy, b: Posy) -> Posy:
     out: Posy = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = tuple(map(operator.add, m1, m2))
             out[m] = out.get(m, 0) + c1 * c2
     return out
+
+
+def posy_compose(p: Posy, args: list, arity: int) -> Posy:
+    """p with its argument i replaced by the posynomial args[i], each over
+    ``arity`` arguments, expanded into one posynomial."""
+    parts = []
+    for mono, c in p.items():
+        out = {tuple([0] * arity): c}
+        for a, e in zip(args, mono):
+            for _ in range(e):
+                out = posy_mul(out, a)
+        parts.append(out)
+    return posy_sum(parts)
 
 
 def posy_dominates(a: Posy, b: Posy) -> bool:
@@ -417,12 +427,12 @@ def _posy_of(u: QiExpr, posy: dict, zero: tuple) -> Posy:
     if kind is Arg:
         return {zero[: u.index] + (1,) + zero[u.index + 1 :]: 1}
     if kind is Sum:
-        return _posy_sum([posy[id(i)] for i in u.items])
+        return posy_sum([posy[id(i)] for i in u.items])
     if not u.items:
         return {zero: 1}
     out = posy[id(u.items[0])]  # the product starts at its first factor, not at 1
     for i in u.items[1:]:
-        out = _posy_mul(out, posy[id(i)])
+        out = posy_mul(out, posy[id(i)])
     return out
 
 
@@ -441,21 +451,10 @@ def expr_from_posy(p: Posy) -> QiExpr:
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
-def simplify(e: QiExpr, arity: int, memo: Optional[dict] = None) -> QiExpr:
-    """Canonical pruned max-of-posynomials form when one exists.
-
-    Substitution-heavy constructions (compiled recurrences in particular)
-    produce towers of shared subterms; renormalizing keeps them flat.
-    ``memo`` is the normal-form memo of max_posy_form; the result's own form
-    is e's in the result's branch order, and it is entered there too.
-    """
-    if e.has_min:
-        return e
-    if memo is None:
-        memo = {}
-    form = max_posy_form(e, arity, cap=512, memo=memo)
-    if form is None:
-        return e
+def expr_from_form(form: list, arity: int, memo: dict) -> QiExpr:
+    """The expression of a pruned max-of-posynomials form, its branches
+    sorted by ``_posy_key`` under one max when there are several.  The
+    sorted form is the expression's own, and is entered in ``memo``."""
     form = sorted(form, key=_posy_key)
     if len(form) == 1:
         out, known = expr_from_posy(form[0]), [1, [], form]

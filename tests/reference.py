@@ -3,13 +3,15 @@
 The denotation of the safe-recursion algebra on bit tuples, independent of
 the rewrite machinery, and its word encoding; the algebra's s-expression
 printer; the blind image of a proof; the structure of a judgement, for
-golden-tree comparisons; the rational weight of a value; and the paper's
-meet of two assignments.
+golden-tree comparisons; the rational weight of a value; the paper's meet
+of two assignments; and the route by which ``compile_bc`` once built its
+assignment, as ``substitute`` trees normalised by ``simplify``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from polytrs.base import QiError, SignatureError, postorder
 from polytrs.bc import (
@@ -23,10 +25,25 @@ from polytrs.bc import (
     BcSafeRec,
     BcSucc,
     BcTerm,
+    BcCompilation,
     BcZero,
 )
 from polytrs.blind import BlindProgram, _blind_images
-from polytrs.qi import Min, QiAssignment, eval_expr
+from polytrs.qi import (
+    Arg,
+    Const,
+    Max,
+    Min,
+    Prod,
+    QiAssignment,
+    QiExpr,
+    Sum,
+    _posy_key,
+    eval_expr,
+    expr_from_posy,
+    max_posy_form,
+    substitute,
+)
 from polytrs.semantics import DerivationProof, Judgement, classify
 from polytrs.terms import App, Program, Term, Var, format_term
 
@@ -166,3 +183,73 @@ def meet(a1: QiAssignment, a2: QiAssignment, program: Program) -> QiAssignment:
             e2 = a2.entries[name]
             entries[name] = e1 if e1 == e2 else Min((e1, e2))
     return QiAssignment(entries)
+
+
+def simplify(e: QiExpr, arity: int, memo: Optional[dict] = None) -> QiExpr:
+    """Canonical pruned max-of-posynomials form when one exists.
+
+    Substitution-heavy constructions (compiled recurrences in particular)
+    produce towers of shared subterms; renormalizing keeps them flat.
+    ``memo`` is the normal-form memo of max_posy_form; the result's own form
+    is e's in the result's branch order, and it is entered there too.
+    """
+    if e.has_min:
+        return e
+    if memo is None:
+        memo = {}
+    form = max_posy_form(e, arity, cap=512, memo=memo)
+    if form is None:
+        return e
+    form = sorted(form, key=_posy_key)
+    if len(form) == 1:
+        out, known = expr_from_posy(form[0]), [1, [], form]
+    else:
+        out = Max(tuple([expr_from_posy(p) for p in form]))
+        known = [len(form), [out], form]
+    memo.setdefault((out, arity), known)
+    return out
+
+
+def reference_compile_entries(comp: BcCompilation) -> dict:
+    """The entry of each compiled function symbol, built as ``compile_bc``
+    once built it: each q part a ``substitute`` tree over the q parts of
+    the symbols its equations call, normalised by ``simplify``, and the
+    entry ``simplify(q + max(safe arguments))``.  Which symbols a symbol
+    calls is read off its equations, in the order ``compile_bc`` emits
+    them."""
+    memo: dict = {}
+    q_parts: dict = {}
+    entries: dict = {}
+    for f in comp.program.functions:
+        n, m = comp.boundaries[f.name]
+        kind = comp.provenance[f.name]
+        eqs = [eq for eq in comp.program.equations if eq.lhs_function == f]
+        normals = [Arg(i) for i in range(n)]
+        if kind.startswith("projection"):
+            q_parts[f.name] = Sum(tuple(normals)) if n else Const(0)
+            entries[f.name] = Max(tuple(Arg(i) for i in range(n + m)))
+            continue
+        if kind == "constant 0" or kind.startswith("successor"):
+            q = Const(1)
+        elif kind in ("predecessor", "conditional"):
+            q = Const(0)
+        elif kind == "safe recursion":
+            g, h0, h1 = (eq.rhs.symbol.name for eq in eqs)
+            q_g = substitute(q_parts[g], normals[1:])
+            q_h0 = substitute(q_parts[h0], normals)
+            q_h1 = substitute(q_parts[h1], normals)
+            base_q = Sum((Prod((normals[0], Sum((q_h0, q_h1)))), q_g))
+            q = Sum(tuple([base_q] + normals))
+        else:
+            rhs = eqs[0].rhs
+            p = comp.boundaries[rhs.symbol.name][0]
+            hs = [a.symbol.name for a in rhs.args[:p]]
+            ls = [a.symbol.name for a in rhs.args[p:]]
+            q_hs = [substitute(q_parts[h], normals) for h in hs]
+            q_g = substitute(q_parts[rhs.symbol.name], q_hs)
+            q_ls = [substitute(q_parts[l], normals) for l in ls]
+            q = Sum(tuple([q_g] + q_ls + normals))
+        q = q_parts[f.name] = simplify(q, n, memo)
+        entry = q if m == 0 else Sum((q, Max(tuple(Arg(n + i) for i in range(m)))))
+        entries[f.name] = simplify(entry, n + m, memo)
+    return entries

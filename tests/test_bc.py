@@ -28,7 +28,13 @@ from polytrs.qi import check_conditions, check_qi, eval_expr, is_uniform
 from polytrs.terms import App
 
 from .conftest import CORPUS, checked_cbv
-from .reference import bc_eval, bits_to_word, format_bc, word_to_bits
+from .reference import (
+    bc_eval,
+    bits_to_word,
+    format_bc,
+    reference_compile_entries,
+    word_to_bits,
+)
 
 
 def run_compiled(comp, normals, safes):
@@ -237,6 +243,42 @@ def test_blind_image_growth_within_assembled_bound():
     table = measure_strong_poly(image.program, sizes=range(1, 6))
     for row in table.rows:
         assert row.worst_rules <= strong_poly_bound(image.program, moved, prec, row.size)
+
+
+# -- the compiled entries ---------------------------------------------------------
+
+
+def _assert_entries_are_the_reference(comp):
+    """Each entry is the node the substitute-and-simplify route builds, and
+    each form compile_bc enters in the memo is its key's own normal form."""
+    expected = reference_compile_entries(comp)
+    assert expected.keys() == {f.name for f in comp.program.functions}
+    for name, entry in expected.items():
+        assert comp.qi.entries[name] is entry, name
+    for (e, arity), known in comp.qi.memo.items():
+        fresh: dict = {}
+        qi.max_posy_form(e, arity, memo=fresh)
+        assert known == fresh[e, arity], qi.format_expr(e)
+
+
+@pytest.mark.parametrize("depth, seeds", [(4, range(200)), (6, range(40))])
+def test_compiled_entries_match_the_substitute_route(depth, seeds):
+    for seed in seeds:
+        _assert_entries_are_the_reference(compile_bc(random_bc(seed, depth)))
+
+
+def test_entry_keeps_its_max_above_the_branch_cap():
+    # 513 safe arguments keep q + max(safe arguments), as simplify's cap
+    # (512 branches) left them; 512 give a max of 512 branches.
+    comp = compile_bc(BcSafeComp(1, 513, BcZero(), (), ()))
+    _assert_entries_are_the_reference(comp)
+    entry = comp.qi.entries[comp.main.name]
+    assert isinstance(entry, qi.Sum) and len(entry.items[1].items) == 513
+    assert (entry, 514) not in comp.qi.memo
+    below = compile_bc(BcSafeComp(1, 512, BcZero(), (), ()))
+    entry = below.qi.entries[below.main.name]
+    assert isinstance(entry, qi.Max) and len(entry.items) == 512
+    assert below.qi.memo[entry, 513][0] == 512
 
 
 # -- the assignment's QI memo ----------------------------------------------------

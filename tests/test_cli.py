@@ -439,6 +439,17 @@ def test_order_clause_with_an_empty_side_is_a_parse_error(capsys, order):
     }
 
 
+def test_order_clause_mixing_order_and_equivalence_exits_3(capsys):
+    code, data = run_json(
+        capsys, "--order", "append < f ~ f", "check-order", str(CORPUS / "running.trs")
+    )
+    assert code == 3
+    assert data == {
+        "error": "parse-error",
+        "message": "precedence clause 'append < f ~ f' mixes < and ~",
+    }
+
+
 def test_check_qi_with_a_second_line_for_a_symbol_exits_3(tmp_path, capsys):
     qi = tmp_path / "twice.qi"
     qi.write_text((CORPUS / "append.qi").read_text() + "qi append(X, Y) = X * Y\n")

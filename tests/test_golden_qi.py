@@ -7,7 +7,7 @@ blind image under the transferred one), the SHA-256 of
 strings, statuses, witnesses and notes all enter the digest, so a change to
 normalization, memoisation or sampling that alters any verdict shows up here.
 
-The compiled assignments themselves, ``simplify``'s output, are pinned for all
+The compiled assignments themselves, ``compile_bc``'s entries, are pinned for all
 200 terms of the safe-recursion sweep by one digest of their text.
 """
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import re
 import weakref
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytrs import ordering
-from polytrs.base import PrecedenceError
+from polytrs.base import ParseError, PrecedenceError
 from polytrs.bc import compile_bc, random_bc
 from polytrs.blind import blind_program
 from polytrs.ordering import (
@@ -212,6 +213,14 @@ def test_parse_precedence(running):
 @pytest.mark.parametrize("text", ["f ~ zzz", "zzz ~ append", "append < f ; s0 ~ zzz"])
 def test_equivalence_with_an_unknown_symbol_is_rejected(running, text):
     with pytest.raises(PrecedenceError, match="^unknown symbol zzz in precedence$"):
+        parse_precedence(text, running, EPPO)
+
+
+@pytest.mark.parametrize("text", ["append < f ~ f", "f ~ append < f", "append < f ; f ~ s0 < s1"])
+def test_clause_mixing_order_and_equivalence_is_a_parse_error(running, text):
+    clause = text.split(";")[-1].strip()
+    message = f"precedence clause {clause!r} mixes < and ~"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_precedence(text, running, EPPO)
 
 

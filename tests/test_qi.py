@@ -38,7 +38,6 @@ from polytrs.qi import (
     max_posy_form,
     parse_assignment,
     parse_expr,
-    simplify,
     term_qi,
     _refute,
     _sample_points,
@@ -49,7 +48,7 @@ from polytrs.terms import App, term_size
 from .conftest import CORPUS, checked_cbv, load, t
 from .oracles import reference_eval_expr
 from .bounds import max_constructor_constant
-from .reference import meet, value_qi
+from .reference import meet, simplify, value_qi
 from .strategies import values
 
 
@@ -732,20 +731,28 @@ def test_sample_points_stream_in_bounded_memory():
     assert peak < 2_000_000
 
 
-def test_expression_hash_is_the_same_in_every_process():
-    # Nodes store their hash; it must not depend on per-process values (type
-    # addresses, string hash seeds), or a pickled node would carry a stale one.
-    e = Max((Sum((Arg(0), Const(Fraction(1, 2)))), Prod((Arg(1), Arg(1)))))
-    code = (
-        "from fractions import Fraction\n"
-        "from polytrs.qi import Arg, Const, Max, Prod, Sum\n"
-        f"print(hash({e!r}))\n"
-    )
-    env = {**os.environ, "PYTHONHASHSEED": "7", "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert int(out.stdout) == hash(e)
+CLI_RUNS = """
+from polytrs.cli import main
+for argv in {argvs!r}:
+    code = main(argv)
+    print("exit", code)
+"""
+
+
+def test_check_qi_and_bc_compile_print_the_same_bytes_under_every_hash_seed():
+    # Nodes hash by address, which differs from process to process; no
+    # output may follow it, whatever the string hash seed.
+    qis = sorted(CORPUS.glob("*.qi"))
+    argvs = [["--qi", str(q), "check-qi", str(q.with_suffix(".trs"))] for q in qis]
+    argvs += [["bc-compile", str(b)] for b in sorted(CORPUS.glob("*.bc"))]
+    code = CLI_RUNS.format(argvs=argvs)
+    outputs = []
+    for seed in ("1", "7"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"exit ") == len(argvs)
 
 
 def test_second_qi_line_for_a_symbol_is_a_parse_error(corpus):
@@ -812,12 +819,8 @@ def test_nodes_built_twice_are_equal(data):
     assert _rebuilt(e) is e  # hash-consed: one node per distinct expression
     assert eval(repr(e)) is e
     assert pickle.loads(pickle.dumps(e)) is e
-    if isinstance(e, Const):
-        assert hash(e) == hash(e.value)
-    elif isinstance(e, Arg):
-        assert hash(e) == hash((e.index,))
-    else:
-        assert hash(e) == hash(e.items)
+    assert hash(e) == object.__hash__(e)  # the address, as for terms
+    if isinstance(e, (Sum, Prod, Max, Min)):
         assert e.has_min == (isinstance(e, Min) or any(i.has_min for i in e.items))
         assert e.has_max == (isinstance(e, Max) or any(i.has_max for i in e.items))
 
