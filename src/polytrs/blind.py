@@ -147,7 +147,6 @@ class GrowthRow:
 @dataclass(frozen=True)
 class GrowthTable:
     rows: tuple
-    inputs_per_size: dict
 
     def as_csv(self) -> str:
         lines = ["n,worst_rules,worst_result_size,derivations,truncated"]
@@ -278,6 +277,31 @@ def input_tuples(
     return out
 
 
+def walk_inputs(program: Program, sizes: range, inputs_cap: int, seed: int, walk, fold, start):
+    """Per size n, yield (n, acc, truncated): acc folds ``fold(acc,
+    walk(term, store))`` from ``start`` over the inputs of size n, the main
+    function applied to each of ``input_tuples``' tuples in order.  A walk
+    that raises BudgetExceeded or CycleDetected adds nothing and marks its
+    row truncated rather than silently clipped.  All sizes draw from one
+    pool dict, so each word pool is drawn once, and all walks read one
+    outcome store, so each state is derived once.
+    """
+    main = program.main
+    store: dict = {}
+    pools: dict = {}
+    for n in sizes:
+        acc = start
+        truncated = False
+        for args in input_tuples(program, main, n, inputs_cap, seed, pools):
+            try:
+                result = walk(App(main, args), store)
+            except (BudgetExceeded, CycleDetected):
+                truncated = True
+                continue
+            acc = fold(acc, result)
+        yield n, acc, truncated
+
+
 def measure_strong_poly(
     program: Program,
     sizes: range = range(1, 9),
@@ -288,33 +312,21 @@ def measure_strong_poly(
     """Worst rule count and result size per input size, over all derivations.
 
     Inputs are all (or a seeded sample of) words of each size; the result
-    size column measures word length.  Rows where the budget bites are
-    flagged truncated rather than silently clipped.  All sizes draw from one
-    pool dict, so each word pool is drawn once.  All inputs read one
-    outcome store, so each state is derived once; each input has its own
-    paid set, so it is charged the state budget a fresh table would charge.
+    size column measures word length.  Each input reads the shared outcome
+    store of ``walk_inputs`` with its own paid set, so it is charged the
+    state budget a fresh table would charge.
     """
-    main = program.main
-    rows = []
-    store: dict = {}
-    pools: dict = {}
-    inputs_per_size = {}
-    for n in sizes:
-        tuples = input_tuples(program, main, n, inputs_cap, seed, pools)
-        inputs_per_size[n] = len(tuples)
-        worst_rules = 0
-        worst_result = 0
-        derivs = 0
-        truncated = False
-        for args in tuples:
-            try:
-                outs = outcome_table(program, App(main, args), store, set(), budget.max_rules)
-            except (BudgetExceeded, CycleDetected):
-                truncated = True
-                continue
-            for v, (cost, count) in outs.items():
-                worst_rules = max(worst_rules, cost)
-                worst_result = max(worst_result, word_length(v))
-                derivs += count
-        rows.append(GrowthRow(n, worst_rules, worst_result, derivs, truncated))
-    return GrowthTable(tuple(rows), inputs_per_size)
+
+    def walk(term: Term, store: dict) -> dict:
+        return outcome_table(program, term, store, set(), budget.max_rules)
+
+    def fold(acc: tuple, outs: dict) -> tuple:
+        worst_rules, worst_result, derivs = acc
+        for v, (cost, count) in outs.items():
+            worst_rules = max(worst_rules, cost)
+            worst_result = max(worst_result, word_length(v))
+            derivs += count
+        return worst_rules, worst_result, derivs
+
+    rows = walk_inputs(program, sizes, inputs_cap, seed, walk, fold, (0, 0, 0))
+    return GrowthTable(tuple(GrowthRow(n, *acc, truncated) for n, acc, truncated in rows))

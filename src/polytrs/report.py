@@ -6,10 +6,11 @@ three overall verdicts:
 * P-criterion: strict path order pass plus a valid quasi-interpretation.
 * Blind-P: P-criterion plus uniformity and linearity (so the bound
   survives blinding).
-* Extended-P: fair path order pass plus certified bounded values.
+* Extended-P: fair path order pass plus certified bounded values, with a
+  memo path (orthogonality or linearity).
 
-Reports are deterministic given inputs, seed and budget, and every overall
-verdict is recomputable from the per-stage fields.
+Reports are deterministic given inputs, seed and budget, and ``decide``
+recomputes every overall verdict from the per-stage fields.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .base import Budget, DEFAULT_BUDGET, NotWordProgram, run_stack
 from .blind import blind_program, is_linear, transfer_uniform_qi
 from .ordering import EPPO, PPO, order_verdict
 from .parser import format_program
-from .qi import QiAssignment, VALID, check_qi, is_uniform
+from .qi import INVALID, QiAssignment, UNKNOWN, VALID, check_qi, is_uniform
 from .semantics import is_orthogonal
 from .terms import Program
 from .wordnorm import certify_extended
@@ -34,7 +35,6 @@ SCHEMA_VERSION = 2
 
 PASS = "pass"
 FAIL = "fail"
-UNKNOWN = "unknown"
 
 
 def _json_scalar(x) -> str:
@@ -110,6 +110,52 @@ class Report:
         return 2
 
 
+def decide(
+    ppo_pass: bool,
+    eppo_pass: bool,
+    qi: Optional[str],
+    uniform: Optional[bool],
+    linear: Optional[bool],
+    orthogonal: bool,
+    bounded_values: str,
+) -> tuple[dict, str]:
+    """The three verdicts, and the extended criterion's overall verdict,
+    from the stage facts; the one home of the verdict rules.
+
+    ``qi`` and ``uniform`` are None without an assignment, and ``linear``
+    is None when no path order gives a precedence: that is no memo path,
+    but it does not fail blind-P.
+    """
+    if ppo_pass and qi == VALID:
+        p_criterion = PASS
+    elif not ppo_pass or qi == INVALID:
+        p_criterion = FAIL
+    else:
+        p_criterion = UNKNOWN
+    if p_criterion == PASS and uniform and linear:
+        blind_p = PASS
+    elif p_criterion == FAIL or uniform is False or linear is False:
+        blind_p = FAIL
+    else:
+        blind_p = UNKNOWN
+    if eppo_pass and qi == VALID and (orthogonal or linear):
+        overall = "certified-p"
+    elif bounded_values == "empirical-exp":
+        overall = "refuted"
+    elif eppo_pass and bounded_values == "empirical-poly":
+        overall = "empirically-consistent"
+    else:
+        overall = UNKNOWN
+    if overall == "certified-p":
+        extended_p = PASS
+    elif overall == "refuted" or not eppo_pass:
+        extended_p = FAIL
+    else:
+        extended_p = UNKNOWN
+    verdicts = {"p_criterion": p_criterion, "blind_p": blind_p, "extended_p": extended_p}
+    return verdicts, overall
+
+
 def build_report(
     program: Program,
     assignment: Optional[QiAssignment] = None,
@@ -176,29 +222,11 @@ def build_report(
         program, eppo, qi_overall, orthogonal, bool(linear),
         sizes=sizes, budget=budget, seed=seed,
     )
-    stages["extended"] = extended.as_dict()
-
-    if ppo_pass and qi_overall == VALID:
-        p_criterion = PASS
-    elif not ppo_pass or qi_overall == "invalid":
-        p_criterion = FAIL
-    else:
-        p_criterion = UNKNOWN
-    blind_p = (
-        PASS
-        if (p_criterion == PASS and bool(uniform) and bool(linear))
-        else (
-            FAIL
-            if p_criterion == FAIL or uniform is False or linear is False
-            else UNKNOWN
-        )
+    verdicts, overall = decide(
+        ppo_pass, eppo_pass, qi_overall, uniform, linear, orthogonal, extended.bounded_values
     )
-    if extended.overall == "certified-p":
-        extended_p = PASS
-    elif extended.overall == "refuted" or not eppo_pass:
-        extended_p = FAIL
-    else:
-        extended_p = UNKNOWN
+    stages["extended"] = extended.as_dict()
+    stages["extended"]["overall"] = overall
 
     data = {
         "schema_version": SCHEMA_VERSION,
@@ -220,10 +248,6 @@ def build_report(
             "rank_counting": "per-precedence-class",
         },
         "stages": stages,
-        "verdicts": {
-            "p_criterion": p_criterion,
-            "blind_p": blind_p,
-            "extended_p": extended_p,
-        },
+        "verdicts": verdicts,
     }
     return Report(data)

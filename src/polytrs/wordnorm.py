@@ -1,5 +1,5 @@
 """Word-program analysis: production sizes, normality, normalization,
-bounded-values measurement and the extended certification.
+bounded-values measurement and the extended criterion's stage facts.
 
 Everything here assumes unary words: all constructors have arity at most
 one, so patterns are either ground words or a constructor prefix applied to
@@ -11,16 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .base import (
-    Budget,
-    BudgetExceeded,
-    CycleDetected,
-    DEFAULT_BUDGET,
-    NormalizationError,
-    NotWordProgram,
-)
+from .base import Budget, DEFAULT_BUDGET, NormalizationError, NotWordProgram
 from .callgraph import reachable_states
-from .blind import classify_growth, input_tuples, measure_strong_poly, word_alphabet
+from .blind import classify_growth, measure_strong_poly, walk_inputs, word_alphabet
 from .ordering import EPPO, OrderingVerdict, Precedence, check_program, order_verdict
 from .qi import QiExpr, VALID, eval_expr
 from .terms import (
@@ -258,34 +251,26 @@ def measure_bounded_values(
 
     States are enumerated through the transition relation, which agrees
     with call-tree membership; a user polynomial in the input size is
-    checked against each untruncated row when supplied.  All sizes draw
-    their inputs from one pool dict, so each word pool is drawn once.  All
-    inputs share one successor map and one outcome store, so each state is
-    expanded, and each outcome state derived, once across every walk.  Each
-    walk is still charged the budget it would be charged on its own: a
-    state it reads from the map charges the outcome states of that
+    checked against each untruncated row when supplied.  All walks share
+    one successor map beside the outcome store of ``walk_inputs``, so each
+    state is expanded, and each outcome state derived, once across every
+    walk.  Each walk is still charged the budget it would be charged on its
+    own: a state it reads from the map charges the outcome states of that
     expansion's arguments again.
     """
-    rows = []
-    main = program.main
     successor_map: dict = {}
-    store: dict = {}
-    pools: dict = {}
-    for n in sizes:
-        worst = 0
-        count = 0
-        truncated = False
-        for args in input_tuples(program, main, n, inputs_cap, seed, pools):
-            try:
-                states = reachable_states(
-                    program, App(main, tuple(args)), budget, successor_map, store
-                )
-            except (BudgetExceeded, CycleDetected):
-                truncated = True
-                continue
-            count += len(states)
-            for st in states:
-                worst = max(worst, st.size)
+
+    def walk(term: App, store: dict) -> set:
+        return reachable_states(program, term, budget, successor_map, store)
+
+    def fold(acc: tuple, states: set) -> tuple:
+        worst, count = acc
+        return max(worst, max(st.size for st in states)), count + len(states)
+
+    rows = []
+    for n, (worst, count), truncated in walk_inputs(
+        program, sizes, inputs_cap, seed, walk, fold, (0, 0)
+    ):
         poly_ok = None
         if user_poly is not None and not truncated:
             poly_ok = eval_expr(user_poly, [n]) >= worst
@@ -309,7 +294,6 @@ class ExtendedVerdict:
     bounded_values: str  # certified | empirical-poly | empirical-exp | unknown
     growth: Optional[dict]
     value_rows: Optional[tuple]
-    overall: str  # certified-p | refuted | empirically-consistent | unknown
 
     def as_dict(self) -> dict:
         return {
@@ -324,8 +308,10 @@ class ExtendedVerdict:
             "bounded_values": self.bounded_values,
             "growth": self.growth,
             "value_rows": [r.as_dict() for r in self.value_rows] if self.value_rows else None,
-            "overall": self.overall,
         }
+
+
+_EMPIRICAL = {"exponential-consistent": "empirical-exp", "polynomial-consistent": "empirical-poly"}
 
 
 def certify_extended(
@@ -338,14 +324,12 @@ def certify_extended(
     budget: Budget = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> ExtendedVerdict:
-    """The composite verdict behind the extended criterion.
+    """The stage facts behind the extended criterion.
 
     Takes the fair-order verdict, the QI verdict, orthogonality and
-    linearity as computed by the caller, and adds normalization and
-    measurement.  A fair-order pass plus a valid quasi-interpretation
-    certifies membership (with memoisation, hence the confluence or
-    linearity gate); otherwise measurement can refute polynomial growth or
-    support it empirically.
+    linearity as computed by the caller, and adds normalization and the
+    bounded-values class: certified by a valid quasi-interpretation, or
+    else measured on a word program.  ``report.decide`` draws the verdict.
     """
     word = True
     try:
@@ -364,8 +348,6 @@ def certify_extended(
         except (NormalizationError, NotWordProgram):
             pass
 
-    has_memo_path = orthogonal or linear
-
     growth = None
     value_rows = None
     bounded = "unknown"
@@ -375,43 +357,20 @@ def certify_extended(
         # With a memoisation (or linear cbv) path the relevant empirical
         # quantity is the size of reachable states; without one, plain
         # call-by-value growth is all there is to measure.
-        if has_memo_path:
-            try:
-                value_rows = tuple(
-                    measure_bounded_values(program, sizes=sizes, budget=budget, seed=seed)
-                )
-                cls = classify_growth(
-                    [r.max_state_size for r in value_rows if not r.truncated]
-                )
-                if cls == "exponential-consistent":
-                    bounded = "empirical-exp"
-                elif cls == "polynomial-consistent" or (
-                    len({r.max_state_size for r in value_rows}) == 1
-                    and not any(r.truncated for r in value_rows)
-                ):
-                    bounded = "empirical-poly"
-            except (BudgetExceeded, CycleDetected, NotWordProgram):
-                value_rows = None
+        if orthogonal or linear:
+            value_rows = tuple(
+                measure_bounded_values(program, sizes=sizes, budget=budget, seed=seed)
+            )
+            cls = classify_growth([r.max_state_size for r in value_rows if not r.truncated])
+            # constant, untruncated rows are polynomial, also below the
+            # four rows classify_growth needs
+            constant = len({r.max_state_size for r in value_rows}) == 1
+            if constant and not any(r.truncated for r in value_rows):
+                cls = "polynomial-consistent"
         else:
-            try:
-                table = measure_strong_poly(program, sizes=sizes, budget=budget, seed=seed)
-                growth = table.as_dict()
-                rules_cls = growth["classification"]["worst_rules"]
-                if rules_cls == "exponential-consistent":
-                    bounded = "empirical-exp"
-                elif rules_cls == "polynomial-consistent":
-                    bounded = "empirical-poly"
-            except (BudgetExceeded, CycleDetected, NotWordProgram):
-                pass
-
-    if eppo_pass and qi_overall == VALID and has_memo_path:
-        overall = "certified-p"
-    elif bounded == "empirical-exp":
-        overall = "refuted"
-    elif eppo_pass and bounded == "empirical-poly":
-        overall = "empirically-consistent"
-    else:
-        overall = "unknown"
+            growth = measure_strong_poly(program, sizes=sizes, budget=budget, seed=seed).as_dict()
+            cls = growth["classification"]["worst_rules"]
+        bounded = _EMPIRICAL.get(cls, bounded)
 
     return ExtendedVerdict(
         eppo,
@@ -425,5 +384,4 @@ def certify_extended(
         bounded,
         growth,
         value_rows,
-        overall,
     )

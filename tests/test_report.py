@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from collections import Counter
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 import polytrs
 from polytrs.qi import parse_assignment
-from polytrs.report import build_report, dump_json, program_digest, write_json
+from polytrs.report import Report, build_report, decide, dump_json, program_digest, write_json
 
-from .conftest import CORPUS
+from .conftest import CORPUS, CORPUS_PROGRAMS
 
 
 def test_digest_stable(corpus):
@@ -30,22 +31,86 @@ def test_report_json_deterministic(corpus):
 
 
 def test_verdicts_recomputable_from_stages(corpus):
-    prog = corpus["mult.trs"]
-    asg = parse_assignment((CORPUS / "mult.qi").read_text(), prog)
-    report = build_report(prog, asg, sizes=range(1, 5))
-    data = report.data
-    stages = data["stages"]
-    ppo_pass = stages["ordering"]["ppo"]["overall"]
-    qi_valid = stages["qi"]["overall"] == "valid"
-    assert (data["verdicts"]["p_criterion"] == "pass") == (ppo_pass and qi_valid)
-    blind_pass = (
-        data["verdicts"]["p_criterion"] == "pass"
-        and stages["qi"]["uniform"]
-        and stages["linearity"]["overall"]
-    )
-    assert (data["verdicts"]["blind_p"] == "pass") == blind_pass
-    extended_pass = stages["extended"]["overall"] == "certified-p"
-    assert (data["verdicts"]["extended_p"] == "pass") == extended_pass
+    """Every corpus report's verdicts, and its extended overall, follow from
+    the stage facts it writes; the corpus reaches every value of each."""
+    seen: dict = {}
+    for name in CORPUS_PROGRAMS:
+        prog = corpus[name]
+        qi_path = (CORPUS / name).with_suffix(".qi")
+        asg = parse_assignment(qi_path.read_text(), prog) if qi_path.exists() else None
+        data = json.loads(build_report(prog, asg).to_json())
+        stages = data["stages"]
+        qi = stages["qi"]
+        linearity = stages["linearity"]
+        facts = (
+            stages["ordering"]["ppo"]["overall"],
+            stages["extended"]["eppo_pass"],
+            qi and qi["overall"],
+            qi and qi["uniform"],
+            linearity and linearity["overall"],
+            stages["memo_gate"]["orthogonal"],
+            stages["extended"]["bounded_values"],
+        )
+        assert decide(*facts) == (data["verdicts"], stages["extended"]["overall"]), name
+        for key, value in [*data["verdicts"].items(), ("extended", stages["extended"]["overall"])]:
+            seen.setdefault(key, set()).add(value)
+    assert seen == {
+        "p_criterion": {"pass", "fail", "unknown"},
+        "blind_p": {"pass", "fail", "unknown"},
+        "extended_p": {"pass", "fail", "unknown"},
+        "extended": {"certified-p", "refuted", "empirically-consistent", "unknown"},
+    }
+
+
+def expected_verdicts(ppo, eppo, qi, uniform, linear, orthogonal, bounded):
+    """The verdict rules as README states them, written out apart from
+    report.decide."""
+    memo_path = orthogonal or linear is True
+    p = "pass" if ppo and qi == "valid" else "fail" if not ppo or qi == "invalid" else "unknown"
+    if p == "fail" or False in (uniform, linear):
+        blind = "fail"
+    else:
+        blind = "pass" if p == "pass" and uniform is linear is True else "unknown"
+    if eppo and qi == "valid" and memo_path:
+        overall, ext = "certified-p", "pass"
+    elif bounded == "empirical-exp":
+        overall, ext = "refuted", "fail"
+    else:
+        overall = "empirically-consistent" if eppo and bounded == "empirical-poly" else "unknown"
+        ext = "unknown" if eppo else "fail"
+    return {"p_criterion": p, "blind_p": blind, "extended_p": ext}, overall
+
+
+def fact_combinations():
+    """Every feasible input of report.decide: bounded values are certified
+    exactly when the quasi-interpretation is valid."""
+    qi_uniform = [(None, None)] + [
+        (qi, u) for qi in ("valid", "invalid", "unknown") for u in (True, False)
+    ]
+    for ppo, eppo, (qi, uniform), linear, orthogonal in itertools.product(
+        (True, False), (True, False), qi_uniform, (None, True, False), (True, False)
+    ):
+        measured = ("empirical-poly", "empirical-exp", "unknown")
+        for bounded in ("certified",) if qi == "valid" else measured:
+            yield ppo, eppo, qi, uniform, linear, orthogonal, bounded
+
+
+def test_decide_matches_the_verdict_table():
+    combos = list(fact_combinations())
+    assert len(combos) == len(set(combos)) == 408
+    for facts in combos:
+        verdicts, overall = decide(*facts)
+        assert (verdicts, overall) == expected_verdicts(*facts), facts
+        ppo, eppo, qi, uniform, linear, orthogonal, bounded = facts
+        if verdicts["blind_p"] == "pass":
+            assert verdicts["p_criterion"] == "pass", facts
+        if verdicts["p_criterion"] == "pass":
+            assert ppo and qi == "valid", facts
+        if verdicts["extended_p"] == "pass":
+            assert eppo and qi == "valid" and (orthogonal or linear), facts
+        values = verdicts.values()
+        code = 0 if "pass" in values else 1 if set(values) == {"fail"} else 2
+        assert Report({"verdicts": verdicts}).exit_code() == code, facts
 
 
 def test_mult_report_passes_everything(corpus):
