@@ -9,13 +9,14 @@ the boundary as metadata for the quasi-interpretation construction.
 
 from __future__ import annotations
 
+import bisect
 import random
 import re
 from dataclasses import dataclass
 
 from .base import SignatureError, Tokens, run_stack
-from .qi import Arg, Const, Max, Posy, QiAssignment, QiExpr, Sum, expr_from_form
-from .qi import expr_from_posy, posy_compose, posy_mul, posy_sum
+from .qi import Arg, Const, Max, Posy, QiAssignment, QiExpr, Sum, enter_form, expr_from_form
+from .qi import expr_from_posy, monomial_expr, posy_compose, posy_mul, posy_sum
 from .terms import (
     App,
     CONSTRUCTOR,
@@ -278,8 +279,22 @@ def _entry(q: Posy, n: int, m: int, memo: dict) -> QiExpr:
         return Sum((expr_from_posy(q), Max(tuple(Arg(n + j) for j in range(m)))))
     pad = (0,) * m
     q = {mono + pad: c for mono, c in q.items()}
-    branches = [{**q, _unit(n + j, n + m): 1} for j in range(m)]
-    return expr_from_form(branches or [q], n + m, memo)
+    if not m:
+        return expr_from_form([q], n, memo)
+    # q's monomial nodes are built once, and each branch places X_{n+j} among
+    # them at its sorted place.  The branches then sort by ``_posy_key`` from
+    # the last safe argument to the first, as X_{n+j} sorts below X_{n+i}
+    # for i < j.
+    monos = sorted(q)
+    nodes = [monomial_expr(mono, q[mono]) for mono in monos]
+    form, exprs = [], []
+    for j in reversed(range(m)):
+        unit = _unit(n + j, n + m)
+        at = bisect.bisect(monos, unit)
+        terms = nodes[:at] + [Arg(n + j)] + nodes[at:]
+        form.append({**q, unit: 1})
+        exprs.append(terms[0] if len(terms) == 1 else Sum(tuple(terms)))
+    return enter_form(form, exprs, n + m, memo)
 
 
 def compile_bc(b: BcTerm) -> BcCompilation:

@@ -10,12 +10,12 @@ incomplete normalization to maxima of posynomials with coefficient-wise
 dominance, refuted by deterministic grid plus seeded rational sampling, and
 reported Unknown otherwise.
 
-Expression nodes are hash-consed, as terms are: one immutable node per
-distinct expression, so equality is identity and the hash is the address,
-and each node stores its min and max flags when it is built.  An
-assignment's memo keeps every normal form, dominance decision and
-``term_qi`` substitution, so checks that share it share the very nodes, and
-a repeated question costs one lookup.
+Expression nodes are hash-consed, as terms, symbols and variables are: one
+immutable node per distinct expression, so equality is identity and the
+hash is the address, and each node stores its min and max flags when it is
+built.  An assignment's memo keeps every normal form, dominance decision
+and ``term_qi`` substitution, so checks that share it share the very nodes,
+and a repeated question costs one lookup.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .base import ParseError, QiError, Tokens, postorder, run_stack
-from .terms import _INTERNED, Equation, Program, Term, Var, _intern, variables
+from .terms import Equation, Program, Term, Var, _Interned, _set, variables
 
 GRID_POINTS = (0, 1, 2, 5, 10)
 RANDOM_POINTS = 256
@@ -45,69 +45,51 @@ UNKNOWN = "unknown"
 # -- expressions --------------------------------------------------------------
 
 
-# Every node is built through the intern table of ``terms``, the one App
-# uses, under the key (node class, field), so there is one object per
-# distinct expression, equality is identity and the hash is the address, as
-# for App.  A node's min and max flags are computed once, when it is built,
-# from its children's stored flags: expressions share subtrees heavily, and a
-# recursion per lookup would cost more than the normalization it serves.  An
-# address differs from process to process, so no output may follow the
-# iteration order of a set of nodes; every one is only probed.
+# Every node is built through the intern table of ``terms``, as terms,
+# symbols and variables are, under the key (node class, field), so there is
+# one object per distinct expression, equality is identity and the hash is
+# the address.  A compound node's min and max flags are computed once, when
+# it is built, from its children's stored flags: expressions share subtrees
+# heavily, and a recursion per lookup would cost more than the normalization
+# it serves.  An address differs from process to process, so no output may
+# follow the iteration order of a set of nodes; every one is only probed.
 
-_set = object.__setattr__
 _HAS_MIN = operator.attrgetter("has_min")
 _HAS_MAX = operator.attrgetter("has_max")
 
 
-class _Node:
-    __slots__ = ("__weakref__",)
+class _Node(_Interned):
+    __slots__ = ()
     has_min = has_max = False
 
-    def __new__(cls, value):
-        key = (cls, value)
-        ref = _INTERNED.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = object.__new__(cls)
-        _set(node, cls._field, value)
-        if issubclass(cls, _Compound):
-            _set(node, "has_min", cls is Min or any(map(_HAS_MIN, value)))
-            _set(node, "has_max", cls is Max or any(map(_HAS_MAX, value)))
-        return _intern(key, node)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
     def __repr__(self):
-        return f"{type(self).__name__}({getattr(self, self._field)!r})"
-
-    def __reduce__(self):
-        return type(self), (getattr(self, self._field),)
+        return f"{type(self).__name__}({getattr(self, self._fields[0])!r})"
 
 
 class Const(_Node):
     __slots__ = ("value",)
-    _field = "value"
+    _fields = ("value",)
 
     def __new__(cls, value):
         v = Fraction(value)  # one key per rational, and no rejected node interned
         if v < 0:
             raise QiError("negative constant in an assignment expression")
-        return _Node.__new__(cls, v)
+        return _Interned.__new__(cls, v)
 
 
 class Arg(_Node):
     __slots__ = ("index",)
-    _field = "index"
+    _fields = ("index",)
 
 
 class _Compound(_Node):
     __slots__ = ("items", "has_min", "has_max")
-    _field = "items"
+    _fields = ("items",)
+
+    def _fill(self, items: tuple) -> None:
+        _set(self, "items", items)
+        _set(self, "has_min", type(self) is Min or any(map(_HAS_MIN, items)))
+        _set(self, "has_max", type(self) is Max or any(map(_HAS_MAX, items)))
 
 
 class Sum(_Compound):
@@ -440,15 +422,19 @@ def expr_from_posy(p: Posy) -> QiExpr:
     """Rebuild a sum-of-monomials expression from a posynomial."""
     if not p:
         return Const(0)
-    terms = []
-    for mono, coeff in sorted(p.items()):
-        factors: list[QiExpr] = []
-        if coeff != 1 or not any(mono):
-            factors.append(Const(coeff))
-        for i, e in enumerate(mono):
-            factors.extend([Arg(i)] * e)
-        terms.append(factors[0] if len(factors) == 1 else Prod(tuple(factors)))
+    terms = [monomial_expr(mono, coeff) for mono, coeff in sorted(p.items())]
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+
+def monomial_expr(mono: tuple, coeff) -> QiExpr:
+    """The expression of one monomial: its coefficient, unless it is 1 on a
+    non-constant monomial, times each argument as often as its exponent."""
+    factors: list[QiExpr] = []
+    if coeff != 1 or not any(mono):
+        factors.append(Const(coeff))
+    for i, e in enumerate(mono):
+        factors.extend([Arg(i)] * e)
+    return factors[0] if len(factors) == 1 else Prod(tuple(factors))
 
 
 def expr_from_form(form: list, arity: int, memo: dict) -> QiExpr:
@@ -456,10 +442,17 @@ def expr_from_form(form: list, arity: int, memo: dict) -> QiExpr:
     sorted by ``_posy_key`` under one max when there are several.  The
     sorted form is the expression's own, and is entered in ``memo``."""
     form = sorted(form, key=_posy_key)
+    return enter_form(form, [expr_from_posy(p) for p in form], arity, memo)
+
+
+def enter_form(form: list, exprs: list, arity: int, memo: dict) -> QiExpr:
+    """The max of ``exprs``, the expressions of the branches of ``form``, a
+    pruned form sorted by ``_posy_key``, or the one expression; the form is
+    its own, and is entered in ``memo``."""
     if len(form) == 1:
-        out, known = expr_from_posy(form[0]), [1, [], form]
+        out, known = exprs[0], [1, [], form]
     else:
-        out = Max(tuple([expr_from_posy(p) for p in form]))
+        out = Max(tuple(exprs))
         known = [len(form), [out], form]
     memo.setdefault((out, arity), known)
     return out

@@ -4,6 +4,12 @@ The term language has three layers: values (constructor terms), patterns
 (constructors plus variables) and general terms (which may also contain
 function applications).  Programs are ordered lists of rewrite equations
 ``f(p1..pn) -> rhs`` over a fixed signature.
+
+Symbols, variables and terms are hash-consed: each is built through one
+weak-value intern table, so there is one object per distinct value, ``==``
+is identity and the hash is the address.  As an address differs from
+process to process, even under one ``PYTHONHASHSEED``, no output may follow
+the iteration order of a set of them.
 """
 
 from __future__ import annotations
@@ -18,52 +24,117 @@ CONSTRUCTOR = "constructor"
 FUNCTION = "function"
 
 
-@dataclass(frozen=True, slots=True)
-class Symbol:
-    name: str
-    kind: str  # CONSTRUCTOR or FUNCTION
-    arity: int
+# The intern table of every hash-consed object: a symbol, variable or QI
+# node under (class, fields), a term under (symbol, args), which no such key
+# equals, as its first item is a Symbol.  Each entry is a weak reference to
+# the one object, so ``==`` can be identity and the hash the address, both
+# object's own, in C.
+_INTERNED: dict = {}
 
-    def __hash__(self) -> int:
-        # Equal symbols share a name; str hashes are cached, so this is cheap
-        # where the generated hash would build and hash a 3-tuple per call.
-        return hash(self.name)
+
+class _Ref(weakref.ref):
+    """An intern-table reference that knows its key, for ``_forget``.
+
+    Built by ``weakref.ref``'s own constructor in C; the key is set after.
+    """
+
+    __slots__ = ("key",)
+
+
+def _intern(key: tuple, node):
+    """Enter a new node as the one node for key, until it is freed."""
+    ref = _Ref(node, _forget)
+    ref.key = key
+    _INTERNED[key] = ref
+    return node
+
+
+def _forget(ref: _Ref, table: dict = _INTERNED) -> None:
+    """Drop a dead node's entry, unless a newer node already took the key."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+_set = object.__setattr__
+
+
+class _Interned:
+    """An immutable object, one per (class, fields), built through the
+    intern table.  A subclass names its fields in ``_fields``; ``_fill``
+    stores them, and whatever is derived from them, on a new object."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple = ()
+
+    def __new__(cls, *values):
+        key = (cls, *values)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node._fill(*values)
+        return _intern(key, node)
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # Unpickling and copies rebuild through the intern table.
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Symbol(_Interned):
+    """A constructor or function symbol, interned by name, kind and arity;
+    its kind flags are stored when it is built."""
+
+    __slots__ = ("name", "kind", "arity", "is_constructor", "is_function")
+    _fields = ("name", "kind", "arity")
+
+    def __new__(cls, name: str, kind: str, arity: int):
+        return _Interned.__new__(cls, name, kind, arity)
+
+    def _fill(self, name: str, kind: str, arity: int) -> None:
+        _Interned._fill(self, name, kind, arity)
+        _set(self, "is_constructor", kind == CONSTRUCTOR)
+        _set(self, "is_function", kind == FUNCTION)
 
     def __repr__(self) -> str:
         return f"{self.name}/{self.arity}"
 
-    @property
-    def is_constructor(self) -> bool:
-        return self.kind == CONSTRUCTOR
 
-    @property
-    def is_function(self) -> bool:
-        return self.kind == FUNCTION
+class Var(_Interned):
+    """A variable, interned by name."""
 
+    __slots__ = ("name",)
+    _fields = ("name",)
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
-
-    def __hash__(self) -> int:
-        # As Symbol's: the generated hash would build a 1-tuple per call.
-        return hash(self.name)
+    def __new__(cls, name: str):
+        return _Interned.__new__(cls, name)
 
     def __repr__(self) -> str:
         return self.name
 
 
-class App:
+class App(_Interned):
     """An application ``symbol(args)``, hash-consed.
 
-    Every node is built through one weak-value intern table keyed by
+    Every node is built through the intern table under the key
     ``(symbol, args)``, so there is one object per distinct term: ``==`` is
-    identity and the hash is the address.  Size, depth and the value flag
-    are computed once, at construction, from the children's stored fields.
-    Nodes are immutable.
+    identity and the hash is the address.  Its own ``__new__`` checks the
+    arity, and computes size, depth and the value flag once, from the
+    children's stored fields.  Nodes are immutable.
     """
 
-    __slots__ = ("symbol", "args", "size", "depth", "is_value", "__weakref__")
+    __slots__ = ("symbol", "args", "size", "depth", "is_value")
+    _fields = ("symbol", "args")
 
     def __new__(cls, symbol: Symbol, args: tuple = ()):
         key = (symbol, args)
@@ -88,42 +159,15 @@ class App:
                 depth = max(depth, 1)
                 value = False
         node = object.__new__(cls)
-        init = object.__setattr__
-        init(node, "symbol", symbol)
-        init(node, "args", args)
-        init(node, "size", size)
-        init(node, "depth", depth + 1)
-        init(node, "is_value", value)
+        _set(node, "symbol", symbol)
+        _set(node, "args", args)
+        _set(node, "size", size)
+        _set(node, "depth", depth + 1)
+        _set(node, "is_value", value)
         return _intern(key, node)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"App is immutable; cannot change {name}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        # Unpickling and deep copies rebuild through the intern table.
-        return App, (self.symbol, self.args)
 
     def __repr__(self) -> str:
         return format_term(self)
-
-
-# The intern table of every hash-consed node: a term's (symbol, args), or a
-# QI expression's (node class, field), -> weak reference to the one node.
-_INTERNED: dict = {}
-
-
-def _intern(key: tuple, node):
-    """Enter a new node as the one node for key, until it is freed."""
-    _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
-    return node
-
-
-def _forget(ref: weakref.KeyedRef, table: dict = _INTERNED) -> None:
-    """Drop a dead node's entry, unless a newer node already took the key."""
-    if table.get(ref.key) is ref:
-        del table[ref.key]
 
 
 Term = Var | App
@@ -205,7 +249,7 @@ def match(pattern: Term, value: Term, subst: Optional[Substitution] = None) -> O
                 subst[p.name] = v
             elif bound != v:
                 return None
-        elif not isinstance(v, App) or v.symbol != p.symbol:
+        elif not isinstance(v, App) or v.symbol is not p.symbol:
             return None
         else:
             todo.extend(zip(p.args[::-1], v.args[::-1]))
@@ -335,9 +379,9 @@ class Program:
         if len(names) != len(set(names)):
             raise SignatureError("duplicate symbol names in signature")
         by_name = {s.name: s for s in self.signature}
-        if by_name.get(self.main.name) != self.main:
+        if by_name.get(self.main.name) is not self.main:
             raise SignatureError(f"main symbol {self.main.name} not declared")
-        declared: set = set()  # ids of the Symbol objects already checked
+        declared: set = set()  # the symbols already checked
         checked: set = set()  # App nodes met before: all below them is checked
         for eq in self.equations:
             todo = [eq.rhs, eq.lhs]  # pre-order, lhs first
@@ -346,12 +390,12 @@ class Program:
                 if not isinstance(u, App) or u in checked:
                     continue
                 checked.add(u)
-                if id(u.symbol) not in declared:
-                    if by_name.get(u.symbol.name) != u.symbol:
+                if u.symbol not in declared:
+                    if by_name.get(u.symbol.name) is not u.symbol:
                         raise SignatureError(
                             f"equation {eq.index}: undeclared symbol {u.symbol.name}"
                         )
-                    declared.add(id(u.symbol))
+                    declared.add(u.symbol)
                 todo.extend(reversed(u.args))
 
     @property
@@ -456,7 +500,7 @@ def compile_lhs(patterns: tuple):
         regs = list(args)
         for r, symbol in checks:
             v = regs[r]
-            if v.symbol is not symbol and v.symbol != symbol:
+            if v.symbol is not symbol:
                 return None
             regs += v.args
         for a, b in repeats:

@@ -272,6 +272,29 @@ def test_certify_bytes_are_the_same_in_every_process():
     assert outputs[0].count('"overall"') >= 3  # three whole reports
 
 
+CERTIFY_AFTER_THROWAWAYS = """
+from polytrs.cli import main
+from polytrs.terms import FUNCTION, Symbol, Var
+
+# Kept alive, so that every later symbol, variable and node sits elsewhere.
+kept = [(Symbol(f"t{{n}}", FUNCTION, 1), Var(f"t{{n}}")) for n in range({throwaways})]
+corpus = {corpus!r} + "/"
+for name in ("reverse", "running", "twoclass", "mult"):
+    main(["certify", corpus + name + ".trs"])
+"""
+
+
+def test_certify_bytes_do_not_follow_symbol_or_variable_addresses():
+    # Symbols and variables hash by address too; one interpreter interns
+    # thousands of throwaway ones first, so the two lay their atoms out apart.
+    outputs = [
+        fresh_output(CERTIFY_AFTER_THROWAWAYS.format(corpus=str(CORPUS), throwaways=n), "1")
+        for n in (0, 3000)
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count('"overall"') >= 4  # four whole reports
+
+
 def reference_calls(eq):
     """(position, subterm) of each function-headed rhs occurrence, pre-order,
     by a plain positional recursion."""

@@ -127,6 +127,56 @@ def test_cache_guard_sees_every_spelling():
     assert [entry.split(": ")[1] for entry in found] == ["a", "b", "c", "d", "e"]
 
 
+# Terms, symbols, variables and QI nodes are hash-consed: one object per
+# value, so object identity is their equality and the address their hash,
+# both in C.  A Python-level __hash__ or __eq__ on any class of these two
+# modules would put a Python call back on every intern-table lookup, and
+# weakref.KeyedRef builds each intern reference through Python-level
+# __new__ and __init__.
+HASH_CONSED = ("terms.py", "qi.py")
+VALUE_METHODS = {"__hash__", "__eq__"}
+
+
+def value_methods(tree: ast.AST) -> list[str]:
+    """``Class.name`` of each __hash__ or __eq__ a class body defines or assigns."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            out += [f"{cls.name}.{name}" for name in names if name in VALUE_METHODS]
+    return out
+
+
+@pytest.mark.parametrize("name", HASH_CONSED)
+def test_hash_consed_classes_keep_object_identity(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    assert value_methods(tree) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_keyed_ref(path):
+    # referenced_names sees a name, an attribute and an imported name.
+    assert "KeyedRef" not in referenced_names(ast.parse(path.read_text(), filename=str(path)))
+
+
+def test_identity_guard_sees_every_spelling():
+    source = (
+        "class A:\n    def __hash__(self): return 0\n"
+        "class B:\n    __eq__ = object.__eq__\n"
+        "class C:\n    class D:\n        __hash__: object = None\n"
+        "    def __lt__(self, other): return False\n"
+    )
+    assert value_methods(ast.parse(source)) == ["A.__hash__", "B.__eq__", "D.__hash__"]
+
+
 def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     """Every name a source refers to, as a bare name, an attribute or an
     imported name, outside the ``skip`` subtree."""

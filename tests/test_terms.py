@@ -16,6 +16,7 @@ from polytrs.ordering import PPO, check_program, infer_precedence
 from polytrs.parser import format_program, parse_program, parse_term
 from polytrs.qi import Arg, Const, Sum, check_qi
 from polytrs.terms import (
+    CONSTRUCTOR,
     FUNCTION,
     App,
     Equation,
@@ -393,6 +394,21 @@ def test_parser_and_constructor_share_one_node(corpus):
     assert t("s0(s1(nil))", prog) is built
     call = App(prog.symbol("append"), (built, App(nil)))
     assert t("append(s0 s1 nil, nil)", prog) is call
+    # Symbols and variables are interned too, however they are built.
+    assert s0 is Symbol("s0", CONSTRUCTOR, 1) is Symbol(name="s0", kind=CONSTRUCTOR, arity=1)
+    assert s0 is not Symbol("s0", FUNCTION, 1) and s0 is not Symbol("s0", CONSTRUCTOR, 2)
+    assert prog.equations[2].rhs is Var("x") is Var(name="x")
+    assert App(symbol=s0, args=(App(s1, (App(nil),)),)) is built
+    for node in (s0, Var("x"), built):
+        assert hash(node) == object.__hash__(node)  # the address
+
+
+def test_symbol_flags_agree_with_kind(corpus):
+    symbols = [Symbol("k", CONSTRUCTOR, 1), Symbol("k", FUNCTION, 1)]
+    symbols += [s for prog in corpus.values() for s in prog.signature]
+    for s in symbols:
+        assert s.is_constructor == (s.kind == CONSTRUCTOR)
+        assert s.is_function == (s.kind == FUNCTION)
 
 
 def test_wrong_arity_raises_and_is_not_interned():
@@ -402,15 +418,25 @@ def test_wrong_arity_raises_and_is_not_interned():
     assert terms_module._INTERNED.get((S0, args)) is None
 
 
-def test_nodes_are_immutable():
-    node = App(S0, (App(NIL),))
+@pytest.mark.parametrize(
+    "node, attr",
+    [(App(S0, (App(NIL),)), "args"), (S0, "name"), (F, "is_function"), (Var("x"), "name")],
+    ids=["app", "symbol", "symbol-flag", "var"],
+)
+def test_nodes_are_immutable(node, attr):
+    before = getattr(node, attr)
     with pytest.raises(AttributeError):
-        node.args = ()
-    assert node.args == (App(NIL),)
+        setattr(node, attr, ())
+    with pytest.raises(AttributeError):
+        delattr(node, attr)
+    assert getattr(node, attr) is before
 
 
-def test_copy_and_pickle_return_the_interned_node(corpus):
-    node = t("append(s0 s1 nil, s1 nil)", corpus["running.trs"])
+@pytest.mark.parametrize("kind", ["app", "symbol", "var"])
+def test_copy_and_pickle_return_the_interned_node(corpus, kind):
+    prog = corpus["running.trs"]
+    call = t("append(s0 s1 nil, s1 nil)", prog)
+    node = {"app": call, "symbol": call.symbol, "var": prog.equations[2].rhs}[kind]
     assert copy.copy(node) is node
     assert copy.deepcopy(node) is node
     assert pickle.loads(pickle.dumps(node)) is node
@@ -419,7 +445,7 @@ def test_copy_and_pickle_return_the_interned_node(corpus):
 
 
 def test_intern_table_releases_dropped_terms():
-    # Terms and QI expression nodes share the one table.
+    # Terms, symbols, variables and QI expression nodes share the one table.
     gc.collect()
     before = len(terms_module._INTERNED)
     words = []
@@ -434,7 +460,12 @@ def test_intern_table_releases_dropped_terms():
     exprs = [Sum((Arg(n), Const(n + 10_000))) for n in range(10_000)]
     assert len(set(exprs)) == 10_000
     assert len(terms_module._INTERNED) >= with_words + 20_000  # each Sum and Const
-    del words, w, exprs
+    with_exprs = len(terms_module._INTERNED)
+    atoms = [Symbol(f"fresh{n}", FUNCTION, 1) for n in range(10_000)]
+    atoms += [Var(f"fresh{n}") for n in range(10_000)]
+    assert len(set(atoms)) == 20_000
+    assert len(terms_module._INTERNED) >= with_exprs + 20_000
+    del words, w, exprs, atoms
     gc.collect()
     assert len(terms_module._INTERNED) <= before
 
