@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .base import SignatureError, Tokens, run_stack
-from .qi import Arg, Const, Max, Posy, QiAssignment, QiExpr, Sum, enter_form, expr_from_form
+from .qi import Arg, Const, Max, Posy, QiAssignment, QiExpr, Sum, enter_form
 from .qi import expr_from_posy, monomial_expr, posy_compose, posy_mul, posy_sum
 from .terms import (
     App,
@@ -280,7 +280,7 @@ def _entry(q: Posy, n: int, m: int, memo: dict) -> QiExpr:
     pad = (0,) * m
     q = {mono + pad: c for mono, c in q.items()}
     if not m:
-        return expr_from_form([q], n, memo)
+        return enter_form([q], [expr_from_posy(q)], n, memo)
     # q's monomial nodes are built once, and each branch places X_{n+j} among
     # them at its sorted place.  The branches then sort by ``_posy_key`` from
     # the last safe argument to the first, as X_{n+j} sorts below X_{n+i}

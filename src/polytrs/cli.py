@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 certified/pass, 1 refuted, 2 unknown, 3 any error (usage,
-input or internal).  All commands emit JSON (CSV/DOT where noted) on stdout
-or to ``--out``.
+Exit codes: ``certify`` exits 0 when any of its three verdicts passes, 1
+when all three fail, and 2 otherwise; ``check-order`` exits 0 on a pass and
+1 on a fail; ``check-qi`` exits 0, 1 or 2 on a valid, invalid or unknown
+QI; ``linearity`` exits 0 or 1, and 2 when no precedence exists; the other
+commands exit 0.  Every error (usage, input or internal) exits 3.  All
+commands emit JSON (CSV/DOT where noted) on stdout or to ``--out``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ immutable node per distinct expression, so equality is identity and the
 hash is the address, and each node stores its min and max flags when it is
 built.  An assignment's memo keeps every normal form, dominance decision
 and ``term_qi`` substitution, so checks that share it share the very nodes,
-and a repeated question costs one lookup.
+and a repeated question costs one lookup.  It maps each ``(expression,
+arity)`` to the expression's pruned normal form, or to None when the
+expression has more than ``BRANCH_CAP`` branch combinations.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ GRID_POINTS = (0, 1, 2, 5, 10)
 RANDOM_POINTS = 256
 GRID_CAP = 20_000  # full grid up to this many points, seeded subsample beyond
 MIN_CHOICES = 64  # branch choices of a min tried on each side of a dominance check
+BRANCH_CAP = 4096  # branch combinations of an expression's maxima expanded to normal form
 
 VALID = "valid"
 INVALID = "invalid"
@@ -298,9 +301,7 @@ def _prune(branches: list) -> list:
     return out
 
 
-def max_posy_form(
-    e: QiExpr, arity: int, cap: int = 4096, memo: Optional[dict] = None
-) -> Optional[list]:
+def max_posy_form(e: QiExpr, arity: int, memo: dict) -> Optional[list]:
     """Max-of-posynomials normal form; None when min occurs or the form blows up.
 
     Identical max subexpressions always take equal values, so one branch
@@ -309,27 +310,20 @@ def max_posy_form(
     exact instead of merely an upper envelope.
 
     ``memo`` is the memo of an assignment (QiAssignment.memo): it maps
-    ``(e, arity)`` to ``[branch total, distinct max nodes, form or None]``,
-    so each expression is expanded once however often it is asked for.  An
-    expansion also enters the one-branch form of every max-free node it
-    meets.  The cap is applied to the stored total on every call.  A form
-    taken from the memo is shared with later callers and must not be mutated.
+    ``(e, arity)`` to e's pruned form, or to None when e has more than
+    BRANCH_CAP branch combinations, so each expression is expanded once
+    however often it is asked for.  An expansion also enters the one-branch
+    form of every max-free node it meets.  A form taken from the memo is
+    shared with later callers and must not be mutated.
     """
     if e.has_min:
         return None
-    if memo is None:
-        memo = {}
-    known = memo.get((e, arity))
-    if known is None:
+    key = (e, arity)
+    if key not in memo:
         maxes = _distinct_maxes(e)
-        total = math.prod(max(1, len(m.items)) for m in maxes)
-        known = memo[e, arity] = [total, maxes, None]
-    total, maxes, form = known
-    if total > cap:
-        return None
-    if form is None:
-        form = known[2] = _expand(e, arity, maxes, memo)
-    return form
+        within = math.prod(max(1, len(m.items)) for m in maxes) <= BRANCH_CAP
+        memo[key] = _expand(e, arity, maxes, memo) if within else None
+    return memo[key]
 
 
 # The walks below are loops or module-level functions, never recursive
@@ -376,12 +370,12 @@ def _expand(e: QiExpr, arity: int, maxes: list, memo: dict) -> list:
                 varying.append(u)
             else:
                 p = posy[id(u)] = _posy_of(u, posy, zero)
-                memo.setdefault((u, arity), [1, [], None])[2] = [p]
+                memo[u, arity] = [p]
         elif id(u) not in seen:
             seen.add(id(u))
             known = None if u.has_max else memo.get((u, arity))
-            if known is not None and known[2] is not None:
-                posy[id(u)] = known[2][0]
+            if known is not None:
+                posy[id(u)] = known[0]
             else:
                 todo += (u, None)
                 todo.extend(reversed(getattr(u, "items", ())))
@@ -437,24 +431,12 @@ def monomial_expr(mono: tuple, coeff) -> QiExpr:
     return factors[0] if len(factors) == 1 else Prod(tuple(factors))
 
 
-def expr_from_form(form: list, arity: int, memo: dict) -> QiExpr:
-    """The expression of a pruned max-of-posynomials form, its branches
-    sorted by ``_posy_key`` under one max when there are several.  The
-    sorted form is the expression's own, and is entered in ``memo``."""
-    form = sorted(form, key=_posy_key)
-    return enter_form(form, [expr_from_posy(p) for p in form], arity, memo)
-
-
 def enter_form(form: list, exprs: list, arity: int, memo: dict) -> QiExpr:
     """The max of ``exprs``, the expressions of the branches of ``form``, a
     pruned form sorted by ``_posy_key``, or the one expression; the form is
     its own, and is entered in ``memo``."""
-    if len(form) == 1:
-        out, known = exprs[0], [1, [], form]
-    else:
-        out = Max(tuple(exprs))
-        known = [len(form), [out], form]
-    memo.setdefault((out, arity), known)
+    out = exprs[0] if len(form) == 1 else Max(tuple(exprs))
+    memo.setdefault((out, arity), form)
     return out
 
 
@@ -481,9 +463,7 @@ def _min_choices(e: QiExpr) -> list:
     return out
 
 
-def dominates(
-    lhs: QiExpr, rhs: QiExpr, arity: int, memo: Optional[dict] = None
-) -> bool:
+def dominates(lhs: QiExpr, rhs: QiExpr, arity: int, memo: dict) -> bool:
     """Sound sufficient check for lhs >= rhs pointwise on R+^arity.
 
     Both sides are brought to max-of-posynomials; each rhs branch must be
@@ -493,8 +473,6 @@ def dominates(
     ``(lhs, rhs, arity)``, a key that never equals a normal form's
     ``(e, arity)`` or term_qi's ``(entry, argument tuple)``.
     """
-    if memo is None:
-        memo = {}
     key = (lhs, rhs, arity)
     known = memo.get(key)
     if known is None:
@@ -508,9 +486,9 @@ def _dominates(lhs: QiExpr, rhs: QiExpr, arity: int, memo: dict) -> bool:
         choices = _min_choices(lhs)
         if len(choices) > MIN_CHOICES:
             return False
-        lhs_forms = [max_posy_form(c, arity, memo=memo) for c in choices]
+        lhs_forms = [max_posy_form(c, arity, memo) for c in choices]
     else:
-        lhs_forms = [max_posy_form(lhs, arity, memo=memo)]
+        lhs_forms = [max_posy_form(lhs, arity, memo)]
     if any(f is None for f in lhs_forms):
         return False
     rhs_choices = (
@@ -519,7 +497,7 @@ def _dominates(lhs: QiExpr, rhs: QiExpr, arity: int, memo: dict) -> bool:
     for lf in lhs_forms:
         ok = False
         for rc in rhs_choices:
-            rf = max_posy_form(rc, arity, memo=memo)
+            rf = max_posy_form(rc, arity, memo)
             if rf is None:
                 continue
             if all(any(posy_dominates(lb, rb) for lb in lf) for rb in rf):

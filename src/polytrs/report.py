@@ -219,7 +219,7 @@ def build_report(
         stages["blind"] = {"error": str(exc)}
 
     extended = certify_extended(
-        program, eppo, qi_overall, orthogonal, bool(linear),
+        program, eppo, qi_overall, orthogonal, linear,
         sizes=sizes, budget=budget, seed=seed,
     )
     verdicts, overall = decide(

@@ -290,7 +290,7 @@ class ExtendedVerdict:
     normal_equations: Optional[int]
     qi_overall: Optional[str]
     orthogonal: bool
-    linear: bool
+    linear: Optional[bool]  # None when no precedence exists
     bounded_values: str  # certified | empirical-poly | empirical-exp | unknown
     growth: Optional[dict]
     value_rows: Optional[tuple]
@@ -319,7 +319,7 @@ def certify_extended(
     eppo: Optional[OrderingVerdict],
     qi_overall: Optional[str],
     orthogonal: bool,
-    linear: bool,
+    linear: Optional[bool],
     sizes: range = range(1, 9),
     budget: Budget = DEFAULT_BUDGET,
     seed: int = 0,

@@ -10,6 +10,7 @@ assignment, as ``substitute`` trees normalised by ``simplify``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -38,7 +39,9 @@ from polytrs.qi import (
     QiAssignment,
     QiExpr,
     Sum,
+    _distinct_maxes,
     _posy_key,
+    enter_form,
     eval_expr,
     expr_from_posy,
     max_posy_form,
@@ -186,28 +189,20 @@ def meet(a1: QiAssignment, a2: QiAssignment, program: Program) -> QiAssignment:
 
 
 def simplify(e: QiExpr, arity: int, memo: Optional[dict] = None) -> QiExpr:
-    """Canonical pruned max-of-posynomials form when one exists.
+    """Canonical pruned max-of-posynomials form when one exists within 512
+    branch combinations.
 
     Substitution-heavy constructions (compiled recurrences in particular)
     produce towers of shared subterms; renormalizing keeps them flat.
     ``memo`` is the normal-form memo of max_posy_form; the result's own form
     is e's in the result's branch order, and it is entered there too.
     """
-    if e.has_min:
+    if e.has_min or math.prod(max(1, len(m.items)) for m in _distinct_maxes(e)) > 512:
         return e
     if memo is None:
         memo = {}
-    form = max_posy_form(e, arity, cap=512, memo=memo)
-    if form is None:
-        return e
-    form = sorted(form, key=_posy_key)
-    if len(form) == 1:
-        out, known = expr_from_posy(form[0]), [1, [], form]
-    else:
-        out = Max(tuple([expr_from_posy(p) for p in form]))
-        known = [len(form), [out], form]
-    memo.setdefault((out, arity), known)
-    return out
+    form = sorted(max_posy_form(e, arity, memo), key=_posy_key)
+    return enter_form(form, [expr_from_posy(p) for p in form], arity, memo)
 
 
 def reference_compile_entries(comp: BcCompilation) -> dict:

@@ -257,7 +257,7 @@ def _assert_entries_are_the_reference(comp):
         assert comp.qi.entries[name] is entry, name
     for (e, arity), known in comp.qi.memo.items():
         fresh: dict = {}
-        qi.max_posy_form(e, arity, memo=fresh)
+        qi.max_posy_form(e, arity, fresh)
         assert known == fresh[e, arity], qi.format_expr(e)
 
 
@@ -278,7 +278,7 @@ def test_entry_keeps_its_max_above_the_branch_cap():
     below = compile_bc(BcSafeComp(1, 512, BcZero(), (), ()))
     entry = below.qi.entries[below.main.name]
     assert isinstance(entry, qi.Max) and len(entry.items) == 512
-    assert below.qi.memo[entry, 513][0] == 512
+    assert len(below.qi.memo[entry, 513]) == 512
 
 
 # -- the assignment's QI memo ----------------------------------------------------
@@ -327,6 +327,18 @@ def test_chain_computes_each_max_free_posynomial_once(seed, monkeypatch):
     comp, verdict, moved, moved_verdict = _qi_chain(random_bc(seed, 4))
     assert verdict.overall == moved_verdict.overall == "valid"
     assert computed and len(computed) == len(set(computed))
+
+
+@pytest.mark.parametrize("seed", CHAIN_SEEDS)
+def test_chain_memo_holds_each_expressions_own_form(seed):
+    # Every normal form in the memo, whether compile_bc entered it, an
+    # expansion entered it for a max-free node, or the image's check read
+    # it, is the one a fresh memo gives.
+    comp, verdict, moved, moved_verdict = _qi_chain(random_bc(seed, 4))
+    keys = [k for k in comp.qi.memo if len(k) == 2 and type(k[1]) is int]
+    assert any(not e.has_max for e, _ in keys) and any(e.has_max for e, _ in keys)
+    for e, arity in keys:
+        assert comp.qi.memo[e, arity] == qi.max_posy_form(e, arity, {}), qi.format_expr(e)
 
 
 @pytest.mark.parametrize("seed", CHAIN_SEEDS)

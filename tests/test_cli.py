@@ -470,6 +470,19 @@ def test_a_zero_denominator_in_a_qi_file_or_poly_exits_3(tmp_path, capsys):
     assert data == {"error": "parse-error", "message": "1:1: constant 1/0 has a zero denominator"}
 
 
+def test_check_qi_above_the_branch_cap_is_invalid(tmp_path, capsys):
+    # 13 distinct maxima give 8192 branch combinations, above qi.BRANCH_CAP:
+    # append's subterm condition gets no normal form, so it is unknown (the
+    # sampling cannot refute it), and the assignment is invalid.
+    maxima = " + ".join(f"max(X, {i})" for i in range(1, 14))
+    qi = tmp_path / "wide.qi"
+    qi.write_text((CORPUS / "append.qi").read_text().replace("= X + Y", f"= {maxima} + Y"))
+    code, data = run_json(capsys, "--qi", str(qi), "check-qi", str(CORPUS / "append.trs"))
+    assert code == 1
+    assert data["overall"] == "invalid"
+    assert data["conditions"]["subterm"]["append"] == {"status": "unknown", "witness": None}
+
+
 @pytest.mark.parametrize("flag", ["--budget-rules", "--budget-depth"])
 def test_a_negative_budget_is_a_usage_error(capsys, flag):
     trs = str(CORPUS / "append.trs")

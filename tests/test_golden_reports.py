@@ -33,7 +33,7 @@ GOLDEN = {
     "mult": ("df33cd8d57aa07994d480dd64f508e32f5853fb153574a9034399e7a28ff1ced", 0),
     "norm2rule": ("65acf19e47ed1cd8403e1d7aedc361836b3253532569eb1fc1f228abd5e7c930", 2),
     "norm2rule_nil": ("cb552d9e37c2003a4574f3ee7ef0dab557502ffab7153a0fde0d6d80843ca584", 2),
-    "reverse": ("4c7243a92a467cd8caf10074fb1ccc54a01355cf54e394a6722d0858c93bf246", 1),
+    "reverse": ("a830b73f3dd89a13b12256a664d3c2727c1f5de9dd86f1f2e6d1c17da5ef443a", 1),
     "running": ("3039247ec687d696129d2a704c45153e277a211d0eca710ce2434a036c17dc64", 2),
     "trip": ("712a459268757d69c0cd481a2c14d761c145679a9db1b552cc199e3abbccb066", 2),
     "twoclass": ("730c2bcef8bb2cbbb88fe3b505343cbb3aa03de0a149bd0d6971ff76792ea7d9", 2),

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polytrs import qi
 from polytrs import terms as terms_module
 from polytrs.base import ParseError, QiError, postorder
 from polytrs.parser import parse_program
@@ -340,16 +341,16 @@ def test_subterm_lemma_term_level(corpus):
 
 def test_dominance_examples():
     x, y = Arg(0), Arg(1)
-    assert dominates(Sum((x, y)), x, 2)
-    assert dominates(Sum((x, y)), Max((x, y)), 2)
-    assert not dominates(Max((x,)), y, 2)
-    assert not dominates(Prod((x, x)), x, 1)  # fails on [0, 1)
+    assert dominates(Sum((x, y)), x, 2, {})
+    assert dominates(Sum((x, y)), Max((x, y)), 2, {})
+    assert not dominates(Max((x,)), y, 2, {})
+    assert not dominates(Prod((x, x)), x, 1, {})  # fails on [0, 1)
 
 
 def test_max_posy_form_shares_identical_maxes():
     m = Max((Arg(0), Arg(1)))
     e = Sum((m, m))
-    form = max_posy_form(e, 2)
+    form = max_posy_form(e, 2, {})
     # one choice per distinct max: 2X or 2Y, never X+Y
     assert sorted(form, key=str) == sorted(
         [{(1, 0): Fraction(2)}, {(0, 1): Fraction(2)}], key=str
@@ -427,7 +428,7 @@ def _ref_posy_dominates(a, b):
     return all(a.get(m, Fraction(0)) >= c for m, c in b.items())
 
 
-def _ref_max_posy_form(e, arity, cap=4096):
+def _ref_max_posy_form(e, arity):
     if _ref_contains_min(e):
         return None
     zero = tuple([0] * arity)
@@ -446,7 +447,7 @@ def _ref_max_posy_form(e, arity, cap=4096):
     total = 1
     for m in maxes:
         total *= max(1, len(m.items))
-        if total > cap:
+        if total > 4096:
             return None
 
     def inst(u, choice):
@@ -557,56 +558,75 @@ def test_memoised_max_posy_form_matches_reference(data):
     shared = data.draw(_shared_maxes())
     exprs = data.draw(st.lists(_exprs(shared, with_min=False), min_size=1, max_size=6))
     forms: dict = {}
-    # Revisit every expression with a shared memo and mixed caps, so stored
-    # totals meet both smaller and larger caps than the call that stored them.
-    # The memo serves the same nodes at two arities, so a max-free subtree's
-    # stored posynomial must be told apart by the arity it was built for.
+    # Revisit every expression with a shared memo, in both orders.  The memo
+    # serves the same nodes at two arities, so a max-free subtree's stored
+    # posynomial must be told apart by the arity it was built for.
     # simplify enters its result's form, which must be the result's own.
     for e in exprs + exprs[::-1]:
         for arity in (ARITY, ARITY + 1):
-            cap = data.draw(st.sampled_from([1, 2, 4, 4096]))
-            assert max_posy_form(e, arity, cap, forms) == _ref_max_posy_form(e, arity, cap)
+            assert max_posy_form(e, arity, forms) == _ref_max_posy_form(e, arity)
             out = simplify(e, arity, forms)
-            assert max_posy_form(out, arity, cap, forms) == _ref_max_posy_form(out, arity, cap)
+            assert max_posy_form(out, arity, forms) == _ref_max_posy_form(out, arity)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_memoised_dominates_matches_reference(data):
-    # Decisions and normal forms share one memo: forms stored under small
-    # caps, min-headed sides and repeated questions must not change answers.
+    # Decisions and normal forms share one memo: min-headed sides and
+    # repeated questions must not change answers.
     shared = data.draw(_shared_maxes())
     exprs = data.draw(st.lists(_exprs(shared, with_min=True), min_size=2, max_size=5))
     memo: dict = {}
     pairs = [(lhs, rhs) for lhs in exprs for rhs in exprs]
     for lhs, rhs in pairs + pairs[::-1]:
         assert dominates(lhs, rhs, ARITY, memo) == _ref_dominates(lhs, rhs, ARITY)
-        cap = data.draw(st.sampled_from([1, 2, 4, 512, 4096]))
-        assert max_posy_form(rhs, ARITY, cap, memo) == _ref_max_posy_form(rhs, ARITY, cap)
+        assert max_posy_form(rhs, ARITY, memo) == _ref_max_posy_form(rhs, ARITY)
 
 
-def _wide():
-    # 10 distinct two-way maxima: 1024 branch combinations, between simplify's
-    # cap (512) and dominates' (4096).
-    return Sum(tuple(Max((Arg(0), Const(Fraction(i + 1)))) for i in range(10)))
+def _maxima(k):
+    # k distinct two-way maxima: 2**k branch combinations.
+    return Sum(tuple(Max((Arg(0), Const(Fraction(i + 1)))) for i in range(k)))
 
 
 def test_memo_applies_each_callers_cap_simplify_first():
-    e, forms = _wide(), {}
-    assert simplify(e, 1) is e
-    assert max_posy_form(e, 1, 512, forms) is None
+    # 1024 branch combinations: above simplify's limit (512), within
+    # BRANCH_CAP (4096).  simplify counts against its own limit whether
+    # or not the memo already holds the form.
+    e, forms = _maxima(10), {}
+    assert simplify(e, 1, forms) is e
     assert dominates(e, Arg(0), 1, forms)
     assert not dominates(Arg(0), e, 1, forms)
-    assert max_posy_form(e, 1, 512, forms) is None
-    assert simplify(e, 1) is e
+    assert forms[e, 1] == _ref_max_posy_form(e, 1)
+    assert simplify(e, 1, forms) is e
 
 
 def test_memo_applies_each_callers_cap_dominates_first():
-    e, forms = _wide(), {}
+    # The same expression with the memo filled by dominates first.
+    e, forms = _maxima(10), {}
     assert dominates(e, Arg(0), 1, forms)
-    assert max_posy_form(e, 1, 512, forms) is None
-    assert simplify(e, 1) is e
-    assert max_posy_form(e, 1, 4096, forms) == _ref_max_posy_form(e, 1)
+    assert forms[e, 1] == _ref_max_posy_form(e, 1)
+    assert simplify(e, 1, forms) is e
+    assert not dominates(Arg(0), e, 1, forms)
+    assert forms[e, 1] == _ref_max_posy_form(e, 1)
+
+
+def test_memo_keeps_none_above_the_branch_cap(monkeypatch):
+    # 8192 branch combinations, above BRANCH_CAP: no form, and the memo
+    # remembers that, so a second call neither counts nor expands.
+    e, forms = _maxima(13), {}
+    assert _ref_max_posy_form(e, 1) is None
+    calls = []
+    for name in ("_distinct_maxes", "_expand"):
+        original = getattr(qi, name)
+        monkeypatch.setattr(
+            qi, name, lambda *a, name=name, f=original: calls.append(name) or f(*a)
+        )
+    assert max_posy_form(e, 1, forms) is None
+    assert (e, 1) in forms and forms[e, 1] is None
+    assert calls == ["_distinct_maxes"]
+    assert max_posy_form(e, 1, forms) is None
+    assert calls == ["_distinct_maxes"]
+    assert not dominates(e, Arg(0), 1, forms)
 
 
 def test_check_qi_memo_does_not_leak_between_checks(corpus):

@@ -134,6 +134,19 @@ def test_running_report_fails_ppo_unknown_overall(corpus):
     assert report.exit_code() in (1, 2)
 
 
+def test_extended_linearity_is_the_linearity_stage(corpus):
+    """The report states linearity once: the extended stage repeats the
+    linearity stage's overall, null when no precedence exists."""
+    for name in CORPUS_PROGRAMS:
+        prog = corpus[name]
+        qi_path = (CORPUS / name).with_suffix(".qi")
+        asg = parse_assignment(qi_path.read_text(), prog) if qi_path.exists() else None
+        stages = json.loads(build_report(prog, asg).to_json())["stages"]
+        linearity = stages["linearity"]
+        expected = None if linearity is None else linearity["overall"]
+        assert stages["extended"]["linear"] is expected, name
+
+
 def test_reverse_report_all_fail(corpus):
     prog = corpus["reverse.trs"]
     report = build_report(prog, sizes=range(1, 5))
