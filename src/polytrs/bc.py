@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .base import SignatureError, Tokens, run_stack
-from .qi import Arg, Const, Max, Posy, QiAssignment, QiExpr, Sum, enter_form
+from .qi import BRANCH_CAP, Arg, Const, Max, Posy, QiAssignment, QiExpr, Sum, enter_form
 from .qi import expr_from_posy, monomial_expr, posy_compose, posy_mul, posy_sum
 from .terms import (
     App,
@@ -273,17 +273,19 @@ def _entry(q: Posy, n: int, m: int, memo: dict) -> QiExpr:
     """The entry q + max(X_{n+1}, .., X_{n+m}) of a symbol with n normal and
     m safe arguments as the max of the posynomials q + X_{n+j}, which is its
     normal form, entered in ``memo``: q has no monomial in a safe argument,
-    so no branch dominates another.  Above 512 safe arguments the entry is
-    left as q + max(safe arguments)."""
-    if m > 512:
+    so no branch dominates another.  The branches are in ascending order of
+    their sorted (monomial, coefficient) lists, which puts X_{n+m} first and
+    X_{n+1} last.  Above BRANCH_CAP safe arguments the entry is left as
+    q + max(safe arguments)."""
+    if m > BRANCH_CAP:
         return Sum((expr_from_posy(q), Max(tuple(Arg(n + j) for j in range(m)))))
     pad = (0,) * m
     q = {mono + pad: c for mono, c in q.items()}
     if not m:
         return enter_form([q], [expr_from_posy(q)], n, memo)
     # q's monomial nodes are built once, and each branch places X_{n+j} among
-    # them at its sorted place.  The branches then sort by ``_posy_key`` from
-    # the last safe argument to the first, as X_{n+j} sorts below X_{n+i}
+    # them at its sorted place.  The branches are listed from the last safe
+    # argument to the first, as X_{n+j}'s unit monomial sorts below X_{n+i}'s
     # for i < j.
     monos = sorted(q)
     nodes = [monomial_expr(mono, q[mono]) for mono in monos]

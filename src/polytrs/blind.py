@@ -242,6 +242,16 @@ def words_of_length(
     return words
 
 
+def _compositions(n: int, k: int) -> list[tuple]:
+    """The compositions of n into k parts >= 0, in lexicographic order: by
+    stars and bars, each part is the gap between two of k - 1 bars placed
+    among n + k - 1 slots."""
+    return [
+        tuple([b - a - 1 for a, b in zip((-1, *bars), (*bars, n + k - 1))])
+        for bars in itertools.combinations(range(n + k - 1), k - 1)
+    ]
+
+
 def input_tuples(
     program: Program,
     main: Symbol,
@@ -262,7 +272,7 @@ def input_tuples(
     if k == 1:
         return [(w,) for w in words_of_length(program, n, cap, seed)]
     out = []
-    comps = [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
+    comps = _compositions(n, k)
     rng = random.Random(f"{seed}:{n}:comps")
     if len(comps) > cap:
         comps = rng.sample(comps, cap)

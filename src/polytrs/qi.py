@@ -432,16 +432,13 @@ def monomial_expr(mono: tuple, coeff) -> QiExpr:
 
 
 def enter_form(form: list, exprs: list, arity: int, memo: dict) -> QiExpr:
-    """The max of ``exprs``, the expressions of the branches of ``form``, a
-    pruned form sorted by ``_posy_key``, or the one expression; the form is
-    its own, and is entered in ``memo``."""
+    """The max of ``exprs``, the expressions of the branches of ``form``, or
+    the one expression; the form is its own, and is entered in ``memo``.
+    ``form`` is a pruned form whose branches are in ascending order of
+    their sorted (monomial, coefficient) lists."""
     out = exprs[0] if len(form) == 1 else Max(tuple(exprs))
     memo.setdefault((out, arity), form)
     return out
-
-
-def _posy_key(p: Posy):
-    return sorted(p.items())
 
 
 def _min_choices(e: QiExpr) -> list:

@@ -150,7 +150,7 @@ class DerivationProof:
     root: Judgement
     mode: str  # "cbv" or "memo"
     stats: DerivationStats
-    cache_trace: tuple = ()  # (function name, args, value) in Update order
+    cache_trace: tuple = ()  # (call term, value) in Update order
 
     @property
     def result(self) -> Term:
@@ -247,27 +247,22 @@ def _make_proof(root: Judgement, mode: str, cache_trace: tuple = ()) -> Derivati
 class _Run:
     """One evaluation run; threads the budget through the recursion.
 
-    With a cache the run memoises calls (Read/Update judgements); without
-    one every call is derived again (Function judgements).  The methods
-    are generator-coded for ``run_stack``, so only the budget bounds depth.
+    ``finished`` maps each call term to its finished judgement, stored once
+    when its derivation is done, in that order.  A memo run stores Updates
+    and answers a repeated call with a Read of the stored value; a
+    first-match cbv run stores Function judgements and puts the stored one
+    at each place the call occurs again.  A seeded run may choose another
+    equation at each call, so it keeps no table.  The methods are
+    generator-coded for ``run_stack``, so only the budget bounds depth.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        policy: ChoicePolicy,
-        budget: Budget,
-        cache: Optional[dict] = None,
-    ):
+    def __init__(self, program: Program, policy: ChoicePolicy, budget: Budget, memo: bool = False):
         self.program = program
         self.budget = budget
-        self.cache = cache  # call term -> value, written once, at its Update
+        self.memo = memo
         self.steps = 0
         self.rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
-        # call term -> its Function judgement, kept when a repeated call must
-        # derive the same subproof: first match and no cache
-        first_cbv = cache is None and isinstance(policy, FirstMatch)
-        self.shared: Optional[dict] = {} if first_cbv else None
+        self.finished: Optional[dict] = None if self.rng is not None else {}
 
     def derive(self, t: Term, depth: int):
         self.steps += 1
@@ -278,16 +273,15 @@ class _Run:
         if isinstance(t, Var):
             raise NoMatchingEquation(f"cannot evaluate open term {t.name}")
         if t.symbol.is_function and all(is_value(a) for a in t.args):
-            if self.cache is not None and t in self.cache:
-                return Judgement(R_READ, t, self.cache[t])
-            if self.shared is not None:
+            j = None if self.finished is None else self.finished.get(t)
+            if j is not None:
+                if self.memo:
+                    return Judgement(R_READ, t, j.result)
                 # a stored subproof stands for a derivation again only when
                 # that derivation would fit: else derive it, so the budget
                 # fails at the same judgement as without sharing
-                j = self.shared.get(t)
                 if (
-                    j is not None
-                    and self.steps - 1 + j.size <= self.budget.max_rules
+                    self.steps - 1 + j.size <= self.budget.max_rules
                     and depth - 1 + j.height <= self.budget.max_depth
                 ):
                     self.steps += j.size - 1
@@ -300,13 +294,10 @@ class _Run:
             else:
                 eq, sigma = matches[0]
             body = yield self.derive(apply_subst(eq.rhs, sigma), depth + 1)
-            if self.cache is None:
-                j = Judgement(R_FUNCTION, t, body.result, (body,), eq)
-                if self.shared is not None:
-                    self.shared[t] = j
-                return j
-            self.cache[t] = body.result
-            return Judgement(R_UPDATE, t, body.result, (body,), eq)
+            j = Judgement(R_UPDATE if self.memo else R_FUNCTION, t, body.result, (body,), eq)
+            if self.finished is not None:
+                self.finished[t] = j
+            return j
         kids = []
         for a in t.args:
             kids.append((yield self.derive(a, depth + 1)))
@@ -602,10 +593,10 @@ def eval_memo(
             "program is not orthogonal (left-linear + non-overlapping); "
             "memoisation refused without an explicit override"
         )
-    cache: dict = {}
-    root = run_stack(_Run(program, FirstMatch(), budget, cache).derive(term, 0))
-    # the cache's insertion order is the order of the Updates
-    trace = tuple([(t.symbol.name, t.args, v) for t, v in cache.items()])
+    run = _Run(program, FirstMatch(), budget, memo=True)
+    root = run_stack(run.derive(term, 0))
+    # the table's insertion order is the order of the Updates
+    trace = tuple([(t, j.result) for t, j in run.finished.items()])
     return _make_proof(root, "memo", trace)
 
 
@@ -615,10 +606,11 @@ def eval_memo(
 def validate_proof(program: Program, proof: DerivationProof) -> None:
     """Check every judgement against the inference rules; raises ValueError.
 
-    For memo proofs the cache is re-threaded through the traversal, so Read
-    entries must have been installed by a previous Update.  A Function
-    judgement that occurs again is checked once, when its subderivation
-    installed no entry: the cache only grows, so its Reads would pass again.
+    For memo proofs the cache, call term -> value, is re-threaded through
+    the traversal, so Read entries must have been installed by a previous
+    Update.  A Function judgement that occurs again is checked once, when
+    its subderivation installed no entry: the cache only grows, so its
+    Reads would pass again.
     """
     cache: dict = {}
     checked: set = set()  # Function judgements whose subderivation holds no Update
@@ -677,26 +669,22 @@ def validate_proof(program: Program, proof: DerivationProof) -> None:
             act = j.children[0]
             _expect(act.lhs == apply_subst(eq.rhs, sigma), j, "activation lhs")
             if j.rule == R_UPDATE:
-                key = (t.symbol.name, t.args)
-                _expect(key not in cache, j, "Update on a cached call")
+                _expect(t not in cache, j, "Update on a cached call")
             yield check(act)
             _expect(act.result == v, j, "activation value")
             if j.rule == R_UPDATE:
-                cache[(t.symbol.name, t.args)] = v
+                cache[t] = v
             elif len(cache) == entries:
                 checked.add(j)
         elif j.rule == R_READ:
-            key = (t.symbol.name, t.args)
-            _expect(cache.get(key) == v, j, "Read entry not in cache")
+            _expect(cache.get(t) == v, j, "Read entry not in cache")
             _expect(not j.children, j, "Read is a leaf")
         else:
             raise ValueError(f"unknown rule {j.rule}")
 
     run_stack(check(proof.root))
-    if proof.mode == "memo":
-        entries = {(f, args): v for (f, args, v) in proof.cache_trace}
-        if entries != cache:
-            raise ValueError("cache trace does not agree with Update judgements")
+    if proof.mode == "memo" and dict(proof.cache_trace) != cache:
+        raise ValueError("cache trace does not agree with Update judgements")
 
 
 def _expect(cond: bool, j: Judgement, what: str) -> None:
@@ -736,25 +724,27 @@ def check_dependence_bounds(proof: DerivationProof) -> None:
 
 
 def check_read_linkage(proof: DerivationProof) -> None:
-    """Every Read judgement must resolve to an earlier Update entry."""
+    """Every Read judgement must resolve to an earlier Update entry.
+
+    An entry is its (call term, value) pair: a Read matches the Updates
+    finished before it and the proof's cache trace by that pair, so a call
+    built from another symbol of the same name matches neither."""
     seen: set = set()
-    trace_pos = {
-        (f, args, v): i for i, (f, args, v) in enumerate(proof.cache_trace)
-    }
+    traced = set(proof.cache_trace)
 
     def go(j: Judgement):
         if j.rule == R_READ:
-            key = (j.lhs.symbol.name, j.lhs.args, j.result)
+            key = (j.lhs, j.result)
             if key not in seen:
                 raise ValueError(
                     f"Read of {format_term(j.lhs)} before the matching Update"
                 )
-            if key not in trace_pos:
+            if key not in traced:
                 raise ValueError("Read entry missing from the cache trace")
         for c in j.children:
             yield go(c)
         if j.rule == R_UPDATE:
-            seen.add((j.lhs.symbol.name, j.lhs.args, j.result))
+            seen.add((j.lhs, j.result))
 
     run_stack(go(proof.root))
 
@@ -762,8 +752,8 @@ def check_read_linkage(proof: DerivationProof) -> None:
 def proof_to_json(proof: DerivationProof) -> dict:
     order = postorder([proof.root], "children")
     terms = [t for j in order for t in (j.lhs, j.result)]
-    for _, args, v in proof.cache_trace:
-        terms += (*args, v)
+    for call, v in proof.cache_trace:
+        terms += (*call.args, v)
     text: dict = {}  # format_term(t) per subterm, built from its arguments' texts
     for u in postorder(terms, "args"):
         text[u] = (
@@ -787,10 +777,10 @@ def proof_to_json(proof: DerivationProof) -> dict:
         "stats": proof.stats.as_dict(),
         "cache_trace": [
             {
-                "function": f,
-                "args": [text[a] for a in args],
+                "function": call.symbol.name,
+                "args": [text[a] for a in call.args],
                 "value": text[v],
             }
-            for (f, args, v) in proof.cache_trace
+            for call, v in proof.cache_trace
         ],
     }

@@ -2,14 +2,16 @@
 
 The denotation of the safe-recursion algebra on bit tuples, independent of
 the rewrite machinery, and its word encoding; the algebra's s-expression
-printer; the blind image of a proof; the structure of a judgement, for
-golden-tree comparisons; the rational weight of a value; the paper's meet
-of two assignments; and the route by which ``compile_bc`` once built its
-assignment, as ``substitute`` trees normalised by ``simplify``.
+printer; the blind image of a proof; the compositions of an input size;
+the structure of a judgement, for golden-tree comparisons; the rational
+weight of a value; the paper's meet of two assignments; and the route by
+which ``compile_bc`` once built its assignment, as ``substitute`` trees
+normalised by ``simplify``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional
@@ -31,16 +33,17 @@ from polytrs.bc import (
 )
 from polytrs.blind import BlindProgram, _blind_images
 from polytrs.qi import (
+    BRANCH_CAP,
     Arg,
     Const,
     Max,
     Min,
+    Posy,
     Prod,
     QiAssignment,
     QiExpr,
     Sum,
     _distinct_maxes,
-    _posy_key,
     enter_form,
     eval_expr,
     expr_from_posy,
@@ -141,6 +144,12 @@ def blind_proof(blind: BlindProgram, proof: DerivationProof) -> DerivationProof:
     return DerivationProof(root, proof.mode, classify(root), ())
 
 
+def filtered_compositions(n: int, k: int) -> list[tuple]:
+    """The compositions of n into k parts >= 0, in lexicographic order: the
+    k-tuples over 0..n that sum to n, filtered from all (n + 1)^k."""
+    return [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
+
+
 def shape(judgement: Judgement) -> tuple:
     """Structure used for golden-tree comparisons."""
     shapes: dict = {}
@@ -188,16 +197,21 @@ def meet(a1: QiAssignment, a2: QiAssignment, program: Program) -> QiAssignment:
     return QiAssignment(entries)
 
 
-def simplify(e: QiExpr, arity: int, memo: Optional[dict] = None) -> QiExpr:
-    """Canonical pruned max-of-posynomials form when one exists within 512
-    branch combinations.
+def _posy_key(p: Posy) -> list:
+    """The branch order of an entered form: ascending sorted items."""
+    return sorted(p.items())
+
+
+def simplify(e: QiExpr, arity: int, memo: Optional[dict] = None, limit: int = 512) -> QiExpr:
+    """Canonical pruned max-of-posynomials form when one exists within
+    ``limit`` branch combinations.
 
     Substitution-heavy constructions (compiled recurrences in particular)
     produce towers of shared subterms; renormalizing keeps them flat.
     ``memo`` is the normal-form memo of max_posy_form; the result's own form
     is e's in the result's branch order, and it is entered there too.
     """
-    if e.has_min or math.prod(max(1, len(m.items)) for m in _distinct_maxes(e)) > 512:
+    if e.has_min or math.prod(max(1, len(m.items)) for m in _distinct_maxes(e)) > limit:
         return e
     if memo is None:
         memo = {}
@@ -244,7 +258,7 @@ def reference_compile_entries(comp: BcCompilation) -> dict:
             q_g = substitute(q_parts[rhs.symbol.name], q_hs)
             q_ls = [substitute(q_parts[l], normals) for l in ls]
             q = Sum(tuple([q_g] + q_ls + normals))
-        q = q_parts[f.name] = simplify(q, n, memo)
+        q = q_parts[f.name] = simplify(q, n, memo, BRANCH_CAP)
         entry = q if m == 0 else Sum((q, Max(tuple(Arg(n + i) for i in range(m)))))
-        entries[f.name] = simplify(entry, n + m, memo)
+        entries[f.name] = simplify(entry, n + m, memo, BRANCH_CAP)
     return entries

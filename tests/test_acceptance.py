@@ -179,7 +179,7 @@ def test_criterion_5_memo_speedup(corpus):
         memo = checked_memo(prog, term)
         memo_counts[n] = memo.stats.rule_count
         updates = len(memo.cache_trace)
-        assert updates == len({(f, args) for f, args, _ in memo.cache_trace})
+        assert updates == len({call for call, _ in memo.cache_trace})
         dag = call_dag(memo)
         assert dag.node_count() == updates
     ratios = [cbv_counts[n + 1] / cbv_counts[n] for n in range(6, 12)]

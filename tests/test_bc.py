@@ -268,17 +268,19 @@ def test_compiled_entries_match_the_substitute_route(depth, seeds):
 
 
 def test_entry_keeps_its_max_above_the_branch_cap():
-    # 513 safe arguments keep q + max(safe arguments), as simplify's cap
-    # (512 branches) left them; 512 give a max of 512 branches.
-    comp = compile_bc(BcSafeComp(1, 513, BcZero(), (), ()))
+    # BRANCH_CAP + 1 safe arguments keep q + max(safe arguments), which has
+    # no normal form within the cap; BRANCH_CAP give a max of as many
+    # branches, entered with its form.
+    cap = qi.BRANCH_CAP
+    comp = compile_bc(BcSafeComp(1, cap + 1, BcZero(), (), ()))
     _assert_entries_are_the_reference(comp)
     entry = comp.qi.entries[comp.main.name]
-    assert isinstance(entry, qi.Sum) and len(entry.items[1].items) == 513
-    assert (entry, 514) not in comp.qi.memo
-    below = compile_bc(BcSafeComp(1, 512, BcZero(), (), ()))
+    assert isinstance(entry, qi.Sum) and len(entry.items[1].items) == cap + 1
+    assert (entry, cap + 2) not in comp.qi.memo
+    below = compile_bc(BcSafeComp(1, cap, BcZero(), (), ()))
     entry = below.qi.entries[below.main.name]
-    assert isinstance(entry, qi.Max) and len(entry.items) == 512
-    assert len(below.qi.memo[entry, 513]) == 512
+    assert isinstance(entry, qi.Max) and len(entry.items) == cap
+    assert len(below.qi.memo[entry, cap + 1]) == cap
 
 
 # -- the assignment's QI memo ----------------------------------------------------

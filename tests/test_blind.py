@@ -35,7 +35,7 @@ from polytrs.terms import App
 
 from .conftest import CORPUS, CORPUS_PROGRAMS, PARITY_BUDGETS, checked_cbv, t
 from .oracles import all_derivations
-from .reference import blind_proof
+from .reference import blind_proof, filtered_compositions
 from .test_semantics import COUNTDOWN, LOOP
 
 
@@ -301,7 +301,7 @@ def reference_input_tuples(program, main, n, cap, seed):
     if k == 1:
         return [(w,) for w in words_of_length(program, n, cap, seed)]
     out = []
-    comps = [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
+    comps = filtered_compositions(n, k)
     rng = random.Random(f"{seed}:{n}:comps")
     if len(comps) > cap:
         comps = rng.sample(comps, cap)
@@ -338,6 +338,25 @@ def test_input_tuples_draw_each_pool_once(corpus, monkeypatch, name):
                 reference_input_tuples(prog, prog.main, n, cap, seed)
             )
         assert len(drawn) == len(set(drawn))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_compositions_are_the_filtered_tuples_in_order(k):
+    for n in range(9):
+        assert blind._compositions(n, k) == filtered_compositions(n, k), n
+
+
+def test_input_tuples_on_a_twelve_argument_main():
+    # C(19, 11) = 75,582 compositions of 8 into 12 parts, sampled to the
+    # cap, where the filter would scan 9^12 tuples
+    xs = ", ".join(f"x{i}" for i in range(12))
+    prog = parse_program(
+        f"constructors: s0/1 s1/1 nil/0\nfunctions: f/12\nf({xs}) -> nil\nmain: f\n"
+    )
+    tuples = input_tuples(prog, prog.main, 8)
+    assert tuples and all(len(args) == 12 for args in tuples)
+    assert all(sum(word_length(a) for a in args) == 8 for args in tuples)
+    assert len({tuple(word_length(a) for a in args) for args in tuples}) == 64
 
 
 def test_measure_append_linear(corpus):

@@ -24,7 +24,7 @@ from polytrs.semantics import (
     check_read_linkage,
     validate_proof,
 )
-from polytrs.terms import App
+from polytrs.terms import CONSTRUCTOR, App, Symbol
 
 from .conftest import checked_cbv, checked_memo, symbols_of, unshare
 
@@ -129,7 +129,7 @@ def test_update_of_a_cached_call_is_rejected(running, memo):
 
 def test_cache_trace_missing_an_entry_is_rejected(running, memo):
     read = at(memo.root, (0, 1))
-    key = (read.lhs.symbol.name, read.lhs.args, read.result)
+    key = (read.lhs, read.result)
     trace = tuple(e for e in memo.cache_trace if e != key)
     assert len(trace) == len(memo.cache_trace) - 1
     bad = dataclasses.replace(memo, cache_trace=trace)
@@ -137,6 +137,33 @@ def test_cache_trace_missing_an_entry_is_rejected(running, memo):
         validate_proof(running, bad)
     with pytest.raises(ValueError, match="missing from the cache trace"):
         check_read_linkage(bad)
+
+
+def test_read_of_a_call_on_a_same_named_constructor_is_rejected(corpus):
+    # a memo entry is its call term: a Read whose call is built with a
+    # constructor named like the function matches no Update
+    doublerec = corpus["doublerec.trs"]
+    memo = checked_memo(doublerec, parse_term("dup(s s s 0)", symbols_of(doublerec)))
+    path = first_read_path(memo.root)
+    read = at(memo.root, path)
+    f = read.lhs.symbol
+    forged = App(Symbol(f.name, CONSTRUCTOR, f.arity), read.lhs.args)
+    bad = with_root(memo, replace_at(memo.root, path, lambda j: dataclasses.replace(j, lhs=forged)))
+    with pytest.raises(ValueError, match="before the matching Update"):
+        check_read_linkage(bad)
+    with pytest.raises(ValueError, match="Split premise lhs"):
+        validate_proof(doublerec, bad)
+
+
+def first_read_path(j: Judgement, path: tuple = ()) -> tuple | None:
+    """The child-index path of the first Read of j in pre-order, or None."""
+    if j.rule == R_READ:
+        return path
+    for i, c in enumerate(j.children):
+        found = first_read_path(c, (*path, i))
+        if found is not None:
+            return found
+    return None
 
 
 def test_dependence_member_outside_the_root_term_is_rejected(running):

@@ -181,7 +181,11 @@ def test_memo_running_example(corpus):
     prog = corpus["running.trs"]
     proof = checked_memo(prog, t("f(s0 s1 nil)", prog))
     assert str(proof.result) == "nil"
-    f_entries = [e for e in proof.cache_trace if e[0] == "f" and term_size(e[1][0]) == 2]
+    f_entries = [
+        (call, v)
+        for call, v in proof.cache_trace
+        if call.symbol.name == "f" and term_size(call.args[0]) == 2
+    ]
     assert len(f_entries) == 1  # the duplicated call is cached once
     assert proof.stats.semi_active_count == 1  # and read back once
 
@@ -206,7 +210,7 @@ def test_cache_trace_lists_updates_as_their_subderivations_finish(corpus):
                 except NoMatchingEquation:  # a partial function
                     continue
                 updates = [
-                    (j.lhs.symbol.name, j.lhs.args, j.result)
+                    (j.lhs, j.result)
                     for j in postorder([proof.root], "children")
                     if j.rule == R_UPDATE
                 ]
@@ -229,7 +233,7 @@ def test_memo_speedup_on_doubly_recursive(corpus):
         term = t("dup(" + "s " * n + "0)", prog)
         memo = checked_memo(prog, term)
         updates = len(memo.cache_trace)
-        distinct_states = len({(f, args) for (f, args, _) in memo.cache_trace})
+        distinct_states = len({call for call, _ in memo.cache_trace})
         assert updates == distinct_states
         # dup states n+1, xorb states at most 2
         assert updates <= n + 3
