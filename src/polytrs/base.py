@@ -6,8 +6,7 @@ and the token cursor ``Tokens`` that every text reader (programs, terms,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, NamedTuple
 
 
 class TrsError(Exception):
@@ -61,8 +60,7 @@ class QiError(TrsError):
     code = "qi-error"
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """Caps on evaluation effort.
 
     max_rules bounds the judgement count of a single derivation, max_depth

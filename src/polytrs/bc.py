@@ -5,6 +5,11 @@ Terms of the algebra separate normal from safe argument positions;
 recursion runs over a normal argument and its result may only be used
 safely.  Compilation flattens the two zones into one argument list, keeping
 the boundary as metadata for the quasi-interpretation construction.
+
+Algebra terms are hash-consed through the intern table of ``terms``: one
+object per distinct term, so equality is identity and the hash is the
+address, both in C at any depth.  A term is its own structural key, so the
+arity check and compilation each visit every distinct node once.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import bisect
 import random
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .base import SignatureError, Tokens, run_stack
 from .qi import BRANCH_CAP, Arg, Const, Max, Posy, QiAssignment, QiExpr, Sum, enter_form
@@ -26,6 +31,7 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    _Interned,
 )
 
 S0 = Symbol("s0", CONSTRUCTOR, 1)
@@ -33,55 +39,55 @@ S1 = Symbol("s1", CONSTRUCTOR, 1)
 ZERO = Symbol("0", CONSTRUCTOR, 0)
 
 
-@dataclass(frozen=True)
-class BcZero:
-    pass
+class _BcNode(_Interned):
+    """An algebra term, hash-consed: its repr shows its own numbers only,
+    so no dunder walks a deep term."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        values = map(self.__getattribute__, self._fields)
+        shown = ", ".join(repr(v) if type(v) is int else "..." for v in values)
+        return f"{type(self).__name__}({shown})"
 
 
-@dataclass(frozen=True)
-class BcSucc:
-    bit: int
+class BcZero(_BcNode):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bit not in (0, 1):
+
+class BcSucc(_BcNode):
+    __slots__ = _fields = ("bit",)
+
+    def _fill(self, bit: int) -> None:
+        if bit not in (0, 1):
             raise SignatureError("successor bit must be 0 or 1")
+        _Interned._fill(self, bit)
 
 
-@dataclass(frozen=True)
-class BcProj:
-    normals: int
-    safes: int
-    index: int  # 1-based over the concatenated argument list
+class BcProj(_BcNode):
+    __slots__ = _fields = ("normals", "safes", "index")  # index: 1-based over all arguments
 
-    def __post_init__(self):
-        if not 1 <= self.index <= self.normals + self.safes:
+    def _fill(self, normals: int, safes: int, index: int) -> None:
+        if not 1 <= index <= normals + safes:
             raise SignatureError("projection index out of range")
+        _Interned._fill(self, normals, safes, index)
 
 
-@dataclass(frozen=True)
-class BcPred:
-    pass
+class BcPred(_BcNode):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BcCond:
-    pass
+class BcCond(_BcNode):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BcSafeRec:
-    base: "BcTerm"
-    step0: "BcTerm"
-    step1: "BcTerm"
+class BcSafeRec(_BcNode):
+    __slots__ = _fields = ("base", "step0", "step1")
 
 
-@dataclass(frozen=True)
-class BcSafeComp:
-    normals: int
-    safes: int
-    outer: "BcTerm"
-    normal_inner: tuple  # each of arity (normals; 0)
-    safe_inner: tuple  # each of arity (normals; safes)
+class BcSafeComp(_BcNode):
+    # each normal inner function of arity (normals; 0), each safe one (normals; safes)
+    __slots__ = _fields = ("normals", "safes", "outer", "normal_inner", "safe_inner")
 
 
 BcTerm = BcZero | BcSucc | BcProj | BcPred | BcCond | BcSafeRec | BcSafeComp
@@ -94,7 +100,8 @@ def bc_arity(b: BcTerm) -> tuple[int, int]:
 
 def _arity_walk(b: BcTerm, out: dict):
     """bc_arity on run_stack, in one pass that records the arity of every
-    node in ``out``, keyed by ``id``."""
+    distinct node in ``out`` and walks no node twice: a subterm already in
+    ``out`` is read there."""
     if isinstance(b, BcZero):
         arity = (0, 0)
     elif isinstance(b, (BcSucc, BcPred)):
@@ -104,27 +111,27 @@ def _arity_walk(b: BcTerm, out: dict):
     elif isinstance(b, BcProj):
         arity = (b.normals, b.safes)
     elif isinstance(b, BcSafeRec):
-        n, m = yield _arity_walk(b.base, out)
+        n, m = out.get(b.base) or (yield _arity_walk(b.base, out))
         for step in (b.step0, b.step1):
-            got = yield _arity_walk(step, out)
+            got = out.get(step) or (yield _arity_walk(step, out))
             _expect_arity("recursion step", got, (n + 1, m + 1))
         arity = (n + 1, m)
     elif isinstance(b, BcSafeComp):
-        p, q = yield _arity_walk(b.outer, out)
+        p, q = out.get(b.outer) or (yield _arity_walk(b.outer, out))
         if len(b.normal_inner) != p or len(b.safe_inner) != q:
             raise SignatureError(
                 f"composition needs {p} normal and {q} safe inner functions"
             )
         for h in b.normal_inner:
-            got = yield _arity_walk(h, out)
+            got = out.get(h) or (yield _arity_walk(h, out))
             _expect_arity("normal inner function", got, (b.normals, 0))
         for l in b.safe_inner:
-            got = yield _arity_walk(l, out)
+            got = out.get(l) or (yield _arity_walk(l, out))
             _expect_arity("safe inner function", got, (b.normals, b.safes))
         arity = (b.normals, b.safes)
     else:
         raise SignatureError(f"unknown algebra term {b!r}")
-    out[id(b)] = arity
+    out[b] = arity
     return arity
 
 
@@ -133,8 +140,7 @@ def _expect_arity(what: str, got: tuple, needs: tuple) -> None:
         raise SignatureError(f"{what} has arity {got}, needs ({needs[0]}; {needs[1]})")
 
 
-@dataclass(frozen=True)
-class BcCompilation:
+class BcCompilation(NamedTuple):
     program: Program
     qi: QiAssignment
     provenance: dict  # symbol name -> description
@@ -144,8 +150,8 @@ class BcCompilation:
 
 class _Compiler:
     def __init__(self, arities: dict):
-        self.arities = arities  # id of each node -> (normal, safe)
-        self.symbols: dict = {}  # structural key -> compiled symbol
+        self.arities = arities  # node -> (normal, safe)
+        self.symbols: dict = {}  # node -> compiled symbol
         self.equations: list[Equation] = []
         self.q_parts: dict[str, Posy] = {}  # posynomials over normal indices
         self.entries: dict[str, QiExpr] = {}
@@ -164,30 +170,25 @@ class _Compiler:
 
     def compile(self, b: BcTerm):
         """b's symbol, on run_stack; b has passed ``_arity_walk``, whose
-        arities it reads.  Subterms are compiled first, so a term is keyed
-        by its head, its own fields and its subterms' symbols: structurally
-        equal terms share a key, and no key hashes deeply."""
+        arities it reads.  A hash-consed node is its own structural key, so
+        each distinct node is compiled once, after its subterms."""
         if isinstance(b, BcSafeRec):
-            subterms, key = (b.base, b.step0, b.step1), (BcSafeRec,)
+            subterms = (b.base, b.step0, b.step1)
         elif isinstance(b, BcSafeComp):
             subterms = (b.outer, *b.normal_inner, *b.safe_inner)
-            key = (BcSafeComp, b.normals, b.safes, len(b.normal_inner))
         else:
-            subterms, key = (), (b,)
+            subterms = ()
         syms = []
         for c in subterms:
-            syms.append((yield self.compile(c)))
-        key += tuple(syms)
-        if key in self.symbols:
-            return self.symbols[key]
-        n, m = self.arities[id(b)]
+            syms.append(self.symbols.get(c) or (yield self.compile(c)))
+        n, m = self.arities[b]
         xs = tuple(Var(f"x{i + 1}") for i in range(n))
         ys = tuple(Var(f"y{i + 1}") for i in range(m))
         units = [{_unit(i, n): 1} for i in range(n)]  # the normal arguments
         parts = self.q_parts
 
         def finish(sym: Symbol, q: Posy, desc: str, entry=None) -> Symbol:
-            self.symbols[key] = sym
+            self.symbols[b] = sym
             self.q_parts[sym.name] = q
             self.entries[sym.name] = entry or _entry(q, n, m, self.memo)
             self.provenance[sym.name] = desc

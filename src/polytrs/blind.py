@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .base import (
     Budget,
@@ -32,8 +31,7 @@ BLIND_S = Symbol("s", CONSTRUCTOR, 1)
 BLIND_0 = Symbol("0", CONSTRUCTOR, 0)
 
 
-@dataclass(frozen=True)
-class BlindProgram:
+class BlindProgram(NamedTuple):
     program: Program
     provenance: dict  # original symbol name -> blinded symbol name
     duplicate_groups: tuple  # tuples of equation indices that became equal
@@ -126,8 +124,7 @@ def transfer_uniform_qi(
 # -- growth measurement --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     size: int
     worst_rules: int
     worst_result_size: int
@@ -144,8 +141,7 @@ class GrowthRow:
         }
 
 
-@dataclass(frozen=True)
-class GrowthTable:
+class GrowthTable(NamedTuple):
     rows: tuple
 
     def as_csv(self) -> str:

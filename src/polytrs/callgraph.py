@@ -12,8 +12,7 @@ equation and the rhs call-site occurrence they realise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .base import Budget, BudgetExceeded, DEFAULT_BUDGET, run_stack
 from .semantics import (
@@ -43,18 +42,21 @@ def state_text(state: App) -> str:
     return f"<{state.symbol.name}, {args}>" if args else f"<{state.symbol.name}>"
 
 
-@dataclass(frozen=True)
-class TransitionEdge:
+class TransitionEdge(NamedTuple):
     target: App
     equation: Equation
     occurrence: int  # index among the function-headed subterm occurrences of the rhs
 
 
-@dataclass(eq=False)  # identity equality; the repr names the state only
 class CallNode:
-    state: App
-    children: list = field(default_factory=list)  # (TransitionEdge, CallNode)
-    read_links: list = field(default_factory=list)  # (TransitionEdge, CallNode)
+    """A call node: identity equality, and a repr that names the state only."""
+
+    __slots__ = _fields = ("state", "children", "read_links")
+
+    def __init__(self, state: App):
+        self.state = state
+        self.children: list = []  # (TransitionEdge, CallNode)
+        self.read_links: list = []  # (TransitionEdge, CallNode)
 
     def walk(self) -> Iterator["CallNode"]:
         """This node and its tree descendants, in pre-order; a node shared
@@ -69,7 +71,6 @@ class CallNode:
         return f"CallNode({state_text(self.state)})"
 
 
-@dataclass
 class CallStructure:
     """A FOREST is the call tree of a cbv proof, with one node per call
     judgement object: a repeated call shares its node, and the tree is its
@@ -77,8 +78,11 @@ class CallStructure:
     forest are over occurrences in that unfolding.  A DAG has one node per
     Update and links each Read to it."""
 
-    kind: str  # FOREST or DAG
-    roots: list
+    __slots__ = _fields = ("kind", "roots")
+
+    def __init__(self, kind: str, roots: list):
+        self.kind = kind  # FOREST or DAG
+        self.roots = roots
 
     def nodes(self) -> list[CallNode]:
         """A forest's node occurrences in pre-order; a dag's distinct nodes."""

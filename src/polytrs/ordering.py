@@ -10,8 +10,7 @@ below, some component strictly below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .base import ParseError, PrecedenceError, run_stack
 from .terms import (
@@ -20,6 +19,8 @@ from .terms import (
     Program,
     Symbol,
     Term,
+    _Frozen,
+    _set,
     format_term,
 )
 
@@ -32,8 +33,7 @@ GREATER = "greater"
 INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class Precedence:
+class Precedence(_Frozen):
     """Partition of function names into classes plus a strict order on classes.
 
     ``class_ids`` maps each function name to its class id; ``below`` holds
@@ -43,10 +43,14 @@ class Precedence:
     PathOrder built on this precedence, so no pair is decided twice.
     """
 
-    class_ids: dict
-    below: frozenset
-    signature: tuple
-    decided: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("class_ids", "below", "signature")
+    __slots__ = _fields + ("decided", "__weakref__")
+
+    def __init__(self, class_ids: dict, below: frozenset, signature: tuple):
+        _set(self, "class_ids", class_ids)
+        _set(self, "below", below)
+        _set(self, "signature", signature)
+        _set(self, "decided", {})
 
     def class_of(self, name: str) -> int:
         try:
@@ -262,24 +266,20 @@ class PathOrder:
         return True
 
 
-@dataclass(frozen=True)
-class EquationVerdict:
+class EquationVerdict(NamedTuple):
     equation: Equation
     decreasing: bool
     failing_subgoal: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class OrderingVerdict:
+class OrderingVerdict(NamedTuple):
     mode: str
     precedence: Precedence
     per_equation: tuple
-    overall: bool = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "overall", all(v.decreasing for v in self.per_equation)
-        )
+    @property
+    def overall(self) -> bool:
+        return all(v.decreasing for v in self.per_equation)
 
     def as_dict(self) -> dict:
         return {

@@ -27,12 +27,11 @@ import math
 import operator
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .base import ParseError, QiError, Tokens, postorder, run_stack
-from .terms import Equation, Program, Term, Var, _Interned, _set, variables
+from .terms import Equation, Program, Term, Var, _Frozen, _Interned, _set, variables
 
 GRID_POINTS = (0, 1, 2, 5, 10)
 RANDOM_POINTS = 256
@@ -74,10 +73,15 @@ class Const(_Node):
     _fields = ("value",)
 
     def __new__(cls, value):
-        v = Fraction(value)  # one key per rational, and no rejected node interned
+        # Keyed by the reduced fraction's two ints, which hash and compare
+        # in C, as a Fraction does not; no rejected node is interned.
+        v = Fraction(value)
         if v < 0:
             raise QiError("negative constant in an assignment expression")
-        return _Interned.__new__(cls, v)
+        return _Interned.__new__(cls, v.numerator, v.denominator)
+
+    def _fill(self, numerator: int, denominator: int) -> None:
+        _set(self, "value", Fraction(numerator, denominator))
 
 
 class Arg(_Node):
@@ -508,14 +512,17 @@ def _dominates(lhs: QiExpr, rhs: QiExpr, arity: int, memo: dict) -> bool:
 # -- assignments --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QiAssignment:
-    entries: dict  # symbol name -> QiExpr
-    # Normal forms, dominance decisions and substitutions (max_posy_form,
-    # dominates, term_qi) keyed by expressions alone, so an assignment built
-    # from the same expressions may share it.  It lives exactly as long as
-    # the assignments that hold it.
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+class QiAssignment(_Frozen):
+    _fields = ("entries", "memo")
+    __slots__ = _fields + ("__weakref__",)
+
+    def __init__(self, entries: dict, memo: Optional[dict] = None):
+        _set(self, "entries", entries)  # symbol name -> QiExpr
+        # Normal forms, dominance decisions and substitutions (max_posy_form,
+        # dominates, term_qi) keyed by expressions alone, so an assignment
+        # built from the same expressions may share it.  It lives exactly as
+        # long as the assignments that hold it.
+        _set(self, "memo", {} if memo is None else memo)
 
     def entry(self, name: str) -> QiExpr:
         try:
@@ -622,8 +629,7 @@ def _grid_point(index: int, arity: int) -> tuple:
     return tuple(reversed(digits))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     subterm: dict  # name -> (status, witness point or None)
     additivity: dict  # constructor name -> bool
 
@@ -690,8 +696,7 @@ def _refute(lhs: QiExpr, rhs: QiExpr, arity: int, tag: str, seed: int = 0):
     return None
 
 
-@dataclass(frozen=True)
-class ObligationVerdict:
+class ObligationVerdict(NamedTuple):
     equation_index: int
     # (lhs, rhs, variable names) of the obligation lhs >= rhs, or the
     # equation itself when it has none; formatted only when read.
@@ -708,8 +713,7 @@ class ObligationVerdict:
         return f"{format_expr(lhs, names)} >= {format_expr(rhs, names)}"
 
 
-@dataclass(frozen=True)
-class QiVerdict:
+class QiVerdict(NamedTuple):
     per_equation: tuple
     conditions: ConditionReport
     overall: str

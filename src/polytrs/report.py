@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .base import Budget, DEFAULT_BUDGET, NotWordProgram, run_stack
@@ -90,8 +89,7 @@ def program_digest(program: Program) -> str:
     return hashlib.sha256(format_program(program).encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     data: dict
 
     def to_json(self) -> str:

@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator, KeysView, Optional
+from typing import Iterator, KeysView, NamedTuple, Optional
 
 from .base import (
     Budget,
@@ -34,6 +33,8 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    _Frozen,
+    _set,
     apply_subst,
     format_term,
     is_value,
@@ -55,27 +56,34 @@ PASSIVE_RULES = frozenset({R_CONSTRUCTOR, R_SPLIT})
 SEMI_ACTIVE_RULES = frozenset({R_READ})
 
 
-@dataclass(frozen=True, eq=False)
-class Judgement:
+class Judgement(_Frozen):
     """A derivation node: identity equality and a shallow repr, so no dunder
-    walks a deep proof."""
+    walks a deep proof.  ``size`` counts the judgement occurrences of the
+    derivation, and ``height`` its levels: a leaf has height 1."""
 
-    rule: str
-    lhs: Term
-    result: Term
-    children: tuple = ()
-    equation: Optional[Equation] = None
-    size: int = field(init=False)  # judgement occurrences of the derivation
-    height: int = field(init=False)  # judgement levels: a leaf has height 1
+    _fields = ("rule", "lhs", "result", "children", "equation")
+    __slots__ = _fields + ("size", "height")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        rule: str,
+        lhs: Term,
+        result: Term,
+        children: tuple = (),
+        equation: Optional[Equation] = None,
+    ):
         size, height = 1, 0
-        for c in self.children:
+        for c in children:
             size += c.size
             if c.height > height:
                 height = c.height
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "height", height + 1)
+        _set(self, "rule", rule)
+        _set(self, "lhs", lhs)
+        _set(self, "result", result)
+        _set(self, "children", children)
+        _set(self, "equation", equation)
+        _set(self, "size", size)
+        _set(self, "height", height + 1)
 
     def __repr__(self) -> str:
         return f"Judgement({self.rule}, {format_term(self.lhs)} => {format_term(self.result)})"
@@ -121,8 +129,7 @@ class Judgement:
                 todo.extend(reversed(j.children))
 
 
-@dataclass(frozen=True)
-class DerivationStats:
+class DerivationStats(NamedTuple):
     rule_count: int
     active_count: int  # distinct active judgements (lhs, result)
     active_occurrences: int
@@ -145,8 +152,7 @@ class DerivationStats:
         }
 
 
-@dataclass(frozen=True)
-class DerivationProof:
+class DerivationProof(NamedTuple):
     root: Judgement
     mode: str  # "cbv" or "memo"
     stats: DerivationStats
@@ -157,19 +163,19 @@ class DerivationProof:
         return self.root.result
 
 
-@dataclass(frozen=True)
-class FirstMatch:
-    pass
+class FirstMatch(_Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Seeded:
-    seed: int = 0
+class Seeded(_Frozen):
+    __slots__ = _fields = ("seed",)
+
+    def __init__(self, seed: int = 0):
+        _set(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class Exhaustive:
-    pass
+class Exhaustive(_Frozen):
+    __slots__ = ()
 
 
 ChoicePolicy = FirstMatch | Seeded | Exhaustive
@@ -258,7 +264,7 @@ class _Run:
 
     def __init__(self, program: Program, policy: ChoicePolicy, budget: Budget, memo: bool = False):
         self.program = program
-        self.budget = budget
+        self.max_rules, self.max_depth = budget
         self.memo = memo
         self.steps = 0
         self.rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
@@ -266,7 +272,7 @@ class _Run:
 
     def derive(self, t: Term, depth: int):
         self.steps += 1
-        if self.steps > self.budget.max_rules or depth > self.budget.max_depth:
+        if self.steps > self.max_rules or depth > self.max_depth:
             raise BudgetExceeded(
                 f"budget exceeded while evaluating {format_term(t)[:80]}"
             )
@@ -281,8 +287,8 @@ class _Run:
                 # that derivation would fit: else derive it, so the budget
                 # fails at the same judgement as without sharing
                 if (
-                    self.steps - 1 + j.size <= self.budget.max_rules
-                    and depth - 1 + j.height <= self.budget.max_depth
+                    self.steps - 1 + j.size <= self.max_rules
+                    and depth - 1 + j.height <= self.max_depth
                 ):
                     self.steps += j.size - 1
                     return j

@@ -5,17 +5,18 @@ The term language has three layers: values (constructor terms), patterns
 function applications).  Programs are ordered lists of rewrite equations
 ``f(p1..pn) -> rhs`` over a fixed signature.
 
-Symbols, variables and terms are hash-consed: each is built through one
-weak-value intern table, so there is one object per distinct value, ``==``
-is identity and the hash is the address.  As an address differs from
-process to process, even under one ``PYTHONHASHSEED``, no output may follow
-the iteration order of a set of them.
+Symbols, variables, terms, equations and programs are hash-consed: each is
+built through one weak-value intern table, so there is one object per
+distinct value, ``==`` is identity and the hash is the address.  As an
+address differs from process to process, even under one ``PYTHONHASHSEED``,
+no output may follow the iteration order of a set of them.  ``_Frozen`` is
+the immutable base of these and of the package's other identity-equal
+records.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .base import NoMatchingEquation, SignatureError
@@ -24,11 +25,11 @@ CONSTRUCTOR = "constructor"
 FUNCTION = "function"
 
 
-# The intern table of every hash-consed object: a symbol, variable or QI
-# node under (class, fields), a term under (symbol, args), which no such key
-# equals, as its first item is a Symbol.  Each entry is a weak reference to
-# the one object, so ``==`` can be identity and the hash the address, both
-# object's own, in C.
+# The intern table of every hash-consed object: a symbol, variable, equation,
+# program, QI node or algebra term under (class, fields), a term under
+# (symbol, args), which no such key equals, as its first item is a Symbol.
+# Each entry is a weak reference to the one object, so ``==`` can be
+# identity and the hash the address, both object's own, in C.
 _INTERNED: dict = {}
 
 
@@ -58,13 +59,25 @@ def _forget(ref: _Ref, table: dict = _INTERNED) -> None:
 _set = object.__setattr__
 
 
-class _Interned:
+class _Frozen:
+    """An object whose slots are stored once, by ``_set``, as it is built."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name}")
+
+    __delattr__ = __setattr__
+
+
+class _Interned(_Frozen):
     """An immutable object, one per (class, fields), built through the
     intern table.  A subclass names its fields in ``_fields``; ``_fill``
-    stores them, and whatever is derived from them, on a new object."""
+    checks them, then stores them, and whatever is derived from them, on a
+    new object, so no rejected object is interned."""
 
     __slots__ = ("__weakref__",)
-    _fields: tuple = ()
 
     def __new__(cls, *values):
         key = (cls, *values)
@@ -80,11 +93,6 @@ class _Interned:
     def _fill(self, *values) -> None:
         for name, value in zip(self._fields, values):
             _set(self, name, value)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name}")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         # Unpickling and copies rebuild through the intern table.
@@ -298,23 +306,22 @@ def apply_subst(t: Term, subst: Substitution) -> Term:
             stack[-1][1].append(node)
 
 
-@dataclass(frozen=True, slots=True)
-class Equation:
-    lhs_function: Symbol
-    lhs_patterns: tuple
-    rhs: Term
-    index: int
-    # Built once, so the interned lhs node lives as long as the equation.
-    lhs: App = field(init=False, compare=False, repr=False)
-    # The rhs call sites: position -> (occurrence, subterm) for each
-    # function-headed rhs subterm, in pre-order, so occurrence counts up.
-    calls: dict = field(init=False, compare=False, repr=False)
+class Equation(_Interned):
+    """A rewrite equation ``f(p1..pn) -> rhs``, interned by its four fields.
 
-    def __post_init__(self):
+    It stores its lhs node, so the interned lhs lives as long as the
+    equation, and its rhs call sites in ``calls``: position -> (occurrence,
+    subterm) for each function-headed rhs subterm, in pre-order, so
+    occurrence counts up."""
+
+    __slots__ = ("lhs_function", "lhs_patterns", "rhs", "index", "lhs", "calls")
+    _fields = ("lhs_function", "lhs_patterns", "rhs", "index")
+
+    def _fill(self, lhs_function: Symbol, lhs_patterns: tuple, rhs: Term, index: int) -> None:
         # One walk over each pattern and one over the rhs; a value holds no
         # variable, no function symbol and no call, so neither walk enters one.
         lhs_vars = set()
-        for p in self.lhs_patterns:
+        for p in lhs_patterns:
             todo = [p]
             while todo:
                 u = todo.pop()
@@ -323,18 +330,18 @@ class Equation:
                 elif not u.is_value:
                     if u.symbol.is_function:
                         raise SignatureError(
-                            f"equation {self.index}: lhs argument {format_term(p)} "
+                            f"equation {index}: lhs argument {format_term(p)} "
                             "contains a function symbol"
                         )
                     todo.extend(u.args)
         calls: dict = {}
-        todo: list = [((), self.rhs)]
+        todo: list = [((), rhs)]
         while todo:  # in pre-order, so the first missing variable is named
             pos, t = todo.pop()
             if isinstance(t, Var):
                 if t.name not in lhs_vars:
                     raise SignatureError(
-                        f"equation {self.index}: rhs variable {t.name} does not "
+                        f"equation {index}: rhs variable {t.name} does not "
                         "occur in the lhs"
                     )
             elif not t.is_value:
@@ -342,8 +349,9 @@ class Equation:
                     calls[pos] = (len(calls), t)
                 for i in range(len(t.args) - 1, -1, -1):
                     todo.append((pos + (i,), t.args[i]))
-        object.__setattr__(self, "lhs", App(self.lhs_function, self.lhs_patterns))
-        object.__setattr__(self, "calls", calls)
+        _set(self, "lhs", App(lhs_function, lhs_patterns))
+        _Interned._fill(self, lhs_function, lhs_patterns, rhs, index)
+        _set(self, "calls", calls)
 
     def is_left_linear(self) -> bool:
         names: list[str] = []
@@ -357,33 +365,28 @@ class Equation:
         return f"{format_term(self.lhs)} -> {format_term(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class Program:
-    signature: tuple
-    equations: tuple
-    main: Symbol
-    declared_order: Optional[str] = field(default=None, compare=False)
-    # Equations by function symbol, each list in program order.
-    _by_function: dict = field(init=False, compare=False, repr=False)
-    # Match plans by function symbol, each built by the first
-    # ``matching_equations`` call on that symbol.
-    _plans: dict = field(init=False, compare=False, repr=False)
+class Program(_Interned):
+    """A signature, its equations in program order and the main symbol,
+    interned with the text of the program's ``order:`` line."""
 
-    def __post_init__(self):
-        by_function: dict = {}
-        for eq in self.equations:
-            by_function.setdefault(eq.lhs_function, []).append(eq)
-        object.__setattr__(self, "_by_function", by_function)
-        object.__setattr__(self, "_plans", {})
-        names = [s.name for s in self.signature]
+    __slots__ = ("signature", "equations", "main", "declared_order", "_by_function", "_plans")
+    _fields = ("signature", "equations", "main", "declared_order")
+
+    def __new__(cls, signature: tuple, equations: tuple, main: Symbol, declared_order=None):
+        return _Interned.__new__(cls, signature, equations, main, declared_order)
+
+    def _fill(self, signature, equations, main, declared_order) -> None:
+        names = [s.name for s in signature]
         if len(names) != len(set(names)):
             raise SignatureError("duplicate symbol names in signature")
-        by_name = {s.name: s for s in self.signature}
-        if by_name.get(self.main.name) is not self.main:
-            raise SignatureError(f"main symbol {self.main.name} not declared")
+        by_name = {s.name: s for s in signature}
+        if by_name.get(main.name) is not main:
+            raise SignatureError(f"main symbol {main.name} not declared")
         declared: set = set()  # the symbols already checked
         checked: set = set()  # App nodes met before: all below them is checked
-        for eq in self.equations:
+        by_function: dict = {}  # equations by function symbol, in program order
+        for eq in equations:
+            by_function.setdefault(eq.lhs_function, []).append(eq)
             todo = [eq.rhs, eq.lhs]  # pre-order, lhs first
             while todo:
                 u = todo.pop()
@@ -397,6 +400,11 @@ class Program:
                         )
                     declared.add(u.symbol)
                 todo.extend(reversed(u.args))
+        _Interned._fill(self, signature, equations, main, declared_order)
+        _set(self, "_by_function", by_function)
+        # Match plans by function symbol, each built by the first
+        # ``matching_equations`` call on that symbol.
+        _set(self, "_plans", {})
 
     @property
     def constructors(self) -> list[Symbol]:

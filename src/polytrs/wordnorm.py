@@ -8,8 +8,7 @@ a variable.  Programs mixing in wider constructors are rejected outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .base import Budget, DEFAULT_BUDGET, NormalizationError, NotWordProgram
 from .callgraph import reachable_states
@@ -31,8 +30,7 @@ from .terms import (
 MAX_EQUATIONS = 10_000  # normalization gives up past this many equations
 
 
-@dataclass(frozen=True)
-class WordPattern:
+class WordPattern(NamedTuple):
     prefix: tuple  # unary constructor symbols, outermost first
     tail: Optional[str]  # variable name, or None for a ground word
 
@@ -57,8 +55,7 @@ def word_pattern(p: Term) -> WordPattern:
     raise NotWordProgram(f"{format_term(p)} is not a word pattern")
 
 
-@dataclass(frozen=True)
-class SameClassCall:
+class SameClassCall(NamedTuple):
     equation: Equation
     occurrence: int
     callee: Symbol
@@ -69,8 +66,7 @@ class SameClassCall:
         return max((w.length for w in self.arg_patterns), default=0)
 
 
-@dataclass(frozen=True)
-class ProductionProfile:
+class ProductionProfile(NamedTuple):
     per_equation: dict  # equation index -> K_e
     per_class: dict  # class id -> K_h
     calls: tuple  # SameClassCall in label order
@@ -113,8 +109,7 @@ def production_profile(program: Program, precedence: Precedence) -> ProductionPr
     return ProductionProfile(per_equation, per_class, tuple(calls))
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(NamedTuple):
     normal: bool
     witnesses: tuple  # (equation index, argument position, length, required)
 
@@ -221,8 +216,7 @@ def normalization_diff(original: Program, normalized: Program) -> dict:
 # -- bounded values measurement --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundedValuesRow:
+class BoundedValuesRow(NamedTuple):
     size: int
     max_state_size: int
     states: int
@@ -281,8 +275,7 @@ def measure_bounded_values(
 # -- extended certification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtendedVerdict:
+class ExtendedVerdict(NamedTuple):
     eppo: Optional[OrderingVerdict]
     eppo_pass: bool
     word: bool

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import pathlib
 
 import pytest
@@ -65,6 +64,12 @@ def t(text, program):
     return parse_term(text, symbols_of(program))
 
 
+def replace(obj, **changes):
+    """A record (a NamedTuple or a class with ``_fields``) rebuilt with some
+    of its fields changed; an unknown field name raises TypeError."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
+
+
 def unshare(j):
     """A copy of the judgement j in which no judgement object occurs twice."""
-    return dataclasses.replace(j, children=tuple(unshare(c) for c in j.children))
+    return replace(j, children=tuple(unshare(c) for c in j.children))

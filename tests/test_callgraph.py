@@ -334,6 +334,10 @@ def test_equation_calls_match_a_positional_walk(corpus):
 def test_equation_equality_and_hash_ignore_calls(corpus):
     eq = corpus["running.trs"].equations[1]
     assert len(eq.calls) == 3
+    # Equations are hash-consed: an equation built again is the one object,
+    # calls included, and its calls cannot be replaced.
     twin = Equation(eq.lhs_function, eq.lhs_patterns, eq.rhs, eq.index)
-    object.__setattr__(twin, "calls", {})
+    assert twin is eq and twin.calls is eq.calls
     assert twin == eq and hash(twin) == hash(eq) and repr(twin) == repr(eq)
+    with pytest.raises(AttributeError):
+        twin.calls = {}

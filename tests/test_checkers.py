@@ -9,8 +9,6 @@ fail with the message of its unshared copy.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from polytrs.parser import parse_term
@@ -26,7 +24,7 @@ from polytrs.semantics import (
 )
 from polytrs.terms import CONSTRUCTOR, App, Symbol
 
-from .conftest import checked_cbv, checked_memo, symbols_of, unshare
+from .conftest import checked_cbv, checked_memo, replace, symbols_of, unshare
 
 
 def replace_at(j: Judgement, path: tuple, fn) -> Judgement:
@@ -35,7 +33,7 @@ def replace_at(j: Judgement, path: tuple, fn) -> Judgement:
         return fn(j)
     kids = list(j.children)
     kids[path[0]] = replace_at(kids[path[0]], path[1:], fn)
-    return dataclasses.replace(j, children=tuple(kids))
+    return replace(j, children=tuple(kids))
 
 
 def at(j: Judgement, path: tuple) -> Judgement:
@@ -45,7 +43,7 @@ def at(j: Judgement, path: tuple) -> Judgement:
 
 
 def with_root(proof: DerivationProof, root: Judgement) -> DerivationProof:
-    return dataclasses.replace(proof, root=root)
+    return replace(proof, root=root)
 
 
 def message(check, *args) -> str:
@@ -84,7 +82,7 @@ def memo(running):
 
 def test_wrong_result_is_rejected(running, cbv):
     other = App(running.symbol("s0"), (App(running.symbol("nil")),))
-    bad = with_root(cbv, dataclasses.replace(cbv.root, result=other))
+    bad = with_root(cbv, replace(cbv.root, result=other))
     with pytest.raises(ValueError, match="activation value"):
         validate_proof(running, bad)
 
@@ -93,7 +91,7 @@ def test_wrong_equation_is_rejected(running, cbv):
     root = cbv.root
     assert root.rule == R_FUNCTION
     other = next(eq for eq in running.equations if eq != root.equation)
-    bad = with_root(cbv, dataclasses.replace(root, equation=other))
+    bad = with_root(cbv, replace(root, equation=other))
     with pytest.raises(ValueError):
         validate_proof(running, bad)
 
@@ -103,7 +101,7 @@ def test_swapped_premise_lhs_is_rejected(running, cbv):
     # of another judgement
     split = at(cbv.root, (0,))
     wrong = split.children[0].lhs
-    root = replace_at(cbv.root, (0, 2), lambda j: dataclasses.replace(j, lhs=wrong))
+    root = replace_at(cbv.root, (0, 2), lambda j: replace(j, lhs=wrong))
     with pytest.raises(ValueError, match="Split call lhs"):
         validate_proof(running, with_root(cbv, root))
 
@@ -111,7 +109,7 @@ def test_swapped_premise_lhs_is_rejected(running, cbv):
 def test_read_before_update_is_rejected(running, memo):
     def swap(split):
         u, r, rest = split.children
-        return dataclasses.replace(split, children=(r, u, rest))
+        return replace(split, children=(r, u, rest))
 
     bad = with_root(memo, replace_at(memo.root, (0,), swap))
     with pytest.raises(ValueError, match="Read entry not in cache"):
@@ -132,7 +130,7 @@ def test_cache_trace_missing_an_entry_is_rejected(running, memo):
     key = (read.lhs, read.result)
     trace = tuple(e for e in memo.cache_trace if e != key)
     assert len(trace) == len(memo.cache_trace) - 1
-    bad = dataclasses.replace(memo, cache_trace=trace)
+    bad = replace(memo, cache_trace=trace)
     with pytest.raises(ValueError, match="cache trace does not agree"):
         validate_proof(running, bad)
     with pytest.raises(ValueError, match="missing from the cache trace"):
@@ -148,7 +146,7 @@ def test_read_of_a_call_on_a_same_named_constructor_is_rejected(corpus):
     read = at(memo.root, path)
     f = read.lhs.symbol
     forged = App(Symbol(f.name, CONSTRUCTOR, f.arity), read.lhs.args)
-    bad = with_root(memo, replace_at(memo.root, path, lambda j: dataclasses.replace(j, lhs=forged)))
+    bad = with_root(memo, replace_at(memo.root, path, lambda j: replace(j, lhs=forged)))
     with pytest.raises(ValueError, match="before the matching Update"):
         check_read_linkage(bad)
     with pytest.raises(ValueError, match="Split premise lhs"):
@@ -171,7 +169,7 @@ def test_dependence_member_outside_the_root_term_is_rejected(running):
     # the lhs s0 nil, which is no subterm of the dependence root
     proof = checked_cbv(running, parse_term("s0 s1 nil", symbols_of(running)))
     foreign = parse_term("s0 nil", symbols_of(running))
-    root = replace_at(proof.root, (0,), lambda j: dataclasses.replace(j, lhs=foreign))
+    root = replace_at(proof.root, (0,), lambda j: replace(j, lhs=foreign))
     with pytest.raises(ValueError, match="is not a subterm"):
         check_dependence_bounds(with_root(proof, root))
 
@@ -190,8 +188,8 @@ def test_shared_function_with_a_wrong_value_is_rejected(running, cbv):
     split = at(cbv.root, (0,))
     assert split.children[0] is split.children[1]
     wrong = App(running.symbol("s0"), (App(running.symbol("nil")),))
-    bad_call = dataclasses.replace(split.children[0], result=wrong)
-    bad_split = dataclasses.replace(split, children=(bad_call, bad_call, split.children[2]))
+    bad_call = replace(split.children[0], result=wrong)
+    bad_split = replace(split, children=(bad_call, bad_call, split.children[2]))
     bad = with_root(cbv, replace_at(cbv.root, (0,), lambda j: bad_split))
     assert same_failure(validate_proof, bad, running) == (
         "invalid Function judgement at f(s1(nil)): activation value"
@@ -208,8 +206,8 @@ def test_shared_function_holding_an_update_is_checked_again(running):
     assert call is at(proof.root, (1,))
     inner = (0, 0)  # append(nil, s1 nil) under the Constructor s1(...)
     assert at(call, inner).lhs.symbol.name == "append"
-    held = replace_at(call, inner, lambda j: dataclasses.replace(j, rule=R_UPDATE))
-    root = dataclasses.replace(proof.root, children=(held, held, proof.root.children[2]))
+    held = replace_at(call, inner, lambda j: replace(j, rule=R_UPDATE))
+    root = replace(proof.root, children=(held, held, proof.root.children[2]))
     assert same_failure(validate_proof, with_root(proof, root), running) == (
         "invalid Update judgement at append(nil, s1(nil)): Update on a cached call"
     )
@@ -223,8 +221,8 @@ def test_shared_passive_judgement_breaking_a_bound_is_rejected(running):
     call = at(proof.root, (0,))
     assert call is at(proof.root, (1,))
     foreign = parse_term("s1 nil", symbols_of(running))
-    held = replace_at(call, (0, 0), lambda j: dataclasses.replace(j, lhs=foreign))
-    root = dataclasses.replace(proof.root, children=(held, held, proof.root.children[2]))
+    held = replace_at(call, (0, 0), lambda j: replace(j, lhs=foreign))
+    root = replace(proof.root, children=(held, held, proof.root.children[2]))
     assert same_failure(check_dependence_bounds, with_root(proof, root)) == (
         "dependence member s1(nil) is not a subterm of s0(nil)"
     )

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from polytrs.base import Budget
+from polytrs.bc import bc_arity, parse_bc
 from polytrs.blind import blind_program
 from polytrs.callgraph import call_dag, call_tree
 from polytrs.cli import main
@@ -227,6 +228,17 @@ def test_deep_algebra_term_compiles(tmp_path):
     code, text = run(tmp_path, "bc-compile", str(bc))
     assert code == 0, text[:200]
     assert len(json.loads(text)["provenance"]) == 1501
+
+
+def test_deep_algebra_term_dunders():
+    # Algebra terms are hash-consed, so hash and == are C-level at any depth
+    # and a repr shows a node's own numbers only.
+    text = nested_comp(1500)
+    term = parse_bc(text)
+    assert parse_bc(text) is term and term == parse_bc(text)
+    assert hash(term) == object.__hash__(term)
+    assert bc_arity(term) == (0, 0)
+    assert repr(term) == "BcSafeComp(0, 0, ..., ..., ...)"
 
 
 def deep_qi(tmp_path, text: str) -> str:

@@ -8,7 +8,8 @@ inside a function.  A module uses every name it imports; only
 ``__init__.py`` imports names to re-export them.  No function is wrapped in
 ``functools.lru_cache`` or ``functools.cache``: such a cache is
 process-global and, unbounded, keeps every argument alive.  Memo tables
-belong to one computation instead.  The test helpers that hold code moved
+belong to one computation instead.  No module imports ``dataclasses``, whose
+class generation would cost every command at start-up.  The test helpers that hold code moved
 out of the package keep these rules.
 
 The package ships only what a command, a script or the benchmark runs.  So
@@ -21,7 +22,10 @@ bounds, lives beside the tests.
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -127,9 +131,50 @@ def test_cache_guard_sees_every_spelling():
     assert [entry.split(": ")[1] for entry in found] == ["a", "b", "c", "d", "e"]
 
 
-# Terms, symbols, variables and QI nodes are hash-consed: one object per
-# value, so object identity is their equality and the address their hash,
-# both in C.  A Python-level __hash__ or __eq__ on any class of these two
+# No package module imports ``dataclasses``: each @dataclass generates and
+# execs its methods when the module is imported, which cost a sixth of the
+# start-up of every command.  Records are NamedTuples or slotted classes.
+
+
+def dataclass_imports(tree: ast.AST) -> list[str]:
+    """The line of each import of the ``dataclasses`` module, in any spelling."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        out += [f"line {node.lineno}" for n in names if n.partition(".")[0] == "dataclasses"]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert dataclass_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_dataclass_guard_sees_every_spelling():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "import os, dataclasses as dc\n"
+        "def f():\n    from dataclasses import replace\n"
+        "from typing import NamedTuple\n"
+    )
+    assert dataclass_imports(ast.parse(source)) == ["line 1", "line 2", "line 3", "line 5"]
+
+
+def test_importing_the_cli_leaves_dataclasses_out():
+    code = "import sys, polytrs.cli; sys.exit('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# Terms, symbols, variables, equations, programs and QI nodes are
+# hash-consed: one object per value, so object identity is their equality
+# and the address their hash, both in C.  A Python-level __hash__ or __eq__ on any class of these two
 # modules would put a Python call back on every intern-table lookup, and
 # weakref.KeyedRef builds each intern reference through Python-level
 # __new__ and __init__.

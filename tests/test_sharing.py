@@ -9,7 +9,6 @@ the checkers and call trees see the same proof.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from collections import Counter
 
@@ -33,7 +32,7 @@ from polytrs.semantics import (
 )
 from polytrs.terms import format_term, term_size
 
-from .conftest import checked_cbv, checked_memo, load, symbols_of, unshare
+from .conftest import checked_cbv, checked_memo, load, replace, symbols_of, unshare
 from .oracles import all_derivations
 from .bounds import check_edge_class_descent, max_children, ppo_descendant_bound, rank_stats
 from .reference import blind_proof, shape
@@ -188,7 +187,7 @@ def test_shared_read_objects_keep_the_charged_cost(corpus):
     def swap(j):
         if j.rule == R_READ and j.lhs == first.lhs:
             return shared
-        return dataclasses.replace(j, children=tuple(swap(c) for c in j.children))
+        return replace(j, children=tuple(swap(c) for c in j.children))
 
     root = swap(proof.root)
     assert len(list(root.distinct())) < root.size
@@ -202,7 +201,7 @@ def test_call_tree_and_json_unfold_the_shared_proof():
     for stem, text in ORACLE_CASES:
         program = load(f"{stem}.trs")
         proof = checked_cbv(program, parse_term(text, symbols_of(program)))
-        unfolded = dataclasses.replace(proof, root=unshare(proof.root))
+        unfolded = replace(proof, root=unshare(proof.root))
         assert proof_to_json(proof) == proof_to_json(unfolded)
         shared, tree = call_tree(proof), call_tree(unfolded)
         assert shared.to_json() == tree.to_json(), text
@@ -240,5 +239,5 @@ def test_blind_proof_keeps_the_sharing(corpus):
     assert image.stats.rule_count == proof.stats.rule_count
     assert len(list(image.root.distinct())) == len(list(proof.root.distinct()))
     assert shape(image.root) == shape(blind_proof(
-        blind_program(program), dataclasses.replace(proof, root=unshare(proof.root))
+        blind_program(program), replace(proof, root=unshare(proof.root))
     ).root)
