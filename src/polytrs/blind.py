@@ -23,7 +23,8 @@ from .base import (
     postorder,
 )
 from .ordering import Precedence
-from .qi import Arg, Const, QiAssignment, Sum, is_uniform
+from .parser import format_program
+from .qi import QiAssignment, is_uniform
 from .semantics import outcome_table
 from .terms import App, CONSTRUCTOR, Equation, FUNCTION, Program, Symbol, Term, Var
 
@@ -35,6 +36,13 @@ class BlindProgram(NamedTuple):
     program: Program
     provenance: dict  # original symbol name -> blinded symbol name
     duplicate_groups: tuple  # tuples of equation indices that became equal
+
+    def as_dict(self) -> dict:
+        return {
+            "program": format_program(self.program),
+            "provenance": dict(sorted(self.provenance.items())),
+            "duplicate_equations": [list(g) for g in self.duplicate_groups],
+        }
 
 
 def _blind_symbol(sym: Symbol, names: dict) -> Symbol:
@@ -102,22 +110,17 @@ def transfer_uniform_qi(
 ) -> QiAssignment:
     """Carry a uniform assignment over to the blind image.
 
-    The image's entries are the program's expressions, so it shares the
-    assignment's memo of normal forms and dominance decisions.
+    ``s`` and ``0`` take the entry of the first constructor of their arity
+    that has one, if any.  The image's entries are the program's
+    expressions, so it shares the assignment's memo of normal forms and
+    dominance decisions.
     """
     if not is_uniform(assignment, program):
         raise QiError("only uniform assignments can be blinded")
     entries: dict = {}
-    unary, nullary = word_alphabet(program)
-    entries["s"] = (
-        assignment.entry(unary[0].name) if unary else Sum((Arg(0), Const(1)))
-    )
-    entries["0"] = (
-        assignment.entry(nullary[0].name) if nullary else Const(1)
-    )
-    for f in program.functions:
-        if f.name in assignment.entries:
-            entries[blind.provenance[f.name]] = assignment.entry(f.name)
+    for sym in program.signature:
+        if sym.name in assignment.entries:
+            entries.setdefault(blind.provenance[sym.name], assignment.entries[sym.name])
     return QiAssignment(entries, assignment.memo)
 
 
@@ -258,6 +261,12 @@ def input_tuples(
 ) -> list[tuple]:
     """Argument tuples of total word length n for the main function.
 
+    ``cap`` bounds the inputs of a one-argument main: all words of length
+    n, or a seeded sample of ``cap``.  For k >= 2 arguments it bounds the
+    compositions of n into k lengths, and each composition takes up to
+    ``4 * cap // compositions`` tuples, so a size may have up to ``4 * cap``
+    inputs: append at n = 8 has 194 at cap 64.
+
     A word pool depends on its length alone, so each is drawn once.
     ``pools`` maps each length to its pool drawn so far; a measurement that
     passes one dict to all its sizes, under one main, cap and seed, draws
@@ -317,10 +326,12 @@ def measure_strong_poly(
 ) -> GrowthTable:
     """Worst rule count and result size per input size, over all derivations.
 
-    Inputs are all (or a seeded sample of) words of each size; the result
-    size column measures word length.  Each input reads the shared outcome
-    store of ``walk_inputs`` with its own paid set, so it is charged the
-    state budget a fresh table would charge.
+    Inputs are the words of each size ``input_tuples`` draws: at most
+    ``inputs_cap`` for a one-argument main, up to four times as many for a
+    main of k >= 2 arguments.  The result size column measures word length.
+    Each input reads the shared outcome store of ``walk_inputs`` with its
+    own paid set, so it is charged the state budget a fresh table would
+    charge.
     """
 
     def walk(term: Term, store: dict) -> dict:

@@ -19,12 +19,12 @@ from typing import Optional
 
 from .base import Budget, TrsError
 from .bc import compile_bc, parse_bc
-from .blind import blind_program, is_linear, measure_strong_poly
+from .blind import blind_program, measure_strong_poly
 from .callgraph import call_dag, call_tree
 from .ordering import EPPO, PPO, order_verdict
 from .parser import format_program, parse_program, parse_term
-from .qi import check_qi, format_assignment, is_uniform, parse_assignment, parse_expr
-from .report import build_report, program_digest, write_json
+from .qi import format_assignment, parse_assignment, parse_expr
+from .report import build_report, linearity_stage, program_digest, qi_stage, write_json
 from .semantics import (
     Exhaustive,
     FirstMatch,
@@ -280,23 +280,12 @@ def _dispatch(args) -> int:
         program = _load_program(args.program)
         with open(args.qi, encoding="utf-8") as fh:
             assignment = parse_assignment(fh.read(), program)
-        verdict = check_qi(program, assignment, seed=args.seed)
-        out = verdict.as_dict()
-        out["uniform"] = is_uniform(assignment, program)
-        _emit_json(args, out)
-        return {"valid": 0, "invalid": 1, "unknown": 2}[verdict.overall]
+        stage = qi_stage(program, assignment, args.seed)
+        _emit_json(args, stage)
+        return {"valid": 0, "invalid": 1, "unknown": 2}[stage["overall"]]
 
     if args.command == "blind":
-        program = _load_program(args.program)
-        image = blind_program(program)
-        _emit_json(
-            args,
-            {
-                "program": format_program(image.program),
-                "provenance": dict(sorted(image.provenance.items())),
-                "duplicate_equations": [list(g) for g in image.duplicate_groups],
-            },
-        )
+        _emit_json(args, blind_program(_load_program(args.program)).as_dict())
         return 0
 
     if args.command == "linearity":
@@ -305,19 +294,18 @@ def _dispatch(args) -> int:
         if verdict is None:
             _emit_json(args, {"overall": None, "note": "no precedence found"})
             return 2
-        per = is_linear(program, verdict.precedence)
-        _emit_json(args, {"per_function": per, "overall": all(per.values())})
-        return 0 if all(per.values()) else 1
+        stage = linearity_stage(program, verdict.precedence)
+        _emit_json(args, stage)
+        return 0 if stage["overall"] else 1
 
     if args.command == "normalize":
         program = _load_program(args.program)
         verdict = order_verdict(program, EPPO, args.order)
-        prec = verdict.precedence if verdict else None
-        normalized = normalize(program, prec)  # raises when prec is None
+        normalized = normalize(program, verdict)  # raises unless the verdict passes
         result = {
             "program": format_program(normalized),
             "diff": normalization_diff(program, normalized),
-            "normal": is_normal(normalized, prec).normal,
+            "normal": is_normal(normalized, verdict.precedence).normal,
         }
         _emit_json(args, result)
         return 0

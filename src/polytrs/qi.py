@@ -796,13 +796,16 @@ _ZERO_DENOMINATOR = re.compile(r"\d+/0+")
 def parse_assignment(text: str, program: Program) -> QiAssignment:
     """Parse lines like ``qi append(X,Y) = X + Y``; rationals as p/q."""
     entries: dict = {}
+    symbols = {s.name: s for s in program.signature}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = Tokens(_TOKEN, raw, lineno, comment="#")
         if toks.done():
             continue
         if toks.next() != "qi" or not _NAME.fullmatch(toks.peek()):
             raise ParseError("expected 'qi name(X, ..) = expression'", lineno, 1)
-        sym = program.symbol(toks.next())
+        if toks.peek() not in symbols:
+            raise toks.error(f"unknown symbol {toks.peek()}")
+        sym = symbols[toks.next()]
         params: list = []
         if toks.peek() == "(":
             toks.next()

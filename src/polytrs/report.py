@@ -10,7 +10,9 @@ three overall verdicts:
   memo path (orthogonality or linearity).
 
 Reports are deterministic given inputs, seed and budget, and ``decide``
-recomputes every overall verdict from the per-stage fields.
+recomputes every overall verdict from the per-stage fields.  Each stage
+fact is worked out once, in ``build_report``, and a command that prints
+one stage builds its payload with the report's code.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple, Optional
 from . import __version__
 from .base import Budget, DEFAULT_BUDGET, NotWordProgram, run_stack
 from .blind import blind_program, is_linear, transfer_uniform_qi
-from .ordering import EPPO, PPO, order_verdict
+from .ordering import EPPO, PPO, Precedence, order_verdict
 from .parser import format_program
 from .qi import INVALID, QiAssignment, UNKNOWN, VALID, check_qi, is_uniform
 from .semantics import is_orthogonal
@@ -154,6 +156,21 @@ def decide(
     return verdicts, overall
 
 
+def qi_stage(program: Program, assignment: QiAssignment, seed: int) -> dict:
+    """The QI verdict and whether the assignment is uniform, as ``check-qi``
+    and the report's ``qi`` stage write them."""
+    stage = check_qi(program, assignment, seed=seed).as_dict()
+    stage["uniform"] = is_uniform(assignment, program)
+    return stage
+
+
+def linearity_stage(program: Program, precedence: Precedence) -> dict:
+    """Per-function and overall linearity, as ``linearity`` and the report's
+    ``linearity`` stage write them."""
+    per_function = is_linear(program, precedence)
+    return {"per_function": per_function, "overall": all(per_function.values())}
+
+
 def build_report(
     program: Program,
     assignment: Optional[QiAssignment] = None,
@@ -164,8 +181,9 @@ def build_report(
 ) -> Report:
     """Run the full pipeline and assemble the machine-readable report.
 
-    Each stage runs once; the extended criterion reuses the fair-order
-    verdict, the QI verdict, orthogonality and linearity computed here.
+    Each stage runs once.  The extended stage repeats the fair-order, QI,
+    orthogonality and linearity facts worked out here beside the facts
+    ``certify_extended`` adds from them.
     """
     stages: dict = {}
     ppo = order_verdict(program, PPO, order_text)
@@ -179,22 +197,18 @@ def build_report(
 
     qi_overall = None
     uniform = None
+    stages["qi"] = None
     if assignment is not None:
-        verdict = check_qi(program, assignment, seed=seed)
-        uniform = is_uniform(assignment, program)
-        qi_overall = verdict.overall
-        stages["qi"] = verdict.as_dict()
-        stages["qi"]["uniform"] = uniform
-    else:
-        stages["qi"] = None
+        stages["qi"] = qi_stage(program, assignment, seed)
+        qi_overall = stages["qi"]["overall"]
+        uniform = stages["qi"]["uniform"]
 
     linear = None
     stages["linearity"] = None
     chosen = eppo or ppo
     if chosen is not None:
-        per_function = is_linear(program, chosen.precedence)
-        linear = all(per_function.values())
-        stages["linearity"] = {"per_function": per_function, "overall": linear}
+        stages["linearity"] = linearity_stage(program, chosen.precedence)
+        linear = stages["linearity"]["overall"]
     orthogonal = is_orthogonal(program)
     stages["memo_gate"] = {"orthogonal": orthogonal}
     stages["repeated_lhs_variables"] = program.has_repeated_lhs_variables()
@@ -202,12 +216,8 @@ def build_report(
     try:
         blind = blind_program(program)
         bl_ppo = order_verdict(blind.program, PPO)
-        stages["blind"] = {
-            "program": format_program(blind.program),
-            "provenance": dict(sorted(blind.provenance.items())),
-            "duplicate_equations": [list(g) for g in blind.duplicate_groups],
-            "ppo": {"overall": bool(bl_ppo and bl_ppo.overall)},
-        }
+        stages["blind"] = blind.as_dict()
+        stages["blind"]["ppo"] = {"overall": bool(bl_ppo and bl_ppo.overall)}
         if assignment is not None and uniform:
             transferred = transfer_uniform_qi(assignment, program, blind)
             stages["blind"]["transferred_qi"] = check_qi(
@@ -224,7 +234,14 @@ def build_report(
         ppo_pass, eppo_pass, qi_overall, uniform, linear, orthogonal, extended.bounded_values
     )
     stages["extended"] = extended.as_dict()
-    stages["extended"]["overall"] = overall
+    stages["extended"].update(
+        eppo=stages["ordering"]["eppo"] if eppo else None,
+        eppo_pass=eppo_pass,
+        qi=qi_overall,
+        orthogonal=orthogonal,
+        linear=linear,
+        overall=overall,
+    )
 
     data = {
         "schema_version": SCHEMA_VERSION,

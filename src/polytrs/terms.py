@@ -414,12 +414,6 @@ class Program(_Interned):
     def functions(self) -> list[Symbol]:
         return [s for s in self.signature if s.is_function]
 
-    def symbol(self, name: str) -> Symbol:
-        for s in self.signature:
-            if s.name == name:
-                return s
-        raise SignatureError(f"unknown symbol {name}")
-
     def equations_for(self, f: Symbol) -> list[Equation]:
         return list(self._by_function.get(f, ()))
 

@@ -1,9 +1,11 @@
 """Word-program analysis: production sizes, normality, normalization,
-bounded-values measurement and the extended criterion's stage facts.
+bounded-values measurement and the facts the extended criterion adds.
 
 Everything here assumes unary words: all constructors have arity at most
 one, so patterns are either ground words or a constructor prefix applied to
 a variable.  Programs mixing in wider constructors are rejected outright.
+``normalize`` takes the caller's fair-order verdict, and
+``certify_extended`` returns only the facts it adds to the caller's.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import NamedTuple, Optional
 from .base import Budget, DEFAULT_BUDGET, NormalizationError, NotWordProgram
 from .callgraph import reachable_states
 from .blind import classify_growth, measure_strong_poly, walk_inputs, word_alphabet
-from .ordering import EPPO, OrderingVerdict, Precedence, check_program, order_verdict
+from .ordering import EPPO, OrderingVerdict, Precedence
 from .qi import QiExpr, VALID, eval_expr
 from .terms import (
     App,
@@ -153,21 +155,18 @@ def _instantiate(eq: Equation, var: str, replacement: Term) -> Equation:
     )
 
 
-def normalize(program: Program, precedence: Optional[Precedence] = None) -> Program:
+def normalize(program: Program, verdict: Optional[OrderingVerdict]) -> Program:
     """Extend under-sized patterns until every class reaches its production size.
 
-    An equation whose pattern is shorter than the class K is replaced by its
-    instances under tail |-> c(tail') for every unary constructor and
-    tail |-> z for every nullary one; K is recomputed every round.  Ground
-    patterns cannot be extended, so a ground pattern below K is an error.
-    Without a precedence, the program's declared or inferred one is used.
+    ``verdict`` is the caller's fair-order verdict, which must pass; its
+    precedence gives the classes.  An equation whose pattern is shorter
+    than the class K is replaced by its instances under tail |-> c(tail')
+    for every unary constructor and tail |-> z for every nullary one; K is
+    recomputed every round.  Ground patterns cannot be extended, so a
+    ground pattern below K is an error.
     """
     unary, nullary = word_alphabet(program)
-    if precedence is None:
-        verdict = order_verdict(program, EPPO)
-    else:
-        verdict = check_program(program, precedence, EPPO)
-    if verdict is None or not verdict.overall:
+    if verdict is None or verdict.mode != EPPO or not verdict.overall:
         raise NormalizationError(
             "normalization needs a program ordered by the fair path order"
         )
@@ -276,28 +275,18 @@ def measure_bounded_values(
 
 
 class ExtendedVerdict(NamedTuple):
-    eppo: Optional[OrderingVerdict]
-    eppo_pass: bool
     word: bool
     normalized: bool
     normal_equations: Optional[int]
-    qi_overall: Optional[str]
-    orthogonal: bool
-    linear: Optional[bool]  # None when no precedence exists
     bounded_values: str  # certified | empirical-poly | empirical-exp | unknown
     growth: Optional[dict]
     value_rows: Optional[tuple]
 
     def as_dict(self) -> dict:
         return {
-            "eppo": self.eppo.as_dict() if self.eppo else None,
-            "eppo_pass": self.eppo_pass,
             "word_program": self.word,
             "normalized": self.normalized,
             "normal_equations": self.normal_equations,
-            "qi": self.qi_overall,
-            "orthogonal": self.orthogonal,
-            "linear": self.linear,
             "bounded_values": self.bounded_values,
             "growth": self.growth,
             "value_rows": [r.as_dict() for r in self.value_rows] if self.value_rows else None,
@@ -317,11 +306,11 @@ def certify_extended(
     budget: Budget = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> ExtendedVerdict:
-    """The stage facts behind the extended criterion.
+    """The facts the extended criterion adds to the caller's.
 
     Takes the fair-order verdict, the QI verdict, orthogonality and
-    linearity as computed by the caller, and adds normalization and the
-    bounded-values class: certified by a valid quasi-interpretation, or
+    linearity as computed by the caller, and returns only normalization and
+    the bounded-values class: certified by a valid quasi-interpretation, or
     else measured on a word program.  ``report.decide`` draws the verdict.
     """
     word = True
@@ -329,17 +318,14 @@ def certify_extended(
         word_alphabet(program)
     except NotWordProgram:
         word = False
-    eppo_pass = bool(eppo and eppo.overall)
-
     normalized = False
     normal_equations = None
-    if eppo_pass and word:
-        try:
-            working = normalize(program, eppo.precedence)
-            normalized = working.equations != program.equations
-            normal_equations = len(working.equations)
-        except (NormalizationError, NotWordProgram):
-            pass
+    try:
+        working = normalize(program, eppo)
+        normalized = working.equations != program.equations
+        normal_equations = len(working.equations)
+    except (NormalizationError, NotWordProgram):
+        pass
 
     growth = None
     value_rows = None
@@ -365,16 +351,4 @@ def certify_extended(
             cls = growth["classification"]["worst_rules"]
         bounded = _EMPIRICAL.get(cls, bounded)
 
-    return ExtendedVerdict(
-        eppo,
-        eppo_pass,
-        word,
-        normalized,
-        normal_equations,
-        qi_overall,
-        orthogonal,
-        linear,
-        bounded,
-        growth,
-        value_rows,
-    )
+    return ExtendedVerdict(word, normalized, normal_equations, bounded, growth, value_rows)

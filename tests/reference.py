@@ -188,7 +188,7 @@ def meet(a1: QiAssignment, a2: QiAssignment, program: Program) -> QiAssignment:
             )
     entries = {}
     for name, e1 in a1.entries.items():
-        sym = program.symbol(name)
+        sym = next(s for s in program.signature if s.name == name)
         if sym.is_constructor:
             entries[name] = e1
         elif name in a2.entries:

@@ -23,7 +23,7 @@ from polytrs.blind import (
     word_length,
 )
 from polytrs.callgraph import call_dag
-from polytrs.ordering import EPPO, PPO, check_program, infer_precedence
+from polytrs.ordering import EPPO, PPO, check_program, infer_precedence, order_verdict
 from polytrs.parser import parse_program, parse_term
 from polytrs.qi import (
     check_qi,
@@ -216,20 +216,20 @@ def test_criterion_6_bc_property_suite():
 
 def test_criterion_7_normalization_golden(corpus):
     prog = corpus["norm2rule.trs"]
-    prec = infer_precedence(prog, EPPO)
-    out = normalize(prog, prec)
+    fair = order_verdict(prog, EPPO)
+    out = normalize(prog, fair)
     eqs = [repr(e) for e in out.equations]
     assert eqs == [
         "f(s1(s1(s1(x)))) -> f(s0(s0(x)))",
         "f(s0(s0(x'))) -> f(s0(x'))",
         "f(s0(s1(x'))) -> f(s1(x'))",
     ]
-    assert is_normal(out, prec).normal
+    assert is_normal(out, fair.precedence).normal
 
     variant = corpus["norm2rule_nil.trs"]
-    prec_v = infer_precedence(variant, EPPO)
-    norm_v = normalize(variant, prec_v)
-    assert is_normal(norm_v, prec_v).normal
+    fair_v = order_verdict(variant, EPPO)
+    norm_v = normalize(variant, fair_v)
+    assert is_normal(norm_v, fair_v.precedence).normal
     checked = 0
     for n in range(0, 9):
         for bits in itertools.product("01", repeat=n):

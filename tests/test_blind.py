@@ -158,6 +158,21 @@ def test_transfer_rejects_nonuniform(corpus):
         transfer_uniform_qi(skewed, prog, bl)
 
 
+def test_transfer_carries_over_only_the_entries_the_assignment_has(corpus):
+    """s takes the first unary constructor's entry that exists; 0 has none,
+    so the blind check reports the equations that need it as missing."""
+    prog = corpus["append.trs"]
+    bl = blind_program(prog)
+    partial = parse_assignment("qi s1(X) = X + 1\nqi append(X, Y) = X + Y\n", prog)
+    moved = transfer_uniform_qi(partial, prog, bl)
+    assert moved.entries == {"s": partial.entries["s1"], "bl_append": partial.entries["append"]}
+    verdict = check_qi(bl.program, moved)
+    assert verdict.overall == "unknown"
+    missing = [v.equation_index for v in verdict.per_equation if v.note]
+    assert missing == [eq.index for eq in bl.program.equations if "0" in repr(eq)]
+    assert {v.note for v in verdict.per_equation} == {None, "missing assignment entries"}
+
+
 def test_measure_blind_running_doubles(corpus):
     bl = blind_program(corpus["running.trs"]).program
     table = measure_strong_poly(bl, sizes=range(2, 10))

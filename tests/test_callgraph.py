@@ -9,13 +9,13 @@ import pytest
 from polytrs.bc import compile_bc, random_bc
 from polytrs.blind import blind_program
 from polytrs.callgraph import call_dag, call_tree, reachable_states, state_text, successors
-from polytrs.ordering import EPPO, PPO, infer_precedence
+from polytrs.ordering import EPPO, PPO, infer_precedence, order_verdict
 from polytrs.parser import parse_program, parse_term
 from polytrs.qi import parse_assignment
 from polytrs.terms import App, Equation, term_size
 from polytrs.wordnorm import normalize
 
-from .conftest import CORPUS, checked_cbv, checked_memo, t
+from .conftest import CORPUS, checked_cbv, checked_memo, symbols_of, t
 from .bounds import (
     check_edge_class_descent,
     max_children,
@@ -93,7 +93,7 @@ def test_call_dag_doublerec_linear(corpus):
 
 def test_successors_running_example(corpus):
     prog = corpus["running.trs"]
-    edges = successors(prog, App(prog.symbol("f"), (t("s0 s1 nil", prog),)))
+    edges = successors(prog, App(symbols_of(prog)["f"], (t("s0 s1 nil", prog),)))
     targets = sorted((state_text(e.target), e.occurrence) for e in edges)
     assert targets == [
         ("<append, nil, nil>", 0),
@@ -104,13 +104,13 @@ def test_successors_running_example(corpus):
 
 def test_successors_constructor_rhs_empty(corpus):
     prog = corpus["identity.trs"]
-    assert successors(prog, App(prog.symbol("id"), (t("s 0", prog),))) == []
+    assert successors(prog, App(symbols_of(prog)["id"], (t("s 0", prog),))) == []
 
 
 def test_successors_blind_overlap(corpus):
     bl = blind_program(corpus["running.trs"])
     prog = bl.program
-    edges = successors(prog, App(prog.symbol("bl_f"), (t("s s 0", prog),)))
+    edges = successors(prog, App(symbols_of(prog)["bl_f"], (t("s s 0", prog),)))
     # both duplicating instances contribute their three call sites
     eq_ids = {e.equation.index for e in edges}
     assert eq_ids == {0, 1}
@@ -318,7 +318,7 @@ def test_equation_calls_match_a_positional_walk(corpus):
         programs[f"blind {name}"] = blind_program(prog).program
     for name in ("norm2rule.trs", "norm2rule_nil.trs"):
         prog = corpus[name]
-        programs[f"normalized {name}"] = normalize(prog, infer_precedence(prog, EPPO))
+        programs[f"normalized {name}"] = normalize(prog, order_verdict(prog, EPPO))
     for seed in range(200):
         programs[f"bc {seed}"] = compile_bc(random_bc(seed, 4)).program
     assert len(programs) == 18 * 2 + 2 + 200

@@ -81,7 +81,7 @@ def memo(running):
 
 
 def test_wrong_result_is_rejected(running, cbv):
-    other = App(running.symbol("s0"), (App(running.symbol("nil")),))
+    other = parse_term("s0 nil", symbols_of(running))
     bad = with_root(cbv, replace(cbv.root, result=other))
     with pytest.raises(ValueError, match="activation value"):
         validate_proof(running, bad)
@@ -187,7 +187,7 @@ def test_shared_function_with_a_wrong_value_is_rejected(running, cbv):
     # the Split's two f(s1 nil) premises are one Function judgement
     split = at(cbv.root, (0,))
     assert split.children[0] is split.children[1]
-    wrong = App(running.symbol("s0"), (App(running.symbol("nil")),))
+    wrong = parse_term("s0 nil", symbols_of(running))
     bad_call = replace(split.children[0], result=wrong)
     bad_split = replace(split, children=(bad_call, bad_call, split.children[2]))
     bad = with_root(cbv, replace_at(cbv.root, (0,), lambda j: bad_split))

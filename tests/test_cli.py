@@ -12,7 +12,7 @@ from polytrs.blind import blind_program
 from polytrs.cli import main
 from polytrs.parser import format_program
 
-from .conftest import CORPUS, load
+from .conftest import CORPUS, CORPUS_PROGRAMS, load
 
 
 def run(capsys, *argv):
@@ -570,3 +570,54 @@ def test_a_closed_stdout_exits_3_without_a_traceback():
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 3
     assert err == b""
+
+
+@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
+def test_each_stage_command_writes_its_certify_stage(capsys, name):
+    """blind, check-qi, linearity and check-order write what certify writes
+    under the matching stage; the extended stage repeats the fair order."""
+    trs = str(CORPUS / name)
+    qi = (CORPUS / name).with_suffix(".qi")
+    qi_args = ["--qi", str(qi)] if qi.exists() else []
+    stages = run_json(capsys, *qi_args, "certify", trs)[1]["stages"]
+    code, blind = run_json(capsys, "blind", trs)
+    if code == 0:
+        extra = {"ppo", "transferred_qi"}
+        assert blind == {k: v for k, v in stages["blind"].items() if k not in extra}
+    else:
+        assert blind["message"] == stages["blind"]["error"]
+    if qi_args:
+        assert run_json(capsys, *qi_args, "check-qi", trs)[1] == stages["qi"]
+    else:
+        assert stages["qi"] is None
+    for mode in ("ppo", "eppo"):
+        order = run_json(capsys, "--mode", mode, "check-order", trs)[1]
+        if "note" not in order:  # a precedence exists
+            assert order == stages["ordering"][mode]
+    eppo = stages["ordering"]["eppo"]
+    assert stages["extended"]["eppo"] == (None if "note" in eppo else eppo)
+    mode = "ppo" if "note" in eppo else "eppo"  # the report's choice
+    linearity = run_json(capsys, "--mode", mode, "linearity", trs)[1]
+    assert linearity == (stages["linearity"] or {"overall": None, "note": "no precedence found"})
+
+
+def test_certify_with_a_partial_qi_file_is_unknown(tmp_path, capsys):
+    """A uniform assignment without an entry for nil carries over to the
+    blind image what it has; the blind check finds the rest missing."""
+    qi = tmp_path / "partial.qi"
+    qi.write_text("qi s0(X) = X + 1\n")
+    argv = ["--qi", str(qi), "--sizes", "1..4", "certify", str(CORPUS / "append.trs")]
+    code, data = run_json(capsys, *argv)
+    assert code == 2
+    stages = data["stages"]
+    assert stages["qi"]["overall"] == "unknown" and stages["qi"]["uniform"] is True
+    assert stages["blind"]["transferred_qi"] == "unknown"
+
+
+def test_an_unknown_symbol_in_a_qi_line_is_a_parse_error_at_the_name(tmp_path, capsys):
+    qi = tmp_path / "unknown.qi"
+    qi.write_text("qi s0(X) = X + 1\nqi  f(X) = X\n")
+    for command in ("check-qi", "certify"):
+        code, data = run_json(capsys, "--qi", str(qi), command, str(CORPUS / "append.trs"))
+        assert code == 3
+        assert data == {"error": "parse-error", "message": "2:5: unknown symbol f"}

@@ -28,7 +28,7 @@ from polytrs.ordering import (
 from polytrs.parser import parse_program
 from polytrs.terms import subterms
 
-from .conftest import t
+from .conftest import symbols_of, t
 from .bounds import is_compatible
 from .strategies import terms
 
@@ -96,9 +96,10 @@ def test_infer_precedence_classes(running):
     assert prec is not None
     assert set(prec.class_ids) == {"append", "f"}
     assert prec.class_of("append") != prec.class_of("f")
-    assert prec.compare_symbols(running.symbol("append"), running.symbol("f")) == "less"
+    sym = symbols_of(running)
+    assert prec.compare_symbols(sym["append"], sym["f"]) == "less"
     assert is_compatible(prec, running)
-    s0, s1, nil = (running.symbol(c) for c in ("s0", "s1", "nil"))
+    s0, s1, nil = sym["s0"], sym["s1"], sym["nil"]
     assert PathOrder(prec, EPPO).compare_heads(s0, s1) == "equiv"  # fair
     assert PathOrder(prec, PPO).compare_heads(s0, s1) == "incomparable"  # strict
     for mode in (PPO, EPPO):
@@ -201,8 +202,9 @@ def test_static_call_graph(running):
 def test_parse_precedence(running):
     prec = parse_precedence("append < f ; s0 ~ s1", running, EPPO)
     assert set(prec.class_ids) == {"append", "f"}
-    assert prec.compare_symbols(running.symbol("append"), running.symbol("f")) == "less"
-    s0, s1 = running.symbol("s0"), running.symbol("s1")
+    sym = symbols_of(running)
+    assert prec.compare_symbols(sym["append"], sym["f"]) == "less"
+    s0, s1 = sym["s0"], sym["s1"]
     assert PathOrder(prec, EPPO).compare_heads(s0, s1) == "equiv"
     with pytest.raises(PrecedenceError):
         parse_precedence("s0 ~ s1", running, PPO)

@@ -46,7 +46,7 @@ from polytrs.qi import (
 )
 from polytrs.terms import App, term_size
 
-from .conftest import CORPUS, checked_cbv, load, t
+from .conftest import CORPUS, checked_cbv, load, symbols_of, t
 from .oracles import reference_eval_expr
 from .bounds import max_constructor_constant
 from .reference import meet, simplify, value_qi
@@ -292,7 +292,8 @@ def test_size_sandwich_hypothesis(corpus, v):
 def test_value_qi_weighs_a_deep_word(corpus):
     prog = corpus["append.trs"]
     asg = parse_assignment((CORPUS / "append.qi").read_text(), prog)
-    s0, nil = prog.symbol("s0"), prog.symbol("nil")
+    sym = symbols_of(prog)
+    s0, nil = sym["s0"], sym["nil"]
     word = App(nil)
     for _ in range(1500):
         word = App(s0, (word,))

@@ -163,9 +163,9 @@ STAGES = (
 )
 
 
-def test_build_report_runs_each_stage_once(corpus, monkeypatch):
-    """Each stage function is rebound in every polytrs module holding it, so
-    calls through any import count."""
+def count_stage_calls(monkeypatch) -> Counter:
+    """Count the calls of each STAGES function: each is rebound in every
+    polytrs module holding it, so calls through any import count."""
     calls: Counter = Counter()
     for home, name in STAGES:
         original = getattr(sys.modules[f"polytrs.{home}"], name)
@@ -177,15 +177,30 @@ def test_build_report_runs_each_stage_once(corpus, monkeypatch):
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("polytrs.") and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_build_report_runs_each_stage_once(corpus, monkeypatch):
+    calls = count_stage_calls(monkeypatch)
     prog = corpus["mult.trs"]
     asg = parse_assignment((CORPUS / "mult.qi").read_text(), prog)
     report = build_report(prog, asg, sizes=range(1, 5))
     assert report.exit_code() == 0
-    # ppo, eppo, the blind image's ppo, and normalize's own precondition
-    assert calls["check_program"] <= 4
+    assert calls["check_program"] == 3  # ppo, eppo and the blind image's ppo
     assert calls["check_qi"] == 2  # the program's and the transferred one
     assert calls["is_linear"] == 1
     assert calls["is_orthogonal"] == 1
+
+
+def test_normalization_reuses_the_reports_fair_order(corpus, monkeypatch):
+    """normalize takes the report's fair-order verdict and checks no path
+    order again."""
+    calls = count_stage_calls(monkeypatch)
+    prog = corpus["append.trs"]
+    asg = parse_assignment((CORPUS / "append.qi").read_text(), prog)
+    stages = build_report(prog, asg, sizes=range(1, 5)).data["stages"]
+    assert stages["extended"]["normal_equations"] == 3
+    assert calls["check_program"] == 3
 
 
 def test_tool_version_is_package_version(corpus):

@@ -388,11 +388,12 @@ def ref_depth(t):
 
 def test_parser_and_constructor_share_one_node(corpus):
     prog = corpus["running.trs"]
-    s0, s1, nil = prog.symbol("s0"), prog.symbol("s1"), prog.symbol("nil")
+    sym = symbols_of(prog)
+    s0, s1, nil = sym["s0"], sym["s1"], sym["nil"]
     built = App(s0, (App(s1, (App(nil),)),))
     assert t("s0 s1 nil", prog) is built
     assert t("s0(s1(nil))", prog) is built
-    call = App(prog.symbol("append"), (built, App(nil)))
+    call = App(sym["append"], (built, App(nil)))
     assert t("append(s0 s1 nil, nil)", prog) is call
     # Symbols and variables are interned too, however they are built.
     assert s0 is Symbol("s0", CONSTRUCTOR, 1) is Symbol(name="s0", kind=CONSTRUCTOR, arity=1)

@@ -16,7 +16,7 @@ from polytrs.base import (
 )
 from polytrs.blind import blind_program, input_tuples, program_is_linear
 from polytrs.callgraph import call_dag, reachable_states, state_text, successors
-from polytrs.ordering import EPPO, infer_precedence, order_verdict
+from polytrs.ordering import EPPO, PPO, infer_precedence, order_verdict
 from polytrs.parser import format_program, parse_program, parse_term
 from polytrs.qi import check_qi, parse_assignment
 from polytrs.report import decide
@@ -118,8 +118,8 @@ def test_is_normal_trivial_constant_production():
 
 def test_normalize_golden(corpus):
     prog = corpus["norm2rule.trs"]
-    prec = infer_precedence(prog, EPPO)
-    out = normalize(prog, prec)
+    fair = order_verdict(prog, EPPO)
+    out = normalize(prog, fair)
     lines = format_program(out).splitlines()
     eqs = [l for l in lines if "->" in l]
     assert eqs == [
@@ -127,24 +127,23 @@ def test_normalize_golden(corpus):
         "f(s0(s0(x'))) -> f(s0(x'))",
         "f(s0(s1(x'))) -> f(s1(x'))",
     ]
-    assert is_normal(out, prec).normal
+    assert is_normal(out, fair.precedence).normal
     diff = normalization_diff(prog, out)
     assert diff["equations_before"] == 2 and diff["equations_after"] == 3
 
 
 def test_normalize_fixpoint(corpus):
     bl = blind_program(corpus["running.trs"]).program
-    prec = infer_precedence(bl, EPPO)
-    assert normalize(bl, prec).equations == bl.equations
+    assert normalize(bl, order_verdict(bl, EPPO)).equations == bl.equations
     prog = corpus["fib.trs"]
-    assert normalize(prog).equations == prog.equations
+    assert normalize(prog, order_verdict(prog, EPPO)).equations == prog.equations
 
 
 def test_normalize_preserves_semantics(corpus):
     prog = corpus["norm2rule_nil.trs"]
-    prec = infer_precedence(prog, EPPO)
-    out = normalize(prog, prec)
-    assert is_normal(out, prec).normal
+    fair = order_verdict(prog, EPPO)
+    out = normalize(prog, fair)
+    assert is_normal(out, fair.precedence).normal
     symbols = symbols_of(prog)
     for n in range(0, 9):
         for bits in itertools.product("01", repeat=min(n, 6)):
@@ -163,9 +162,9 @@ def test_normalize_preserves_eppo_and_cost(corpus):
     from polytrs.ordering import check_program
 
     prog = corpus["norm2rule_nil.trs"]
-    prec = infer_precedence(prog, EPPO)
-    out = normalize(prog, prec)
-    assert check_program(out, prec, EPPO).overall
+    fair = order_verdict(prog, EPPO)
+    out = normalize(prog, fair)
+    assert check_program(out, fair.precedence, EPPO).overall
     before = measure_strong_poly(prog, sizes=range(1, 8), inputs_cap=80)
     after = measure_strong_poly(out, sizes=range(1, 8), inputs_cap=80)
     for a, b in zip(before.rows, after.rows):
@@ -177,7 +176,7 @@ def test_normalize_rejects_non_word():
         "constructors: node/2 leaf/0\nfunctions: f/1\nf(x) -> x\nmain: f\n"
     )
     with pytest.raises(NotWordProgram):
-        normalize(prog)
+        normalize(prog, order_verdict(prog, EPPO))
 
 
 def test_normalize_rejects_short_ground_pattern():
@@ -186,9 +185,8 @@ def test_normalize_rejects_short_ground_pattern():
         "constructors: s/1 0/0\nfunctions: f/1\n"
         "f(s s s x) -> f(s s x)\nf(0) -> 0\nmain: f\n"
     )
-    prec = infer_precedence(prog, EPPO)
     with pytest.raises(NormalizationError):
-        normalize(prog, prec)
+        normalize(prog, order_verdict(prog, EPPO))
 
 
 def test_call_site_labels(corpus):
@@ -543,47 +541,53 @@ def test_measure_bounded_values_derives_each_outcome_state_once(
 
 
 def extended(program, assignment=None, **kwargs):
-    """certify_extended on the stages build_report hands it."""
+    """certify_extended on the stages build_report hands it, and the
+    extended overall verdict report.decide draws from them; the P-criterion
+    facts play no part in it."""
     eppo = order_verdict(program, EPPO)
     qi = check_qi(program, assignment).overall if assignment is not None else None
     linear = eppo is not None and program_is_linear(program, eppo.precedence)
-    return certify_extended(
-        program, eppo, qi, is_orthogonal(program), linear, **kwargs
-    )
-
-
-def extended_overall(verdict) -> str:
-    """The extended overall verdict that report.decide draws from the facts
-    certify_extended gathered; the P-criterion facts play no part in it."""
-    return decide(
-        False, verdict.eppo_pass, verdict.qi_overall, None,
-        verdict.linear, verdict.orthogonal, verdict.bounded_values,
-    )[1]
+    orthogonal = is_orthogonal(program)
+    verdict = certify_extended(program, eppo, qi, orthogonal, linear, **kwargs)
+    eppo_pass = bool(eppo and eppo.overall)
+    facts = (False, eppo_pass, qi, None, linear, orthogonal, verdict.bounded_values)
+    return verdict, decide(*facts)[1]
 
 
 def test_certify_bc_program_certified():
     from polytrs.bc import compile_bc, parse_bc
 
     comp = compile_bc(parse_bc((CORPUS / "add.bc").read_text()))
-    verdict = extended(comp.program, comp.qi, sizes=range(1, 6))
-    assert verdict.eppo_pass
-    assert verdict.qi_overall == "valid"
+    verdict, overall = extended(comp.program, comp.qi, sizes=range(1, 6))
     assert verdict.bounded_values == "certified"
-    assert extended_overall(verdict) == "certified-p"
+    assert overall == "certified-p"
 
 
 def test_certify_running_empirical(corpus):
     prog = corpus["running.trs"]
-    verdict = extended(prog, sizes=range(1, 8))
-    assert verdict.eppo_pass
-    assert verdict.qi_overall is None
-    assert extended_overall(verdict) == "empirically-consistent"
+    verdict, overall = extended(prog, sizes=range(1, 8))
+    assert verdict.bounded_values == "empirical-poly"
+    assert overall == "empirically-consistent"
 
 
 def test_certify_blind_running_refuted(corpus):
     bl = blind_program(corpus["running.trs"]).program
-    verdict = extended(bl, sizes=range(2, 10))
-    assert verdict.eppo_pass
-    assert not verdict.orthogonal and not verdict.linear
+    verdict, overall = extended(bl, sizes=range(2, 10))
+    # no memo path: measured by call-by-value growth, not reachable states
+    assert verdict.growth is not None and verdict.value_rows is None
     assert verdict.bounded_values == "empirical-exp"
-    assert extended_overall(verdict) == "refuted"
+    assert overall == "refuted"
+
+
+def test_normalize_needs_a_passing_fair_order_verdict(corpus):
+    prog = corpus["norm2rule.trs"]
+    assert normalize(prog, order_verdict(prog, EPPO)).equations != prog.equations
+    strict = order_verdict(corpus["append.trs"], PPO)
+    assert strict.overall
+    failing = order_verdict(corpus["running.trs"], EPPO, "f < append")
+    assert not failing.overall
+    for program, verdict in ((corpus["append.trs"], strict), (corpus["running.trs"], failing)):
+        with pytest.raises(NormalizationError, match="fair path order"):
+            normalize(program, verdict)
+    with pytest.raises(NormalizationError, match="fair path order"):
+        normalize(prog, None)
