@@ -137,7 +137,7 @@ def _arity_walk(b: BcTerm, out: dict):
 
 def _expect_arity(what: str, got: tuple, needs: tuple) -> None:
     if got != needs:
-        raise SignatureError(f"{what} has arity {got}, needs ({needs[0]}; {needs[1]})")
+        raise SignatureError("%s has arity (%d; %d), needs (%d; %d)" % (what, *got, *needs))
 
 
 class BcCompilation(NamedTuple):
@@ -332,17 +332,23 @@ def random_bc(seed: int, depth_cap: int = 4) -> BcTerm:
     return _gen(rng, n, m, depth_cap)
 
 
+# The leaves other than projections, as (class, fields), by the arity they fit.
+_LEAVES = {
+    (0, 0): ((BcZero, ()),),
+    (0, 1): ((BcSucc, (0,)), (BcSucc, (1,)), (BcPred, ())),
+    (0, 3): ((BcCond, ()),),
+}
+
+
 def _initial(rng: random.Random, n: int, m: int) -> BcTerm:
-    options: list[BcTerm] = []
-    if (n, m) == (0, 0):
-        options.append(BcZero())
-    if (n, m) == (0, 1):
-        options.extend([BcSucc(0), BcSucc(1), BcPred()])
-    if (n, m) == (0, 3):
-        options.append(BcCond())
-    if n + m >= 1:
-        options.extend(BcProj(n, m, j) for j in range(1, n + m + 1))
-    return options[rng.randrange(len(options))]
+    """A leaf of arity (n; m), drawn evenly from the fitting ``_LEAVES`` and
+    the projections BcProj(n, m, j), in that order; only it is built."""
+    fixed = _LEAVES.get((n, m), ())
+    k = rng.randrange(len(fixed) + n + m)
+    if k < len(fixed):
+        cls, fields = fixed[k]
+        return cls(*fields)
+    return BcProj(n, m, k - len(fixed) + 1)
 
 
 def _gen(rng: random.Random, n: int, m: int, depth: int) -> BcTerm:

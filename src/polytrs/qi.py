@@ -12,16 +12,18 @@ reported Unknown otherwise.
 
 Expression nodes are hash-consed, as terms, symbols and variables are: one
 immutable node per distinct expression, so equality is identity and the
-hash is the address, and each node stores its min and max flags when it is
-built.  An assignment's memo keeps every normal form, dominance decision
-and ``term_qi`` substitution, so checks that share it share the very nodes,
-and a repeated question costs one lookup.  It maps each ``(expression,
-arity)`` to the expression's pruned normal form, or to None when the
-expression has more than ``BRANCH_CAP`` branch combinations.
+hash is the address, and each node stores its min and max flags and the set
+of argument indices below it when it is built, so a substitution keeps every
+subtree that holds no argument it moves.  An assignment's memo keeps every
+normal form, dominance decision and ``term_qi`` substitution, so checks that
+share it share the very nodes, and a repeated question costs one lookup.  It
+maps each ``(expression, arity)`` to the expression's pruned normal form, or
+to None when the expression has more than ``BRANCH_CAP`` branch combinations.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -50,19 +52,22 @@ UNKNOWN = "unknown"
 # Every node is built through the intern table of ``terms``, as terms,
 # symbols and variables are, under the key (node class, field), so there is
 # one object per distinct expression, equality is identity and the hash is
-# the address.  A compound node's min and max flags are computed once, when
-# it is built, from its children's stored flags: expressions share subtrees
-# heavily, and a recursion per lookup would cost more than the normalization
-# it serves.  An address differs from process to process, so no output may
-# follow the iteration order of a set of nodes; every one is only probed.
+# the address.  A compound node's min and max flags and its argument set
+# ``arg_mask``, the bitmask of the Arg indices below it, are computed once,
+# when it is built, from its children's: expressions share subtrees heavily,
+# and a recursion per lookup would cost more than the work it serves.  An
+# address differs from process to process, so no output may follow the
+# iteration order of a set of nodes; every one is only probed.
 
 _HAS_MIN = operator.attrgetter("has_min")
 _HAS_MAX = operator.attrgetter("has_max")
+_ARG_MASK = operator.attrgetter("arg_mask")
 
 
 class _Node(_Interned):
     __slots__ = ()
     has_min = has_max = False
+    arg_mask = 0
 
     def __repr__(self):
         return f"{type(self).__name__}({getattr(self, self._fields[0])!r})"
@@ -74,8 +79,9 @@ class Const(_Node):
 
     def __new__(cls, value):
         # Keyed by the reduced fraction's two ints, which hash and compare
-        # in C, as a Fraction does not; no rejected node is interned.
-        v = Fraction(value)
+        # in C, as a Fraction does not; an int is read as itself over 1, and
+        # no rejected node is interned.
+        v = value if type(value) is int else Fraction(value)
         if v < 0:
             raise QiError("negative constant in an assignment expression")
         return _Interned.__new__(cls, v.numerator, v.denominator)
@@ -85,18 +91,23 @@ class Const(_Node):
 
 
 class Arg(_Node):
-    __slots__ = ("index",)
+    __slots__ = ("index", "arg_mask")
     _fields = ("index",)
+
+    def _fill(self, index: int) -> None:
+        _set(self, "index", index)
+        _set(self, "arg_mask", 1 << index)
 
 
 class _Compound(_Node):
-    __slots__ = ("items", "has_min", "has_max")
+    __slots__ = ("items", "has_min", "has_max", "arg_mask")
     _fields = ("items",)
 
     def _fill(self, items: tuple) -> None:
         _set(self, "items", items)
         _set(self, "has_min", type(self) is Min or any(map(_HAS_MIN, items)))
         _set(self, "has_max", type(self) is Max or any(map(_HAS_MAX, items)))
+        _set(self, "arg_mask", functools.reduce(operator.or_, map(_ARG_MASK, items), 0))
 
 
 class Sum(_Compound):
@@ -121,7 +132,8 @@ QiExpr = Const | Arg | Sum | Prod | Max | Min
 # The walks over expressions below are loops: an expression read from a
 # ``qi`` line or a deep term has no nesting limit.  Each folds over
 # ``postorder([e], "items")``, which lists every distinct compound node once,
-# but for the expansion to normal form, whose walk stops at memoised nodes.
+# but for substitution, whose walk enters only nodes above a moved argument,
+# and the expansion to normal form, whose walk stops at memoised nodes.
 
 
 class _Scaled:
@@ -234,18 +246,30 @@ def format_expr(e: QiExpr, names: Optional[list] = None) -> str:
 
 
 def substitute(e: QiExpr, args: list) -> QiExpr:
-    """Replace Arg i by args[i], building each distinct node's image once."""
-    new: dict = {}
-    for u in postorder([e], "items"):
-        kind = type(u)
-        if kind is Arg:
-            out = args[u.index]
-        elif kind is Const:
-            out = u
-        else:
-            out = kind(tuple([new[id(i)] for i in u.items]))
-        new[id(u)] = out
-    return out
+    """Replace Arg i by args[i].  Argument i moves unless args[i] is Arg(i);
+    a node whose argument set holds no moved argument is its own image, so
+    the walk builds the image of each node above a moved argument once."""
+    moved = -1 << len(args)  # an index past the list moves, and fails to read
+    for i, a in enumerate(args):
+        if type(a) is not Arg or a.index != i:
+            moved |= 1 << i
+    if not e.arg_mask & moved:
+        return e
+    new: dict = {}  # id of an entered node -> its image, None while pending
+    todo = [e]
+    while todo:
+        u = todo.pop()
+        if u is None:  # every moved item of the node under this marker is done
+            u = todo.pop()
+            items = [new[id(i)] if i.arg_mask & moved else i for i in u.items]
+            new[id(u)] = type(u)(tuple(items))
+        elif type(u) is Arg:
+            new[id(u)] = args[u.index]
+        elif id(u) not in new:
+            new[id(u)] = None
+            todo += (u, None)
+            todo.extend([i for i in u.items if i.arg_mask & moved])
+    return new[id(e)]
 
 
 # -- posynomial normal form ---------------------------------------------------
@@ -298,10 +322,12 @@ def posy_dominates(a: Posy, b: Posy) -> bool:
 def _prune(branches: list) -> list:
     out: list[Posy] = []
     for b in branches:
-        if any(posy_dominates(kept, b) for kept in out):
-            continue
-        out = [kept for kept in out if not posy_dominates(b, kept)]
-        out.append(b)
+        for kept in out:
+            if posy_dominates(kept, b):
+                break
+        else:
+            out = [kept for kept in out if not posy_dominates(b, kept)]
+            out.append(b)
     return out
 
 
@@ -360,10 +386,12 @@ def _expand(e: QiExpr, arity: int, maxes: list, memo: dict) -> list:
     choice.  Its one-branch form is kept in ``memo`` under ``(node, arity)``,
     so it is computed once per assignment and arity, and the walk below
     stops at it.  The other nodes are listed in post-order and recomputed
-    per choice, each max taking its chosen item's posynomial."""
+    per choice, each max taking its chosen item's posynomial, which it reads
+    from the choice at its own position in ``maxes``."""
     zero = tuple([0] * arity)
+    position = {id(m): k for k, m in enumerate(maxes)}
     posy: dict = {}  # id -> posynomial of the node under the current choice
-    varying = []
+    varying = []  # (node, its position in maxes, or None for a non-max)
     seen: set = set()
     todo: list = [e]
     while todo:
@@ -371,7 +399,7 @@ def _expand(e: QiExpr, arity: int, maxes: list, memo: dict) -> list:
         if u is None:  # everything below the node under this marker is done
             u = todo.pop()
             if u.has_max:
-                varying.append(u)
+                varying.append((u, position.get(id(u))))
             else:
                 p = posy[id(u)] = _posy_of(u, posy, zero)
                 memo[u, arity] = [p]
@@ -386,13 +414,12 @@ def _expand(e: QiExpr, arity: int, maxes: list, memo: dict) -> list:
     branches = []
     pools = [list(m.items) if m.items else [None] for m in maxes]
     for combo in itertools.product(*pools):
-        choice = dict(zip(maxes, combo))
-        for u in varying:
-            if type(u) is Max:
-                picked = choice[u]
-                posy[id(u)] = posy[id(picked)] if picked is not None else {}
-            else:
+        for u, k in varying:
+            if k is None:
                 posy[id(u)] = _posy_of(u, posy, zero)
+            else:
+                picked = combo[k]
+                posy[id(u)] = posy[id(picked)] if picked is not None else {}
         branches.append(posy[id(e)])
     return _prune(branches)
 
@@ -496,16 +523,20 @@ def _dominates(lhs: QiExpr, rhs: QiExpr, arity: int, memo: dict) -> bool:
         [rhs] if not rhs.has_min else _min_choices(rhs)[:MIN_CHOICES]
     )
     for lf in lhs_forms:
-        ok = False
         for rc in rhs_choices:
             rf = max_posy_form(rc, arity, memo)
             if rf is None:
                 continue
-            if all(any(posy_dominates(lb, rb) for lb in lf) for rb in rf):
-                ok = True
-                break
-        if not ok:
-            return False
+            for rb in rf:
+                for lb in lf:
+                    if posy_dominates(lb, rb):
+                        break
+                else:
+                    break  # no lhs branch dominates rb
+            else:
+                break  # every rhs branch is dominated: lf dominates rc
+        else:
+            return False  # lf dominates no rhs choice
     return True
 
 
@@ -531,18 +562,21 @@ class QiAssignment(_Frozen):
             raise QiError(f"no assignment entry for symbol {name}")
 
 
-def term_qi(assignment: QiAssignment, term: Term, var_order: Optional[list] = None) -> QiExpr:
+def term_qi(assignment: QiAssignment, term: Term, var_order: list | dict | None = None) -> QiExpr:
     """Canonical extension of the assignment to a term.
 
     Variables become Arg indices in ``var_order`` (default: left-to-right
-    first occurrence in the term itself).  Each ``(entry, argument
-    expressions)`` is substituted once per assignment, kept in its memo, so
-    equal subterms, and every check that shares the memo, get the same node.
+    first occurrence in the term itself): a list of names, or a dict from
+    each name to its Arg, built once for every term over the order.  Each
+    ``(entry, argument expressions)`` is substituted once per assignment,
+    kept in its memo, so equal subterms, and every check that shares the
+    memo, get the same node.
     """
     if var_order is None:
         var_order = variables(term)
-    args = {v: Arg(i) for i, v in enumerate(var_order)}
-    return _term_expr(assignment, args, term)
+    if not isinstance(var_order, dict):
+        var_order = {v: Arg(i) for i, v in enumerate(var_order)}
+    return _term_expr(assignment, var_order, term)
 
 
 def _term_expr(assignment: QiAssignment, args: dict, t: Term) -> QiExpr:
@@ -550,16 +584,20 @@ def _term_expr(assignment: QiAssignment, args: dict, t: Term) -> QiExpr:
     bounds the depth of the term."""
     if type(t) is Var:
         return _variable(args, t)
+    entries, memo = assignment.entries, assignment.memo
     exprs: dict = {}  # id of an application -> its expression
     for u in postorder([t], "args"):
         if type(u) is not Var:
+            entry = entries.get(u.symbol.name)
+            if entry is None:
+                raise QiError(f"no assignment entry for symbol {u.symbol.name}")
             key = (
-                assignment.entry(u.symbol.name),
+                entry,
                 tuple([_variable(args, a) if type(a) is Var else exprs[id(a)] for a in u.args]),
             )
-            out = assignment.memo.get(key)
+            out = memo.get(key)
             if out is None:
-                out = assignment.memo[key] = substitute(*key)
+                out = memo[key] = substitute(*key)
             exprs[id(u)] = out
     return out
 
@@ -747,9 +785,10 @@ def check_qi(program: Program, assignment: QiAssignment, seed: int = 0) -> QiVer
     verdicts = []
     for eq in program.equations:
         var_order = variables(eq.lhs)
+        args = {v: Arg(i) for i, v in enumerate(var_order)}
         try:
-            lhs = term_qi(assignment, eq.lhs, var_order)
-            rhs = term_qi(assignment, eq.rhs, var_order)
+            lhs = term_qi(assignment, eq.lhs, args)
+            rhs = term_qi(assignment, eq.rhs, args)
         except QiError:
             # every rhs variable occurs in the lhs, so a symbol has no entry
             verdicts.append(

@@ -232,11 +232,15 @@ def subterms(t: Term) -> Iterator[Term]:
 
 def variables(t: Term) -> list[str]:
     """Variable names in order of first occurrence."""
-    seen: list[str] = []
-    for u in subterms(t):
-        if isinstance(u, Var) and u.name not in seen:
-            seen.append(u.name)
-    return seen
+    seen: dict = {}  # each name at its first occurrence's place
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is Var:
+            seen.setdefault(u.name)
+        elif not u.is_value:  # a value holds no variable
+            todo.extend(reversed(u.args))
+    return list(seen)
 
 
 def match(pattern: Term, value: Term, subst: Optional[Substitution] = None) -> Optional[Substitution]:

@@ -4,9 +4,9 @@ The denotation of the safe-recursion algebra on bit tuples, independent of
 the rewrite machinery, and its word encoding; the algebra's s-expression
 printer; the blind image of a proof; the compositions of an input size;
 the structure of a judgement, for golden-tree comparisons; the rational
-weight of a value; the paper's meet of two assignments; and the route by
-which ``compile_bc`` once built its assignment, as ``substitute`` trees
-normalised by ``simplify``.
+weight of a value; the paper's meet of two assignments; a substitution
+that rebuilds every node; and the route by which ``compile_bc`` once built
+its assignment, as ``substitute`` trees normalised by ``simplify``.
 """
 
 from __future__ import annotations
@@ -176,6 +176,22 @@ def value_qi(assignment: QiAssignment, value: Term) -> Fraction:
             raise QiError(f"value_qi needs a ground term, not variable {t.name}")
         entry = assignment.entry(t.symbol.name)
         weight[id(t)] = out = eval_expr(entry, [weight[id(a)] for a in t.args])
+    return out
+
+
+def reference_substitute(e: QiExpr, args: list) -> QiExpr:
+    """Replace Arg i by args[i], rebuilding every distinct compound node of
+    e once, whether or not an argument below it moves."""
+    new: dict = {}
+    for u in postorder([e], "items"):
+        kind = type(u)
+        if kind is Arg:
+            out = args[u.index]
+        elif kind is Const:
+            out = u
+        else:
+            out = kind(tuple([new[id(i)] for i in u.items]))
+        new[id(u)] = out
     return out
 
 

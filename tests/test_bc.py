@@ -22,9 +22,16 @@ from polytrs.bc import (
 )
 from polytrs.blind import blind_program, program_is_linear, transfer_uniform_qi
 from polytrs.ordering import PPO, infer_precedence
-from polytrs.parser import format_program
+from polytrs.parser import format_program, parse_program
 from polytrs import qi
-from polytrs.qi import check_conditions, check_qi, eval_expr, is_uniform
+from polytrs.qi import (
+    check_conditions,
+    check_qi,
+    eval_expr,
+    format_assignment,
+    is_uniform,
+    parse_assignment,
+)
 from polytrs.terms import App
 
 from .conftest import CORPUS, checked_cbv
@@ -69,6 +76,15 @@ def test_arity_inconsistency_rejected():
         bc_arity(BcSafeComp(1, 1, BcZero(), (BcPred(),), ()))
     with pytest.raises(SignatureError):
         BcProj(1, 1, 3)
+
+
+def test_arity_clash_is_reported_in_the_algebras_notation():
+    text = "(rec (zero) (proj 0 1 1) (proj 0 1 1))"
+    message = r"recursion step has arity \(0; 1\), needs \(1; 1\)$"
+    with pytest.raises(SignatureError, match=message):
+        bc_arity(BcSafeRec(BcZero(), BcProj(0, 1, 1), BcProj(0, 1, 1)))
+    with pytest.raises(ParseError, match=r"^1:39: " + message):
+        parse_bc(text)
 
 
 def test_compile_pred_rules():
@@ -192,6 +208,18 @@ def test_sexpr_errors():
         parse_bc("(comp (0 0) (zero) (")
     with pytest.raises(ParseError, match=r"^2:3: unknown algebra constructor 'frob'$"):
         parse_bc("; a comment (\n (frob)")
+
+
+@pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40)])
+def test_compiled_text_checks_as_the_compilation(seeds):
+    # The bc-compile -> check-qi route: the program and assignment read back
+    # from their text, with a fresh memo, get the compilation's verdict.
+    for seed in seeds:
+        comp = compile_bc(random_bc(seed, 4))
+        program = parse_program(format_program(comp.program))
+        assignment = parse_assignment(format_assignment(comp.qi, comp.program), program)
+        assert not assignment.memo
+        assert check_qi(program, assignment).as_dict() == check_qi(comp.program, comp.qi).as_dict()
 
 
 def test_bc_property_suite_sample():

@@ -39,6 +39,7 @@ from polytrs.qi import (
     max_posy_form,
     parse_assignment,
     parse_expr,
+    substitute,
     term_qi,
     _refute,
     _sample_points,
@@ -49,7 +50,7 @@ from polytrs.terms import App, term_size
 from .conftest import CORPUS, checked_cbv, load, symbols_of, t
 from .oracles import reference_eval_expr
 from .bounds import max_constructor_constant
-from .reference import meet, simplify, value_qi
+from .reference import meet, reference_substitute, simplify, value_qi
 from .strategies import values
 
 
@@ -673,6 +674,42 @@ def _random_expr(rng, arity, depth):
     return kind(tuple(_random_expr(rng, arity, depth - 1) for _ in range(size)))
 
 
+def _arguments_below(e):
+    """The bitmask of the Arg indices found by walking e."""
+    return sum({1 << u.index for u in postorder([e], "items") if type(u) is Arg})
+
+
+def test_substitute_agrees_with_the_rebuilding_reference():
+    # Identity, one argument moved, every argument moved, and compound
+    # arguments, over random expressions that share subtrees.
+    rng = random.Random(5)
+    for _ in range(1500):
+        arity = rng.randint(1, 4)
+        e = _random_expr(rng, arity, rng.randint(0, 4))
+        if rng.random() < 0.3:
+            e = rng.choice([Sum, Prod, Max])((e, _random_expr(rng, arity, 2), e))
+        identity = [Arg(i) for i in range(arity)]
+        one = list(identity)
+        one[rng.randrange(arity)] = _random_expr(rng, arity, rng.randint(0, 2))
+        every = [_random_expr(rng, rng.randint(1, 3), rng.randint(0, 3)) for _ in identity]
+        renamed = rng.sample(identity, arity) + [Arg(arity)]
+        for args in (identity, one, every, renamed):
+            got = substitute(e, args)
+            assert got is reference_substitute(e, args)
+            for u in postorder([e, got, *args], "items"):
+                assert u.arg_mask == _arguments_below(u)
+        assert substitute(e, identity) is e
+
+
+def test_substitute_reads_past_the_list_as_the_reference_does():
+    e = Sum((Arg(0), Prod((Arg(2), Const(3)))))
+    with pytest.raises(IndexError):
+        reference_substitute(e, [Arg(0), Arg(1)])
+    with pytest.raises(IndexError):
+        substitute(e, [Arg(0), Arg(1)])
+    assert substitute(e, [Arg(0), Arg(1), Arg(2), Arg(3)]) is e
+
+
 def _random_point(rng, arity):
     if rng.random() < 0.3:
         return tuple(Fraction(rng.choice(GRID_POINTS)) for _ in range(arity))
@@ -862,7 +899,9 @@ def test_node_kinds_are_told_apart():
 @pytest.mark.parametrize(
     "node", [Const(2), Arg(0), Sum((Arg(0), Const(1))), Min((Arg(0), Arg(1)))]
 )
-@pytest.mark.parametrize("attr", ["value", "index", "items", "has_min", "has_max", "_hash", "other"])
+@pytest.mark.parametrize(
+    "attr", ["value", "index", "items", "has_min", "has_max", "arg_mask", "_hash", "other"]
+)
 def test_nodes_are_immutable(node, attr):
     with pytest.raises(AttributeError):
         setattr(node, attr, Const(0))
