@@ -40,7 +40,7 @@ class BlindProgram(NamedTuple):
     def as_dict(self) -> dict:
         return {
             "program": format_program(self.program),
-            "provenance": dict(sorted(self.provenance.items())),
+            "provenance": self.provenance,
             "duplicate_equations": [list(g) for g in self.duplicate_groups],
         }
 

@@ -6,7 +6,9 @@ cbv proof keeps only the active judgements, one node per judgement object,
 so a repeated call shares its subtree; the call dag of a memo proof
 keeps the Update judgements and turns every Read leaf into a link to the
 unique Update node with the same call.  Edges are labelled with the activated
-equation and the rhs call-site occurrence they realise.
+equation and the rhs call-site occurrence they realise.  Both are written
+as a table of their distinct nodes, each once, with edges by node number,
+so a tree whose calls all differ is written as its unfolding is.
 """
 
 from __future__ import annotations
@@ -58,25 +60,17 @@ class CallNode:
         self.children: list = []  # (TransitionEdge, CallNode)
         self.read_links: list = []  # (TransitionEdge, CallNode)
 
-    def walk(self) -> Iterator["CallNode"]:
-        """This node and its tree descendants, in pre-order; a node shared
-        by several parents is listed at each of its occurrences."""
-        todo = [self]
-        while todo:
-            n = todo.pop()
-            yield n
-            todo.extend(c for _, c in reversed(n.children))
-
     def __repr__(self) -> str:
         return f"CallNode({state_text(self.state)})"
 
 
 class CallStructure:
-    """A FOREST is the call tree of a cbv proof, with one node per call
-    judgement object: a repeated call shares its node, and the tree is its
-    unfolding.  ``walk()``, ``nodes()`` and every count and output of a
-    forest are over occurrences in that unfolding.  A DAG has one node per
-    Update and links each Read to it."""
+    """The call tree of a cbv proof (a FOREST) or the call dag of a memo
+    proof (a DAG), with one node per distinct call: a repeated call of a
+    tree shares its node, and a dag's Read is a link to its Update's node.
+    Every count and output is over distinct nodes, each numbered once in
+    ``nodes()`` order, with its callees by number; ``kind`` only labels
+    the JSON."""
 
     __slots__ = _fields = ("kind", "roots")
 
@@ -85,81 +79,32 @@ class CallStructure:
         self.roots = roots
 
     def nodes(self) -> list[CallNode]:
-        """A forest's node occurrences in pre-order; a dag's distinct nodes."""
-        if self.kind == FOREST:
-            out = []
-            for r in self.roots:
-                out.extend(r.walk())
-            return out
+        """Each distinct node once, in the pre-order of its first
+        occurrence, child edges before read links."""
         seen: dict[CallNode, None] = {}
-        stack = list(self.roots)
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen[n] = None
-            for _, c in n.children:
-                stack.append(c)
-            for _, c in n.read_links:
-                stack.append(c)
+        todo = self.roots[::-1]
+        while todo:
+            n = todo.pop()
+            if n not in seen:
+                seen[n] = None
+                todo.extend([c for _, c in reversed(n.read_links)])
+                todo.extend([c for _, c in reversed(n.children)])
         return list(seen)
 
-    def subtree_sizes(self) -> dict[CallNode, int]:
-        """Each distinct node, with the node occurrences of its unfolded
-        subtree over child edges, itself included; one bottom-up pass."""
-        sizes: dict[CallNode, int] = {}
-        todo = list(self.roots)
-        while todo:
-            n = todo[-1]
-            if n in sizes:
-                todo.pop()
-                continue
-            pending = [c for _, c in n.children if c not in sizes]
-            if pending:
-                todo.extend(pending)
-            else:
-                todo.pop()
-                sizes[n] = 1 + sum(sizes[c] for _, c in n.children)
-        return sizes
-
     def node_count(self) -> int:
-        if self.kind == FOREST:
-            sizes = self.subtree_sizes()
-            return sum(sizes[r] for r in self.roots)
         return len(self.nodes())
 
     def _numbered(self) -> Iterator[tuple[int, CallNode, list]]:
         """(number, node, [(edge, callee number, is read link)]) of each entry
-        of ``nodes()``, numbered in that order.  A forest numbers occurrences:
-        a child's number is its parent's + 1 + the occurrences under its
-        earlier siblings, so no number is looked up by node."""
-        if self.kind == DAG:
-            node_list = self.nodes()
-            ids = {n: i for i, n in enumerate(node_list)}
-            for i, n in enumerate(node_list):
-                yield i, n, [
-                    (e, ids[c], linked)
-                    for linked, group in ((False, n.children), (True, n.read_links))
-                    for e, c in group
-                ]
-            return
-        sizes = self.subtree_sizes()
-        todo = []
-        number = 0
-        for r in self.roots:
-            todo.append((r, number))
-            number += sizes[r]
-        todo.reverse()
-        while todo:
-            n, i = todo.pop()
-            out, kids = [], []
-            number = i + 1
-            for e, c in n.children:
-                out.append((e, number, False))
-                kids.append((c, number))
-                number += sizes[c]
-            yield i, n, out
-            todo.extend(reversed(kids))
+        of ``nodes()``, numbered in that order."""
+        node_list = self.nodes()
+        ids = {n: i for i, n in enumerate(node_list)}
+        for i, n in enumerate(node_list):
+            yield i, n, [
+                (e, ids[c], linked)
+                for linked, group in ((False, n.children), (True, n.read_links))
+                for e, c in group
+            ]
 
     def to_dot(self) -> str:
         lines = ["digraph calls {"]
@@ -241,7 +186,7 @@ def _call_structure(proof: DerivationProof, kind: str) -> CallStructure:
 
 
 def call_tree(proof: DerivationProof) -> CallStructure:
-    """Forest of active judgement occurrences of a cbv proof."""
+    """Forest of the active judgements of a cbv proof, one node each."""
     if proof.mode != "cbv":
         raise ValueError("call trees are built from cbv proofs")
     return _call_structure(proof, FOREST)

@@ -6,6 +6,10 @@ when all three fail, and 2 otherwise; ``check-order`` exits 0 on a pass and
 QI; ``linearity`` exits 0 or 1, and 2 when no precedence exists; the other
 commands exit 0.  Every error (usage, input or internal) exits 3.  All
 commands emit JSON (CSV/DOT where noted) on stdout or to ``--out``.
+``eval`` and ``memo`` write ``schema_version`` 1: the result, the proof's
+statistics, and the proof as a node table of its distinct judgements
+(``semantics.proof_to_json``); ``tree`` and ``dag`` number each distinct
+call node once (``callgraph.CallStructure``).
 """
 
 from __future__ import annotations
@@ -252,8 +256,9 @@ def _dispatch(args) -> int:
             proof = next(iter(eval_cbv(program, term, _policy(args), budget)))
         if args.command in ("eval", "memo"):
             payload = {
+                "schema_version": 1,
                 "result": format_term(proof.result),
-                "stats": proof.stats.as_dict(),
+                "stats": proof.stats._asdict(),
                 "proof": proof_to_json(proof),
             }
             if args.command == "memo" and args.allow_nonconfluent_memo:
@@ -320,10 +325,10 @@ def _dispatch(args) -> int:
                 {
                     "program": format_program(comp.program),
                     "qi": format_assignment(comp.qi, comp.program),
-                    "provenance": dict(sorted(comp.provenance.items())),
+                    "provenance": comp.provenance,
                     "argument_split": {
                         k: {"normal": v[0], "safe": v[1]}
-                        for k, v in sorted(comp.boundaries.items())
+                        for k, v in comp.boundaries.items()
                     },
                 },
             )

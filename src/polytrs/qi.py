@@ -684,9 +684,9 @@ class ConditionReport(NamedTuple):
             "polynomial": True,  # by construction
             "subterm": {
                 k: {"status": s, "witness": [str(x) for x in w] if w else None}
-                for k, (s, w) in sorted(self.subterm.items())
+                for k, (s, w) in self.subterm.items()
             },
-            "additivity": dict(sorted(self.additivity.items())),
+            "additivity": self.additivity,
             "ok": self.ok,
         }
 

@@ -139,18 +139,6 @@ class DerivationStats(NamedTuple):
     per_symbol_active: dict
     charged_cost: int
 
-    def as_dict(self) -> dict:
-        return {
-            "rule_count": self.rule_count,
-            "active_count": self.active_count,
-            "active_occurrences": self.active_occurrences,
-            "passive_count": self.passive_count,
-            "semi_active_count": self.semi_active_count,
-            "max_active_size": self.max_active_size,
-            "per_symbol_active": dict(sorted(self.per_symbol_active.items())),
-            "charged_cost": self.charged_cost,
-        }
-
 
 class DerivationProof(NamedTuple):
     root: Judgement
@@ -756,6 +744,9 @@ def check_read_linkage(proof: DerivationProof) -> None:
 
 
 def proof_to_json(proof: DerivationProof) -> dict:
+    """The proof as a node table: each distinct judgement once, in
+    ``postorder`` (premises first, the root last), with its premises by
+    index into ``nodes``; ``root`` is the root's index."""
     order = postorder([proof.root], "children")
     terms = [t for j in order for t in (j.lhs, j.result)]
     for call, v in proof.cache_trace:
@@ -767,20 +758,25 @@ def proof_to_json(proof: DerivationProof) -> dict:
             if type(u) is App and u.args
             else format_term(u)
         )
-    done: dict = {}  # judgement -> its dict, written at each place it occurs
+    ids: dict = {}  # judgement -> its index; postorder lists a leaf at each place
+    nodes = []
     for j in order:
-        done[j] = out = {
+        if j in ids:
+            continue
+        ids[j] = len(nodes)
+        out = {
             "rule": j.rule,
             "lhs": text[j.lhs],
             "result": text[j.result],
-            "children": [done[c] for c in j.children],
+            "children": [ids[c] for c in j.children],
         }
         if j.equation is not None:
             out["equation"] = j.equation.index
+        nodes.append(out)
     return {
         "mode": proof.mode,
-        "root": done[proof.root],
-        "stats": proof.stats.as_dict(),
+        "nodes": nodes,
+        "root": ids[proof.root],
         "cache_trace": [
             {
                 "function": call.symbol.name,

@@ -341,9 +341,9 @@ def certify_extended(
                 measure_bounded_values(program, sizes=sizes, budget=budget, seed=seed)
             )
             cls = classify_growth([r.max_state_size for r in value_rows if not r.truncated])
-            # constant, untruncated rows are polynomial, also below the
-            # four rows classify_growth needs
-            constant = len({r.max_state_size for r in value_rows}) == 1
+            # two or more constant, untruncated rows are polynomial, also
+            # below the four rows classify_growth needs; one row shows no trend
+            constant = len(value_rows) > 1 and len({r.max_state_size for r in value_rows}) == 1
             if constant and not any(r.truncated for r in value_rows):
                 cls = "polynomial-consistent"
         else:

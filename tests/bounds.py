@@ -53,8 +53,43 @@ def successors_of(node: CallNode) -> list[tuple[TransitionEdge, CallNode]]:
 
 
 def max_children(structure: CallStructure) -> int:
-    # every node of a dag is a root or some node's child
-    return max((len(n.children) for n in structure.subtree_sizes()), default=0)
+    return max((len(n.children) for n in structure.nodes()), default=0)
+
+
+def subtree_sizes(structure: CallStructure) -> dict[CallNode, int]:
+    """Each distinct node, with the node occurrences of its unfolded
+    subtree over child edges, itself included; one bottom-up pass, which
+    enters each node after all its children."""
+    sizes: dict[CallNode, int] = {}
+    todo = list(structure.roots)
+    while todo:
+        n = todo[-1]
+        if n in sizes:
+            todo.pop()
+            continue
+        pending = [c for _, c in n.children if c not in sizes]
+        if pending:
+            todo.extend(pending)
+        else:
+            todo.pop()
+            sizes[n] = 1 + sum(sizes[c] for _, c in n.children)
+    return sizes
+
+
+def occurrence_counts(structure: CallStructure) -> dict[CallNode, int]:
+    """Each distinct node, with its occurrences in the unfolding over child
+    edges: once per time it is a root, plus its parents' occurrences once
+    per edge.  ``subtree_sizes`` enters a node after its children, so its
+    reverse meets a node after all its parents.  In a dag every node
+    occurs once: an Update is one judgement, and read links are no child
+    edges."""
+    counts = dict.fromkeys(reversed(subtree_sizes(structure)), 0)
+    for r in structure.roots:
+        counts[r] += 1
+    for n, m in counts.items():
+        for _, c in n.children:
+            counts[c] += m
+    return counts
 
 
 # -- maximal dependences ----------------------------------------------------------
@@ -130,7 +165,8 @@ def function_ranks(program: Program, precedence: Precedence) -> dict:
 
 
 def same_class_descendant_counts(structure: CallStructure, precedence: Precedence) -> dict:
-    """Per node: number of descendant node occurrences in the same class.
+    """Per distinct node: number of descendant node occurrences in the same
+    class.
 
     A forest counts occurrences in its unfolding, one bottom-up sum per
     (node, class), so a shared node is counted wherever it occurs.  In a
@@ -140,7 +176,7 @@ def same_class_descendant_counts(structure: CallStructure, precedence: Precedenc
     counts: dict[CallNode, int] = {}
     if structure.kind == FOREST:
         below: dict = {}  # (node, class) -> same-class occurrences under node
-        for node in structure.subtree_sizes():
+        for node in structure.nodes():
             cls = precedence.class_of(node.state.symbol.name)
             counts[node] = run_stack(_forest_count(node, cls, precedence, below))
         return counts
@@ -191,30 +227,31 @@ def rank_stats(structure: CallStructure, precedence: Precedence, program: Progra
 
     The bound instantiates ``rank_recurrence_bound`` with A the largest
     same-class descendant count, d at least 1 and k the maximum rank; the +1
-    absorbs the node itself alongside its descendants.
+    absorbs the node itself alongside its descendants.  Node counts are
+    occurrences: each distinct node is weighted by ``occurrence_counts``.
     """
     if not is_compatible(precedence, program):
         raise PrecedenceError("rank statistics need a compatible precedence")
     ranks = function_ranks(program, precedence)
     counts = same_class_descendant_counts(structure, precedence)
-    nodes = structure.nodes()
+    weights = occurrence_counts(structure)
     a_max = max(counts.values(), default=0)
     k = max(ranks.values(), default=0)
 
     per_class = []
     for cid in sorted(ranks):
         members = tuple(sorted(s.name for s in program.functions if precedence.class_of(s.name) == cid))
-        cls_nodes = [n for n in nodes if precedence.class_of(n.state.symbol.name) == cid]
+        cls_nodes = [n for n in weights if precedence.class_of(n.state.symbol.name) == cid]
         per_class.append(
             ClassRankStats(
                 members,
-                len(cls_nodes),
+                sum(weights[n] for n in cls_nodes),
                 max((counts[n] for n in cls_nodes), default=0),
             )
         )
     bound = rank_recurrence_bound(program, k, a_max, min_d=1)
     bound *= max(1, len(structure.roots))
-    return RankReport(tuple(per_class), bound, len(nodes) <= bound)
+    return RankReport(tuple(per_class), bound, sum(weights.values()) <= bound)
 
 
 def check_edge_class_descent(structure: CallStructure, precedence: Precedence) -> None:
@@ -230,8 +267,10 @@ def check_edge_class_descent(structure: CallStructure, precedence: Precedence) -
 
 
 def ppo_descendant_bound(structure: CallStructure, precedence: Precedence) -> list[dict]:
-    """Per-node check of the PPO same-class dag bound c * prod(|v_i| + 1)."""
+    """Per-node check of the PPO same-class dag bound c * prod(|v_i| + 1),
+    one row per distinct node, with the node's occurrences."""
     counts = same_class_descendant_counts(structure, precedence)
+    weights = occurrence_counts(structure)
     out = []
     for n in structure.nodes():
         cid = precedence.class_of(n.state.symbol.name)
@@ -246,6 +285,7 @@ def ppo_descendant_bound(structure: CallStructure, precedence: Precedence) -> li
                 "descendants": counts[n],
                 "bound": bound,
                 "holds": counts[n] <= bound,
+                "occurrences": weights[n],
             }
         )
     return out

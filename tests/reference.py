@@ -2,11 +2,13 @@
 
 The denotation of the safe-recursion algebra on bit tuples, independent of
 the rewrite machinery, and its word encoding; the algebra's s-expression
-printer; the blind image of a proof; the compositions of an input size;
-the structure of a judgement, for golden-tree comparisons; the rational
-weight of a value; the paper's meet of two assignments; a substitution
-that rebuilds every node; and the route by which ``compile_bc`` once built
-its assignment, as ``substitute`` trees normalised by ``simplify``.
+printer; the blind image of a proof; a reader of the proof table that the
+CLI writes, and the occurrence-numbered unfolding of a call-tree table;
+the compositions of an input size; the structure of a judgement, for
+golden-tree comparisons; the rational weight of a value; the paper's meet
+of two assignments; a substitution that rebuilds every node; and the route
+by which ``compile_bc`` once built its assignment, as ``substitute`` trees
+normalised by ``simplify``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from polytrs.qi import (
     max_posy_form,
     substitute,
 )
+from polytrs.parser import parse_term
 from polytrs.semantics import DerivationProof, Judgement, classify
 from polytrs.terms import App, Program, Term, Var, format_term
 
@@ -142,6 +145,78 @@ def blind_proof(blind: BlindProgram, proof: DerivationProof) -> DerivationProof:
         )
     root = mapped[proof.root]
     return DerivationProof(root, proof.mode, classify(root), ())
+
+
+def proof_from_json(program: Program, data: dict) -> DerivationProof:
+    """The proof that ``proof_to_json`` wrote, rebuilt in one bottom-up loop
+    over its node table: premises are listed first, so each judgement is
+    built from built ones, and a judgement listed once is one object.  A
+    Read is a plain leaf."""
+    symbols = {s.name: s for s in program.signature}
+    terms: dict = {}  # text -> term
+
+    def term(text: str) -> Term:
+        if text not in terms:
+            terms[text] = parse_term(text, symbols)
+        return terms[text]
+
+    built: list = []
+    for node in data["nodes"]:
+        eq = node.get("equation")
+        built.append(
+            Judgement(
+                node["rule"],
+                term(node["lhs"]),
+                term(node["result"]),
+                tuple([built[i] for i in node["children"]]),
+                None if eq is None else program.equations[eq],
+            )
+        )
+    trace = tuple(
+        (App(symbols[e["function"]], tuple([term(a) for a in e["args"]])), term(e["value"]))
+        for e in data["cache_trace"]
+    )
+    root = built[data["root"]]
+    return DerivationProof(root, data["mode"], classify(root), trace)
+
+
+def unfold_call_tree(data: dict, roots: list) -> dict:
+    """The JSON of the unfolding of a call tree's node table, one node per
+    occurrence, numbered in pre-order: a child's number is its parent's
+    + 1 + the occurrences under its earlier siblings.  ``roots`` are the
+    table numbers of the roots, in order; the table does not list them,
+    and a repeated root-level call is one node in it."""
+    out: list = [[] for _ in data["nodes"]]
+    for e in data["edges"]:
+        out[e["from"]].append(e)
+    sizes: dict = {}  # table number -> occurrences in its unfolded subtree
+    todo = list(range(len(out)))
+    while todo:
+        i = todo[-1]
+        pending = [e["to"] for e in out[i] if e["to"] not in sizes]
+        if pending:
+            todo += pending
+        else:
+            todo.pop()
+            sizes[i] = 1 + sum(sizes[e["to"]] for e in out[i])
+    todo = []
+    number = 0
+    for r in roots:
+        todo.append((r, number))
+        number += sizes[r]
+    todo.reverse()
+    nodes, edges = [], []
+    while todo:
+        i, k = todo.pop()
+        nodes.append(data["nodes"][i])
+        number = k + 1
+        kids = []
+        for e in out[i]:
+            edges.append({**e, "from": k, "to": number})
+            kids.append((e["to"], number))
+            number += sizes[e["to"]]
+        todo.extend(reversed(kids))
+    return {"kind": data["kind"], "nodes": nodes, "edges": edges}
 
 
 def filtered_compositions(n: int, k: int) -> list[tuple]:

@@ -22,6 +22,7 @@ from .bounds import (
     ppo_descendant_bound,
     rank_stats,
     same_class_descendant_counts,
+    subtree_sizes,
 )
 from .reference import value_qi
 
@@ -39,7 +40,9 @@ def test_call_tree_running_example(corpus):
     assert state_text(root.state) == "<f, s0(s1(nil))>"
     kids = [state_text(c.state) for _, c in root.children]
     assert kids == ["<f, s1(nil)>", "<f, s1(nil)>", "<append, nil, nil>"]
-    assert tree.node_count() == 4
+    assert root.children[0][1] is root.children[1][1]  # the repeated call's one node
+    assert tree.node_count() == 3
+    assert sum(subtree_sizes(tree)[r] for r in tree.roots) == 4
 
 
 def test_call_tree_of_value_is_empty(corpus):
@@ -51,7 +54,12 @@ def test_call_tree_of_value_is_empty(corpus):
 def test_call_tree_node_count_is_active_occurrences(corpus):
     prog = corpus["fib.trs"]
     proof = checked_cbv(prog, t("f(s s s s s s 0)", prog))
-    assert call_tree(proof).node_count() == proof.stats.active_occurrences
+    tree = call_tree(proof)
+    sizes = subtree_sizes(tree)
+    assert sum(sizes[r] for r in tree.roots) == proof.stats.active_occurrences
+    # one node per distinct active judgement, each numbered once
+    distinct = [j for j in proof.root.distinct() if j.is_active]
+    assert tree.node_count() == len(sizes) == len(distinct) < proof.stats.active_occurrences
 
 
 def test_call_tree_arity_bound(corpus):
@@ -202,8 +210,9 @@ def test_dot_and_json_export(corpus):
     assert dot.startswith("digraph") and "<f, s1(nil)>" in dot
     data = tree.to_json()
     assert data["kind"] == "forest"
-    assert len(data["nodes"]) == 4
-    assert len(data["edges"]) == 3
+    assert data["nodes"] == ["<f, s0(s1(nil))>", "<f, s1(nil)>", "<append, nil, nil>"]
+    assert [(e["from"], e["to"]) for e in data["edges"]] == [(0, 1), (0, 1), (0, 2)]
+    assert dot.count("label=") == 6  # three nodes, three edges
 
 
 SUCCESSOR_WALK = """

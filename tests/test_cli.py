@@ -46,7 +46,10 @@ def test_eval_running(capsys):
     assert code == 0
     assert data["result"] == "nil"
     assert data["stats"]["active_count"] == 3
-    assert data["proof"]["root"]["rule"] == "Function"
+    assert data["schema_version"] == 1
+    proof = data["proof"]
+    assert proof["root"] == len(proof["nodes"]) - 1  # premises come first
+    assert proof["nodes"][proof["root"]]["rule"] == "Function"
 
 
 def test_memo_and_dag(capsys):
@@ -268,6 +271,18 @@ def test_certify_order_fixes_the_extended_precedence(capsys):
     assert stages["extended"]["eppo"] == stages["ordering"]["eppo"]
     assert data["verdicts"]["extended_p"] != "pass"
     assert code == 1
+
+
+def test_one_size_shows_no_constant_value_growth(capsys):
+    """One measured row is constant by itself, so it claims nothing: fib,
+    whose state sizes grow exponentially over 1..8, stays unknown at 8..8."""
+    code, data = run_json(capsys, "--sizes", "8..8", "certify", str(CORPUS / "fib.trs"))
+    extended = data["stages"]["extended"]
+    assert len(extended["value_rows"]) == 1
+    assert extended["bounded_values"] == "unknown"
+    assert extended["overall"] == "unknown"
+    assert data["verdicts"]["extended_p"] == "unknown"
+    assert code == 2
 
 
 def test_usage_error_bad_sizes_exits_3(capsys):
@@ -555,10 +570,10 @@ def test_exhaustive_eval_prints_the_worst_derivation(tmp_path, capsys):
 
 
 def test_a_closed_stdout_exits_3_without_a_traceback():
-    # dup(s^12 0) writes about 22 MB of JSON, far more than a pipe buffers,
-    # so polytrs is still writing when its reader stops
+    # a 900-letter append writes about 7 MB of JSON, far more than a pipe
+    # buffers, so polytrs is still writing when its reader stops
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    argv = ["eval", str(CORPUS / "doublerec.trs"), "dup(" + "s " * 12 + "0)"]
+    argv = ["eval", str(CORPUS / "append.trs"), "append(" + "s0 " * 900 + "nil, nil)"]
     with subprocess.Popen(
         [sys.executable, "-m", "polytrs", *argv],
         env=env,

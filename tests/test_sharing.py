@@ -3,12 +3,14 @@
 Under FirstMatch a repeated call derives the same subproof, so the run keeps
 one Function judgement per call term and the proof is a dag whose unfolding
 is the derivation tree.  These tests hold sharing to the unshared tree: the
-budget fails at the same judgement, the statistics count occurrences, and
-the checkers and call trees see the same proof.
+budget fails at the same judgement, the statistics count occurrences, the
+proof and call-tree tables unfold to the unshared proof's, and the lemma
+checks on distinct call nodes give the numbers of an occurrence walk.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from collections import Counter
 
@@ -17,26 +19,38 @@ import pytest
 from polytrs.base import Budget, BudgetExceeded, TrsError
 from polytrs.blind import blind_program
 from polytrs.callgraph import call_tree
-from polytrs.ordering import EPPO, infer_precedence
+from polytrs.ordering import EPPO, infer_precedence, parse_precedence
 from polytrs.parser import parse_term
+from polytrs.report import dump_json
 from polytrs.semantics import (
     R_READ,
     R_UPDATE,
     DerivationStats,
     Exhaustive,
+    FirstMatch,
     Judgement,
+    Seeded,
+    check_read_linkage,
     classify,
     eval_cbv,
     eval_memo,
     proof_to_json,
+    validate_proof,
 )
 from polytrs.terms import format_term, term_size
 
 from .conftest import checked_cbv, checked_memo, load, replace, symbols_of, unshare
 from .oracles import all_derivations
-from .bounds import check_edge_class_descent, max_children, ppo_descendant_bound, rank_stats
-from .reference import blind_proof, shape
-from .test_golden_eval import TERMS
+from .bounds import (
+    check_edge_class_descent,
+    max_children,
+    occurrence_counts,
+    ppo_descendant_bound,
+    rank_stats,
+    subtree_sizes,
+)
+from .reference import blind_proof, proof_from_json, shape, unfold_call_tree
+from .test_golden_eval import CASES, TERMS
 
 
 def reference_classify(root: Judgement) -> DerivationStats:
@@ -194,40 +208,116 @@ def test_shared_read_objects_keep_the_charged_cost(corpus):
     assert classify(root) == reference_classify(root) == proof.stats
 
 
+def table_cases():
+    """(label, program, proof) for the ORACLE_CASES terms under cbv, and for
+    each golden eval case that writes a proof: cbv and memo of every term,
+    and the other policies and the non-confluent override."""
+    for stem, text in ORACLE_CASES:
+        program = load(f"{stem}.trs")
+        yield f"{stem}:{text}", program, cbv(program, parse_term(text, symbols_of(program)))
+    blind = blind_program(load("running.trs")).program
+    for case_id, (flags, command, stem, text) in CASES.items():
+        if command not in ("eval", "memo"):
+            continue
+        program = blind if stem is None else load(f"{stem}.trs")
+        term = parse_term(text, symbols_of(program))
+        policy = flags[flags.index("--policy") + 1] if "--policy" in flags else "first"
+        try:
+            if command == "memo":
+                override = "--allow-nonconfluent-memo" in flags
+                proof = eval_memo(program, term, allow_nonconfluent=override)
+            else:
+                choice = {"first": FirstMatch(), "seeded": Seeded(0), "exhaustive": Exhaustive()}
+                proof = next(iter(eval_cbv(program, term, choice[policy])))
+        except TrsError:
+            continue  # a stuck term, or memo refused on a non-orthogonal program
+        yield case_id, program, proof
+
+
 def test_call_tree_and_json_unfold_the_shared_proof():
-    """The call tree keeps one node per call judgement object; everything
-    read off it equals the tree of the unshared proof, one node per
-    occurrence."""
+    """The proof table lists each judgement object once and the call tree
+    each call node once; read back, the proof table is the unshared proof,
+    and the call tree unfolds, numbered by occurrence, to the unshared
+    proof's call tree."""
+    cases = list(table_cases())
+    assert len(cases) == len(ORACLE_CASES) + 36
+    for label, program, proof in cases:
+        data = json.loads(dump_json(proof_to_json(proof)))
+        assert len(data["nodes"]) == len(list(proof.root.distinct())), label
+        rebuilt = proof_from_json(program, data)
+        assert shape(rebuilt.root) == shape(unshare(proof.root)), label
+        assert classify(rebuilt.root) == proof.stats, label
+        validate_proof(program, rebuilt)
+        if proof.mode == "memo":
+            check_read_linkage(rebuilt)
+            continue
+        tree = call_tree(proof)
+        active = [j for j in proof.root.distinct() if j.is_active]
+        assert tree.node_count() == len(active), label
+        ids = {n: i for i, n in enumerate(tree.nodes())}
+        table = json.loads(dump_json(tree.to_json()))
+        unfolded = call_tree(replace(proof, root=unshare(proof.root))).to_json()
+        assert unfold_call_tree(table, [ids[r] for r in tree.roots]) == unfolded, label
+
+
+def weighted(rows: list) -> Counter:
+    """ppo_descendant_bound rows, each counted as often as its node occurs."""
+    out: Counter = Counter()
+    for row in rows:
+        out[tuple(sorted((k, v) for k, v in row.items() if k != "occurrences"))] += row["occurrences"]
+    return out
+
+
+def test_lemma_checks_on_distinct_nodes_count_occurrences():
+    """The lemma checks visit each distinct call node once and weight it by
+    its occurrences; every number equals the unshared tree's, where each
+    node occurs once."""
+    climbs = 0
     for stem, text in ORACLE_CASES:
         program = load(f"{stem}.trs")
         proof = checked_cbv(program, parse_term(text, symbols_of(program)))
-        unfolded = replace(proof, root=unshare(proof.root))
-        assert proof_to_json(proof) == proof_to_json(unfolded)
-        shared, tree = call_tree(proof), call_tree(unfolded)
-        assert shared.to_json() == tree.to_json(), text
-        assert shared.to_dot() == tree.to_dot(), text
-        assert shared.node_count() == tree.node_count() == len(tree.nodes()), text
+        shared = call_tree(proof)
+        tree = call_tree(replace(proof, root=unshare(proof.root)))
+        sizes = subtree_sizes(shared)
+        assert len(sizes) == shared.node_count() < tree.node_count(), text
+        assert sum(sizes[r] for r in shared.roots) == tree.node_count(), text
+        assert sum(occurrence_counts(shared).values()) == tree.node_count(), text
+        assert set(occurrence_counts(tree).values()) == {1}, text
         assert max_children(shared) == max_children(tree), text
-        assert [n.state for n in shared.nodes()] == [n.state for n in tree.nodes()], text
         prec = infer_precedence(program, EPPO)
         assert rank_stats(shared, prec, program) == rank_stats(tree, prec, program), text
-        assert ppo_descendant_bound(shared, prec) == ppo_descendant_bound(tree, prec), text
+        rows = ppo_descendant_bound(shared, prec)
+        assert len(rows) == shared.node_count(), text
+        assert weighted(rows) == weighted(ppo_descendant_bound(tree, prec)), text
         check_edge_class_descent(shared, prec)
         check_edge_class_descent(tree, prec)
-        # one node per distinct call judgement, one per occurrence unshared
-        active = [j for j in proof.root.distinct() if j.is_active]
-        assert len(shared.subtree_sizes()) == len(active), text
-        assert len(tree.subtree_sizes()) == tree.node_count(), text
+        helper = next(f.name for f in program.functions if f != program.main)
+        climbing = parse_precedence(f"{program.main.name} < {helper}", program)
+        messages = []
+        for structure in (shared, tree):
+            try:
+                check_edge_class_descent(structure, climbing)
+                messages.append(None)
+            except ValueError as exc:
+                messages.append(str(exc))
+        assert messages[0] == messages[1], text
+        climbs += messages[0] is not None
+    assert climbs == len(ORACLE_CASES) - 1  # f(s1 s1 nil) calls nothing
 
 
 def test_call_tree_of_a_long_doubling_is_built_once_per_call(corpus):
-    # dup(s^20 0) has 3 * 2^20 - 2 active occurrences but 23 distinct calls
+    # dup(s^20 0) has 3 * 2^20 - 2 active occurrences but 23 distinct calls,
+    # and the tree and its lemma checks visit each call once
     program = corpus["doublerec.trs"]
     term = parse_term(dup(20), symbols_of(program))
     proof = cbv(program, term, Budget(max_rules=10**8))
     start = time.perf_counter()
     tree = call_tree(proof)
-    assert tree.node_count() == proof.stats.active_occurrences
+    assert tree.node_count() == 23
+    sizes = subtree_sizes(tree)
+    assert sum(sizes[r] for r in tree.roots) == proof.stats.active_occurrences
+    report = rank_stats(tree, infer_precedence(program, EPPO), program)
+    assert sum(c.node_count for c in report.per_class) == proof.stats.active_occurrences
     assert time.perf_counter() - start < 1.0
 
 
