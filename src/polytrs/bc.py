@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .base import SignatureError, Tokens, run_stack
 from .qi import BRANCH_CAP, Arg, Const, Max, Posy, QiAssignment, QiExpr, Sum, enter_form
-from .qi import expr_from_posy, monomial_expr, posy_compose, posy_mul, posy_sum
+from .qi import _unit, _widen, expr_from_posy, monomial_expr, posy_compose, posy_mul, posy_sum
 from .terms import (
     App,
     CONSTRUCTOR,
@@ -159,6 +159,9 @@ class _Compiler:
         self.boundaries: dict[str, tuple] = {}
         self.counters: dict[str, int] = {}
         self.memo: dict = {}  # becomes the compiled assignment's memo
+        # x1, x2, .. and y1, y2, .., as many as the widest node needs
+        self.xs = tuple(Var(f"x{i + 1}") for i in range(max(n for n, _ in arities.values())))
+        self.ys = tuple(Var(f"y{i + 1}") for i in range(max(m for _, m in arities.values())))
 
     def fresh(self, kind: str, arity: int) -> Symbol:
         i = self.counters.get(kind, 0)
@@ -182,8 +185,7 @@ class _Compiler:
         for c in subterms:
             syms.append(self.symbols.get(c) or (yield self.compile(c)))
         n, m = self.arities[b]
-        xs = tuple(Var(f"x{i + 1}") for i in range(n))
-        ys = tuple(Var(f"y{i + 1}") for i in range(m))
+        xs, ys = self.xs[:n], self.ys[:m]
         units = [{_unit(i, n): 1} for i in range(n)]  # the normal arguments
         parts = self.q_parts
 
@@ -198,12 +200,12 @@ class _Compiler:
         if isinstance(b, BcZero):
             sym = self.fresh("zero", 0)
             self.add_equation(sym, (), App(ZERO))
-            return finish(sym, {(): 1}, "constant 0")
+            return finish(sym, {0: 1}, "constant 0")
         if isinstance(b, BcSucc):
             sym = self.fresh("succ", 1)
             ctor = S0 if b.bit == 0 else S1
             self.add_equation(sym, ys, App(ctor, (ys[0],)))
-            return finish(sym, {(): 1}, f"successor s{b.bit}")
+            return finish(sym, {0: 1}, f"successor s{b.bit}")
         if isinstance(b, BcProj):
             sym = self.fresh("proj", n + m)
             args = xs + ys
@@ -245,10 +247,10 @@ class _Compiler:
                 )
             # q(A, X..) = A * (q_h0 + q_h1)(A, X..) + q_g(X..), padded with
             # the sum of the normal arguments so the subterm condition holds
-            # on all of R+ even when inner functions drop arguments.
+            # on all of R+ even when inner functions drop arguments.  q_g is
+            # over X.., and widening it by A before them changes no monomial.
             q_h = posy_sum([parts[h0.name], parts[h1.name]])
-            q_g = {(0,) + mono: c for mono, c in parts[g.name].items()}
-            q = posy_sum([posy_mul(units[0], q_h), q_g] + units)
+            q = posy_sum([posy_mul(units[0], q_h, n), parts[g.name]] + units)
             return finish(sym, q, "safe recursion")
         if isinstance(b, BcSafeComp):
             outer = syms[0]
@@ -265,11 +267,6 @@ class _Compiler:
             return finish(sym, q, "safe composition")
 
 
-def _unit(i: int, arity: int) -> tuple:
-    """The exponents of argument i alone, over ``arity`` arguments."""
-    return (0,) * i + (1,) + (0,) * (arity - i - 1)
-
-
 def _entry(q: Posy, n: int, m: int, memo: dict) -> QiExpr:
     """The entry q + max(X_{n+1}, .., X_{n+m}) of a symbol with n normal and
     m safe arguments as the max of the posynomials q + X_{n+j}, which is its
@@ -279,17 +276,17 @@ def _entry(q: Posy, n: int, m: int, memo: dict) -> QiExpr:
     X_{n+1} last.  Above BRANCH_CAP safe arguments the entry is left as
     q + max(safe arguments)."""
     if m > BRANCH_CAP:
-        return Sum((expr_from_posy(q), Max(tuple(Arg(n + j) for j in range(m)))))
-    pad = (0,) * m
-    q = {mono + pad: c for mono, c in q.items()}
+        return Sum((expr_from_posy(q, n), Max(tuple(Arg(n + j) for j in range(m)))))
     if not m:
-        return enter_form([q], [expr_from_posy(q)], n, memo)
+        return enter_form([q], [expr_from_posy(q, n)], n, memo)
     # q's monomial nodes are built once, and each branch places X_{n+j} among
     # them at its sorted place.  The branches are listed from the last safe
     # argument to the first, as X_{n+j}'s unit monomial sorts below X_{n+i}'s
     # for i < j.
     monos = sorted(q)
-    nodes = [monomial_expr(mono, q[mono]) for mono in monos]
+    nodes = [monomial_expr(mono, q[mono], n) for mono in monos]
+    q = _widen(q, m)
+    monos = sorted(q)
     form, exprs = [], []
     for j in reversed(range(m)):
         unit = _unit(n + j, n + m)

@@ -45,19 +45,21 @@ class BlindProgram(NamedTuple):
         }
 
 
-def _blind_symbol(sym: Symbol, names: dict) -> Symbol:
-    if sym.is_constructor:
-        return BLIND_S if sym.arity == 1 else BLIND_0
-    return Symbol(names[sym.name], FUNCTION, sym.arity)
-
-
 def _blind_images(terms: list, names: dict) -> dict:
-    """The blind image of every subterm of the terms, in one walk."""
+    """The blind image of every subterm of the terms, in one walk that maps
+    each symbol once."""
     image: dict = {}
+    symbols: dict = {}  # symbol -> its blind symbol
     for u in postorder(terms, "args"):
-        image[u] = u if type(u) is Var else App(
-            _blind_symbol(u.symbol, names), tuple([image[a] for a in u.args])
-        )
+        if type(u) is Var:
+            image[u] = u
+            continue
+        f = u.symbol
+        if f not in symbols:
+            symbols[f] = Symbol(names[f.name], FUNCTION, f.arity) if f.is_function else (
+                BLIND_S if f.arity == 1 else BLIND_0
+            )
+        image[u] = App(symbols[f], tuple([image[a] for a in u.args]))
     return image
 
 

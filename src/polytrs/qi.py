@@ -40,6 +40,7 @@ RANDOM_POINTS = 256
 GRID_CAP = 20_000  # full grid up to this many points, seeded subsample beyond
 MIN_CHOICES = 64  # branch choices of a min tried on each side of a dominance check
 BRANCH_CAP = 4096  # branch combinations of an expression's maxima expanded to normal form
+EXPONENT_CAP = 2**16 - 1  # exponent of one argument in a normal form's monomial
 
 VALID = "valid"
 INVALID = "invalid"
@@ -249,7 +250,9 @@ def substitute(e: QiExpr, args: list) -> QiExpr:
     """Replace Arg i by args[i].  Argument i moves unless args[i] is Arg(i);
     a node whose argument set holds no moved argument is its own image, so
     the walk builds the image of each node above a moved argument once."""
-    moved = -1 << len(args)  # an index past the list moves, and fails to read
+    if e.arg_mask >> len(args):
+        raise QiError(f"argument {e.arg_mask.bit_length()} past a list of {len(args)}")
+    moved = 0
     for i, a in enumerate(args):
         if type(a) is not Arg or a.index != i:
             moved |= 1 << i
@@ -274,14 +277,38 @@ def substitute(e: QiExpr, args: list) -> QiExpr:
 
 # -- posynomial normal form ---------------------------------------------------
 #
-# A posynomial is a map from exponent vectors to positive coefficients; an
+# A posynomial is a map from monomials to positive coefficients; an
 # expression normalizes to a max of posynomials (min handled by branch
 # selection at the obligation level).
+#
+# A monomial over n arguments is one int: argument i's exponent fills field
+# n - 1 - i of _WIDTH bits, so ints order as exponent tuples do and a product
+# of monomials is their sum.  Each field's top bit is a guard that no monomial
+# sets: a sum sets one, and carries no further, when an exponent passes
+# EXPONENT_CAP, and posy_mul then raises QiError.
 
+_WIDTH = EXPONENT_CAP.bit_length() + 1
+_FIELD = (1 << _WIDTH) - 1
 
-Posy = dict  # tuple[int, ...] -> int or Fraction
+Posy = dict  # monomial -> int or Fraction
 # Integral coefficients are kept as ints, which Python adds, multiplies and
 # compares exactly with Fractions, at a fraction of the cost.
+
+
+def _unit(i: int, arity: int) -> int:
+    """The monomial of argument i alone, over ``arity`` arguments."""
+    return 1 << _WIDTH * (arity - 1 - i)
+
+
+def _widen(p: Posy, after: int) -> Posy:
+    """p over its own arguments and ``after`` more after them, each with
+    exponent 0; arguments added before its own leave every monomial as is."""
+    return {mono << _WIDTH * after: c for mono, c in p.items()}
+
+
+def _exponents(mono: int, arity: int) -> list:
+    """The exponent of each argument in a monomial over ``arity`` arguments."""
+    return [mono >> _WIDTH * (arity - 1 - i) & _FIELD for i in range(arity)]
 
 
 def posy_sum(parts: list) -> Posy:
@@ -292,12 +319,16 @@ def posy_sum(parts: list) -> Posy:
     return out
 
 
-def posy_mul(a: Posy, b: Posy) -> Posy:
+def posy_mul(a: Posy, b: Posy, arity: int) -> Posy:
+    """a * b over ``arity`` arguments; QiError when an exponent passes EXPONENT_CAP."""
     out: Posy = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = tuple(map(operator.add, m1, m2))
+            m = m1 + m2
             out[m] = out.get(m, 0) + c1 * c2
+    guards = ((1 << _WIDTH * arity) - 1) // _FIELD << (_WIDTH - 1)
+    if functools.reduce(operator.or_, out, 0) & guards:
+        raise QiError(f"an exponent above EXPONENT_CAP ({EXPONENT_CAP})")
     return out
 
 
@@ -306,10 +337,10 @@ def posy_compose(p: Posy, args: list, arity: int) -> Posy:
     ``arity`` arguments, expanded into one posynomial."""
     parts = []
     for mono, c in p.items():
-        out = {tuple([0] * arity): c}
-        for a, e in zip(args, mono):
+        out = {0: c}
+        for a, e in zip(args, _exponents(mono, len(args))):
             for _ in range(e):
-                out = posy_mul(out, a)
+                out = posy_mul(out, a, arity)
         parts.append(out)
     return posy_sum(parts)
 
@@ -332,7 +363,8 @@ def _prune(branches: list) -> list:
 
 
 def max_posy_form(e: QiExpr, arity: int, memo: dict) -> Optional[list]:
-    """Max-of-posynomials normal form; None when min occurs or the form blows up.
+    """Max-of-posynomials normal form; None when min occurs or the form blows
+    up, and QiError for an argument at or past ``arity``.
 
     Identical max subexpressions always take equal values, so one branch
     choice is made per distinct max node rather than per occurrence; the
@@ -341,18 +373,23 @@ def max_posy_form(e: QiExpr, arity: int, memo: dict) -> Optional[list]:
 
     ``memo`` is the memo of an assignment (QiAssignment.memo): it maps
     ``(e, arity)`` to e's pruned form, or to None when e has more than
-    BRANCH_CAP branch combinations, so each expression is expanded once
-    however often it is asked for.  An expansion also enters the one-branch
-    form of every max-free node it meets.  A form taken from the memo is
-    shared with later callers and must not be mutated.
+    BRANCH_CAP branch combinations or an exponent past EXPONENT_CAP, so each
+    expression is expanded once however often it is asked for.  An expansion
+    also enters the one-branch form of every max-free node it meets.  A form
+    taken from the memo is shared with later callers and must not be mutated.
     """
+    if e.arg_mask >> arity:
+        raise QiError(f"argument {e.arg_mask.bit_length()} past arity {arity}")
     if e.has_min:
         return None
     key = (e, arity)
     if key not in memo:
         maxes = _distinct_maxes(e)
         within = math.prod(max(1, len(m.items)) for m in maxes) <= BRANCH_CAP
-        memo[key] = _expand(e, arity, maxes, memo) if within else None
+        try:
+            memo[key] = _expand(e, arity, maxes, memo) if within else None
+        except QiError:  # an exponent past EXPONENT_CAP
+            memo[key] = None
     return memo[key]
 
 
@@ -388,7 +425,6 @@ def _expand(e: QiExpr, arity: int, maxes: list, memo: dict) -> list:
     stops at it.  The other nodes are listed in post-order and recomputed
     per choice, each max taking its chosen item's posynomial, which it reads
     from the choice at its own position in ``maxes``."""
-    zero = tuple([0] * arity)
     position = {id(m): k for k, m in enumerate(maxes)}
     posy: dict = {}  # id -> posynomial of the node under the current choice
     varying = []  # (node, its position in maxes, or None for a non-max)
@@ -401,7 +437,7 @@ def _expand(e: QiExpr, arity: int, maxes: list, memo: dict) -> list:
             if u.has_max:
                 varying.append((u, position.get(id(u))))
             else:
-                p = posy[id(u)] = _posy_of(u, posy, zero)
+                p = posy[id(u)] = _posy_of(u, posy, arity)
                 memo[u, arity] = [p]
         elif id(u) not in seen:
             seen.add(id(u))
@@ -416,7 +452,7 @@ def _expand(e: QiExpr, arity: int, maxes: list, memo: dict) -> list:
     for combo in itertools.product(*pools):
         for u, k in varying:
             if k is None:
-                posy[id(u)] = _posy_of(u, posy, zero)
+                posy[id(u)] = _posy_of(u, posy, arity)
             else:
                 picked = combo[k]
                 posy[id(u)] = posy[id(picked)] if picked is not None else {}
@@ -424,40 +460,40 @@ def _expand(e: QiExpr, arity: int, maxes: list, memo: dict) -> list:
     return _prune(branches)
 
 
-def _posy_of(u: QiExpr, posy: dict, zero: tuple) -> Posy:
+def _posy_of(u: QiExpr, posy: dict, arity: int) -> Posy:
     """The posynomial of a node other than max, from its items' posynomials
     in ``posy``."""
     kind = type(u)
     if kind is Const:
         v = u.value
-        return {zero: v.numerator if v.denominator == 1 else v} if v else {}
+        return {0: v.numerator if v.denominator == 1 else v} if v else {}
     if kind is Arg:
-        return {zero[: u.index] + (1,) + zero[u.index + 1 :]: 1}
+        return {_unit(u.index, arity): 1}
     if kind is Sum:
         return posy_sum([posy[id(i)] for i in u.items])
     if not u.items:
-        return {zero: 1}
+        return {0: 1}
     out = posy[id(u.items[0])]  # the product starts at its first factor, not at 1
     for i in u.items[1:]:
-        out = posy_mul(out, posy[id(i)])
+        out = posy_mul(out, posy[id(i)], arity)
     return out
 
 
-def expr_from_posy(p: Posy) -> QiExpr:
-    """Rebuild a sum-of-monomials expression from a posynomial."""
+def expr_from_posy(p: Posy, arity: int) -> QiExpr:
+    """Rebuild a sum-of-monomials expression from a posynomial over ``arity`` arguments."""
     if not p:
         return Const(0)
-    terms = [monomial_expr(mono, coeff) for mono, coeff in sorted(p.items())]
+    terms = [monomial_expr(mono, coeff, arity) for mono, coeff in sorted(p.items())]
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
-def monomial_expr(mono: tuple, coeff) -> QiExpr:
-    """The expression of one monomial: its coefficient, unless it is 1 on a
-    non-constant monomial, times each argument as often as its exponent."""
+def monomial_expr(mono: int, coeff, arity: int) -> QiExpr:
+    """The expression of a monomial over ``arity`` arguments: its coefficient,
+    unless it is 1 on a non-constant monomial, times each argument as often as its exponent."""
     factors: list[QiExpr] = []
-    if coeff != 1 or not any(mono):
+    if coeff != 1 or not mono:
         factors.append(Const(coeff))
-    for i, e in enumerate(mono):
+    for i, e in enumerate(_exponents(mono, arity)):
         factors.extend([Arg(i)] * e)
     return factors[0] if len(factors) == 1 else Prod(tuple(factors))
 
@@ -580,26 +616,36 @@ def term_qi(assignment: QiAssignment, term: Term, var_order: list | dict | None 
 
 
 def _term_expr(assignment: QiAssignment, args: dict, t: Term) -> QiExpr:
-    """term_qi folded over the ``postorder`` of t, so no recursion limit
-    bounds the depth of the term."""
+    """term_qi folded on a stack of frames, as terms.apply_subst folds, so no
+    recursion limit bounds the depth of the term.  A frame is an application
+    and its arguments' items so far; a variable is read when its frame is
+    done, so the first error raised is the one a post-order fold meets first."""
     if type(t) is Var:
         return _variable(args, t)
     entries, memo = assignment.entries, assignment.memo
-    exprs: dict = {}  # id of an application -> its expression
-    for u in postorder([t], "args"):
-        if type(u) is not Var:
+    done: dict = {}  # id of an application -> its expression
+    stack: list = [(t, [])]
+    while True:
+        u, items = stack[-1]
+        for a in u.args[len(items) :]:
+            got = a if type(a) is Var else done.get(id(a))
+            if got is None:
+                stack.append((a, []))
+                break
+            items.append(got)
+        else:
             entry = entries.get(u.symbol.name)
             if entry is None:
                 raise QiError(f"no assignment entry for symbol {u.symbol.name}")
-            key = (
-                entry,
-                tuple([_variable(args, a) if type(a) is Var else exprs[id(a)] for a in u.args]),
-            )
+            key = (entry, tuple([_variable(args, a) if type(a) is Var else a for a in items]))
             out = memo.get(key)
             if out is None:
                 out = memo[key] = substitute(*key)
-            exprs[id(u)] = out
-    return out
+            stack.pop()
+            if not stack:
+                return out
+            done[id(u)] = out
+            stack[-1][1].append(out)
 
 
 def _variable(args: dict, v: Var) -> QiExpr:
@@ -611,15 +657,7 @@ def _variable(args: dict, v: Var) -> QiExpr:
 
 def additive_shape(e: QiExpr, arity: int) -> Optional[Fraction]:
     """If e is exactly Sum(all Args once, Const a >= 1), return a, else None."""
-    items: tuple
-    if isinstance(e, Sum):
-        items = e.items
-    elif arity == 0:
-        items = (e,) if isinstance(e, Const) else ()
-        if not items:
-            return None
-    else:
-        items = (e,)
+    items = e.items if isinstance(e, Sum) else (e,)
     args = sorted(i.index for i in items if isinstance(i, Arg))
     consts = [i.value for i in items if isinstance(i, Const)]
     others = [i for i in items if not isinstance(i, (Arg, Const))]
@@ -699,6 +737,7 @@ def check_conditions(assignment: QiAssignment, program: Program) -> ConditionRep
     subterm condition is checked by dominance, in the assignment's memo, with
     sampling refutation.
     """
+    args: list = []  # Arg(0), Arg(1), .., each built once
     subterm: dict = {}
     additivity: dict = {}
     for sym in program.signature:
@@ -709,11 +748,12 @@ def check_conditions(assignment: QiAssignment, program: Program) -> ConditionRep
             additivity[sym.name] = additive_shape(e, sym.arity) is not None
         status = VALID
         witness = None
+        args.extend(map(Arg, range(len(args), sym.arity)))
         for i in range(sym.arity):
-            if dominates(e, Arg(i), sym.arity, assignment.memo):
+            if dominates(e, args[i], sym.arity, assignment.memo):
                 continue
             status = UNKNOWN
-            refuted = _refute(e, Arg(i), sym.arity, tag=f"subterm:{sym.name}:{i}")
+            refuted = _refute(e, args[i], sym.arity, tag=f"subterm:{sym.name}:{i}")
             if refuted is not None:
                 status, witness = INVALID, refuted
                 break
@@ -783,9 +823,11 @@ def check_qi(program: Program, assignment: QiAssignment, seed: int = 0) -> QiVer
     """
     conditions = check_conditions(assignment, program)
     verdicts = []
+    nodes: list = []  # Arg(0), Arg(1), .., each built once
     for eq in program.equations:
         var_order = variables(eq.lhs)
-        args = {v: Arg(i) for i, v in enumerate(var_order)}
+        nodes.extend(map(Arg, range(len(nodes), len(var_order))))
+        args = dict(zip(var_order, nodes))
         try:
             lhs = term_qi(assignment, eq.lhs, args)
             rhs = term_qi(assignment, eq.rhs, args)
@@ -801,10 +843,8 @@ def check_qi(program: Program, assignment: QiAssignment, seed: int = 0) -> QiVer
             verdicts.append(ObligationVerdict(eq.index, sides, VALID))
             continue
         witness = _refute(lhs, rhs, arity, tag=f"eq:{eq.index}", seed=seed)
-        if witness is not None:
-            verdicts.append(ObligationVerdict(eq.index, sides, INVALID, witness))
-        else:
-            verdicts.append(ObligationVerdict(eq.index, sides, UNKNOWN))
+        status = UNKNOWN if witness is None else INVALID
+        verdicts.append(ObligationVerdict(eq.index, sides, status, witness))
     if any(v.status == INVALID for v in verdicts) or not conditions.ok:
         overall = INVALID
     elif all(v.status == VALID for v in verdicts):

@@ -5,10 +5,11 @@ the rewrite machinery, and its word encoding; the algebra's s-expression
 printer; the blind image of a proof; a reader of the proof table that the
 CLI writes, and the occurrence-numbered unfolding of a call-tree table;
 the compositions of an input size; the structure of a judgement, for
-golden-tree comparisons; the rational weight of a value; the paper's meet
-of two assignments; a substitution that rebuilds every node; and the route
-by which ``compile_bc`` once built its assignment, as ``substitute`` trees
-normalised by ``simplify``.
+golden-tree comparisons; the rational weight of a value; ``term_qi`` folded
+over a ``postorder``; the paper's meet of two assignments; a substitution
+that rebuilds every node; the reading of a packed monomial as its exponent
+tuple; and the route by which ``compile_bc`` once built its assignment, as
+``substitute`` trees normalised by ``simplify``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from polytrs.bc import (
 from polytrs.blind import BlindProgram, _blind_images
 from polytrs.qi import (
     BRANCH_CAP,
+    EXPONENT_CAP,
+    _WIDTH,
     Arg,
     Const,
     Max,
@@ -48,7 +51,6 @@ from polytrs.qi import (
     _distinct_maxes,
     enter_form,
     eval_expr,
-    expr_from_posy,
     max_posy_form,
     substitute,
 )
@@ -254,6 +256,33 @@ def value_qi(assignment: QiAssignment, value: Term) -> Fraction:
     return out
 
 
+def reference_term_expr(assignment: QiAssignment, args: dict, t: Term) -> QiExpr:
+    """``term_qi`` of t over the variable order ``args`` (name -> Arg),
+    folded over the ``postorder`` of t: each application after everything
+    below it, its entry looked up before its variable arguments are read."""
+    exprs: dict = {}  # id of an application -> its expression
+    for u in postorder([t], "args"):
+        if type(u) is Var:
+            continue
+        entry = assignment.entries.get(u.symbol.name)
+        if entry is None:
+            raise QiError(f"no assignment entry for symbol {u.symbol.name}")
+        items = []
+        for a in u.args:
+            if type(a) is not Var:
+                items.append(exprs[id(a)])
+            elif a.name in args:
+                items.append(args[a.name])
+            else:
+                raise QiError(f"variable {a.name} not in the variable order")
+        exprs[id(u)] = substitute(entry, items)
+    if type(t) is not Var:
+        return exprs[id(t)]
+    if t.name not in args:
+        raise QiError(f"variable {t.name} not in the variable order")
+    return args[t.name]
+
+
 def reference_substitute(e: QiExpr, args: list) -> QiExpr:
     """Replace Arg i by args[i], rebuilding every distinct compound node of
     e once, whether or not an argument below it moves."""
@@ -288,9 +317,44 @@ def meet(a1: QiAssignment, a2: QiAssignment, program: Program) -> QiAssignment:
     return QiAssignment(entries)
 
 
-def _posy_key(p: Posy) -> list:
+def decode_posy(p: Posy, arity: int) -> dict:
+    """A posynomial of the package with each monomial, one int, read as its
+    tuple of exponents, argument 0 first: field by field from the lowest,
+    each below EXPONENT_CAP and nothing past the last argument."""
+    out = {}
+    for mono, c in p.items():
+        exponents = []
+        for _ in range(arity):
+            mono, e = divmod(mono, 1 << _WIDTH)
+            assert e <= EXPONENT_CAP
+            exponents.append(e)
+        assert mono == 0, "a monomial wider than its arity"
+        out[tuple(reversed(exponents))] = c
+    assert len(out) == len(p)
+    return out
+
+
+def decode_form(form: Optional[list], arity: int) -> Optional[list]:
+    """A normal form, or None, with each branch read by ``decode_posy``."""
+    return None if form is None else [decode_posy(p, arity) for p in form]
+
+
+def _posy_key(p: dict) -> list:
     """The branch order of an entered form: ascending sorted items."""
     return sorted(p.items())
+
+
+def _expr_of(p: dict) -> QiExpr:
+    """The sum of the monomials of a tuple-keyed posynomial in ascending
+    order, each its coefficient, unless that is 1 on a non-constant
+    monomial, times each argument as often as its exponent."""
+    terms = []
+    for mono, coeff in sorted(p.items()):
+        factors: list = [Const(coeff)] if coeff != 1 or not any(mono) else []
+        for i, e in enumerate(mono):
+            factors.extend([Arg(i)] * e)
+        terms.append(factors[0] if len(factors) == 1 else Prod(tuple(factors)))
+    return Const(0) if not terms else terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
 def simplify(e: QiExpr, arity: int, memo: Optional[dict] = None, limit: int = 512) -> QiExpr:
@@ -306,8 +370,9 @@ def simplify(e: QiExpr, arity: int, memo: Optional[dict] = None, limit: int = 51
         return e
     if memo is None:
         memo = {}
-    form = sorted(max_posy_form(e, arity, memo), key=_posy_key)
-    return enter_form(form, [expr_from_posy(p) for p in form], arity, memo)
+    branches = [(decode_posy(p, arity), p) for p in max_posy_form(e, arity, memo)]
+    branches.sort(key=lambda branch: _posy_key(branch[0]))
+    return enter_form([p for _, p in branches], [_expr_of(d) for d, _ in branches], arity, memo)
 
 
 def reference_compile_entries(comp: BcCompilation) -> dict:

@@ -348,10 +348,10 @@ def test_chain_computes_each_max_free_posynomial_once(seed, monkeypatch):
     computed = []
     original = qi._posy_of
 
-    def counting(u, posy, zero):
+    def counting(u, posy, arity):
         if not u.has_max:
-            computed.append((u, len(zero)))
-        return original(u, posy, zero)
+            computed.append((u, arity))
+        return original(u, posy, arity)
 
     monkeypatch.setattr(qi, "_posy_of", counting)
     comp, verdict, moved, moved_verdict = _qi_chain(random_bc(seed, 4))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import pickle
 import random
@@ -19,6 +20,7 @@ from polytrs import terms as terms_module
 from polytrs.base import ParseError, QiError, postorder
 from polytrs.parser import parse_program
 from polytrs.qi import (
+    EXPONENT_CAP,
     GRID_CAP,
     GRID_POINTS,
     RANDOM_POINTS,
@@ -50,8 +52,16 @@ from polytrs.terms import App, term_size
 from .conftest import CORPUS, checked_cbv, load, symbols_of, t
 from .oracles import reference_eval_expr
 from .bounds import max_constructor_constant
-from .reference import meet, reference_substitute, simplify, value_qi
-from .strategies import values
+from .reference import (
+    decode_form,
+    decode_posy,
+    meet,
+    reference_substitute,
+    reference_term_expr,
+    simplify,
+    value_qi,
+)
+from .strategies import terms, values
 
 
 def qi_points(arity, count=60, seed=3):
@@ -352,7 +362,7 @@ def test_dominance_examples():
 def test_max_posy_form_shares_identical_maxes():
     m = Max((Arg(0), Arg(1)))
     e = Sum((m, m))
-    form = max_posy_form(e, 2, {})
+    form = decode_form(max_posy_form(e, 2, {}), 2)
     # one choice per distinct max: 2X or 2Y, never X+Y
     assert sorted(form, key=str) == sorted(
         [{(1, 0): Fraction(2)}, {(0, 1): Fraction(2)}], key=str
@@ -566,9 +576,11 @@ def test_memoised_max_posy_form_matches_reference(data):
     # simplify enters its result's form, which must be the result's own.
     for e in exprs + exprs[::-1]:
         for arity in (ARITY, ARITY + 1):
-            assert max_posy_form(e, arity, forms) == _ref_max_posy_form(e, arity)
+            got = max_posy_form(e, arity, forms)
+            assert decode_form(got, arity) == _ref_max_posy_form(e, arity)
             out = simplify(e, arity, forms)
-            assert max_posy_form(out, arity, forms) == _ref_max_posy_form(out, arity)
+            got = max_posy_form(out, arity, forms)
+            assert decode_form(got, arity) == _ref_max_posy_form(out, arity)
 
 
 @settings(max_examples=150, deadline=None)
@@ -582,7 +594,8 @@ def test_memoised_dominates_matches_reference(data):
     pairs = [(lhs, rhs) for lhs in exprs for rhs in exprs]
     for lhs, rhs in pairs + pairs[::-1]:
         assert dominates(lhs, rhs, ARITY, memo) == _ref_dominates(lhs, rhs, ARITY)
-        assert max_posy_form(rhs, ARITY, memo) == _ref_max_posy_form(rhs, ARITY)
+        got = max_posy_form(rhs, ARITY, memo)
+        assert decode_form(got, ARITY) == _ref_max_posy_form(rhs, ARITY)
 
 
 def _maxima(k):
@@ -598,7 +611,7 @@ def test_memo_applies_each_callers_cap_simplify_first():
     assert simplify(e, 1, forms) is e
     assert dominates(e, Arg(0), 1, forms)
     assert not dominates(Arg(0), e, 1, forms)
-    assert forms[e, 1] == _ref_max_posy_form(e, 1)
+    assert decode_form(forms[e, 1], 1) == _ref_max_posy_form(e, 1)
     assert simplify(e, 1, forms) is e
 
 
@@ -606,10 +619,10 @@ def test_memo_applies_each_callers_cap_dominates_first():
     # The same expression with the memo filled by dominates first.
     e, forms = _maxima(10), {}
     assert dominates(e, Arg(0), 1, forms)
-    assert forms[e, 1] == _ref_max_posy_form(e, 1)
+    assert decode_form(forms[e, 1], 1) == _ref_max_posy_form(e, 1)
     assert simplify(e, 1, forms) is e
     assert not dominates(Arg(0), e, 1, forms)
-    assert forms[e, 1] == _ref_max_posy_form(e, 1)
+    assert decode_form(forms[e, 1], 1) == _ref_max_posy_form(e, 1)
 
 
 def test_memo_keeps_none_above_the_branch_cap(monkeypatch):
@@ -701,13 +714,105 @@ def test_substitute_agrees_with_the_rebuilding_reference():
         assert substitute(e, identity) is e
 
 
-def test_substitute_reads_past_the_list_as_the_reference_does():
+def test_substitute_names_an_argument_past_the_list():
     e = Sum((Arg(0), Prod((Arg(2), Const(3)))))
     with pytest.raises(IndexError):
         reference_substitute(e, [Arg(0), Arg(1)])
-    with pytest.raises(IndexError):
+    with pytest.raises(QiError, match="argument 3 past a list of 2"):
         substitute(e, [Arg(0), Arg(1)])
+    with pytest.raises(QiError, match="argument 4 past a list of 1"):
+        substitute(Sum((Arg(0), Arg(3))), [Arg(0)])
     assert substitute(e, [Arg(0), Arg(1), Arg(2), Arg(3)]) is e
+
+
+# -- packed monomials and the exponent cap ----------------------------------------
+
+
+def test_max_posy_form_names_an_argument_past_the_arity():
+    with pytest.raises(QiError, match="argument 3 past arity 1"):
+        max_posy_form(Arg(2), 1, {})
+
+
+def _packed(exponents: tuple) -> int:
+    """The monomial with these exponents, as a sum of the package's units."""
+    return sum(e * qi._unit(i, len(exponents)) for i, e in enumerate(exponents))
+
+
+_EXPONENTS = st.integers(0, EXPONENT_CAP) | st.integers(EXPONENT_CAP // 2 - 2, EXPONENT_CAP)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_packed_monomials_order_multiply_and_decode_as_tuples(data):
+    arity = data.draw(st.integers(1, 4))
+    a, b = (data.draw(st.tuples(*[_EXPONENTS] * arity)) for _ in range(2))
+    ma, mb = _packed(a), _packed(b)
+    assert decode_posy({ma: 1}, arity) == {a: 1}
+    assert qi._exponents(ma, arity) == list(a)
+    assert (ma < mb) == (a < b) and (ma == mb) == (a == b)
+    product = tuple(map(operator.add, a, b))
+    if max(product) <= EXPONENT_CAP:
+        assert decode_posy(qi.posy_mul({ma: 2}, {mb: 3}, arity), arity) == {product: 6}
+    else:
+        with pytest.raises(QiError, match="EXPONENT_CAP"):
+            qi.posy_mul({ma: 2}, {mb: 3}, arity)
+
+
+def test_an_exponent_past_the_cap_leaves_no_form():
+    # f(X) = X*X substituted into itself k times is X^(2^k): within
+    # EXPONENT_CAP at k = 15, past it at k = 16.
+    assert 2**15 <= EXPONENT_CAP < 2**16
+    prog = parse_program(
+        "constructors: nil/0\nfunctions: f/1 g/1 h/1\n"
+        f"g(x) -> {'f(' * 15}x{')' * 15}\n"
+        f"h(x) -> {'f(' * 16}x{')' * 16}\nmain: g\n"
+    )
+    asg = parse_assignment("qi f(X) = X*X\nqi g(X) = X\nqi h(X) = X\n", prog)
+    verdict = check_qi(prog, asg)
+    below, past = verdict.per_equation
+    assert decode_form(max_posy_form(below.sides[1], 1, {}), 1) == [{(2**15,): 1}]
+    assert max_posy_form(past.sides[1], 1, {}) is None
+    assert asg.memo[past.sides[1], 1] is None
+    assert past.status != "valid" and verdict.overall != "valid"
+
+
+def test_posy_compose_past_the_cap_is_a_qi_error():
+    # compile_bc composes q parts with posy_compose, so a compiled exponent
+    # past EXPONENT_CAP is this QiError, not a wrong form.
+    x = qi._unit(0, 1)
+    square = {2 * x: 1}
+    assert decode_posy(qi.posy_compose(square, [{2**14 * x: 3}], 1), 1) == {(2**15,): 9}
+    with pytest.raises(QiError, match="EXPONENT_CAP"):
+        qi.posy_compose(square, [{2**15 * x: 1}], 1)
+
+
+# -- term_qi's fold ---------------------------------------------------------------
+
+_FOLD_ENTRIES = {
+    "s0": Sum((Arg(0), Const(1))),
+    "nil": Const(1),
+    "f": Max((Arg(0), Const(2))),
+    "g": Sum((Arg(0), Prod((Arg(1), Arg(1))))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    term=terms(max_size=12),
+    names=st.sets(st.sampled_from(sorted(_FOLD_ENTRIES))),
+    order=st.lists(st.sampled_from("xyz"), unique=True),
+)
+def test_term_fold_agrees_with_the_postorder_reference(term, names, order):
+    # The same expression node, or the same first missing entry or variable.
+    entries = {name: _FOLD_ENTRIES[name] for name in names}
+    args = {v: Arg(i) for i, v in enumerate(order)}
+    outcomes = []
+    for fold in (qi._term_expr, reference_term_expr):
+        try:
+            outcomes.append(fold(QiAssignment(dict(entries)), args, term))
+        except QiError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] is outcomes[1] or outcomes[0] == outcomes[1]
 
 
 def _random_point(rng, arity):
