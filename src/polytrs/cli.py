@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import sys
 import traceback
@@ -28,7 +29,7 @@ from .callgraph import call_dag, call_tree
 from .ordering import EPPO, PPO, order_verdict
 from .parser import format_program, parse_program, parse_term
 from .qi import format_assignment, parse_assignment, parse_expr
-from .report import build_report, linearity_stage, program_digest, qi_stage, write_json
+from .report import build_report, linearity_stage, program_digest, qi_stage
 from .semantics import (
     Exhaustive,
     FirstMatch,
@@ -38,7 +39,7 @@ from .semantics import (
     is_orthogonal,
     proof_to_json,
 )
-from .terms import Program, format_term
+from .terms import format_term
 from .wordnorm import (
     is_normal,
     measure_bounded_values,
@@ -47,9 +48,9 @@ from .wordnorm import (
 )
 
 
-def _load_program(path: str) -> Program:
+def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return parse_program(fh.read())
+        return fh.read()
 
 
 def _budget(args) -> Budget:
@@ -79,7 +80,7 @@ def _emit(args: Optional[argparse.Namespace], text: str) -> None:
 def _emit_json(args, data) -> None:
     """Stream a computed payload as JSON, chunk by chunk, then a newline."""
     with _output(args) as fh:
-        write_json(data, fh.write)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -229,8 +230,31 @@ def _usage_error(message: str):
 def _dispatch(args) -> int:
     budget = _budget(args)
 
+    if args.command == "bc-compile":
+        comp = compile_bc(parse_bc(_read(args.bcfile)))
+        if args.format == "json":
+            _emit_json(
+                args,
+                {
+                    "program": format_program(comp.program),
+                    "qi": format_assignment(comp.qi, comp.program),
+                    "provenance": comp.provenance,
+                    "argument_split": {
+                        k: {"normal": v[0], "safe": v[1]}
+                        for k, v in comp.boundaries.items()
+                    },
+                },
+            )
+        else:
+            _emit(args, format_program(comp.program))
+        return 0
+
+    program = parse_program(_read(args.program))
+    assignment = None
+    if args.qi and args.command in ("check-qi", "certify"):
+        assignment = parse_assignment(_read(args.qi), program)
+
     if args.command == "parse":
-        program = _load_program(args.program)
         if args.format == "json":
             _emit_json(
                 args,
@@ -245,7 +269,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command in ("eval", "memo", "tree", "dag"):
-        program = _load_program(args.program)
         symbols = {s.name: s for s in program.signature}
         term = parse_term(args.term, symbols)
         if args.command in ("memo", "dag"):
@@ -273,7 +296,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "check-order":
-        program = _load_program(args.program)
         verdict = order_verdict(program, args.mode, args.order)
         if verdict is None:
             _emit_json(args, {"mode": args.mode, "overall": False, "note": "no precedence found"})
@@ -282,19 +304,15 @@ def _dispatch(args) -> int:
         return 0 if verdict.overall else 1
 
     if args.command == "check-qi":
-        program = _load_program(args.program)
-        with open(args.qi, encoding="utf-8") as fh:
-            assignment = parse_assignment(fh.read(), program)
         stage = qi_stage(program, assignment, args.seed)
         _emit_json(args, stage)
         return {"valid": 0, "invalid": 1, "unknown": 2}[stage["overall"]]
 
     if args.command == "blind":
-        _emit_json(args, blind_program(_load_program(args.program)).as_dict())
+        _emit_json(args, blind_program(program).as_dict())
         return 0
 
     if args.command == "linearity":
-        program = _load_program(args.program)
         verdict = order_verdict(program, args.mode, args.order)
         if verdict is None:
             _emit_json(args, {"overall": None, "note": "no precedence found"})
@@ -304,7 +322,6 @@ def _dispatch(args) -> int:
         return 0 if stage["overall"] else 1
 
     if args.command == "normalize":
-        program = _load_program(args.program)
         verdict = order_verdict(program, EPPO, args.order)
         normalized = normalize(program, verdict)  # raises unless the verdict passes
         result = {
@@ -315,29 +332,7 @@ def _dispatch(args) -> int:
         _emit_json(args, result)
         return 0
 
-    if args.command == "bc-compile":
-        with open(args.bcfile, encoding="utf-8") as fh:
-            bc = parse_bc(fh.read())
-        comp = compile_bc(bc)
-        if args.format == "json":
-            _emit_json(
-                args,
-                {
-                    "program": format_program(comp.program),
-                    "qi": format_assignment(comp.qi, comp.program),
-                    "provenance": comp.provenance,
-                    "argument_split": {
-                        k: {"normal": v[0], "safe": v[1]}
-                        for k, v in comp.boundaries.items()
-                    },
-                },
-            )
-        else:
-            _emit(args, format_program(comp.program))
-        return 0
-
     if args.command == "measure":
-        program = _load_program(args.program)
         if args.kind == "growth":
             table = measure_strong_poly(
                 program, sizes=args.sizes, budget=budget, seed=args.seed
@@ -355,11 +350,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "certify":
-        program = _load_program(args.program)
-        assignment = None
-        if args.qi:
-            with open(args.qi, encoding="utf-8") as fh:
-                assignment = parse_assignment(fh.read(), program)
         report = build_report(
             program,
             assignment,

@@ -746,19 +746,29 @@ def check_conditions(assignment: QiAssignment, program: Program) -> ConditionRep
         e = assignment.entry(sym.name)
         if sym.is_constructor:
             additivity[sym.name] = additive_shape(e, sym.arity) is not None
-        status = VALID
-        witness = None
+        status, witness = VALID, None
         args.extend(map(Arg, range(len(args), sym.arity)))
         for i in range(sym.arity):
-            if dominates(e, args[i], sym.arity, assignment.memo):
-                continue
-            status = UNKNOWN
-            refuted = _refute(e, args[i], sym.arity, tag=f"subterm:{sym.name}:{i}")
-            if refuted is not None:
-                status, witness = INVALID, refuted
+            decided, witness = _decide(
+                e, args[i], sym.arity, assignment.memo, ("subterm", sym.name, i), 0
+            )
+            if decided != VALID:
+                status = decided
+            if witness is not None:
                 break
         subterm[sym.name] = (status, witness)
     return ConditionReport(subterm, additivity)
+
+
+def _decide(lhs: QiExpr, rhs: QiExpr, arity: int, memo: dict, tag: tuple, seed: int):
+    """The obligation lhs >= rhs as (status, witness): valid when dominance
+    proves it, invalid at the first sample point that refutes it, and
+    unknown with no witness otherwise.  The sampling tag's parts are joined
+    by ':' only when sampling runs, since dominance settles most calls."""
+    if dominates(lhs, rhs, arity, memo):
+        return VALID, None
+    witness = _refute(lhs, rhs, arity, ":".join(map(str, tag)), seed)
+    return (UNKNOWN if witness is None else INVALID), witness
 
 
 def _refute(lhs: QiExpr, rhs: QiExpr, arity: int, tag: str, seed: int = 0):
@@ -838,13 +848,8 @@ def check_qi(program: Program, assignment: QiAssignment, seed: int = 0) -> QiVer
             )
             continue
         arity = len(var_order)
-        sides = (lhs, rhs, var_order)
-        if dominates(lhs, rhs, arity, assignment.memo):
-            verdicts.append(ObligationVerdict(eq.index, sides, VALID))
-            continue
-        witness = _refute(lhs, rhs, arity, tag=f"eq:{eq.index}", seed=seed)
-        status = UNKNOWN if witness is None else INVALID
-        verdicts.append(ObligationVerdict(eq.index, sides, status, witness))
+        status, witness = _decide(lhs, rhs, arity, assignment.memo, ("eq", eq.index), seed)
+        verdicts.append(ObligationVerdict(eq.index, (lhs, rhs, var_order), status, witness))
     if any(v.status == INVALID for v in verdicts) or not conditions.ok:
         overall = INVALID
     elif all(v.status == VALID for v in verdicts):

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
 from . import __version__
-from .base import Budget, DEFAULT_BUDGET, NotWordProgram, run_stack
+from .base import Budget, DEFAULT_BUDGET, NotWordProgram
 from .blind import blind_program, is_linear, transfer_uniform_qi
 from .ordering import EPPO, PPO, Precedence, order_verdict
 from .parser import format_program
@@ -38,55 +37,6 @@ PASS = "pass"
 FAIL = "fail"
 
 
-def _json_scalar(x) -> str:
-    """A leaf (a scalar, [] or {}) as json.dumps writes it."""
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if x is None or x is True or x is False:
-        return "null" if x is None else "true" if x else "false"
-    return int.__repr__(x) if type(x) is int else json.dumps(x)
-
-
-def write_json(data, write) -> None:
-    """Write what ``json.dumps`` writes with an indent of 2 and sorted keys,
-    byte for byte, through ``write`` at any nesting depth: under run_stack,
-    in time linear in the output and in chunks no longer than an output
-    line."""
-
-    def go(x, indent: str):
-        inner = indent + "  "
-        if isinstance(x, dict):  # a key that is no str is written as its JSON text
-            write("{")
-            items = [
-                (encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
-                for k, v in sorted(x.items())
-            ]
-        else:
-            write("[")
-            items = [("", v) for v in x]
-        sep = "\n" + inner
-        for key, v in items:
-            write(sep + key)
-            sep = ",\n" + inner
-            if isinstance(v, (dict, list, tuple)) and v:
-                yield go(v, inner)
-            else:
-                write(_json_scalar(v))
-        write("\n" + indent + ("}" if isinstance(x, dict) else "]"))
-
-    if isinstance(data, (dict, list, tuple)) and data:
-        run_stack(go(data, ""))
-    else:
-        write(_json_scalar(data))
-
-
-def dump_json(data) -> str:
-    """The text of ``write_json`` as one string."""
-    out: list[str] = []
-    write_json(data, out.append)
-    return "".join(out)
-
-
 def program_digest(program: Program) -> str:
     return hashlib.sha256(format_program(program).encode()).hexdigest()[:16]
 
@@ -95,7 +45,7 @@ class Report(NamedTuple):
     data: dict
 
     def to_json(self) -> str:
-        return dump_json(self.data) + "\n"
+        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
 
     @property
     def verdicts(self) -> dict:

@@ -3,17 +3,17 @@
 An n-letter append word nests its proof 2n + 1 judgements deep, and its call
 tree n + 1 calls deep.  Every stage that follows the proof, the term or the
 call structure runs on ``run_stack`` or an iterative walk, so these words
-evaluate, check and print far beyond Python's recursion limit.  JSON this
-deep is read back by its top-level lines only: ``json.loads`` itself
-recurses once per nesting level.  The text readers run on ``run_stack`` too,
-so neither a term nor a ``qi`` or ``--poly`` expression has a nesting limit,
-and neither path-order checking nor algebra-term compilation adds one.
+evaluate, check and print far beyond Python's recursion limit.  Every
+payload is a table whose nesting depth does not grow with the input, so
+``json.dump`` writes it and ``json.loads`` reads it back.  The text readers
+run on ``run_stack`` too, so neither a term nor a ``qi`` or ``--poly``
+expression has a nesting limit, and neither path-order checking nor
+algebra-term compilation adds one.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import time
 
 import pytest
@@ -56,9 +56,14 @@ def run(tmp_path, *argv) -> tuple[int, str]:
     return code, out.read_text()
 
 
-def top_level(text: str, key: str):
-    match = re.search(rf'^  "{key}": (.*?),?$', text, re.M)
-    return json.loads(match.group(1))
+def json_depth(data) -> int:
+    """The nesting depth of a JSON value (0 for a scalar), counted level by
+    level without recursion."""
+    depth, level = 0, [data]
+    while level := [x for x in level if isinstance(x, (dict, list))]:
+        depth += 1
+        level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
+    return depth
 
 
 COMMANDS = {
@@ -77,13 +82,15 @@ COMMANDS = {
 def test_deep_word_through_the_cli(tmp_path, command, n, budget):
     code, text = run(tmp_path, *budget, *COMMANDS[command], APPEND, word_call(n))
     assert code == 0, text[:200]
+    data = json.loads(text)
+    _, short = run(tmp_path, *COMMANDS[command], APPEND, word_call(3))
+    assert json_depth(data) == json_depth(json.loads(short))
     if command in ("tree", "dag"):
-        data = json.loads(text)
         assert len(data["nodes"]) == n + 1
         assert len(data["edges"]) == n
         assert data["nodes"][-1] == "<append, nil, nil>"
     else:
-        assert top_level(text, "result") == word_value(n)
+        assert data["result"] == word_value(n)
 
 
 def test_depth_budget_still_binds(tmp_path):
@@ -196,13 +203,19 @@ def deep_program(tmp_path, equation: str) -> str:
 
 
 def test_deep_lhs_through_check_order_and_certify(tmp_path):
-    trs = deep_program(tmp_path, f"f({'s0 ' * 3000}nil) -> nil")
-    code, text = run(tmp_path, "check-order", trs)
-    assert code == 0, text[:200]
-    assert json.loads(text)["overall"] is True
-    code, text = run(tmp_path, "certify", trs)
-    assert code in (0, 1, 2), text[:200]
-    assert json.loads(text)["stages"]["ordering"]["eppo"]["overall"] is True
+    depths = {}
+    for n in (3, 3000):
+        trs = deep_program(tmp_path, f"f({'s0 ' * n}nil) -> nil")
+        code, text = run(tmp_path, "check-order", trs)
+        assert code == 0, text[:200]
+        order = json.loads(text)
+        assert order["overall"] is True
+        code, text = run(tmp_path, "certify", trs)
+        assert code in (0, 1, 2), text[:200]
+        report = json.loads(text)
+        assert report["stages"]["ordering"]["eppo"]["overall"] is True
+        depths[n] = json_depth(order), json_depth(report)
+    assert depths[3] == depths[3000]
 
 
 def test_deep_failing_pair_is_explained(tmp_path):

@@ -122,6 +122,16 @@ def test_subterm_failure_witness():
     assert eval_expr(asg.entries["g"], witness) < witness[1]
 
 
+def test_an_unknown_argument_is_not_overwritten_by_a_valid_one():
+    # X <= X*X + 1 holds, but no single branch dominates X, and no sample
+    # point refutes it; Y <= X*X + 1 + Y is dominated.
+    prog = parse_program(
+        "constructors: s/1 0/0\nfunctions: g/2\ng(x, y) -> x\nmain: g\n"
+    )
+    asg = parse_assignment("qi s(X) = X + 1\nqi 0 = 1\nqi g(X, Y) = X*X + 1 + Y\n", prog)
+    assert check_conditions(asg, prog).subterm["g"] == ("unknown", None)
+
+
 def test_additivity_shape_enforced(corpus):
     prog = corpus["append.trs"]
     asg = parse_assignment((CORPUS / "append.qi").read_text(), prog)

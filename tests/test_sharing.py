@@ -21,7 +21,6 @@ from polytrs.blind import blind_program
 from polytrs.callgraph import call_tree
 from polytrs.ordering import EPPO, infer_precedence, parse_precedence
 from polytrs.parser import parse_term
-from polytrs.report import dump_json
 from polytrs.semantics import (
     R_READ,
     R_UPDATE,
@@ -242,7 +241,7 @@ def test_call_tree_and_json_unfold_the_shared_proof():
     cases = list(table_cases())
     assert len(cases) == len(ORACLE_CASES) + 36
     for label, program, proof in cases:
-        data = json.loads(dump_json(proof_to_json(proof)))
+        data = json.loads(json.dumps(proof_to_json(proof)))
         assert len(data["nodes"]) == len(list(proof.root.distinct())), label
         rebuilt = proof_from_json(program, data)
         assert shape(rebuilt.root) == shape(unshare(proof.root)), label
@@ -255,7 +254,7 @@ def test_call_tree_and_json_unfold_the_shared_proof():
         active = [j for j in proof.root.distinct() if j.is_active]
         assert tree.node_count() == len(active), label
         ids = {n: i for i, n in enumerate(tree.nodes())}
-        table = json.loads(dump_json(tree.to_json()))
+        table = json.loads(json.dumps(tree.to_json()))
         unfolded = call_tree(replace(proof, root=unshare(proof.root))).to_json()
         assert unfold_call_tree(table, [ids[r] for r in tree.roots]) == unfolded, label
 
