@@ -4,12 +4,17 @@ Exit codes: ``certify`` exits 0 when any of its three verdicts passes, 1
 when all three fail, and 2 otherwise; ``check-order`` exits 0 on a pass and
 1 on a fail; ``check-qi`` exits 0, 1 or 2 on a valid, invalid or unknown
 QI; ``linearity`` exits 0 or 1, and 2 when no precedence exists; the other
-commands exit 0.  Every error (usage, input or internal) exits 3.  All
-commands emit JSON (CSV/DOT where noted) on stdout or to ``--out``.
+commands exit 0.  Every error (usage, input or internal) exits 3.
 ``eval`` and ``memo`` write ``schema_version`` 1: the result, the proof's
 statistics, and the proof as a node table of its distinct judgements
 (``semantics.proof_to_json``); ``tree`` and ``dag`` number each distinct
 call node once (``callgraph.CallStructure``).
+
+``_COMMANDS`` declares each command once: its help, its positional
+arguments, the shared options it reads and the formats it writes besides
+JSON, on stdout or to ``--out``.  A shared option that the command does
+not list, set to a value other than its default, is a usage error, as is
+a ``--format`` it does not write.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import json
 import os
 import sys
 import traceback
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .base import Budget, TrsError
 from .bc import compile_bc, parse_bc
@@ -58,11 +63,59 @@ def _budget(args) -> Budget:
 
 
 def _sizes(text: str) -> range:
-    lo, _, hi = text.partition("..")
-    lo, hi = int(lo), int(hi or lo)
+    lo, dots, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not of the form a..b or a") from None
     if not 0 <= lo <= hi:
         raise argparse.ArgumentTypeError(f"sizes {text} need 0 <= low <= high")
     return range(lo, hi + 1)
+
+
+# The shared options besides --out and --format, with their add_argument
+# keywords.  Each default is spelled out: _check_flags compares with it.
+_OPTIONS = {
+    "--seed": {"type": int, "default": 0},
+    "--budget-rules": {"type": int, "default": 200_000},
+    "--budget-depth": {"type": int, "default": 2_000},
+    "--sizes": {"type": _sizes, "default": range(1, 9)},
+    "--qi": {"metavar": "FILE", "default": None, "help": "assignment file"},
+    "--order": {"metavar": "STRING", "default": None, "help": "precedence, e.g. 'append < f'"},
+    "--mode": {"choices": [PPO, EPPO], "default": EPPO},
+    "--allow-nonconfluent-memo": {"action": "store_true", "default": False},
+    "--policy": {"choices": ["first", "seeded", "exhaustive"], "default": "first"},
+}
+_BUDGET = "--budget-rules --budget-depth"
+_CBV = f"{_BUDGET} --policy --seed"
+_MEMO = f"{_BUDGET} --allow-nonconfluent-memo"
+_MEASURE = f"{_BUDGET} --sizes --seed"
+
+
+class _Command(NamedTuple):
+    help: str
+    arguments: str  # the positional ones
+    options: str = ""  # the shared options it reads
+    formats: str = ""  # what it writes besides json
+
+
+# Every command and all that it accepts.  parse and bc-compile print the
+# program text for csv and dot; measure writes csv under --kind growth only.
+_COMMANDS = {
+    "parse": _Command("parse and reprint a program", "program", "", "csv dot"),
+    "eval": _Command("call-by-value evaluation", "program term", _CBV),
+    "memo": _Command("evaluation with cache", "program term", _MEMO),
+    "tree": _Command("call tree of a cbv proof", "program term", _CBV, "dot"),
+    "dag": _Command("call dag of a memo proof", "program term", _MEMO, "dot"),
+    "check-order": _Command("path-ordering termination check", "program", "--order --mode"),
+    "check-qi": _Command("verify a quasi-interpretation", "program", "--qi --seed"),
+    "blind": _Command("blind image of a program", "program"),
+    "linearity": _Command("per-function linearity report", "program", "--order --mode"),
+    "normalize": _Command("word-program normalization", "program", "--order"),
+    "bc-compile": _Command("compile a safe-recursion term", "bcfile", "", "csv dot"),
+    "measure": _Command("worst-case growth measurement", "program", _MEASURE, "csv"),
+    "certify": _Command("full criteria pipeline and report", "program", f"--qi --order {_MEASURE}"),
+}
 
 
 def _output(args: Optional[argparse.Namespace]):
@@ -97,57 +150,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="polytrs",
         description="Rewrite-program complexity certification toolkit",
     )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget-rules", type=int, default=200_000)
-    parser.add_argument("--budget-depth", type=int, default=2_000)
-    parser.add_argument("--sizes", type=_sizes, default=range(1, 9))
-    parser.add_argument("--qi", metavar="FILE", help="assignment file")
-    parser.add_argument("--order", metavar="STRING", help="precedence, e.g. 'append < f'")
-    parser.add_argument("--mode", choices=[PPO, EPPO], default=EPPO)
-    parser.add_argument("--allow-nonconfluent-memo", action="store_true")
+    for flag, keywords in _OPTIONS.items():
+        parser.add_argument(flag, **keywords)
     parser.add_argument("--out", metavar="FILE")
     parser.add_argument("--format", choices=["json", "csv", "dot"], default="json")
-    parser.add_argument(
-        "--policy", choices=["first", "seeded", "exhaustive"], default="first"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("parse", help="parse and reprint a program")
-    sp.add_argument("program")
-    sp = sub.add_parser("eval", help="call-by-value evaluation")
-    sp.add_argument("program")
-    sp.add_argument("term")
-    sp = sub.add_parser("memo", help="evaluation with cache")
-    sp.add_argument("program")
-    sp.add_argument("term")
-    sp = sub.add_parser("tree", help="call tree of a cbv proof")
-    sp.add_argument("program")
-    sp.add_argument("term")
-    sp = sub.add_parser("dag", help="call dag of a memo proof")
-    sp.add_argument("program")
-    sp.add_argument("term")
-    sp = sub.add_parser("check-order", help="path-ordering termination check")
-    sp.add_argument("program")
-    sp = sub.add_parser("check-qi", help="verify a quasi-interpretation")
-    sp.add_argument("program")
-    sp = sub.add_parser("blind", help="blind image of a program")
-    sp.add_argument("program")
-    sp = sub.add_parser("linearity", help="per-function linearity report")
-    sp.add_argument("program")
-    sp = sub.add_parser("normalize", help="word-program normalization")
-    sp.add_argument("program")
-    sp = sub.add_parser("bc-compile", help="compile a safe-recursion term")
-    sp.add_argument("bcfile")
-    sp = sub.add_parser("measure", help="worst-case growth measurement")
-    sp.add_argument("program")
-    sp.add_argument("--poly", help="polynomial in n to check against the rows")
-    sp.add_argument(
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for argument in command.arguments.split():
+            sp.add_argument(argument)
+    measure = sub.choices["measure"]
+    measure.add_argument("--poly", help="polynomial in n to check against the rows")
+    measure.add_argument(
         "--kind", choices=["growth", "values"], default="growth",
         help="growth: derivation size table; values: reachable state sizes",
     )
-    sp = sub.add_parser("certify", help="full criteria pipeline and report")
-    sp.add_argument("program")
-
     for p in (parser, *sub.choices.values()):
         p.error = _usage_error
     return parser
@@ -198,28 +215,29 @@ def _main(argv: Optional[list]) -> int:
     return 3
 
 
-# The formats besides JSON that a command writes; parse and bc-compile write
-# the program text for either.
-_TEXT_FORMATS = {
-    "parse": "csv dot", "bc-compile": "csv dot", "tree": "dot", "dag": "dot",
-    "measure --kind growth": "csv",
-}
-
-
 def _check_flags(args) -> None:
-    """A usage error for a flag the command needs, or would silently ignore."""
-    command = args.command + (f" --kind {args.kind}" if args.command == "measure" else "")
-    for flag in ("budget_rules", "budget_depth"):
-        if getattr(args, flag) < 0:
-            _usage_error(f"--{flag.replace('_', '-')} {getattr(args, flag)} is negative")
-    if args.policy != "first" and args.command not in ("eval", "tree"):
-        _usage_error(f"{args.command} does not take --policy {args.policy}")
+    """Usage errors beyond argparse's: a negative budget, check-qi without
+    --qi, --poly under --kind growth, and a shared option or --format that
+    the command's ``_COMMANDS`` entry does not list.  An option at its
+    default is never an error."""
+    command = _COMMANDS[args.command]
+    for flag, keywords in _OPTIONS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if flag in _BUDGET.split() and value < 0:
+            _usage_error(f"{flag} {value} is negative")
+        if flag not in command.options.split() and value != keywords["default"]:
+            if isinstance(value, range):  # as --sizes reads it
+                value = f"{value.start}..{value[-1]}"
+            shown = "" if value is True else f" {value}"
+            _usage_error(f"{args.command} does not take {flag}{shown}")
     if args.command == "check-qi" and not args.qi:
         _usage_error("--qi FILE is required")
-    if command == "measure --kind growth" and args.poly:
+    name = args.command + (f" --kind {args.kind}" if args.command == "measure" else "")
+    if name == "measure --kind growth" and args.poly:
         _usage_error("--poly needs --kind values")
-    if args.format != "json" and args.format not in _TEXT_FORMATS.get(command, ""):
-        _usage_error(f"{command} does not write --format {args.format}")
+    formats = "" if name == "measure --kind values" else command.formats
+    if args.format != "json" and args.format not in formats.split():
+        _usage_error(f"{name} does not write --format {args.format}")
 
 
 def _usage_error(message: str):
@@ -228,53 +246,39 @@ def _usage_error(message: str):
 
 
 def _dispatch(args) -> int:
-    budget = _budget(args)
-
     if args.command == "bc-compile":
         comp = compile_bc(parse_bc(_read(args.bcfile)))
-        if args.format == "json":
-            _emit_json(
-                args,
-                {
-                    "program": format_program(comp.program),
-                    "qi": format_assignment(comp.qi, comp.program),
-                    "provenance": comp.provenance,
-                    "argument_split": {
-                        k: {"normal": v[0], "safe": v[1]}
-                        for k, v in comp.boundaries.items()
-                    },
-                },
-            )
-        else:
+        if args.format != "json":
             _emit(args, format_program(comp.program))
+            return 0
+        split = {k: {"normal": n, "safe": s} for k, (n, s) in comp.boundaries.items()}
+        _emit_json(args, {
+            "program": format_program(comp.program),
+            "qi": format_assignment(comp.qi, comp.program),
+            "provenance": comp.provenance,
+            "argument_split": split,
+        })
         return 0
 
     program = parse_program(_read(args.program))
-    assignment = None
-    if args.qi and args.command in ("check-qi", "certify"):
-        assignment = parse_assignment(_read(args.qi), program)
 
     if args.command == "parse":
-        if args.format == "json":
-            _emit_json(
-                args,
-                {
-                    "digest": program_digest(program),
-                    "program": format_program(program),
-                    "repeated_lhs_variables": program.has_repeated_lhs_variables(),
-                },
-            )
-        else:
+        if args.format != "json":
             _emit(args, format_program(program))
+            return 0
+        _emit_json(args, {
+            "digest": program_digest(program),
+            "program": format_program(program),
+            "repeated_lhs_variables": program.has_repeated_lhs_variables(),
+        })
         return 0
 
     if args.command in ("eval", "memo", "tree", "dag"):
-        symbols = {s.name: s for s in program.signature}
-        term = parse_term(args.term, symbols)
+        term = parse_term(args.term, {s.name: s for s in program.signature})
+        budget = _budget(args)
         if args.command in ("memo", "dag"):
-            proof = eval_memo(
-                program, term, budget, allow_nonconfluent=args.allow_nonconfluent_memo
-            )
+            allow = args.allow_nonconfluent_memo
+            proof = eval_memo(program, term, budget, allow_nonconfluent=allow)
         else:
             proof = next(iter(eval_cbv(program, term, _policy(args), budget)))
         if args.command in ("eval", "memo"):
@@ -284,7 +288,7 @@ def _dispatch(args) -> int:
                 "stats": proof.stats._asdict(),
                 "proof": proof_to_json(proof),
             }
-            if args.command == "memo" and args.allow_nonconfluent_memo:
+            if args.command == "memo" and allow:
                 payload["nonconfluent_override"] = not is_orthogonal(program)
             _emit_json(args, payload)
         else:
@@ -304,7 +308,7 @@ def _dispatch(args) -> int:
         return 0 if verdict.overall else 1
 
     if args.command == "check-qi":
-        stage = qi_stage(program, assignment, args.seed)
+        stage = qi_stage(program, parse_assignment(_read(args.qi), program), args.seed)
         _emit_json(args, stage)
         return {"valid": 0, "invalid": 1, "unknown": 2}[stage["overall"]]
 
@@ -324,19 +328,17 @@ def _dispatch(args) -> int:
     if args.command == "normalize":
         verdict = order_verdict(program, EPPO, args.order)
         normalized = normalize(program, verdict)  # raises unless the verdict passes
-        result = {
+        _emit_json(args, {
             "program": format_program(normalized),
             "diff": normalization_diff(program, normalized),
             "normal": is_normal(normalized, verdict.precedence).normal,
-        }
-        _emit_json(args, result)
+        })
         return 0
 
     if args.command == "measure":
+        budget = _budget(args)
         if args.kind == "growth":
-            table = measure_strong_poly(
-                program, sizes=args.sizes, budget=budget, seed=args.seed
-            )
+            table = measure_strong_poly(program, sizes=args.sizes, budget=budget, seed=args.seed)
             if args.format == "csv":
                 _emit(args, table.as_csv())
             else:
@@ -350,13 +352,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "certify":
+        assignment = parse_assignment(_read(args.qi), program) if args.qi else None
         report = build_report(
-            program,
-            assignment,
-            order_text=args.order,
-            seed=args.seed,
-            budget=budget,
-            sizes=args.sizes,
+            program, assignment, order_text=args.order, seed=args.seed,
+            budget=_budget(args), sizes=args.sizes,
         )
         _emit_json(args, report.data)
         return report.exit_code()

@@ -18,7 +18,6 @@ one stage builds its payload with the report's code.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import NamedTuple, Optional
 
 from . import __version__
@@ -43,9 +42,6 @@ def program_digest(program: Program) -> str:
 
 class Report(NamedTuple):
     data: dict
-
-    def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
 
     @property
     def verdicts(self) -> dict:

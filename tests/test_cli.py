@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from polytrs import cli
 from polytrs.blind import blind_program
 from polytrs.cli import main
 from polytrs.parser import format_program
@@ -329,13 +330,21 @@ def test_unwritable_out_exits_3(tmp_path, capsys):
     assert data["error"] == "io-error"
 
 
-@pytest.mark.parametrize("sizes", ["-2..3", "5..3", "-1"])
+@pytest.mark.parametrize("sizes", ["-2..3", "5..3", "-1", "1..", "..3"])
 def test_usage_error_sizes_out_of_order_or_negative(capsys, sizes):
     for command in ("measure", "certify"):
         code, data = run_json(capsys, f"--sizes={sizes}", command, str(CORPUS / "append.trs"))
         assert code == 3
         assert data["error"] == "usage"
         assert "--sizes" in data["message"]
+        assert "_sizes" not in data["message"]
+
+
+def test_a_bare_size_measures_that_size_alone(capsys):
+    argv = ["--sizes", "3", "--format", "csv", "measure", str(CORPUS / "append.trs")]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["3"]
 
 
 def test_sizes_from_zero_measure(capsys):
@@ -636,3 +645,75 @@ def test_an_unknown_symbol_in_a_qi_line_is_a_parse_error_at_the_name(tmp_path, c
         code, data = run_json(capsys, "--qi", str(qi), command, str(CORPUS / "append.trs"))
         assert code == 3
         assert data == {"error": "parse-error", "message": "2:5: unknown symbol f"}
+
+
+# The contract, written out here rather than read from polytrs.cli: the
+# shared options each command reads.  Every command reads --out and --format.
+CBV = {"--budget-rules", "--budget-depth", "--policy", "--seed"}
+MEMO = {"--budget-rules", "--budget-depth", "--allow-nonconfluent-memo"}
+READS = {
+    "parse": set(),
+    "blind": set(),
+    "bc-compile": set(),
+    "eval": CBV,
+    "tree": CBV,
+    "memo": MEMO,
+    "dag": MEMO,
+    "check-order": {"--order", "--mode"},
+    "linearity": {"--order", "--mode"},
+    "normalize": {"--order"},
+    "check-qi": {"--qi", "--seed"},
+    "measure": {"--budget-rules", "--budget-depth", "--sizes", "--seed"},
+    "certify": {"--qi", "--order", "--budget-rules", "--budget-depth", "--sizes", "--seed"},
+}
+RUNNING, RUNNING_QI = str(CORPUS / "running.trs"), str(CORPUS / "running.qi")
+OFF_DEFAULT = {  # each shared option at a value other than its default
+    "--seed": ["--seed", "3"],
+    "--budget-rules": ["--budget-rules", "100000"],
+    "--budget-depth": ["--budget-depth", "1000"],
+    "--sizes": ["--sizes", "1..2"],
+    "--qi": ["--qi", RUNNING_QI],
+    "--order": ["--order", "append < f"],
+    "--mode": ["--mode", "ppo"],
+    "--allow-nonconfluent-memo": ["--allow-nonconfluent-memo"],
+    "--policy": ["--policy", "seeded"],
+}
+
+
+def command_line(command: str) -> list:
+    if command == "bc-compile":
+        return [command, str(CORPUS / "add.bc")]
+    if command in ("eval", "tree", "memo", "dag"):
+        return [command, RUNNING, "f(s0 s1 nil)"]
+    return (["--qi", RUNNING_QI] if command == "check-qi" else []) + [command, RUNNING]
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_a_shared_flag_the_command_does_not_read_is_a_usage_error(capsys, command):
+    for flag, value in OFF_DEFAULT.items():
+        code, data = run_json(capsys, *value, *command_line(command))
+        if flag in READS[command]:
+            assert code in (0, 1, 2), (flag, data)  # a verdict
+        else:
+            assert code == 3 and data["error"] == "usage", (flag, data)
+            assert data["message"].startswith(f"{command} does not take {flag}")
+
+
+class ReadRecorder(argparse.Namespace):
+    """Parsed arguments that note each shared option read from them."""
+
+    def __getattribute__(self, name):
+        flag = "--" + name.replace("_", "-")
+        if flag in OFF_DEFAULT:
+            object.__getattribute__(self, "read").add(flag)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("case", [*sorted(READS), "measure --kind values"])
+def test_dispatch_reads_exactly_the_shared_options_the_command_lists(tmp_path, case):
+    command, *own = case.split()
+    argv = [arg for flag in sorted(READS[command]) for arg in OFF_DEFAULT[flag]]
+    argv += ["--out", str(tmp_path / "out"), *command_line(command), *own]
+    args = ReadRecorder(**vars(cli._build_parser().parse_args(argv)), read=set())
+    assert cli._dispatch(args) in (0, 1, 2)
+    assert args.read == READS[command]
